@@ -6,8 +6,10 @@ Usage::
     python benchmarks/run_benchmarks.py [output.json] [--check-trend]
 
 Covers the raw toolchain throughput (compile + simulate one case), the
-batched verification engine (cold candidate, warm iteration-k+1 and trace vs
-step-wise testbench backends, with asserted minimum speedups), the
+Chisel frontend (lex + parse of registry candidates, asserted ≥1.5x the
+character-at-a-time reference frontend), the batched verification engine
+(cold candidate, warm iteration-k+1 and trace vs step-wise testbench
+backends, with asserted minimum speedups), the
 vectorized simulation backend (deep-verify speedup over the scalar trace
 kernels and the 16-candidate lockstep multiple), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
@@ -94,6 +96,7 @@ def main(argv: list[str]) -> int:
     status = pytest.main(
         [
             os.path.join(root, "benchmarks", "test_toolchain_throughput.py"),
+            os.path.join(root, "benchmarks", "test_chisel_frontend_throughput.py"),
             os.path.join(root, "benchmarks", "test_verify_throughput.py"),
             os.path.join(root, "benchmarks", "test_vector_throughput.py"),
             os.path.join(root, "benchmarks", "test_sweep_throughput.py"),

@@ -16,8 +16,9 @@ from repro.core.session import LLMCall, Session, ToolCall, drive
 from repro.llm.client import ChatClient
 from repro.problems.base import Problem
 from repro.sim.testbench import Testbench
-from repro.toolchain.simulator import SimulateRequest, Simulator
-from repro.verilog.parser import VerilogParseError, parse_verilog
+from repro.toolchain.simulator import SimulateRequest, Simulator, parse_verilog_cached
+# parse_verilog stays importable here: perfbench/tracing.py wraps it by name.
+from repro.verilog.parser import VerilogParseError, parse_verilog  # noqa: F401
 
 
 @dataclass
@@ -106,7 +107,7 @@ class AutoChip:
 
 def _parse_error(code: str) -> str | None:
     try:
-        parse_verilog(code)
+        parse_verilog_cached(code)
     except VerilogParseError as exc:
         return str(exc)
     return None

@@ -13,8 +13,9 @@ from repro.core.session import LLMCall, Session, ToolCall, drive
 from repro.llm.client import ChatClient
 from repro.problems.base import Problem
 from repro.toolchain.compiler import ChiselCompiler
-from repro.toolchain.simulator import SimulateRequest, Simulator
-from repro.verilog.parser import VerilogParseError, parse_verilog
+from repro.toolchain.simulator import SimulateRequest, Simulator, parse_verilog_cached
+# parse_verilog stays importable here: perfbench/tracing.py wraps it by name.
+from repro.verilog.parser import VerilogParseError, parse_verilog  # noqa: F401
 
 
 @dataclass
@@ -76,7 +77,7 @@ class ZeroShotRunner:
 
 def _parses(code: str) -> bool:
     try:
-        parse_verilog(code)
+        parse_verilog_cached(code)
     except VerilogParseError:
         return False
     return True

@@ -3,11 +3,18 @@
 Produces a flat token stream; the parser is newline-sensitive (Scala statement
 separation), so NEWLINE tokens are emitted for line breaks that can terminate
 a statement.
+
+One compiled master regex with a named group per token class scans the
+source; line and column come from the offset of the current line's start.
+Integer literals are ASCII ``[0-9]`` only (a non-ASCII digit is an illegal
+character), while identifiers follow Unicode ``isalpha``/``isalnum`` rules.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass
 
 from repro.chisel.diagnostics import ChiselError, SourceLocation
@@ -96,10 +103,45 @@ _OPERATORS = [
     "^",
     "~",
     "!",
-    "_",
 ]
 
 _PUNCT = "(){}[].,:;@"
+
+# Alternatives are tried in order, so comments win over ``/``, the quote
+# fallbacks only match where a complete string/comment does not, and an
+# identifier is never taken for an operator.  ``ident`` accepts any word
+# character; the tokenizer rejects a non-letter start such as ``²``.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)"
+    r"|(?P<ws>[ \t\r]+)"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r'|(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")'
+    r'|(?P<open_string>")'
+    r"|(?P<integer>0[xX][0-9a-fA-F_]*|[0-9][0-9_]*)"
+    r"|(?P<ident>[\w$]+)"
+    r"|(?P<operator>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    r"|(?P<punct>[" + re.escape(_PUNCT) + "])"
+    r"|(?P<illegal>.)",
+    re.DOTALL,
+)
+
+_KIND_OF_GROUP = {
+    "integer": TokenKind.INTEGER,
+    "operator": TokenKind.OPERATOR,
+    "punct": TokenKind.PUNCT,
+}
+_LEX_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _unescape(match: re.Match) -> str:
+    escaped = match.group(1)
+    return _ESCAPES.get(escaped, escaped)
 
 
 @dataclass(frozen=True)
@@ -126,143 +168,60 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}, {self.location})"
 
 
-class Lexer:
-    """Tokenise Chisel/Scala source text."""
-
-    def __init__(self, source: str, file: str = "Main.scala"):
-        self.source = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.file)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                loc = self._location()
-                self._advance()
-                if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-                    tokens.append(Token(TokenKind.NEWLINE, "\n", loc))
-                continue
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._lex_block_comment()
-                continue
-            if ch == '"':
-                tokens.append(self._lex_string())
-                continue
-            if ch.isdigit():
-                tokens.append(self._lex_number())
-                continue
-            if ch.isalpha() or ch == "_" or ch == "$":
-                tokens.append(self._lex_ident())
-                continue
-            op = self._match_operator()
-            if op is not None:
-                tokens.append(op)
-                continue
-            if ch in _PUNCT:
-                loc = self._location()
-                self._advance()
-                tokens.append(Token(TokenKind.PUNCT, ch, loc))
-                continue
-            raise ChiselError.at(
-                f"illegal character {ch!r} in source", self._location(), code="LEX"
-            )
-        tokens.append(Token(TokenKind.EOF, "", self._location()))
-        return tokens
-
-    def _lex_block_comment(self) -> None:
-        start = self._location()
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise ChiselError.at("unterminated block comment", start, code="LEX")
-
-    def _lex_string(self) -> Token:
-        loc = self._location()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise ChiselError.at("unterminated string literal", loc, code="LEX")
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escaped = self._advance()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                chars.append(mapping.get(escaped, escaped))
-                continue
-            chars.append(self._advance())
-        return Token(TokenKind.STRING, "".join(chars), loc)
-
-    def _lex_number(self) -> Token:
-        loc = self._location()
-        chars: list[str] = []
-        if self._peek() == "0" and self._peek(1) in "xX":
-            chars.append(self._advance())
-            chars.append(self._advance())
-            while self._peek() and (self._peek() in "0123456789abcdefABCDEF_"):
-                chars.append(self._advance())
-        else:
-            while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-                chars.append(self._advance())
-        return Token(TokenKind.INTEGER, "".join(chars), loc)
-
-    def _lex_ident(self) -> Token:
-        loc = self._location()
-        chars: list[str] = []
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        if text == "_":
-            return Token(TokenKind.OPERATOR, "_", loc)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _match_operator(self) -> Token | None:
-        loc = self._location()
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, loc)
-        return None
+# Token positions repeat across sources (the candidates of one problem share
+# their layout), so locations are interned: a parse then allocates one object
+# per token instead of two, which also cuts the garbage collections a sweep
+# runs.  SourceLocation is frozen, so a shared instance is indistinguishable
+# from a fresh one.
+_location = functools.lru_cache(maxsize=4096)(SourceLocation)
 
 
 def tokenize(source: str, file: str = "Main.scala") -> list[Token]:
-    """Convenience wrapper returning the token list for ``source``."""
-    return Lexer(source, file).tokenize()
+    """Tokenise Chisel/Scala ``source`` into a list ending with an EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0
+    after_newline = True  # no NEWLINE before the first token or after another
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        if group == "ws":
+            continue
+        start = match.start()
+        location = _location(line, start - line_start + 1, file)
+        text = match.group()
+        if group == "newline":
+            line += 1
+            line_start = start + 1
+            if after_newline:
+                continue
+            kind = TokenKind.NEWLINE
+        elif group == "ident":
+            if text in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            elif text == "_":
+                kind = TokenKind.OPERATOR
+            elif text[0].isalpha() or text[0] in "_$":
+                kind = TokenKind.IDENT
+            else:
+                raise ChiselError.at(
+                    f"illegal character {text[0]!r} in source", location, code="LEX"
+                )
+        elif group in _KIND_OF_GROUP:
+            kind = _KIND_OF_GROUP[group]
+        elif group == "comment" or group == "string":
+            breaks = text.count("\n")
+            if breaks:
+                line += breaks
+                line_start = start + text.rindex("\n") + 1
+            if group == "comment":
+                continue
+            kind = TokenKind.STRING
+            text = _ESCAPE_RE.sub(_unescape, text[1:-1])
+        else:
+            message = _LEX_ERRORS.get(group) or f"illegal character {text!r} in source"
+            raise ChiselError.at(message, location, code="LEX")
+        append(Token(kind, text, location))
+        after_newline = kind is TokenKind.NEWLINE
+    append(Token(TokenKind.EOF, "", _location(line, len(source) - line_start + 1, file)))
+    return tokens

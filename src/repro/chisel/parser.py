@@ -19,20 +19,46 @@ _NAMED_INFIX = {"until", "to", "min", "max"}
 
 _UNARY_OPS = {"!", "~", "-"}
 
+_WITH_CLOCK = {"withClock", "withReset", "withClockAndReset"}
+
+# Binary operator -> precedence level; a higher level binds tighter.  Every
+# level is left-associative, and the named infix operators bind looser still.
+_BINARY_PRECEDENCE = {
+    op: level
+    for level, ops in enumerate(
+        [
+            ("||",),
+            ("&&",),
+            ("|",),
+            ("^",),
+            ("&",),
+            ("===", "=/=", "==", "!="),
+            ("<", ">", "<=", ">="),
+            ("<<", ">>"),
+            ("##",),
+            ("+", "-", "+&", "-&", "+%", "-%"),
+            ("*", "/", "%"),
+        ],
+        start=1,
+    )
+    for op in ops
+}
+
 
 class Parser:
     """Parse a token stream into a :class:`repro.chisel.ast.Program`."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self._last = len(tokens) - 1
         self.pos = 0
         self._placeholder_counter = 0
 
     # ------------------------------------------------------------------ utils
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.pos + offset
+        return self.tokens[index] if index < self._last else self.tokens[-1]
 
     def _peek_skipping_newlines(self, offset: int = 0) -> Token:
         index = self.pos
@@ -50,13 +76,21 @@ class Parser:
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if self.pos < self._last:
             self.pos += 1
         return token
 
+    def _advance_before_eof(self, context: str) -> Token:
+        """:meth:`_advance` for bracket-skipping loops, which must stop at EOF."""
+        if self._peek().kind is TokenKind.EOF:
+            raise self._error(f"unexpected end of file in {context}")
+        return self._advance()
+
     def _skip_newlines(self) -> None:
-        while self._peek().kind is TokenKind.NEWLINE or self._peek().is_punct(";"):
+        token = self._peek()
+        while token.kind is TokenKind.NEWLINE or token.is_punct(";"):
             self._advance()
+            token = self._peek()
 
     def _error(self, message: str, token: Token | None = None) -> ChiselError:
         token = token or self._peek()
@@ -154,7 +188,7 @@ class Parser:
         if self._peek().is_punct("("):
             depth = 0
             while True:
-                token = self._advance()
+                token = self._advance_before_eof("parent arguments")
                 if token.is_punct("("):
                     depth += 1
                 elif token.is_punct(")"):
@@ -191,7 +225,7 @@ class Parser:
         if self._peek().is_punct("["):
             depth = 0
             while True:
-                token = self._advance()
+                token = self._advance_before_eof("type arguments")
                 parts.append(token.text)
                 if token.is_punct("["):
                     depth += 1
@@ -238,7 +272,7 @@ class Parser:
             return self._parse_when()
         if token.is_ident("switch"):
             return self._parse_switch()
-        if token.is_ident("withClock", "withReset", "withClockAndReset"):
+        if token.is_ident(*_WITH_CLOCK):
             return self._parse_with_clock()
         return self._parse_expression_statement()
 
@@ -425,100 +459,26 @@ class Parser:
         return self._parse_named_infix()
 
     def _parse_named_infix(self) -> ast.Expr:
-        left = self._parse_or()
+        left = self._parse_binary(1)
         while self._peek().is_ident(*_NAMED_INFIX):
             op = self._advance().text
-            right = self._parse_or()
+            right = self._parse_binary(1)
             left = ast.BinaryOp(left.location, op, left, right)
         return left
 
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._peek().is_op("||"):
-            loc = self._advance().location
-            right = self._parse_and()
-            left = ast.BinaryOp(loc, "||", left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_bitor()
-        while self._peek().is_op("&&"):
-            loc = self._advance().location
-            right = self._parse_bitor()
-            left = ast.BinaryOp(loc, "&&", left, right)
-        return left
-
-    def _parse_bitor(self) -> ast.Expr:
-        left = self._parse_bitxor()
-        while self._peek().is_op("|"):
-            loc = self._advance().location
-            right = self._parse_bitxor()
-            left = ast.BinaryOp(loc, "|", left, right)
-        return left
-
-    def _parse_bitxor(self) -> ast.Expr:
-        left = self._parse_bitand()
-        while self._peek().is_op("^"):
-            loc = self._advance().location
-            right = self._parse_bitand()
-            left = ast.BinaryOp(loc, "^", left, right)
-        return left
-
-    def _parse_bitand(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._peek().is_op("&"):
-            loc = self._advance().location
-            right = self._parse_equality()
-            left = ast.BinaryOp(loc, "&", left, right)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._peek().is_op("===", "=/=", "==", "!="):
-            op = self._advance()
-            right = self._parse_relational()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_shift()
-        while self._peek().is_op("<", ">", "<=", ">="):
-            op = self._advance()
-            right = self._parse_shift()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_shift(self) -> ast.Expr:
-        left = self._parse_cat()
-        while self._peek().is_op("<<", ">>"):
-            op = self._advance()
-            right = self._parse_cat()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_cat(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().is_op("##"):
-            op = self._advance()
-            right = self._parse_additive()
-            left = ast.BinaryOp(op.location, "##", left, right)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().is_op("+", "-", "+&", "-&", "+%", "-%"):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE` (all left-associative)."""
         left = self._parse_unary()
-        while self._peek().is_op("*", "/", "%"):
-            op = self._advance()
-            right = self._parse_unary()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
+        while True:
+            token = self._peek()
+            if token.kind is not TokenKind.OPERATOR:
+                return left
+            precedence = _BINARY_PRECEDENCE.get(token.text, 0)
+            if precedence < min_precedence:
+                return left
+            self._advance()
+            right = self._parse_binary(precedence + 1)
+            left = ast.BinaryOp(token.location, token.text, left, right)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
@@ -566,7 +526,7 @@ class Parser:
         if self._peek().is_punct("["):
             self._advance()
             while not self._peek().is_punct("]"):
-                type_args.append(self._advance().text)
+                type_args.append(self._advance_before_eof("type arguments").text)
             self._expect_punct("]")
         if self._peek().is_punct("("):
             args = self._parse_args()
@@ -644,55 +604,49 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.INTEGER:
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            if token.text in _WITH_CLOCK:
+                return self._parse_with_clock_expr()
+            self._advance()
+            if not self._peek().is_punct("("):
+                return ast.Ident(token.location, token.text)
+            # A call, constructor-style (UInt(8.W), VecInit(...)) or not.
+            call = ast.MethodCall(token.location, None, token.text, self._parse_args())
+            while self._peek().is_punct("("):
+                call.extra_arg_lists.append(self._parse_args())
+            return call
+        if kind is TokenKind.INTEGER:
             self._advance()
             text = token.text.replace("_", "")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            try:
+                value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            except ValueError:
+                raise self._error(f"malformed integer literal {token.text!r}", token) from None
             return ast.IntLit(token.location, value)
-        if token.kind is TokenKind.STRING:
+        if kind is TokenKind.STRING:
             self._advance()
             return ast.StringLit(token.location, token.text)
-        if token.is_keyword("true"):
-            self._advance()
-            return ast.BoolLit(token.location, True)
-        if token.is_keyword("false"):
-            self._advance()
-            return ast.BoolLit(token.location, False)
-        if token.is_keyword("new"):
-            return self._parse_new()
-        if token.is_keyword("if"):
-            return self._parse_if_expression()
-        if token.is_op("_"):
+        if kind is TokenKind.KEYWORD:
+            if token.text in ("true", "false"):
+                self._advance()
+                return ast.BoolLit(token.location, token.text == "true")
+            if token.text == "new":
+                return self._parse_new()
+            if token.text == "if":
+                return self._parse_if_expression()
+        elif token.is_op("_"):
             self._advance()
             return ast.Placeholder(token.location)
-        if token.is_punct("("):
+        elif token.is_punct("("):
             self._advance()
             expr = self.parse_expression()
             self._expect_punct(")")
             return expr
-        if token.is_punct("{"):
-            # Block expression: evaluate statements, value of the last one.
+        elif token.is_punct("{"):
             raise self._error(
                 "block expressions are not supported in this Chisel subset"
             )
-        if token.is_ident("withClock", "withReset", "withClockAndReset"):
-            return self._parse_with_clock_expr()
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._peek().is_punct("(") and token.text[0].isupper():
-                # Constructor-style call (UInt(8.W), Wire(...), VecInit(...)).
-                args = self._parse_args()
-                call = ast.MethodCall(token.location, None, token.text, args)
-                while self._peek().is_punct("("):
-                    call.extra_arg_lists.append(self._parse_args())
-                return call
-            if self._peek().is_punct("("):
-                args = self._parse_args()
-                call = ast.MethodCall(token.location, None, token.text, args)
-                while self._peek().is_punct("("):
-                    call.extra_arg_lists.append(self._parse_args())
-                return call
-            return ast.Ident(token.location, token.text)
         raise self._error(f"unexpected token {token.text!r} in expression", token)
 
     def _parse_with_clock_expr(self) -> ast.Expr:

@@ -79,7 +79,12 @@ def _health_breakers() -> dict[str, CircuitBreaker | None]:
     global _health
     if _health is None:
         raw = os.environ.get(_HEALTH_THRESHOLD_ENV, "").strip()
-        threshold = int(raw) if raw else 3
+        try:
+            threshold = int(raw) if raw else 3
+        except ValueError:
+            raise SimulationError(
+                f"{_HEALTH_THRESHOLD_ENV} must be an integer, got {raw!r}"
+            ) from None
         _health = {
             name: (
                 CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim." + name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.caching import LruCache, text_key
+from repro.caching import LruCache, get_or_compute, text_key
 from repro.sim.testbench import (
     DeviceUnderTest,
     SimulationReport,
@@ -24,13 +24,18 @@ from repro.verilog.vast import VModule
 _parse_cache: LruCache[list[VModule]] = LruCache(256, name="verilog_parse")
 
 
-def _parse_cached(source: str) -> list[VModule]:
-    """parse_verilog with an LRU memo keyed by source hash (parse errors are not cached)."""
-    key = text_key(source)
-    cached = _parse_cache.get(key)
-    if cached is not None:
-        return cached
-    return _parse_cache.put(key, parse_verilog(source))
+def parse_verilog_cached(source: str) -> list[VModule]:
+    """parse_verilog with an LRU memo keyed by source hash.
+
+    The simulator and the Verilog baselines' syntax checks share it.  Parse
+    failures are cached too and re-raised on hit.
+    """
+    return get_or_compute(
+        _parse_cache,
+        text_key(source),
+        lambda: parse_verilog(source),
+        cache_exceptions=(VerilogParseError,),
+    )
 
 
 def clear_parse_cache() -> None:
@@ -123,7 +128,7 @@ class Simulator:
     ) -> tuple[VModule, DeviceUnderTest | VModule] | SimulationOutcome:
         """Parse/select the DUT (and a textual reference); errors become outcomes."""
         try:
-            dut_module = self._select_module(_parse_cached(dut_verilog))
+            dut_module = self._select_module(parse_verilog_cached(dut_verilog))
         except VerilogParseError as exc:
             return SimulationOutcome(False, error=f"DUT Verilog could not be parsed: {exc}")
         except (ValueError, IndexError) as exc:
@@ -131,7 +136,7 @@ class Simulator:
 
         if isinstance(reference, str):
             try:
-                reference = self._select_module(_parse_cached(reference))
+                reference = self._select_module(parse_verilog_cached(reference))
             except VerilogParseError as exc:
                 return SimulationOutcome(False, error=f"reference Verilog could not be parsed: {exc}")
 

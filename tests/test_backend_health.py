@@ -136,3 +136,11 @@ class TestHealthKnobs:
         assert run_testbench(MODULE, MODULE, BENCH).passed
         assert backend_health()["trace"]["state"] == "closed"
         assert backend_health()["trace"]["failures"] == 0
+
+    def test_malformed_threshold_raises_simulation_error(self, monkeypatch):
+        from repro.verilog.simulator import SimulationError
+
+        monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "abc")
+        reset_backend_health()
+        with pytest.raises(SimulationError, match="REPRO_SIM_HEALTH_THRESHOLD.*'abc'"):
+            backend_health()

@@ -1,10 +1,12 @@
 """Tests for the Chisel lexer and parser."""
 
+import pickle
+
 import pytest
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError
-from repro.chisel.lexer import TokenKind, tokenize
+from repro.chisel.diagnostics import ChiselError, SourceLocation
+from repro.chisel.lexer import Token, TokenKind, tokenize
 from repro.chisel.parser import parse_source
 
 SIMPLE_MODULE = """
@@ -60,6 +62,19 @@ class TestLexer:
     def test_compound_assignment_operator(self):
         tokens = tokenize("idx += 1")
         assert any(t.text == "+=" for t in tokens)
+
+    def test_interned_locations_behave_like_fresh_ones(self):
+        tokens = tokenize("val x = 1\nval y = x", file="A.scala") * 2
+        tokens += tokenize("val x = 1", file="B.scala")
+        rebuilt = [
+            Token(t.kind, t.text, SourceLocation(t.location.line, t.location.column, t.location.file))
+            for t in tokens
+        ]
+        assert tokens == rebuilt
+        assert [hash(t) for t in tokens] == [hash(t) for t in rebuilt]
+        assert [str(t.location) for t in tokens] == [str(t.location) for t in rebuilt]
+        assert pickle.loads(pickle.dumps(tokens)) == rebuilt
+        assert tokens[-2].location.file == "B.scala"
 
 
 class TestParserStructure:
@@ -238,3 +253,21 @@ class TestParserExpressions:
     def test_indexing_expression(self):
         expr = self._expr("data(3, 0)")
         assert isinstance(expr, ast.MethodCall) or isinstance(expr, ast.Apply)
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize(
+        "source, column, context",
+        [
+            ("class A extends Module(", 24, "parent arguments"),
+            ("class A(val v: Vec[UInt", 24, "type arguments"),
+            ("class A extends Module { val x = y.asTypeOf[", 45, "type arguments"),
+        ],
+    )
+    def test_truncated_brackets_report_end_of_file(self, source, column, context):
+        with pytest.raises(ChiselError) as info:
+            parse_source(source)
+        diagnostic = info.value.diagnostic
+        assert diagnostic.code == "PARSE"
+        assert diagnostic.message == f"unexpected end of file in {context}"
+        assert diagnostic.location.column == column

@@ -8,7 +8,7 @@ from repro.sim.reference import BehavioralDevice
 from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
 from repro.toolchain.compiler import ChiselCompiler
 from repro.toolchain.simulator import Simulator
-from repro.verilog.parser import parse_verilog
+from repro.verilog.parser import VerilogParseError, parse_verilog
 
 COMPILER = ChiselCompiler(top="TopModule")
 SIMULATOR = Simulator(top="TopModule")
@@ -154,3 +154,36 @@ class TestSimulatorFacade:
         outcome = SIMULATOR.simulate(broken, golden_verilog(problem), problem.build_testbench())
         assert not outcome.success
         assert "functional point" in outcome.render_feedback()
+
+
+class TestVerilogParseCache:
+    BROKEN = "module broken(input wire a;\nendmodule\n"
+
+    def test_parse_failures_are_cached(self, monkeypatch):
+        from repro.toolchain import simulator
+
+        calls = []
+
+        def counting_parse(source):
+            calls.append(source)
+            return parse_verilog(source)
+
+        monkeypatch.setattr(simulator, "parse_verilog", counting_parse)
+        source = self.BROKEN + "// cache probe\n"
+        for _ in range(2):
+            with pytest.raises(VerilogParseError):
+                simulator.parse_verilog_cached(source)
+        assert calls == [source]
+
+    def test_baseline_syntax_checks_match_the_uncached_parser(self):
+        from repro.baselines.autochip import _parse_error
+        from repro.baselines.zero_shot import _parses
+
+        with pytest.raises(VerilogParseError) as direct:
+            parse_verilog(self.BROKEN)
+        # Twice: the miss and the cached replay must both read the same.
+        for _ in range(2):
+            assert _parse_error(self.BROKEN) == str(direct.value)
+            assert not _parses(self.BROKEN)
+        good = golden_verilog(mux2(4, "verilogeval_s2r"))
+        assert _parse_error(good) is None and _parses(good)
