@@ -33,14 +33,17 @@ def _cache_isolation(request):
         restore_registered_caches,
         snapshot_registered_caches,
     )
-    from repro.verilog import compile_sim
+    from repro.verilog import compile_sim, compile_vec
 
     snapshot = snapshot_registered_caches()
-    fallbacks = compile_sim._fallbacks[0]
+    counters = (compile_sim._fallbacks, compile_vec._vec_fallbacks)
+    fallbacks = [counter[0] for counter in counters]
     clear_registered_caches()
-    compile_sim._fallbacks[0] = 0
+    for counter in counters:
+        counter[0] = 0
     try:
         yield
     finally:
         restore_registered_caches(snapshot)
-        compile_sim._fallbacks[0] = fallbacks
+        for counter, value in zip(counters, fallbacks):
+            counter[0] = value

@@ -47,7 +47,7 @@ from repro.sim.testbench import (
     run_testbenches,
 )
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog import compile_sim
+from repro.verilog import compile_sim, compile_vec
 from repro.verilog.compile_sim import clear_kernel_cache, get_kernel, get_trace_kernel
 from repro.verilog.compile_vec import get_vec_kernel
 from repro.verilog.parser import VerilogParseError, parse_verilog
@@ -299,9 +299,9 @@ def check_source(
     # state the next program's warm pass must run against (cross-program
     # cache-key collisions are only observable there) — snapshot it now and
     # restore it once the cold comparisons are done.  The kernel fallback
-    # counter lives outside the cache registry, so it is saved explicitly.
+    # counters live outside the cache registry, so they are saved explicitly.
     warm_snapshot = snapshot_registered_caches()
-    warm_fallbacks = compile_sim._fallbacks[0]
+    warm_fallbacks = (compile_sim._fallbacks[0], compile_vec._vec_fallbacks[0])
     try:
         cold_compiler = ChiselCompiler(cache_size=None)
         for top in tops:
@@ -358,7 +358,7 @@ def check_source(
                 )
     finally:
         restore_registered_caches(warm_snapshot)
-        compile_sim._fallbacks[0] = warm_fallbacks
+        compile_sim._fallbacks[0], compile_vec._vec_fallbacks[0] = warm_fallbacks
     return report
 
 

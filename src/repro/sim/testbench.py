@@ -85,6 +85,10 @@ def _health_breakers() -> dict[str, CircuitBreaker | None]:
             raise SimulationError(
                 f"{_HEALTH_THRESHOLD_ENV} must be an integer, got {raw!r}"
             ) from None
+        if threshold < 0:
+            raise SimulationError(
+                f"{_HEALTH_THRESHOLD_ENV} must be >= 0 (0 disables), got {raw!r}"
+            )
         _health = {
             name: (
                 CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim." + name)
@@ -434,8 +438,9 @@ def _max_lanes() -> int:
             raise SimulationError(
                 f"{_MAX_LANES_ENV} must be an integer, got {raw!r}"
             ) from None
-        if value > 0:
-            return value
+        if value <= 0:
+            raise SimulationError(f"{_MAX_LANES_ENV} must be positive, got {raw!r}")
+        return value
     return _DEFAULT_MAX_LANES
 
 

@@ -27,6 +27,7 @@ caller falls back to the interpreter, which stays the semantic oracle.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -94,27 +95,87 @@ class KernelTemplate:
 
 
 def _sx(code: str, width: int) -> str:
-    """Sign-extend a ``width``-bit masked value to a Python int."""
+    """Sign-extend a ``width``-bit masked value to a Python int.
+
+    The formula is valid in both dialects: on ``uint64`` lanes it wraps to
+    the 64-bit two's-complement pattern.
+    """
     if width <= 0:
         return code
     sign_bit = 1 << (width - 1)
     return f"((({code}) ^ {sign_bit}) - {sign_bit})"
 
 
-_COMPARISONS = {
-    "==": "==", "===": "==", "!=": "!=", "!==": "!=",
-    "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-}
+#: Binary operators with the same two-state semantics as another one.
+_SYNONYMS = {"===": "==", "!==": "!=", "<<<": "<<", "~^": "^~"}
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+_REDUCTIONS = ("&", "|", "^", "~&", "~|", "~^", "!")
+_SHIFTS = ("<<", ">>", ">>>")
 
-
-class _Store:
-    """Where a statement context's writes go and where its RMW reads come from."""
-
-    def __init__(self, lvalue: Callable[[SignalMeta], str]):
-        self.lvalue = lvalue
+#: Where a statement context's writes go: signal metadata -> lvalue code.
+_Store = Callable[[SignalMeta], str]
 
 
 class _Codegen:
+    """One lowering of a module's expressions and statements to Python source.
+
+    The tree walk is shared by both simulators: widths, masks, sign
+    extension and assignment-target resolution live here.  The op dialect is
+    the leaf templates (the upper-case class attributes, formatted with the
+    operand code) plus the ``emit_*`` write and branch hooks.  This class
+    speaks the scalar dialect: Python ints in a flat ``list[int]`` and real
+    ``if``/``elif`` control flow.  :class:`repro.verilog.compile_vec._VecCodegen`
+    speaks the ``uint64`` lane dialect over the same walk.
+    """
+
+    #: Widest value the dialect holds; Python ints are unbounded.
+    lane_width: float = math.inf
+
+    TERNARY = "(({t}) if ({c}) != 0 else ({f}))"
+    CONCAT_PART = "(({x}) << {offset})"
+    # Multiplying a pw-wide value by 0b...0001_0001 replicates it.
+    REPEAT = "(({x}) * {stamp})"
+    # Memory element gather; out-of-range reads collapse to 0.
+    MEM_READ = "(({mem})[({i})] if ({i}) < {depth} else 0)"
+    BIT = "((({x}) >> {index}) & 1)"
+    DYN_BIT = "(((({x}) >> ({i})) & 1) if ({i}) < {width} else 0)"
+    FIELD = "((({x}) >> {lsb}) & {m})"
+    #: Reductions and ``!`` see the operand at its own width (``m`` is its
+    #: mask); ``~`` and ``-`` see it at the context width.
+    UNARY = {
+        "&": "(1 if ({x}) == {m} else 0)",
+        "~&": "(0 if ({x}) == {m} else 1)",
+        "|": "(1 if ({x}) != 0 else 0)",
+        "~|": "(0 if ({x}) != 0 else 1)",
+        "^": "(({x}).bit_count() & 1)",
+        "~^": "((({x}).bit_count() & 1) ^ 1)",
+        "!": "(0 if ({x}) != 0 else 1)",
+        "~": "((~({x})) & {m})",
+        "-": "((-({x})) & {m})",
+    }
+    BINARY = {
+        "&&": "(1 if (({l}) != 0 and ({r}) != 0) else 0)",
+        "||": "(1 if (({l}) != 0 or ({r}) != 0) else 0)",
+        **{op: f"(1 if ({{l}}) {op} ({{r}}) else 0)" for op in _COMPARISONS},
+        "<<": "((({l}) << ({r})) & {m})",
+        ">>": "(({l}) >> ({r}))",
+        ">>>": "(({l}) >> ({r}))",
+        **dict.fromkeys(("&", "|", "^"), "(({l}) {op} ({r}))"),
+        "^~": "((~(({l}) ^ ({r}))) & {m})",
+        **dict.fromkeys(("+", "-", "*"), "((({l}) {op} ({r})) & {m})"),
+        "/": "((_vdiv({l}, {r})) & {m})",
+        "%": "((_vrem({l}, {r})) & {m})",
+    }
+    #: Ops whose operands are sign-extended when signed, with the template
+    #: used then; an op missing here ignores signedness.
+    SIGNED_UNARY = {"-": UNARY["-"]}
+    SIGNED_BINARY = {
+        **{op: t for op, t in BINARY.items() if op in (*_COMPARISONS, "+", "-", "*", "/", "%")},
+        ">>>": "((({l}) >> ({r})) & {m})",
+    }
+    # Copy so same-edge reads via s observe the old contents.
+    MEMORY_SNAPSHOT = "s[{slot}][:]"
+
     def __init__(self, analysis: ModuleAnalysis):
         self.a = analysis
         self.lines: list[str] = []
@@ -132,12 +193,16 @@ class _Codegen:
     # ------------------------------------------------------------- expressions
 
     def gen(self, expr: vast.VExpr, w: int, read: Callable[[str], str]) -> str:
-        """Python code for the unsigned value of ``expr`` masked to ``w`` bits.
+        """Code for the unsigned value of ``expr`` masked to ``w`` bits.
 
         ``w`` must be >= the self-determined width of ``expr``; under that
         invariant the produced value matches ``Simulation._eval_sized``'s
         ``.value`` field bit for bit.
         """
+        if w > self.lane_width:
+            raise AnalysisError(
+                f"context width {w} exceeds the {self.lane_width}-bit vector lanes"
+            )
         a = self.a
         if isinstance(expr, vast.VIdent):
             meta = a.meta(expr.name)
@@ -146,14 +211,7 @@ class _Codegen:
                     f"memory {expr.name!r} used as a plain value in module "
                     f"{self.a.module.name}"
                 )
-            base = read(expr.name)
-            if w == meta.width:
-                return base
-            if w < meta.width:
-                return f"({base} & {_mask(w)})"
-            if meta.signed:
-                return f"({_sx(base, meta.width)} & {_mask(w)})"
-            return base
+            return self._resize(read(expr.name), meta, w)
         if isinstance(expr, vast.VLiteral):
             return str(expr.value & _mask(w))
         if isinstance(expr, vast.VCall):
@@ -168,7 +226,7 @@ class _Codegen:
             c = self.gen(expr.condition, a.width(expr.condition), read)
             t = self.gen(expr.true_value, w, read)
             f = self.gen(expr.false_value, w, read)
-            return f"(({t}) if ({c}) != 0 else ({f}))"
+            return self.TERNARY.format(c=c, t=t, f=f)
         if isinstance(expr, vast.VConcat):
             parts = []
             offset = sum(a.width(p) for p in expr.parts)
@@ -176,118 +234,100 @@ class _Codegen:
                 pw = a.width(part)
                 offset -= pw
                 code = self.gen(part, pw, read)
-                parts.append(f"(({code}) << {offset})" if offset else f"({code})")
+                if offset >= self.lane_width:
+                    raise AnalysisError(f"concat offset {offset} exceeds the vector lanes")
+                parts.append(
+                    self.CONCAT_PART.format(x=code, offset=offset) if offset else f"({code})"
+                )
             return f"({' | '.join(parts)})" if parts else "0"
         if isinstance(expr, vast.VRepeat):
             if expr.count == 0:
                 return "0"
             pw = a.width(expr.value)
             code = self.gen(expr.value, pw, read)
-            # Multiplying a pw-wide value by 0b...0001_0001 replicates it.
             stamp = sum(1 << (i * pw) for i in range(expr.count))
-            return f"(({code}) * {stamp})"
+            return self.REPEAT.format(x=code, stamp=stamp)
         if isinstance(expr, vast.VIndex):
             if isinstance(expr.target, vast.VIdent):
                 meta = a.meta(expr.target.name)
                 if meta.is_memory:
-                    # Memory element gather; out-of-range reads collapse to 0.
-                    t = read(expr.target.name)
                     i = self.gen(expr.index, a.width(expr.index), read)
-                    base = f"(({t})[({i})] if ({i}) < {meta.depth} else 0)"
-                    if w < meta.width:
-                        return f"({base} & {_mask(w)})"
-                    if w > meta.width and meta.signed:
-                        return f"({_sx(base, meta.width)} & {_mask(w)})"
-                    return base
+                    base = self.MEM_READ.format(
+                        mem=read(expr.target.name), i=i, depth=meta.depth
+                    )
+                    return self._resize(base, meta, w)
             tw = a.width(expr.target)
             t = self.gen(expr.target, tw, read)
             if isinstance(expr.index, vast.VLiteral):
                 index = expr.index.value & _mask(a.width(expr.index))
                 if index >= tw:
                     return "0"
-                return f"((({t}) >> {index}) & 1)"
+                return self.BIT.format(x=t, index=index)
             i = self.gen(expr.index, a.width(expr.index), read)
-            return f"(((({t}) >> ({i})) & 1) if ({i}) < {tw} else 0)"
+            return self.DYN_BIT.format(x=t, i=i, width=tw)
         if isinstance(expr, vast.VRange):
             t = self.gen(expr.target, a.width(expr.target), read)
             fw = expr.msb - expr.lsb + 1
-            return f"((({t}) >> {expr.lsb}) & {_mask(fw)})"
+            if expr.lsb >= self.lane_width:
+                return "0"
+            return self.FIELD.format(x=t, lsb=expr.lsb, m=_mask(fw))
         raise AnalysisError(f"unsupported expression {expr!r}")
 
+    @staticmethod
+    def _resize(code: str, meta: SignalMeta, w: int) -> str:
+        """A ``meta``-wide value read into a ``w``-bit context."""
+        if w < meta.width:
+            return f"({code} & {_mask(w)})"
+        if w > meta.width and meta.signed:
+            return f"({_sx(code, meta.width)} & {_mask(w)})"
+        return code
+
     def _gen_unary(self, expr: vast.VUnary, w: int, read) -> str:
-        a = self.a
-        if expr.op in ("&", "|", "^", "~&", "~|", "~^"):
-            ow = a.width(expr.operand)
-            oc = self.gen(expr.operand, ow, read)
-            if expr.op == "&":
-                return f"(1 if ({oc}) == {_mask(ow)} else 0)" if ow > 0 else "0"
-            if expr.op == "~&":
-                return f"(0 if ({oc}) == {_mask(ow)} else 1)" if ow > 0 else "1"
-            if expr.op == "|":
-                return f"(1 if ({oc}) != 0 else 0)"
-            if expr.op == "~|":
-                return f"(0 if ({oc}) != 0 else 1)"
-            if expr.op == "^":
-                return f"(({oc}).bit_count() & 1)"
-            return f"((({oc}).bit_count() & 1) ^ 1)"  # ~^
-        if expr.op == "!":
-            oc = self.gen(expr.operand, a.width(expr.operand), read)
-            return f"(0 if ({oc}) != 0 else 1)"
-        if expr.op == "~":
-            oc = self.gen(expr.operand, w, read)
-            return f"((~({oc})) & {_mask(w)})"
-        if expr.op == "-":
-            oc = self.gen(expr.operand, w, read)
-            if self.a.signedness(expr.operand):
-                oc = _sx(oc, w)
-            return f"((-({oc})) & {_mask(w)})"
+        op = expr.op
+        if op in _REDUCTIONS:
+            ow = self.a.width(expr.operand)
+            x = self.gen(expr.operand, ow, read)
+            if ow <= 0 and op in ("&", "~&"):
+                return "0" if op == "&" else "1"
+            return self.UNARY[op].format(x=x, m=_mask(ow))
+        if op in ("~", "-"):
+            x = self.gen(expr.operand, w, read)
+            if op in self.SIGNED_UNARY and self.a.signedness(expr.operand):
+                return self.SIGNED_UNARY[op].format(x=_sx(x, w), m=_mask(w))
+            return self.UNARY[op].format(x=x, m=_mask(w))
         raise AnalysisError(f"unsupported unary operator {expr.op}")
 
     def _gen_binary(self, expr: vast.VBinary, w: int, read) -> str:
         a = self.a
-        op = expr.op
+        op = _SYNONYMS.get(expr.op, expr.op)
         if op in ("&&", "||"):
             l = self.gen(expr.left, a.width(expr.left), read)
             r = self.gen(expr.right, a.width(expr.right), read)
-            joiner = "and" if op == "&&" else "or"
-            return f"(1 if (({l}) != 0 {joiner} ({r}) != 0) else 0)"
+            return self.BINARY[op].format(l=l, r=r)
         if op in _COMPARISONS:
             ow = max(a.width(expr.left), a.width(expr.right))
             operands_signed = a.signedness(expr.left) and a.signedness(expr.right)
             l = self.gen(expr.left, ow, read)
             r = self.gen(expr.right, ow, read)
-            if operands_signed:
-                l, r = _sx(l, ow), _sx(r, ow)
-            return f"(1 if ({l}) {_COMPARISONS[op]} ({r}) else 0)"
-        if op in ("<<", ">>", "<<<", ">>>"):
+            return self._op(op, l, r, ow, operands_signed)
+        if op in _SHIFTS:
             l = self.gen(expr.left, w, read)
             amt = self.gen(expr.right, a.width(expr.right), read)
-            if op in ("<<", "<<<"):
-                return f"((({l}) << ({amt})) & {_mask(w)})"
             if op == ">>>" and a.signedness(expr.left):
-                return f"((({_sx(l, w)}) >> ({amt})) & {_mask(w)})"
-            return f"(({l}) >> ({amt}))"
+                return self.SIGNED_BINARY[op].format(l=_sx(l, w), r=amt, m=_mask(w))
+            return self.BINARY[op].format(l=l, r=amt, m=_mask(w))
         signed = a.signedness(expr)
         l = self.gen(expr.left, w, read)
         r = self.gen(expr.right, w, read)
-        if op in ("&", "|"):
-            return f"(({l}) {op} ({r}))"
-        if op == "^":
-            return f"(({l}) ^ ({r}))"
-        if op in ("^~", "~^"):
-            return f"((~(({l}) ^ ({r}))) & {_mask(w)})"
-        lv, rv = (_sx(l, w), _sx(r, w)) if signed else (l, r)
-        if op == "+":
-            return f"((({lv}) + ({rv})) & {_mask(w)})"
-        if op == "-":
-            return f"((({lv}) - ({rv})) & {_mask(w)})"
-        if op == "*":
-            return f"((({lv}) * ({rv})) & {_mask(w)})"
-        if op == "/":
-            return f"((_vdiv({lv}, {rv})) & {_mask(w)})"
-        if op == "%":
-            return f"((_vrem({lv}, {rv})) & {_mask(w)})"
-        raise AnalysisError(f"unsupported binary operator {op}")
+        return self._op(op, l, r, w, signed)
+
+    def _op(self, op: str, l: str, r: str, w: int, signed: bool) -> str:
+        """A ``w``-bit binary op over operand code ``l`` and ``r``."""
+        if signed and op in self.SIGNED_BINARY:
+            return self.SIGNED_BINARY[op].format(l=_sx(l, w), r=_sx(r, w), m=_mask(w), op=op)
+        if op not in self.BINARY:
+            raise AnalysisError(f"unsupported binary operator {op}")
+        return self.BINARY[op].format(l=l, r=r, m=_mask(w), op=op)
 
     # -------------------------------------------------------------- statements
 
@@ -298,7 +338,10 @@ class _Codegen:
         indent: int,
         read: Callable[[str], str],
         store: _Store,
+        pred: str | None = None,
     ) -> None:
+        """Write ``value`` to ``target``; ``pred`` (lane dialect only) names
+        the lanes the write applies to, ``None`` meaning all of them."""
         a = self.a
         if isinstance(target, vast.VIdent):
             meta = a.meta(target.name)
@@ -307,54 +350,58 @@ class _Codegen:
                     f"whole-memory assignment to {target.name!r} in module "
                     f"{self.a.module.name}"
                 )
-            cw = max(a.width(value), meta.width)
-            code = self.gen(value, cw, read)
-            if cw > meta.width:
-                code = f"({code}) & {meta.mask}"
-            self.emit(indent, f"{store.lvalue(meta)} = {code}")
+            self.emit_write(indent, store(meta), self._fit(value, meta, read), pred)
             return
-        if isinstance(target, vast.VIndex):
-            if not isinstance(target.target, vast.VIdent):
-                raise AnalysisError(f"unsupported assignment target {target!r}")
-            meta = a.meta(target.target.name)
-            if meta.is_memory:
-                # Memory element scatter; out-of-range writes are dropped.
-                cw = max(a.width(value), meta.width)
-                code = self.gen(value, cw, read)
-                if cw > meta.width:
-                    code = f"({code}) & {meta.mask}"
-                lv = store.lvalue(meta)
-                tmp = self.fresh()
-                self.emit(
-                    indent, f"{tmp} = {self.gen(target.index, a.width(target.index), read)}"
-                )
-                self.emit(indent, f"if {tmp} < {meta.depth}:")
-                self.emit(indent + 1, f"{lv}[{tmp}] = {code}")
-                return
-            cw = max(a.width(value), 1)
-            bit = f"({self.gen(value, cw, read)}) & 1"
-            lv = store.lvalue(meta)
-            tmp = self.fresh()
-            self.emit(indent, f"{tmp} = {self.gen(target.index, a.width(target.index), read)}")
-            self.emit(indent, f"if {tmp} < {meta.width}:")
-            self.emit(indent + 1, f"{lv} = ({lv} & ~(1 << {tmp})) | (({bit}) << {tmp})")
-            return
+        if not isinstance(target, (vast.VIndex, vast.VRange)) or not isinstance(
+            target.target, vast.VIdent
+        ):
+            raise AnalysisError(f"unsupported assignment target {target!r}")
+        meta = a.meta(target.target.name)
         if isinstance(target, vast.VRange):
-            if not isinstance(target.target, vast.VIdent):
-                raise AnalysisError(f"unsupported assignment target {target!r}")
-            meta = a.meta(target.target.name)
             fw = target.msb - target.lsb + 1
-            cw = max(a.width(value), fw)
-            code = self.gen(value, cw, read)
-            fm = _mask(fw) << target.lsb
-            lv = store.lvalue(meta)
-            self.emit(
-                indent,
-                f"{lv} = (({lv} & ~{fm}) | ((({code}) & {_mask(fw)}) << {target.lsb}))"
-                f" & {meta.mask}",
-            )
+            if target.lsb >= self.lane_width:
+                raise AnalysisError(
+                    f"range assignment lsb {target.lsb} exceeds the vector lanes"
+                )
+            code = self.gen(value, max(a.width(value), fw), read)
+            lv = store(meta)
+            merged = self.field_merge(lv, code, target.lsb, fw, meta.mask)
+            self.emit_write(indent, lv, merged, pred)
             return
-        raise AnalysisError(f"unsupported assignment target {target!r}")
+        if meta.is_memory:
+            code = self._fit(value, meta, read)
+        else:
+            code = f"({self.gen(value, max(a.width(value), 1), read)}) & 1"
+        lv = store(meta)
+        index = self.fresh()
+        self.emit(indent, f"{index} = {self.gen(target.index, a.width(target.index), read)}")
+        if meta.is_memory:
+            self.emit_mem_write(indent, lv, index, code, meta.depth, pred)
+        else:
+            self.emit_bit_write(indent, lv, index, code, meta.width, pred)
+
+    def _fit(self, value: vast.VExpr, meta: SignalMeta, read) -> str:
+        """``value`` evaluated for a ``meta``-wide target and truncated to it."""
+        cw = max(self.a.width(value), meta.width)
+        code = self.gen(value, cw, read)
+        return f"({code}) & {meta.mask}" if cw > meta.width else code
+
+    def emit_write(self, indent: int, lv: str, code: str, pred: str | None) -> None:
+        self.emit(indent, f"{lv} = {code}")
+
+    def emit_mem_write(self, indent, lv, index, code, depth, pred) -> None:
+        # Memory element scatter; out-of-range writes are dropped.
+        self.emit(indent, f"if {index} < {depth}:")
+        self.emit(indent + 1, f"{lv}[{index}] = {code}")
+
+    def emit_bit_write(self, indent, lv, index, bit, width, pred) -> None:
+        self.emit(indent, f"if {index} < {width}:")
+        self.emit(indent + 1, f"{lv} = ({lv} & ~(1 << {index})) | (({bit}) << {index})")
+
+    @staticmethod
+    def field_merge(lv: str, code: str, lsb: int, fw: int, mask: int) -> str:
+        """``lv`` with bits ``[lsb + fw - 1 : lsb]`` replaced by ``code``."""
+        return f"(({lv} & ~{_mask(fw) << lsb}) | ((({code}) & {_mask(fw)}) << {lsb})) & {mask}"
 
     def emit_stmts(
         self,
@@ -363,38 +410,38 @@ class _Codegen:
         read: Callable[[str], str],
         blocking: _Store,
         nonblocking: _Store,
+        pred: str | None = None,
     ) -> None:
         emitted = False
         for stmt in stmts:
             if isinstance(stmt, vast.VBlockingAssign):
                 if isinstance(stmt.target, vast.VIdent) and stmt.target.name == "_":
                     continue  # null statement placeholder
-                self.emit_assign(stmt.target, stmt.value, indent, read, blocking)
+                self.emit_assign(stmt.target, stmt.value, indent, read, blocking, pred)
             elif isinstance(stmt, vast.VNonBlockingAssign):
-                self.emit_assign(stmt.target, stmt.value, indent, read, nonblocking)
+                self.emit_assign(stmt.target, stmt.value, indent, read, nonblocking, pred)
             elif isinstance(stmt, vast.VIf):
-                cond = self.gen(stmt.condition, self.a.width(stmt.condition), read)
-                self.emit(indent, f"if ({cond}) != 0:")
-                self.emit_stmts(stmt.then_body, indent + 1, read, blocking, nonblocking)
-                if stmt.else_body:
-                    self.emit(indent, "else:")
-                    self.emit_stmts(stmt.else_body, indent + 1, read, blocking, nonblocking)
+                self.emit_if(stmt, indent, read, blocking, nonblocking, pred)
             elif isinstance(stmt, vast.VCase):
-                self._emit_case(stmt, indent, read, blocking, nonblocking)
+                self.emit_case(stmt, indent, read, blocking, nonblocking, pred)
             else:
                 raise AnalysisError(f"unsupported statement {stmt!r}")
             emitted = True
         if not emitted:
-            self.emit(indent, "pass")
+            self.emit_empty(indent)
 
-    def _emit_case(
-        self,
-        stmt: vast.VCase,
-        indent: int,
-        read: Callable[[str], str],
-        blocking: _Store,
-        nonblocking: _Store,
-    ) -> None:
+    def emit_empty(self, indent: int) -> None:
+        self.emit(indent, "pass")
+
+    def emit_if(self, stmt: vast.VIf, indent, read, blocking, nonblocking, pred) -> None:
+        cond = self.gen(stmt.condition, self.a.width(stmt.condition), read)
+        self.emit(indent, f"if ({cond}) != 0:")
+        self.emit_stmts(stmt.then_body, indent + 1, read, blocking, nonblocking)
+        if stmt.else_body:
+            self.emit(indent, "else:")
+            self.emit_stmts(stmt.else_body, indent + 1, read, blocking, nonblocking)
+
+    def emit_case(self, stmt: vast.VCase, indent, read, blocking, nonblocking, pred) -> None:
         subject = self.fresh()
         self.emit(indent, f"{subject} = {self.gen(stmt.subject, self.a.width(stmt.subject), read)}")
         default_item = None
@@ -451,41 +498,52 @@ def _blocking_targets(stmts: list[vast.VStmt], blocking: set[str], nonblocking: 
             raise AnalysisError(f"unsupported statement {stmt!r}")
 
 
-def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None) -> KernelTemplate:
-    """Translate ``module`` to native closures; raises AnalysisError if unsupported."""
+def _compile_module(
+    module: vast.VModule,
+    analysis: ModuleAnalysis | None,
+    codegen: type[_Codegen],
+    namespace: dict[str, object],
+    template: type[KernelTemplate],
+    tag: str,
+) -> KernelTemplate:
+    """Lower ``module`` to a ``comb`` pass plus one step per clock and exec it.
+
+    ``codegen`` picks the dialect, ``namespace`` holds the runtime helpers its
+    code calls and ``template`` wraps the closures; ``tag`` names the
+    generated code in tracebacks.  Raises AnalysisError if unsupported.
+    """
     analysis = analysis if analysis is not None else ModuleAnalysis(module)
     schedule = analysis.schedule()  # raises CombLoopError on true cycles
-    gen = _Codegen(analysis)
+    gen = codegen(analysis)
 
     def comb_read(name: str) -> str:
         return f"s[{analysis.meta(name).slot}]"
 
-    comb_store = _Store(lambda meta: f"s[{meta.slot}]")
+    def comb_store(meta: SignalMeta) -> str:
+        return f"s[{meta.slot}]"
 
     gen.emit(0, "def comb(s):")
-    if schedule:
-        for node in schedule:
-            if node.kind == "assign":
-                assign = node.item
-                gen.emit_assign(assign.target, assign.value, 1, comb_read, comb_store)
-            else:
-                gen.emit_stmts(node.item.body, 1, comb_read, comb_store, comb_store)
-    else:
+    mark = len(gen.lines)
+    for node in schedule:
+        if node.kind == "assign":
+            assign = node.item
+            gen.emit_assign(assign.target, assign.value, 1, comb_read, comb_store)
+        else:
+            gen.emit_stmts(node.item.body, 1, comb_read, comb_store, comb_store)
+    if len(gen.lines) == mark:
         gen.emit(1, "pass")
     gen.emit(0, "")
 
+    memory_slots = {m.slot: m.depth for m in analysis.memories()}
     clocks = analysis.clocks()
-    step_names: dict[str, str] = {}
     for clock_index, clock in enumerate(clocks):
         blocks = analysis.clocked_blocks(clock)
-        function = f"_step_{clock_index}"
-        step_names[clock] = function
 
         # All non-blocking target slots across the triggered blocks share one
         # pending set, exactly like the interpreter's shared ``pending`` dict.
-        pending_slots: list[int] = []
+        # Blocks keep their order; each block's targets go in slot order.
+        pending_slots: dict[int, None] = {}
         block_plans: list[tuple[vast.VAlways, set[str]]] = []
-        seen_pending: set[int] = set()
         for block in blocks:
             blocking: set[str] = set()
             nonblocking: set[str] = set()
@@ -496,12 +554,10 @@ def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None)
                     f"signal(s) {sorted(overlap)} are both blocking and non-blocking "
                     f"targets in one always block of module {module.name}"
                 )
-            for name in nonblocking:
-                slot = analysis.meta(name).slot
-                if slot not in seen_pending:
-                    seen_pending.add(slot)
-                    pending_slots.append(slot)
-            for name in blocking:
+            pending_slots.update(
+                dict.fromkeys(sorted(analysis.meta(name).slot for name in nonblocking))
+            )
+            for name in sorted(blocking):
                 if analysis.meta(name).is_memory:
                     # The interpreter persists blocking memory writes in
                     # clocked blocks; the _b temps here would discard them.
@@ -511,49 +567,53 @@ def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None)
                     )
             block_plans.append((block, blocking))
 
-        memory_depth_by_slot = {m.slot: m.depth for m in analysis.memories()}
-        gen.emit(0, f"def {function}(s):")
+        gen.emit(0, f"def _step_{clock_index}(s):")
         if not blocks:
             gen.emit(1, "pass")
         for slot in pending_slots:
-            if slot in memory_depth_by_slot:
-                # Copy so same-edge reads via s observe the old contents.
-                gen.emit(1, f"_n{slot} = s[{slot}][:]")
-            else:
-                gen.emit(1, f"_n{slot} = s[{slot}]")
+            snapshot = gen.MEMORY_SNAPSHOT if slot in memory_slots else "s[{slot}]"
+            gen.emit(1, f"_n{slot} = {snapshot.format(slot=slot)}")
         for block_index, (block, blocking) in enumerate(block_plans):
             blocking_slots = sorted(analysis.meta(name).slot for name in blocking)
             for slot in blocking_slots:
                 gen.emit(1, f"_b{block_index}_{slot} = s[{slot}]")
-            blocking_set = set(blocking)
 
-            def clocked_read(name: str, _bi=block_index, _bset=blocking_set) -> str:
+            def clocked_read(name: str, _bi=block_index, _bset=blocking) -> str:
                 meta = analysis.meta(name)
                 if name in _bset:
                     return f"_b{_bi}_{meta.slot}"
                 return f"s[{meta.slot}]"
 
-            blocking_store = _Store(lambda meta, _bi=block_index: f"_b{_bi}_{meta.slot}")
-            nonblocking_store = _Store(lambda meta: f"_n{meta.slot}")
+            def blocking_store(meta: SignalMeta, _bi=block_index) -> str:
+                return f"_b{_bi}_{meta.slot}"
+
+            def nonblocking_store(meta: SignalMeta) -> str:
+                return f"_n{meta.slot}"
+
             gen.emit_stmts(block.body, 1, clocked_read, blocking_store, nonblocking_store)
         for slot in pending_slots:
             gen.emit(1, f"s[{slot}] = _n{slot}")
         gen.emit(0, "")
 
     source = "\n".join(gen.lines)
-    namespace: dict[str, object] = {"_vdiv": _vdiv, "_vrem": _vrem}
-    exec(compile(source, f"<kernel:{module.name}>", "exec"), namespace)
+    exec(compile(source, f"<{tag}:{module.name}>", "exec"), namespace)
 
-    return KernelTemplate(
+    return template(
         module_name=module.name,
         fingerprint=module_fingerprint(module),
         slots=dict(analysis.signals),
         n_slots=len(analysis.signals),
         comb=namespace["comb"],
-        steps={clock: namespace[function] for clock, function in step_names.items()},
+        steps={clock: namespace[f"_step_{index}"] for index, clock in enumerate(clocks)},
         source=source,
-        memory_slots={m.slot: m.depth for m in analysis.memories()},
+        memory_slots=memory_slots,
     )
+
+
+def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None) -> KernelTemplate:
+    """Translate ``module`` to native closures; raises AnalysisError if unsupported."""
+    namespace: dict[str, object] = {"_vdiv": _vdiv, "_vrem": _vrem}
+    return _compile_module(module, analysis, _Codegen, namespace, KernelTemplate, "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +765,13 @@ def check_schedule_ports(module: vast.VModule, schedule: TraceSchedule) -> set[s
     return ports
 
 
-def emit_trace_body(gen: _TraceGen, ports: set[str]) -> None:
-    """Emit the full ``def trace(s, stim, ap)`` body for ``gen``'s schedule.
+def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Callable]:
+    """Emit and exec ``def trace(s, stim, ap)`` for ``gen``'s schedule.
 
     The reset preamble and point grouping are backend-independent; the stimulus
     drive layout is supplied by ``gen.drive_code``, so the vector backend reuses
-    this emitter with array-shaped drives.
+    this emitter with array-shaped drives.  Returns ``(source, trace)``; ``tag``
+    names the generated code in tracebacks.
     """
     schedule = gen.schedule
     kernel = gen.kernel
@@ -722,18 +783,14 @@ def emit_trace_body(gen: _TraceGen, ports: set[str]) -> None:
     if schedule.reset_cycles > 0 and schedule.reset in ports:
         meta = kernel.slots[schedule.reset]
         gen.emit(1, f"s[{meta.slot}] = {1 & meta.mask}")
-        needs_settle = True
+        # The asserted reset is pending at every edge, so each one settles.
         for _ in range(schedule.reset_cycles):
-            if needs_settle:
-                gen.emit(1, "comb(s)")
+            gen.emit(1, "comb(s)")
             if gen.has_edge:
                 gen.emit(1, "step(s)")
-            needs_settle = True
-        if needs_settle:
-            gen.emit(1, "comb(s)")  # deassertion-order flush
+        gen.emit(1, "comb(s)")  # deassertion-order flush
         gen.emit(1, f"s[{meta.slot}] = 0")
         gen.emit(1, "comb(s)")  # eager settle of the deasserted reset
-        needs_settle = False
 
     # Group consecutive identical point shapes and re-roll them into loops.
     offset = 0
@@ -783,6 +840,13 @@ def emit_trace_body(gen: _TraceGen, ports: set[str]) -> None:
                 index += 1
     gen.emit(1, "return None")
 
+    source = "\n".join(gen.lines)
+    namespace: dict[str, object] = {"comb": kernel.comb}
+    if gen.has_edge:
+        namespace["step"] = kernel.steps[schedule.clock]
+    exec(compile(source, f"<{tag}:{kernel.module_name}>", "exec"), namespace)
+    return source, namespace["trace"]
+
 
 def compile_trace(
     module: vast.VModule, schedule: TraceSchedule, kernel: KernelTemplate | None = None
@@ -794,16 +858,8 @@ def compile_trace(
     """
     kernel = kernel if kernel is not None else compile_kernel(module)
     ports = check_schedule_ports(module, schedule)
-    edge = kernel.steps.get(schedule.clock)
-    gen = _TraceGen(kernel, schedule, has_edge=edge is not None)
-    emit_trace_body(gen, ports)
-
-    source = "\n".join(gen.lines)
-    namespace: dict[str, object] = {"comb": kernel.comb}
-    if edge is not None:
-        namespace["step"] = edge
-    exec(compile(source, f"<trace:{module.name}>", "exec"), namespace)
-    trace_fn = namespace["trace"]
+    gen = _TraceGen(kernel, schedule, has_edge=schedule.clock in kernel.steps)
+    source, trace_fn = emit_trace_body(gen, ports, "trace")
     new_state = kernel.new_state
 
     def run(stim: Sequence[int]) -> list[int]:
@@ -831,36 +887,55 @@ _fallbacks = [0]
 _MISSING = object()
 
 
-def get_kernel(module: vast.VModule) -> KernelTemplate | None:
-    """Cached kernel for ``module``; ``None`` means "use the interpreter".
+def _cached_build(
+    cache: LruCache,
+    module: vast.VModule,
+    build: Callable[[], object],
+    schedule: TraceSchedule | None = None,
+    demote: tuple[type[Exception], ...] = (AnalysisError,),
+    fallbacks: list[int] | None = None,
+):
+    """``build()`` for ``module`` (and ``schedule``), cached; ``None`` means "fall back".
 
-    Unsupported modules are negatively cached so repeated attempts (the common
-    case in iterative-repair sweeps) skip re-analysis too.  The fingerprint is
-    memoized on the module object itself, so repeated Simulation construction
-    over a shared parsed AST (the parse cache's normal hit path) costs one
-    dict lookup, not an AST-sized repr + hash.
+    The module fingerprint is memoized on the module object itself, so
+    repeated Simulation construction over a shared parsed AST (the parse
+    cache's normal hit path) costs one attribute lookup, not an AST-sized
+    repr + hash.  A ``demote`` exception is deterministic for the key, so
+    ``None`` is cached and repeated attempts (the common case in
+    iterative-repair sweeps) skip re-analysis.  RecursionError depends on the
+    caller's stack depth, and ValueError covers degenerate widths the
+    interpreter only rejects lazily: those fall back for this call without
+    demoting the key.  ``fallbacks``, when given, counts both kinds.
     """
-    fingerprint = getattr(module, "_kernel_fingerprint", None)
-    if fingerprint is None:
-        fingerprint = module_fingerprint(module)
-        module._kernel_fingerprint = fingerprint  # AST is immutable by convention
-    cached = _cache.get(fingerprint, _MISSING)
+    key = getattr(module, "_kernel_fingerprint", None)
+    if key is None:
+        key = module_fingerprint(module)
+        module._kernel_fingerprint = key  # AST is immutable by convention
+    if schedule is not None:
+        key = f"{key}:{schedule.digest}"
+    cached = cache.get(key, _MISSING)
     if cached is not _MISSING:
         return cached
     try:
-        template: KernelTemplate | None = compile_kernel(module)
-    except AnalysisError:
-        # Deliberately unsupported: negatively cache so repeated attempts
-        # (the common case in iterative-repair sweeps) skip re-analysis.
-        _fallbacks[0] += 1
-        return _cache.put(fingerprint, None)
+        built = build()
+    except demote:
+        if fallbacks is not None:
+            fallbacks[0] += 1
+        return cache.put(key, None)
     except (RecursionError, ValueError):
-        # RecursionError depends on the caller's stack depth, and ValueError
-        # covers degenerate widths the interpreter only rejects lazily — fall
-        # back for this call, but don't demote the module permanently.
-        _fallbacks[0] += 1
+        if fallbacks is not None:
+            fallbacks[0] += 1
         return None
-    return _cache.put(fingerprint, template)
+    return cache.put(key, built)
+
+
+def get_kernel(module: vast.VModule) -> KernelTemplate | None:
+    """Cached kernel for ``module``; ``None`` means "use the interpreter".
+
+    Unsupported modules are negatively cached and counted in
+    ``kernel_cache_stats()["fallbacks"]``.
+    """
+    return _cached_build(_cache, module, lambda: compile_kernel(module), fallbacks=_fallbacks)
 
 
 def get_trace_kernel(module: vast.VModule, schedule: TraceSchedule) -> TraceKernel | None:
@@ -868,27 +943,20 @@ def get_trace_kernel(module: vast.VModule, schedule: TraceSchedule) -> TraceKern
 
     Ineligible pairings (module outside the compiled subset, or a port mismatch
     whose step-wise run raises a :class:`SimulationError` that must be
-    reproduced verbatim) are negatively cached, so iterative-repair sweeps that
-    retry the same candidate skip re-analysis.
+    reproduced verbatim) are negatively cached.  SyntaxError is a codegen bug
+    tripwire: deterministic for the pairing, so it demotes the pairing to the
+    step-wise path rather than crash.
     """
     kernel = get_kernel(module)
     if kernel is None:
         return None
-    key = f"{kernel.fingerprint}:{schedule.digest}"
-    cached = _trace_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    try:
-        trace: TraceKernel | None = compile_trace(module, schedule, kernel)
-    except (AnalysisError, SyntaxError):
-        # SyntaxError is a codegen bug tripwire: deterministic for the
-        # pairing, so demote it to the step-wise path rather than crash.
-        return _trace_cache.put(key, None)
-    except (RecursionError, ValueError):
-        # Stack-depth dependent or degenerate-width failures: fall back for
-        # this call without demoting the pairing permanently.
-        return None
-    return _trace_cache.put(key, trace)
+    return _cached_build(
+        _trace_cache,
+        module,
+        lambda: compile_trace(module, schedule, kernel),
+        schedule,
+        demote=(AnalysisError, SyntaxError),
+    )
 
 
 def kernel_cache_stats() -> dict[str, int]:

@@ -54,14 +54,14 @@ from repro.verilog.analysis import (
     SignalMeta,
 )
 from repro.verilog.compile_sim import (
+    KernelTemplate,
     TraceSchedule,
-    _blocking_targets,
-    _Store,
-    _sx,
+    _cached_build,
+    _Codegen,
+    _compile_module,
     _TraceGen,
     check_schedule_ports,
     emit_trace_body,
-    module_fingerprint,
 )
 
 __all__ = [
@@ -228,15 +228,19 @@ if HAVE_NUMPY:
 
 
 _COMPARE_OPS = {
-    "==": "np.equal", "===": "np.equal",
-    "!=": "np.not_equal", "!==": "np.not_equal",
+    "==": "np.equal", "!=": "np.not_equal",
     "<": "np.less", "<=": "np.less_equal",
     ">": "np.greater", ">=": "np.greater_equal",
 }
 
 
-class _VecCodegen:
-    """Mirror of compile_sim._Codegen emitting NumPy array expressions.
+class _VecCodegen(_Codegen):
+    """The ``uint64`` lane dialect of the shared lowering.
+
+    Arithmetic is carried out on masked unsigned 64-bit patterns, so
+    sign-extension only matters where the pattern's sign is read: signed
+    compare, divide/remainder and arithmetic right shift.  ``+``/``-``/``*``
+    and negation rely on ``uint64`` wraparound (a no-op modulo 2**w).
 
     Control flow is if-converted: VIf/VCase bodies run unconditionally on all
     lanes and their writes merge through bool predicate arrays (``pred``), so
@@ -245,329 +249,99 @@ class _VecCodegen:
     so evaluating untaken branches can neither raise nor diverge.
     """
 
+    lane_width = LANE_WIDTH
+
+    TERNARY = "_sel(np.not_equal({c}, 0), {t}, {f})"
+    CONCAT_PART = "((_u({x})) << np.uint64({offset}))"
+    REPEAT = "((_u({x})) * {stamp})"
+    MEM_READ = "_mem_rd({mem}, {i})"
+    BIT = "((_u({x}) >> np.uint64({index})) & 1)"
+    DYN_BIT = "_sel(np.less(_u({i}), np.uint64({width})), _shr({x}, {i}) & 1, 0)"
+    FIELD = "((_u({x}) >> np.uint64({lsb})) & {m})"
+    UNARY = {
+        "&": "_b2u(np.equal({x}, {m}))",
+        "~&": "_b2u(np.not_equal({x}, {m}))",
+        "|": "_b2u(np.not_equal({x}, 0))",
+        "~|": "_b2u(np.equal({x}, 0))",
+        "^": "_parity({x})",
+        "~^": "(_parity({x}) ^ 1)",
+        "!": "_b2u(np.equal({x}, 0))",
+        "~": "((~_u({x})) & {m})",
+        "-": "((0 - _u({x})) & {m})",
+    }
+    BINARY = {
+        "&&": "_b2u(np.logical_and(np.not_equal({l}, 0), np.not_equal({r}, 0)))",
+        "||": "_b2u(np.logical_or(np.not_equal({l}, 0), np.not_equal({r}, 0)))",
+        **{op: f"_b2u({fn}(_u({{l}}), _u({{r}})))" for op, fn in _COMPARE_OPS.items()},
+        "<<": "(_shl({l}, {r}) & {m})",
+        ">>": "_shr({l}, {r})",
+        ">>>": "_shr({l}, {r})",
+        **dict.fromkeys(("&", "|", "^"), "((_u({l})) {op} ({r}))"),
+        "^~": "((~(_u({l}) ^ ({r}))) & {m})",
+        **dict.fromkeys(("+", "-", "*"), "(((_u({l})) {op} ({r})) & {m})"),
+        "/": "(_udiv({l}, {r}) & {m})",
+        "%": "(_urem({l}, {r}) & {m})",
+    }
+    SIGNED_UNARY = {}
+    SIGNED_BINARY = {
+        **{op: f"_b2u({fn}(_i64({{l}}), _i64({{r}})))" for op, fn in _COMPARE_OPS.items()},
+        ">>>": "(_sra({l}, {r}) & {m})",
+        "/": "(_sdiv({l}, {r}) & {m})",
+        "%": "(_srem({l}, {r}) & {m})",
+    }
+    # _mem_wr returns a fresh plane, so the snapshot may alias s[slot].
+    MEMORY_SNAPSHOT = "s[{slot}]"
+
     def __init__(self, analysis: ModuleAnalysis):
-        self.a = analysis
-        self.lines: list[str] = []
-        self._tmp = 0
-
-    # ------------------------------------------------------------------ output
-
-    def emit(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def fresh(self) -> str:
-        self._tmp += 1
-        return f"_t{self._tmp}"
-
-    # ------------------------------------------------------------- expressions
-
-    def gen(self, expr: vast.VExpr, w: int, read: Callable[[str], str]) -> str:
-        """NumPy code for the unsigned value of ``expr`` masked to ``w`` bits."""
-        if w > LANE_WIDTH:
-            raise AnalysisError(
-                f"context width {w} exceeds the {LANE_WIDTH}-bit vector lanes"
-            )
-        a = self.a
-        if isinstance(expr, vast.VIdent):
-            meta = a.meta(expr.name)
-            if meta.is_memory:
+        for meta in analysis.signals.values():
+            if meta.width > LANE_WIDTH:
                 raise AnalysisError(
-                    f"memory {expr.name!r} used as a plain value in module "
-                    f"{self.a.module.name}"
+                    f"signal {meta.name!r} is {meta.width} bits wide; vector lanes "
+                    f"are {LANE_WIDTH}-bit"
                 )
-            base = read(expr.name)
-            if w == meta.width:
-                return base
-            if w < meta.width:
-                return f"({base} & {_mask(w)})"
-            if meta.signed:
-                # The scalar _sx formula ((x ^ sb) - sb) is valid in both
-                # domains: on uint64 it wraps to the 64-bit sign pattern.
-                return f"({_sx(base, meta.width)} & {_mask(w)})"
-            return base
-        if isinstance(expr, vast.VLiteral):
-            return str(expr.value & _mask(w))
-        if isinstance(expr, vast.VCall):
-            return self.gen(expr.args[0], w, read)
-        if isinstance(expr, vast.VUnary):
-            return self._gen_unary(expr, w, read)
-        if isinstance(expr, vast.VBinary):
-            return self._gen_binary(expr, w, read)
-        if isinstance(expr, vast.VTernary):
-            c = self.gen(expr.condition, a.width(expr.condition), read)
-            t = self.gen(expr.true_value, w, read)
-            f = self.gen(expr.false_value, w, read)
-            return f"_sel(np.not_equal({c}, 0), {t}, {f})"
-        if isinstance(expr, vast.VConcat):
-            parts = []
-            offset = sum(a.width(p) for p in expr.parts)
-            for part in expr.parts:
-                pw = a.width(part)
-                offset -= pw
-                code = self.gen(part, pw, read)
-                if offset >= LANE_WIDTH:
-                    raise AnalysisError(
-                        f"concat offset {offset} exceeds the vector lanes"
-                    )
-                if offset:
-                    parts.append(f"((_u({code})) << np.uint64({offset}))")
-                else:
-                    parts.append(f"({code})")
-            return f"({' | '.join(parts)})" if parts else "0"
-        if isinstance(expr, vast.VRepeat):
-            if expr.count == 0:
-                return "0"
-            pw = a.width(expr.value)
-            code = self.gen(expr.value, pw, read)
-            stamp = sum(1 << (i * pw) for i in range(expr.count))
-            return f"((_u({code})) * {stamp})"
-        if isinstance(expr, vast.VIndex):
-            if isinstance(expr.target, vast.VIdent):
-                meta = a.meta(expr.target.name)
-                if meta.is_memory:
-                    i = self.gen(expr.index, a.width(expr.index), read)
-                    base = f"_mem_rd({read(expr.target.name)}, {i})"
-                    if w < meta.width:
-                        return f"({base} & {_mask(w)})"
-                    if w > meta.width and meta.signed:
-                        return f"({_sx(base, meta.width)} & {_mask(w)})"
-                    return base
-            tw = a.width(expr.target)
-            t = self.gen(expr.target, tw, read)
-            if isinstance(expr.index, vast.VLiteral):
-                index = expr.index.value & _mask(a.width(expr.index))
-                if index >= tw:
-                    return "0"
-                return f"((_u({t}) >> np.uint64({index})) & 1)"
-            i = self.gen(expr.index, a.width(expr.index), read)
-            return f"_sel(np.less(_u({i}), np.uint64({tw})), _shr({t}, {i}) & 1, 0)"
-        if isinstance(expr, vast.VRange):
-            t = self.gen(expr.target, a.width(expr.target), read)
-            fw = expr.msb - expr.lsb + 1
-            if expr.lsb >= LANE_WIDTH:
-                return "0"
-            return f"((_u({t}) >> np.uint64({expr.lsb})) & {_mask(fw)})"
-        raise AnalysisError(f"unsupported expression {expr!r}")
+        super().__init__(analysis)
 
-    def _gen_unary(self, expr: vast.VUnary, w: int, read) -> str:
-        a = self.a
-        if expr.op in ("&", "|", "^", "~&", "~|", "~^"):
-            ow = a.width(expr.operand)
-            oc = self.gen(expr.operand, ow, read)
-            if expr.op == "&":
-                return f"_b2u(np.equal({oc}, {_mask(ow)}))" if ow > 0 else "0"
-            if expr.op == "~&":
-                return f"_b2u(np.not_equal({oc}, {_mask(ow)}))" if ow > 0 else "1"
-            if expr.op == "|":
-                return f"_b2u(np.not_equal({oc}, 0))"
-            if expr.op == "~|":
-                return f"_b2u(np.equal({oc}, 0))"
-            if expr.op == "^":
-                return f"_parity({oc})"
-            return f"(_parity({oc}) ^ 1)"  # ~^
-        if expr.op == "!":
-            oc = self.gen(expr.operand, a.width(expr.operand), read)
-            return f"_b2u(np.equal({oc}, 0))"
-        if expr.op == "~":
-            oc = self.gen(expr.operand, w, read)
-            return f"((~_u({oc})) & {_mask(w)})"
-        if expr.op == "-":
-            # Sign-extension is a no-op modulo 2**w, so the signed case needs
-            # no _sx here (unlike scalar codegen, which works on Python ints).
-            oc = self.gen(expr.operand, w, read)
-            return f"((0 - _u({oc})) & {_mask(w)})"
-        raise AnalysisError(f"unsupported unary operator {expr.op}")
+    # Predicated writes rebind the target to a fresh merged array (never
+    # in-place), so the s[slot] arrays the clocked-block temps alias stay
+    # intact until the non-blocking commit.
 
-    def _gen_binary(self, expr: vast.VBinary, w: int, read) -> str:
-        a = self.a
-        op = expr.op
-        if op in ("&&", "||"):
-            l = self.gen(expr.left, a.width(expr.left), read)
-            r = self.gen(expr.right, a.width(expr.right), read)
-            joiner = "logical_and" if op == "&&" else "logical_or"
-            return (
-                f"_b2u(np.{joiner}(np.not_equal({l}, 0), np.not_equal({r}, 0)))"
-            )
-        if op in _COMPARE_OPS:
-            ow = max(a.width(expr.left), a.width(expr.right))
-            operands_signed = a.signedness(expr.left) and a.signedness(expr.right)
-            l = self.gen(expr.left, ow, read)
-            r = self.gen(expr.right, ow, read)
-            if operands_signed:
-                l = f"_i64({_sx(l, ow)})"
-                r = f"_i64({_sx(r, ow)})"
-            else:
-                l, r = f"_u({l})", f"_u({r})"
-            return f"_b2u({_COMPARE_OPS[op]}({l}, {r}))"
-        if op in ("<<", ">>", "<<<", ">>>"):
-            l = self.gen(expr.left, w, read)
-            amt = self.gen(expr.right, a.width(expr.right), read)
-            if op in ("<<", "<<<"):
-                return f"(_shl({l}, {amt}) & {_mask(w)})"
-            if op == ">>>" and a.signedness(expr.left):
-                return f"(_sra({_sx(l, w)}, {amt}) & {_mask(w)})"
-            return f"_shr({l}, {amt})"
-        signed = a.signedness(expr)
-        l = self.gen(expr.left, w, read)
-        r = self.gen(expr.right, w, read)
-        if op in ("&", "|"):
-            return f"((_u({l})) {op} ({r}))"
-        if op == "^":
-            return f"((_u({l})) ^ ({r}))"
-        if op in ("^~", "~^"):
-            return f"((~(_u({l}) ^ ({r}))) & {_mask(w)})"
-        if op == "+":
-            return f"(((_u({l})) + ({r})) & {_mask(w)})"
-        if op == "-":
-            return f"(((_u({l})) - ({r})) & {_mask(w)})"
-        if op == "*":
-            return f"(((_u({l})) * ({r})) & {_mask(w)})"
-        if op in ("/", "%"):
-            if signed:
-                fn = "_sdiv" if op == "/" else "_srem"
-                return f"({fn}({_sx(l, w)}, {_sx(r, w)}) & {_mask(w)})"
-            fn = "_udiv" if op == "/" else "_urem"
-            return f"({fn}({l}, {r}) & {_mask(w)})"
-        raise AnalysisError(f"unsupported binary operator {op}")
+    def emit_write(self, indent: int, lv: str, code: str, pred: str | None) -> None:
+        if pred is not None:
+            code = f"_sel({pred}, {code}, {lv})"
+        self.emit(indent, f"{lv} = {code}")
 
-    # -------------------------------------------------------------- statements
+    def emit_mem_write(self, indent, lv, index, code, depth, pred) -> None:
+        p = "True" if pred is None else pred
+        self.emit(indent, f"{lv} = _mem_wr({lv}, {index}, {code}, {p})")
 
-    def emit_assign(
-        self,
-        target: vast.VExpr,
-        value: vast.VExpr,
-        indent: int,
-        read: Callable[[str], str],
-        store: _Store,
-        pred: str | None,
-    ) -> None:
-        a = self.a
-        if isinstance(target, vast.VIdent):
-            meta = a.meta(target.name)
-            if meta.is_memory:
-                raise AnalysisError(
-                    f"whole-memory assignment to {target.name!r} in module "
-                    f"{self.a.module.name}"
-                )
-            cw = max(a.width(value), meta.width)
-            code = self.gen(value, cw, read)
-            if cw > meta.width:
-                code = f"({code}) & {meta.mask}"
-            lv = store.lvalue(meta)
-            if pred is None:
-                self.emit(indent, f"{lv} = {code}")
-            else:
-                self.emit(indent, f"{lv} = _sel({pred}, {code}, {lv})")
-            return
-        if isinstance(target, vast.VIndex):
-            if not isinstance(target.target, vast.VIdent):
-                raise AnalysisError(f"unsupported assignment target {target!r}")
-            meta = a.meta(target.target.name)
-            if meta.is_memory:
-                cw = max(a.width(value), meta.width)
-                code = self.gen(value, cw, read)
-                if cw > meta.width:
-                    code = f"({code}) & {meta.mask}"
-                lv = store.lvalue(meta)
-                tmp = self.fresh()
-                self.emit(
-                    indent,
-                    f"{tmp} = {self.gen(target.index, a.width(target.index), read)}",
-                )
-                p = "True" if pred is None else pred
-                self.emit(indent, f"{lv} = _mem_wr({lv}, {tmp}, {code}, {p})")
-                return
-            cw = max(a.width(value), 1)
-            bit = f"({self.gen(value, cw, read)}) & 1"
-            lv = store.lvalue(meta)
-            tmp = self.fresh()
-            self.emit(
-                indent,
-                f"{tmp} = {self.gen(target.index, a.width(target.index), read)}",
-            )
-            in_range = f"np.less(_u({tmp}), np.uint64({meta.width}))"
-            p = in_range if pred is None else f"(({pred}) & {in_range})"
-            self.emit(
-                indent,
-                f"{lv} = _sel({p}, "
-                f"(_u({lv}) & (~_shl(1, {tmp}))) | _shl({bit}, {tmp}), {lv})",
-            )
-            return
-        if isinstance(target, vast.VRange):
-            if not isinstance(target.target, vast.VIdent):
-                raise AnalysisError(f"unsupported assignment target {target!r}")
-            meta = a.meta(target.target.name)
-            fw = target.msb - target.lsb + 1
-            if target.lsb >= LANE_WIDTH:
-                raise AnalysisError(
-                    f"range assignment lsb {target.lsb} exceeds the vector lanes"
-                )
-            cw = max(a.width(value), fw)
-            code = self.gen(value, cw, read)
-            fm = _mask(fw) << target.lsb
-            inv = (~fm) & _mask(LANE_WIDTH)
-            lv = store.lvalue(meta)
-            merged = (
-                f"((_u({lv}) & {inv}) | "
-                f"(((_u({code})) & {_mask(fw)}) << np.uint64({target.lsb})))"
-                f" & {meta.mask}"
-            )
-            if pred is None:
-                self.emit(indent, f"{lv} = {merged}")
-            else:
-                self.emit(indent, f"{lv} = _sel({pred}, {merged}, {lv})")
-            return
-        raise AnalysisError(f"unsupported assignment target {target!r}")
+    def emit_bit_write(self, indent, lv, index, bit, width, pred) -> None:
+        in_range = f"np.less(_u({index}), np.uint64({width}))"
+        p = in_range if pred is None else f"(({pred}) & {in_range})"
+        merged = f"(_u({lv}) & (~_shl(1, {index}))) | _shl({bit}, {index})"
+        self.emit_write(indent, lv, merged, p)
 
-    def emit_stmts(
-        self,
-        stmts: list[vast.VStmt],
-        indent: int,
-        read: Callable[[str], str],
-        blocking: _Store,
-        nonblocking: _Store,
-        pred: str | None,
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, vast.VBlockingAssign):
-                if isinstance(stmt.target, vast.VIdent) and stmt.target.name == "_":
-                    continue  # null statement placeholder
-                self.emit_assign(stmt.target, stmt.value, indent, read, blocking, pred)
-            elif isinstance(stmt, vast.VNonBlockingAssign):
-                self.emit_assign(stmt.target, stmt.value, indent, read, nonblocking, pred)
-            elif isinstance(stmt, vast.VIf):
-                cond = self.gen(stmt.condition, self.a.width(stmt.condition), read)
-                c = self.fresh()
-                self.emit(indent, f"{c} = np.not_equal({cond}, 0)")
-                if pred is None:
-                    pt = c
-                else:
-                    pt = self.fresh()
-                    self.emit(indent, f"{pt} = ({pred}) & {c}")
-                self.emit_stmts(stmt.then_body, indent, read, blocking, nonblocking, pt)
-                if stmt.else_body:
-                    pe = self.fresh()
-                    if pred is None:
-                        self.emit(indent, f"{pe} = ~{c}")
-                    else:
-                        self.emit(indent, f"{pe} = ({pred}) & (~{c})")
-                    self.emit_stmts(
-                        stmt.else_body, indent, read, blocking, nonblocking, pe
-                    )
-            elif isinstance(stmt, vast.VCase):
-                self._emit_case(stmt, indent, read, blocking, nonblocking, pred)
-            else:
-                raise AnalysisError(f"unsupported statement {stmt!r}")
+    @staticmethod
+    def field_merge(lv: str, code: str, lsb: int, fw: int, mask: int) -> str:
+        inv = (~(_mask(fw) << lsb)) & _mask(LANE_WIDTH)
+        return (
+            f"((_u({lv}) & {inv}) | (((_u({code})) & {_mask(fw)}) << np.uint64({lsb})))"
+            f" & {mask}"
+        )
 
-    def _emit_case(
-        self,
-        stmt: vast.VCase,
-        indent: int,
-        read: Callable[[str], str],
-        blocking: _Store,
-        nonblocking: _Store,
-        pred: str | None,
-    ) -> None:
+    def emit_empty(self, indent: int) -> None:
+        pass  # predicated code opens no blocks that would need a body
+
+    def emit_if(self, stmt: vast.VIf, indent, read, blocking, nonblocking, pred) -> None:
+        cond = self.gen(stmt.condition, self.a.width(stmt.condition), read)
+        c = self.fresh()
+        self.emit(indent, f"{c} = np.not_equal({cond}, 0)")
+        then_pred = self._narrow(indent, pred, c)
+        self.emit_stmts(stmt.then_body, indent, read, blocking, nonblocking, then_pred)
+        if stmt.else_body:
+            else_pred = self._exclude(indent, pred, c)
+            self.emit_stmts(stmt.else_body, indent, read, blocking, nonblocking, else_pred)
+
+    def emit_case(self, stmt: vast.VCase, indent, read, blocking, nonblocking, pred) -> None:
         subject = self.fresh()
         self.emit(
             indent,
@@ -588,22 +362,25 @@ class _VecCodegen:
                 self.emit(indent, f"{m} = {' | '.join(tests)}")
             else:
                 self.emit(indent, f"{m} = np.False_")
-            if reached is None:
-                pi = m
-            else:
-                pi = self.fresh()
-                self.emit(indent, f"{pi} = ({reached}) & {m}")
-            self.emit_stmts(item.body, indent, read, blocking, nonblocking, pi)
-            nr = self.fresh()
-            if reached is None:
-                self.emit(indent, f"{nr} = ~{m}")
-            else:
-                self.emit(indent, f"{nr} = ({reached}) & (~{m})")
-            reached = nr
+            item_pred = self._narrow(indent, reached, m)
+            self.emit_stmts(item.body, indent, read, blocking, nonblocking, item_pred)
+            reached = self._exclude(indent, reached, m)
         if default_item is not None:
-            self.emit_stmts(
-                default_item.body, indent, read, blocking, nonblocking, reached
-            )
+            self.emit_stmts(default_item.body, indent, read, blocking, nonblocking, reached)
+
+    def _narrow(self, indent: int, pred: str | None, mask: str) -> str:
+        """The lanes of ``pred`` (all lanes if ``None``) where ``mask`` holds."""
+        if pred is None:
+            return mask
+        name = self.fresh()
+        self.emit(indent, f"{name} = ({pred}) & {mask}")
+        return name
+
+    def _exclude(self, indent: int, pred: str | None, mask: str) -> str:
+        """The lanes of ``pred`` (all lanes if ``None``) where ``mask`` fails."""
+        name = self.fresh()
+        self.emit(indent, f"{name} = ~{mask}" if pred is None else f"{name} = ({pred}) & (~{mask})")
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +388,12 @@ class _VecCodegen:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VecKernelTemplate:
+class VecKernelTemplate(KernelTemplate):
     """A vector-compiled module; per-batch state is a list of lane arrays."""
-
-    module_name: str
-    fingerprint: str
-    slots: dict[str, SignalMeta]
-    n_slots: int
-    comb: Callable[[list], None]
-    steps: dict[str, Callable[[list], None]]
-    source: str = ""
-    memory_slots: dict[int, int] = None  # slot -> depth; planes are (depth, lanes)
 
     def new_state(self, lanes: int) -> list:
         state = [np.zeros(lanes, dtype=np.uint64) for _ in range(self.n_slots)]
-        for slot, depth in (self.memory_slots or {}).items():
+        for slot, depth in self.memory_slots.items():
             state[slot] = np.zeros((depth, lanes), dtype=np.uint64)
         return state
 
@@ -637,110 +404,10 @@ def compile_vec_kernel(
     """Translate ``module`` to NumPy SoA closures; AnalysisError if unsupported."""
     if not HAVE_NUMPY:
         raise AnalysisError("NumPy is unavailable; the vector backend is disabled")
-    analysis = analysis if analysis is not None else ModuleAnalysis(module)
-    schedule = analysis.schedule()  # raises CombLoopError on true cycles
-    for meta in analysis.signals.values():
-        if meta.width > LANE_WIDTH:
-            raise AnalysisError(
-                f"signal {meta.name!r} is {meta.width} bits wide; vector lanes "
-                f"are {LANE_WIDTH}-bit"
-            )
-    gen = _VecCodegen(analysis)
-
-    def comb_read(name: str) -> str:
-        return f"s[{analysis.meta(name).slot}]"
-
-    comb_store = _Store(lambda meta: f"s[{meta.slot}]")
-
-    gen.emit(0, "def comb(s):")
-    mark = len(gen.lines)
-    for node in schedule:
-        if node.kind == "assign":
-            assign = node.item
-            gen.emit_assign(assign.target, assign.value, 1, comb_read, comb_store, None)
-        else:
-            gen.emit_stmts(node.item.body, 1, comb_read, comb_store, comb_store, None)
-    if len(gen.lines) == mark:
-        gen.emit(1, "pass")
-    gen.emit(0, "")
-
-    clocks = analysis.clocks()
-    step_names: dict[str, str] = {}
-    for clock_index, clock in enumerate(clocks):
-        blocks = analysis.clocked_blocks(clock)
-        function = f"_step_{clock_index}"
-        step_names[clock] = function
-
-        pending_slots: list[int] = []
-        block_plans: list[tuple[vast.VAlways, set[str]]] = []
-        seen_pending: set[int] = set()
-        for block in blocks:
-            blocking: set[str] = set()
-            nonblocking: set[str] = set()
-            _blocking_targets(block.body, blocking, nonblocking)
-            overlap = blocking & nonblocking
-            if overlap:
-                raise AnalysisError(
-                    f"signal(s) {sorted(overlap)} are both blocking and non-blocking "
-                    f"targets in one always block of module {module.name}"
-                )
-            for name in nonblocking:
-                slot = analysis.meta(name).slot
-                if slot not in seen_pending:
-                    seen_pending.add(slot)
-                    pending_slots.append(slot)
-            for name in blocking:
-                if analysis.meta(name).is_memory:
-                    # Mirrors the scalar backend: the interpreter persists
-                    # blocking memory writes; the _b temps here would not.
-                    raise AnalysisError(
-                        f"blocking write to memory {name!r} in a clocked block "
-                        f"of module {module.name}"
-                    )
-            block_plans.append((block, blocking))
-
-        gen.emit(0, f"def {function}(s):")
-        if not blocks:
-            gen.emit(1, "pass")
-        for slot in pending_slots:
-            gen.emit(1, f"_n{slot} = s[{slot}]")
-        for block_index, (block, blocking) in enumerate(block_plans):
-            blocking_slots = sorted(analysis.meta(name).slot for name in blocking)
-            for slot in blocking_slots:
-                gen.emit(1, f"_b{block_index}_{slot} = s[{slot}]")
-            blocking_set = set(blocking)
-
-            def clocked_read(name: str, _bi=block_index, _bset=blocking_set) -> str:
-                meta = analysis.meta(name)
-                if name in _bset:
-                    return f"_b{_bi}_{meta.slot}"
-                return f"s[{meta.slot}]"
-
-            blocking_store = _Store(lambda meta, _bi=block_index: f"_b{_bi}_{meta.slot}")
-            nonblocking_store = _Store(lambda meta: f"_n{meta.slot}")
-            # Predicated writes rebind the temp to a fresh merged array (never
-            # in-place), so the s[slot] arrays these temps alias stay intact.
-            gen.emit_stmts(
-                block.body, 1, clocked_read, blocking_store, nonblocking_store, None
-            )
-        for slot in pending_slots:
-            gen.emit(1, f"s[{slot}] = _n{slot}")
-        gen.emit(0, "")
-
-    source = "\n".join(gen.lines)
-    namespace: dict[str, object] = dict(_NAMESPACE)
-    exec(compile(source, f"<veckernel:{module.name}>", "exec"), namespace)
-
-    return VecKernelTemplate(
-        module_name=module.name,
-        fingerprint=module_fingerprint(module),
-        slots=dict(analysis.signals),
-        n_slots=len(analysis.signals),
-        comb=namespace["comb"],
-        steps={clock: namespace[function] for clock, function in step_names.items()},
-        source=source,
-        memory_slots={m.slot: m.depth for m in analysis.memories()},
+    return _compile_module(
+        module, analysis, _VecCodegen, dict(_NAMESPACE), VecKernelTemplate, "veckernel"
     )
+
 
 # ---------------------------------------------------------------------------
 # Vector trace kernels: a whole stimulus schedule, all lanes at once
@@ -778,13 +445,6 @@ class _VecTraceGen(_TraceGen):
         return f"s[{meta.slot}] = stim[:, {index_code}]"
 
 
-def _stim_masks(template: VecKernelTemplate, schedule: TraceSchedule) -> list[int]:
-    masks: list[int] = []
-    for names, _cycles, _check in schedule.points:
-        masks.extend(template.slots[name].mask for name in names)
-    return masks
-
-
 def _pack(rows: Sequence[Sequence[int]], masks: list[int]) -> "np.ndarray":
     """Mask and stack stimulus rows into a (rows, stim_len) uint64 matrix.
 
@@ -807,9 +467,9 @@ def _sample_count(schedule: TraceSchedule) -> tuple[list[int], int]:
     return checked, len(checked) * len(schedule.observed)
 
 
-def _compile_point_lanes(
-    module: vast.VModule, schedule: TraceSchedule, template: VecKernelTemplate
-) -> VecTraceKernel:
+def _point_lanes(
+    schedule: TraceSchedule, template: VecKernelTemplate
+) -> Callable[["np.ndarray"], "np.ndarray"]:
     """Mode A: no clocked block on the schedule clock, so ticks are no-ops and
     every functional point is an independent evaluation of the settled
     combinational function — one lane per (row, point).
@@ -833,7 +493,6 @@ def _compile_point_lanes(
     checked_arr = np.array(checked, dtype=np.int64)
     n_observed = len(schedule.observed)
     observed_slots = [template.slots[name].slot for name in schedule.observed]
-    masks = _stim_masks(template, schedule)
 
     gathers: list[tuple[int, "np.ndarray", "np.ndarray"]] = []
     for name, (p_indices, offs) in driven.items():
@@ -851,8 +510,7 @@ def _compile_point_lanes(
     comb = template.comb
     new_state = template.new_state
 
-    def run(rows: Sequence[Sequence[int]]) -> "np.ndarray":
-        stim = rows if isinstance(rows, np.ndarray) else _pack(rows, masks)
+    def run(stim: "np.ndarray") -> "np.ndarray":
         n_rows = stim.shape[0]
         lanes = n_rows * n_points
         state = new_state(lanes)
@@ -861,9 +519,7 @@ def _compile_point_lanes(
                 [np.zeros((n_rows, 1), dtype=np.uint64), stim[:, offs]], axis=1
             )
             state[slot] = cols[:, marker].reshape(lanes)
-        # Wraparound on +/-/* is the masked-arithmetic contract, not an error.
-        with np.errstate(over="ignore"):
-            comb(state)
+        comb(state)
         out = np.empty((n_rows, n_samples), dtype=np.uint64)
         for w_index, slot in enumerate(observed_slots):
             value = np.broadcast_to(
@@ -872,42 +528,22 @@ def _compile_point_lanes(
             out[:, w_index::n_observed] = value[:, checked_arr]
         return out
 
-    return VecTraceKernel(
-        module_name=module.name,
-        fingerprint=template.fingerprint,
-        digest=schedule.digest,
-        mode="points",
-        lanes_per_row=max(1, n_points),
-        n_samples=n_samples,
-        run=run,
-        pack=lambda rows: _pack(rows, masks),
-        source=template.source,
-    )
+    return run
 
 
-def _compile_lockstep(
-    module: vast.VModule,
-    schedule: TraceSchedule,
-    template: VecKernelTemplate,
-    ports: set[str],
-) -> VecTraceKernel:
+def _lockstep(
+    schedule: TraceSchedule, template: VecKernelTemplate, ports: set[str]
+) -> tuple[Callable[["np.ndarray"], "np.ndarray"], str]:
     """Mode B: the module is sequential on the schedule clock, so points stay
     a time loop — but every batched row is a lane, advancing N structurally
-    identical executions through the schedule in lockstep.
+    identical executions through the schedule in lockstep.  Returns the
+    runner and the trace source.
     """
-    edge = template.steps[schedule.clock]
     gen = _VecTraceGen(template, schedule, has_edge=True)
-    emit_trace_body(gen, ports)
-    source = "\n".join(gen.lines)
-    namespace: dict[str, object] = {"comb": template.comb, "step": edge}
-    exec(compile(source, f"<vectrace:{module.name}>", "exec"), namespace)
-    trace_fn = namespace["trace"]
-    _checked, n_samples = _sample_count(schedule)
-    masks = _stim_masks(template, schedule)
+    source, trace_fn = emit_trace_body(gen, ports, "vectrace")
     new_state = template.new_state
 
-    def run(rows: Sequence[Sequence[int]]) -> "np.ndarray":
-        stim = rows if isinstance(rows, np.ndarray) else _pack(rows, masks)
+    def run(stim: "np.ndarray") -> "np.ndarray":
         n_rows = stim.shape[0]
         state = new_state(n_rows)
         samples: list = []
@@ -917,24 +553,12 @@ def _compile_lockstep(
                 np.broadcast_to(np.asarray(value, dtype=np.uint64), (n_rows,))
             )
 
-        # Wraparound on +/-/* is the masked-arithmetic contract, not an error.
-        with np.errstate(over="ignore"):
-            trace_fn(state, stim, ap)
+        trace_fn(state, stim, ap)
         if not samples:
             return np.empty((n_rows, 0), dtype=np.uint64)
         return np.stack(samples, axis=1)
 
-    return VecTraceKernel(
-        module_name=module.name,
-        fingerprint=template.fingerprint,
-        digest=schedule.digest,
-        mode="lockstep",
-        lanes_per_row=1,
-        n_samples=n_samples,
-        run=run,
-        pack=lambda rows: _pack(rows, masks),
-        source=source,
-    )
+    return run, source
 
 
 def compile_vec_trace(
@@ -952,9 +576,34 @@ def compile_vec_trace(
         raise AnalysisError("NumPy is unavailable; the vector backend is disabled")
     template = template if template is not None else compile_vec_kernel(module)
     ports = check_schedule_ports(module, schedule)
-    if template.steps.get(schedule.clock) is None:
-        return _compile_point_lanes(module, schedule, template)
-    return _compile_lockstep(module, schedule, template, ports)
+    if schedule.clock in template.steps:
+        mode, lanes_per_row = "lockstep", 1
+        run_packed, source = _lockstep(schedule, template, ports)
+    else:
+        mode, lanes_per_row = "points", max(1, len(schedule.points))
+        run_packed, source = _point_lanes(schedule, template), template.source
+    masks = [template.slots[name].mask for names, _, _ in schedule.points for name in names]
+
+    def pack(rows: Sequence[Sequence[int]]) -> "np.ndarray":
+        return _pack(rows, masks)
+
+    def run(rows: Sequence[Sequence[int]]) -> "np.ndarray":
+        stim = rows if isinstance(rows, np.ndarray) else pack(rows)
+        # Wraparound on +/-/* is the masked-arithmetic contract, not an error.
+        with np.errstate(over="ignore"):
+            return run_packed(stim)
+
+    return VecTraceKernel(
+        module_name=module.name,
+        fingerprint=template.fingerprint,
+        digest=schedule.digest,
+        mode=mode,
+        lanes_per_row=lanes_per_row,
+        n_samples=_sample_count(schedule)[1],
+        run=run,
+        pack=pack,
+        source=source,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -963,29 +612,20 @@ def compile_vec_trace(
 
 _template_cache: LruCache = LruCache(256, name="sim_vec_kernel")
 _vec_cache: LruCache = LruCache(512, name="sim_vec")
-_MISSING = object()
+_vec_fallbacks = [0]
 
 
 def get_vec_template(module: vast.VModule) -> VecKernelTemplate | None:
-    """Cached SoA template for ``module``; ``None`` means "fall back"."""
+    """Cached SoA template for ``module``; ``None`` means "fall back".
+
+    Modules outside the lane subset (a signal wider than 64 bits, say) are
+    negatively cached and counted in ``vec_cache_stats()["vec_fallbacks"]``.
+    """
     if not HAVE_NUMPY:
         return None
-    fingerprint = getattr(module, "_kernel_fingerprint", None)
-    if fingerprint is None:
-        fingerprint = module_fingerprint(module)
-        module._kernel_fingerprint = fingerprint  # AST is immutable by convention
-    cached = _template_cache.get(fingerprint, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    try:
-        template: VecKernelTemplate | None = compile_vec_kernel(module)
-    except AnalysisError:
-        return _template_cache.put(fingerprint, None)
-    except (RecursionError, ValueError):
-        # Stack-depth dependent or degenerate-width failures: fall back for
-        # this call without demoting the module permanently.
-        return None
-    return _template_cache.put(fingerprint, template)
+    return _cached_build(
+        _template_cache, module, lambda: compile_vec_kernel(module), fallbacks=_vec_fallbacks
+    )
 
 
 def get_vec_kernel(
@@ -993,28 +633,18 @@ def get_vec_kernel(
 ) -> VecTraceKernel | None:
     """Cached vector trace kernel; ``None`` means "use a scalar backend".
 
-    Mirrors :func:`~repro.verilog.compile_sim.get_trace_kernel`: ineligible
-    pairings are negatively cached so iterative-repair sweeps retrying the
-    same candidate skip re-analysis.
+    Cached like :func:`~repro.verilog.compile_sim.get_trace_kernel`.
     """
-    if not HAVE_NUMPY:
-        return None
     template = get_vec_template(module)
     if template is None:
         return None
-    key = f"{template.fingerprint}:{schedule.digest}"
-    cached = _vec_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    try:
-        kernel: VecTraceKernel | None = compile_vec_trace(module, schedule, template)
-    except (AnalysisError, SyntaxError):
-        # SyntaxError is a codegen bug tripwire: deterministic for the
-        # pairing, so demote it to the scalar paths rather than crash.
-        return _vec_cache.put(key, None)
-    except (RecursionError, ValueError):
-        return None
-    return _vec_cache.put(key, kernel)
+    return _cached_build(
+        _vec_cache,
+        module,
+        lambda: compile_vec_trace(module, schedule, template),
+        schedule,
+        demote=(AnalysisError, SyntaxError),
+    )
 
 
 def vec_cache_stats() -> dict[str, int]:
@@ -1024,6 +654,7 @@ def vec_cache_stats() -> dict[str, int]:
         "vec_misses": _vec_cache.stats["misses"],
         "vec_size": len(_vec_cache),
         "vec_kernel_size": len(_template_cache),
+        "vec_fallbacks": _vec_fallbacks[0],
     }
 
 
@@ -1031,3 +662,4 @@ def clear_vec_cache() -> None:
     """Empty the vector caches (benchmarks force cold runs here)."""
     _template_cache.clear()
     _vec_cache.clear()
+    _vec_fallbacks[0] = 0

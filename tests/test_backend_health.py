@@ -137,10 +137,11 @@ class TestHealthKnobs:
         assert backend_health()["trace"]["state"] == "closed"
         assert backend_health()["trace"]["failures"] == 0
 
-    def test_malformed_threshold_raises_simulation_error(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_malformed_threshold_raises_simulation_error(self, monkeypatch, raw):
         from repro.verilog.simulator import SimulationError
 
-        monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "abc")
+        monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", raw)
         reset_backend_health()
-        with pytest.raises(SimulationError, match="REPRO_SIM_HEALTH_THRESHOLD.*'abc'"):
+        with pytest.raises(SimulationError, match=f"REPRO_SIM_HEALTH_THRESHOLD.*'{raw}'"):
             backend_health()

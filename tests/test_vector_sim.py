@@ -190,15 +190,16 @@ class TestVectorLaneEdgeCases:
         monkeypatch.setenv("REPRO_SIM_MAX_LANES", "2")
         assert run_testbenches(jobs, backend="vector") == expected
 
-    def test_invalid_max_lanes_raises(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["many", "0", "-3"])
+    def test_invalid_max_lanes_raises(self, monkeypatch, raw):
         module = parse_verilog(SEQ)[0]
         testbench = Testbench(
             points=[FunctionalPoint(inputs={"d": 1}, clock_cycles=1)],
             observed_outputs=["q"],
             reset_cycles=1,
         )
-        monkeypatch.setenv("REPRO_SIM_MAX_LANES", "many")
-        with pytest.raises(SimulationError, match="REPRO_SIM_MAX_LANES"):
+        monkeypatch.setenv("REPRO_SIM_MAX_LANES", raw)
+        with pytest.raises(SimulationError, match=f"REPRO_SIM_MAX_LANES.*'{raw}'"):
             run_testbenches([(module, module, testbench)], backend="vector")
 
     def test_huge_clock_cycle_counts_fall_back(self):
@@ -378,13 +379,19 @@ class TestVectorCaches:
         stats = kernel_cache_stats()
         assert stats["vec_size"] == 0 and stats["vec_kernel_size"] == 0
 
+    @pytest.mark.cache_mutating
     def test_cache_registry_and_snapshot_cover_vector_caches(self):
         module = parse_verilog(PASSTHROUGH)[0]
         run_testbench(module, module, _tb([1]), backend="vector")
         stats = cache_stats()
         assert "sim_vec" in stats and "sim_vec_kernel" in stats
-        for key in ("vec_hits", "vec_misses", "vec_size", "vec_kernel_size"):
+        for key in ("vec_hits", "vec_misses", "vec_size", "vec_kernel_size", "vec_fallbacks"):
             assert key in kernel_cache_stats(), key
+        assert kernel_cache_stats()["vec_fallbacks"] == 0
+        wide = parse_verilog(WIDE)[0]
+        run_testbench(wide, wide, _tb([1]), backend="vector")
+        run_testbench(wide, wide, _tb([2]), backend="vector")  # negatively cached
+        assert kernel_cache_stats()["vec_fallbacks"] == 1
 
         from repro.service.telemetry import Telemetry
 
