@@ -30,7 +30,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import fig1, fig6, fig7, fig8_case_study, table1, table2, table3, table4
-from repro.experiments.config import RESULT_STORE_ENV, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EvaluationHarness
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "fig1", "fig6", "fig7", "fig8")
@@ -82,7 +82,7 @@ def main() -> None:
         config = dataclasses.replace(config, store_path=None)
     elif args.store is not None:
         config = dataclasses.replace(config, store_path=args.store)
-    elif config.store_path is None and os.environ.get(RESULT_STORE_ENV) is None:
+    elif config.store_path is None and os.environ.get("REPRO_RESULT_STORE") is None:
         # Default the quickstart path to a persistent store — but an explicit
         # REPRO_RESULT_STORE=off/0/none stays disabled.
         config = dataclasses.replace(config, store_path=DEFAULT_STORE)

@@ -9,41 +9,10 @@ is configured separately through ``REPRO_BREAKER_*``
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.experiments.config import RESULT_STORE_ENV, _DISABLED_STORE_VALUES
+from repro import settings
 from repro.retry import BackoffPolicy
-
-STORE_ENV = "REPRO_CAMPAIGN_STORE"
-CHUNK_ENV = "REPRO_CAMPAIGN_CHUNK"
-DEADLINE_ENV = "REPRO_CAMPAIGN_DEADLINE"
-LLM_BUDGET_ENV = "REPRO_CAMPAIGN_LLM_BUDGET"
-RETRIES_ENV = "REPRO_CAMPAIGN_RETRIES"
-CHECKPOINT_EVERY_ENV = "REPRO_CAMPAIGN_CHECKPOINT_EVERY"
-PREEMPT_WAIT_ENV = "REPRO_CAMPAIGN_PREEMPT_WAIT"
-THROTTLE_ENV = "REPRO_CAMPAIGN_THROTTLE"
-FLEET_ENV = "REPRO_CAMPAIGN_FLEET"
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -99,35 +68,23 @@ class CampaignConfig:
 
     @classmethod
     def from_environment(cls, base: "CampaignConfig | None" = None) -> "CampaignConfig":
-        config = base or cls()
-        chunk = _env_int(CHUNK_ENV)
-        if chunk is not None:
-            config.chunk_size = max(1, chunk)
-        deadline = _env_float(DEADLINE_ENV)
-        if deadline is not None:
-            config.deadline = deadline if deadline > 0 else None
-        budget = _env_int(LLM_BUDGET_ENV)
-        if budget is not None:
-            config.llm_budget = budget if budget >= 0 else None
-        retries = _env_int(RETRIES_ENV)
-        if retries is not None:
-            config.unit_retries = max(0, retries)
-        checkpoint_every = _env_int(CHECKPOINT_EVERY_ENV)
-        if checkpoint_every is not None:
-            config.checkpoint_every = max(1, checkpoint_every)
-        preempt_wait = _env_float(PREEMPT_WAIT_ENV)
-        if preempt_wait is not None:
-            config.preempt_wait = max(0.0, preempt_wait)
-        throttle = _env_float(THROTTLE_ENV)
-        if throttle is not None:
-            config.throttle = max(0.0, throttle)
-        fleet = _env_int(FLEET_ENV)
-        if fleet is not None:
-            config.fleet = max(0, fleet)
+        config = replace(
+            base or cls(),
+            **settings.overrides(
+                chunk_size="REPRO_CAMPAIGN_CHUNK",
+                deadline="REPRO_CAMPAIGN_DEADLINE",
+                llm_budget="REPRO_CAMPAIGN_LLM_BUDGET",
+                unit_retries="REPRO_CAMPAIGN_RETRIES",
+                checkpoint_every="REPRO_CAMPAIGN_CHECKPOINT_EVERY",
+                preempt_wait="REPRO_CAMPAIGN_PREEMPT_WAIT",
+                throttle="REPRO_CAMPAIGN_THROTTLE",
+                fleet="REPRO_CAMPAIGN_FLEET",
+            ),
+        )
         if config.store_path is None:
-            raw = os.environ.get(STORE_ENV, "").strip()
-            if not raw:
-                raw = os.environ.get(RESULT_STORE_ENV, "").strip()
-            if raw and raw.lower() not in _DISABLED_STORE_VALUES:
-                config.store_path = raw
+            # An explicit REPRO_CAMPAIGN_STORE (``off`` included) wins over
+            # the shared REPRO_RESULT_STORE.
+            config.store_path = settings.read(
+                "REPRO_CAMPAIGN_STORE", settings.read("REPRO_RESULT_STORE")
+            )
         return config

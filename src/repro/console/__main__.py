@@ -23,17 +23,13 @@ reprints the dashboard every interval.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 import time
 
+from repro import settings
 from repro.console.model import ConsoleModel
 from repro.obs import get_bus, iter_socket_events, parse_endpoint
-
-SOCKET_ENV = "REPRO_CONSOLE_SOCKET"
-INTERVAL_ENV = "REPRO_CONSOLE_INTERVAL"
-PLAIN_ENV = "REPRO_CONSOLE_PLAIN"
 
 
 def _feed_socket(model: ConsoleModel, host: str, port: int, stop: threading.Event) -> None:
@@ -93,14 +89,14 @@ def _plain_loop(model: ConsoleModel, interval: float, stop: threading.Event) -> 
         pass
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.console",
         description="Live operations console over the structured event bus.",
     )
     parser.add_argument(
         "--socket",
-        default=os.environ.get(SOCKET_ENV),
+        default=settings.read("REPRO_CONSOLE_SOCKET"),
         metavar="HOST:PORT",
         help="tail a process exporting REPRO_EVENTS_SOCKET at this endpoint",
     )
@@ -110,15 +106,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--plain", action="store_true",
-        default=os.environ.get(PLAIN_ENV, "") not in ("", "0"),
+        default=settings.read("REPRO_CONSOLE_PLAIN"),
         help="render plain text to stdout instead of the Textual UI",
     )
     parser.add_argument(
         "--interval", type=float,
-        default=float(os.environ.get(INTERVAL_ENV, "0.5")),
+        default=settings.read("REPRO_CONSOLE_INTERVAL"),
         help="refresh period in seconds (default 0.5)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     model = ConsoleModel()
     stop = threading.Event()

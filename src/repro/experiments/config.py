@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
+from repro import settings
 from repro.llm.profiles import AUTOCHIP_MODELS, PAPER_MODELS
-
-FULL_EVAL_ENV = "REPRO_FULL_EVAL"
-JOBS_ENV = "REPRO_JOBS"
-RESULT_STORE_ENV = "REPRO_RESULT_STORE"
-FLEET_ENV = "REPRO_FLEET"
-LOCKSTEP_ENV = "REPRO_LOCKSTEP"
-
-_DISABLED_STORE_VALUES = ("", "0", "off", "no", "none", "false")
 
 
 @dataclass
@@ -66,24 +58,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_environment(cls) -> "ExperimentConfig":
-        if os.environ.get(FULL_EVAL_ENV, "").strip() in ("1", "true", "yes"):
-            config = cls.paper_scale()
-        else:
-            config = cls.quick()
-        jobs_raw = os.environ.get(JOBS_ENV, "").strip()
-        if jobs_raw:
-            try:
-                jobs = int(jobs_raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV} must be an integer worker count, got {jobs_raw!r}"
-                ) from None
-            config = replace(config, jobs=max(1, jobs))
-        store_raw = os.environ.get(RESULT_STORE_ENV, "").strip()
-        if store_raw.lower() not in _DISABLED_STORE_VALUES:
-            config = replace(config, store_path=store_raw)
-        if os.environ.get(FLEET_ENV, "").strip().lower() in ("1", "true", "yes", "on"):
-            config = replace(config, fleet=True)
-        if os.environ.get(LOCKSTEP_ENV, "").strip().lower() in ("1", "true", "yes", "on"):
-            config = replace(config, lockstep=True)
-        return config
+        config = cls.paper_scale() if settings.read("REPRO_FULL_EVAL") else cls.quick()
+        return replace(
+            config,
+            **settings.overrides(
+                jobs="REPRO_JOBS",
+                store_path="REPRO_RESULT_STORE",
+                fleet="REPRO_FLEET",
+                lockstep="REPRO_LOCKSTEP",
+            ),
+        )

@@ -41,14 +41,8 @@ try:  # POSIX; the container/CI platform.  Windows degrades to no inter-process 
 except ImportError:  # pragma: no cover - non-posix fallback
     fcntl = None
 
+from repro import settings
 from repro.experiments.work import PAYLOAD_VERSION, WorkUnit
-
-SEGMENT_RECORDS_ENV = "REPRO_STORE_SEGMENT_RECORDS"
-SEGMENT_BYTES_ENV = "REPRO_STORE_SEGMENT_BYTES"
-FSYNC_ENV = "REPRO_STORE_FSYNC"
-
-DEFAULT_SEGMENT_RECORDS = 4096
-DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 
 #: Index-key prefix separating *meta* records (campaign manifests, stage
 #: frontiers — anything keyed by name rather than by unit fingerprint) from
@@ -62,16 +56,6 @@ _SEG_PREFIX = "seg-"
 _SEG_SUFFIX = ".jsonl"
 _IDX_SUFFIX = ".idx"
 _MIGRATING_SUFFIX = ".migrating"
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class _FileLock:
@@ -153,18 +137,18 @@ class ResultStore:
         fsync: bool | None = None,
     ):
         self.path = Path(path)
-        self.segment_records = (
-            segment_records
-            if segment_records is not None
-            else (_env_int(SEGMENT_RECORDS_ENV) or DEFAULT_SEGMENT_RECORDS)
-        )
-        self.segment_bytes = (
-            segment_bytes
-            if segment_bytes is not None
-            else (_env_int(SEGMENT_BYTES_ENV) or DEFAULT_SEGMENT_BYTES)
-        )
+        if segment_records is None:
+            segment_records = settings.read("REPRO_STORE_SEGMENT_RECORDS")
+        if segment_bytes is None:
+            segment_bytes = settings.read("REPRO_STORE_SEGMENT_BYTES")
         if fsync is None:
-            fsync = os.environ.get(FSYNC_ENV, "").strip() in ("1", "true", "yes")
+            fsync = settings.read("REPRO_STORE_FSYNC")
+        # compact() re-chunks live records by segment_records and then unlinks
+        # the old segments, so a size below 1 would lose every record.
+        if segment_records < 1 or segment_bytes < 1:
+            raise ValueError("segment_records and segment_bytes must be >= 1")
+        self.segment_records = segment_records
+        self.segment_bytes = segment_bytes
         self.fsync = fsync
         #: fingerprint -> (segment file name or ``tail.jsonl``, offset, length)
         self._index: dict[str, tuple[str, int, int]] = {}

@@ -7,40 +7,10 @@ catalogue.  Timeouts are in seconds.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
+from repro import settings
 from repro.retry import BackoffPolicy
-
-WORKERS_ENV = "REPRO_FLEET_WORKERS"
-HEARTBEAT_ENV = "REPRO_FLEET_HEARTBEAT"
-HEARTBEAT_MISSES_ENV = "REPRO_FLEET_HEARTBEAT_MISSES"
-LEASE_TIMEOUT_ENV = "REPRO_FLEET_LEASE_TIMEOUT"
-BACKOFF_ENV = "REPRO_FLEET_BACKOFF"
-BACKOFF_MAX_ENV = "REPRO_FLEET_BACKOFF_MAX"
-MAX_RESTARTS_ENV = "REPRO_FLEET_MAX_RESTARTS"
-POISON_THRESHOLD_ENV = "REPRO_FLEET_POISON_THRESHOLD"
-START_METHOD_ENV = "REPRO_FLEET_START_METHOD"
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,33 +79,17 @@ class FleetConfig:
     @classmethod
     def from_environment(cls, base: "FleetConfig | None" = None) -> "FleetConfig":
         """``base`` (default ``FleetConfig()``) overridden by ``REPRO_FLEET_*``."""
-        config = base or cls()
-        updates: dict[str, object] = {}
-        workers = _env_int(WORKERS_ENV)
-        if workers is not None:
-            updates["workers"] = max(1, workers)
-        heartbeat = _env_float(HEARTBEAT_ENV)
-        if heartbeat is not None and heartbeat > 0:
-            updates["heartbeat_interval"] = heartbeat
-        misses = _env_int(HEARTBEAT_MISSES_ENV)
-        if misses is not None:
-            updates["heartbeat_misses"] = max(1, misses)
-        lease = _env_float(LEASE_TIMEOUT_ENV)
-        if lease is not None and lease > 0:
-            updates["lease_timeout"] = lease
-        backoff = _env_float(BACKOFF_ENV)
-        if backoff is not None:
-            updates["restart_backoff"] = max(0.0, backoff)
-        backoff_max = _env_float(BACKOFF_MAX_ENV)
-        if backoff_max is not None:
-            updates["restart_backoff_max"] = max(0.0, backoff_max)
-        max_restarts = _env_int(MAX_RESTARTS_ENV)
-        if max_restarts is not None:
-            updates["max_restarts"] = max(0, max_restarts)
-        poison = _env_int(POISON_THRESHOLD_ENV)
-        if poison is not None:
-            updates["poison_threshold"] = max(1, poison)
-        start_method = os.environ.get(START_METHOD_ENV, "").strip()
-        if start_method:
-            updates["start_method"] = start_method
-        return replace(config, **updates) if updates else config
+        return replace(
+            base or cls(),
+            **settings.overrides(
+                workers="REPRO_FLEET_WORKERS",
+                heartbeat_interval="REPRO_FLEET_HEARTBEAT",
+                heartbeat_misses="REPRO_FLEET_HEARTBEAT_MISSES",
+                lease_timeout="REPRO_FLEET_LEASE_TIMEOUT",
+                restart_backoff="REPRO_FLEET_BACKOFF",
+                restart_backoff_max="REPRO_FLEET_BACKOFF_MAX",
+                max_restarts="REPRO_FLEET_MAX_RESTARTS",
+                poison_threshold="REPRO_FLEET_POISON_THRESHOLD",
+                start_method="REPRO_FLEET_START_METHOD",
+            ),
+        )

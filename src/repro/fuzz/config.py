@@ -10,16 +10,10 @@ catalogue.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
+from repro import settings
 from repro.caching import stable_fingerprint
-
-SEED_ENV = "REPRO_FUZZ_SEED"
-ITERATIONS_ENV = "REPRO_FUZZ_ITERATIONS"
-FEATURES_ENV = "REPRO_FUZZ_FEATURES"
-CORPUS_ENV = "REPRO_FUZZ_CORPUS"
-POINTS_ENV = "REPRO_FUZZ_POINTS"
 
 # Feature toggles understood by the generator.  Each label gates a family of
 # constructs; the generator records which ones a program actually exercised so
@@ -38,16 +32,6 @@ ALL_FEATURES = (
     "multi_module",  # sibling module classes in one source file
     "mem",  # Mem/SyncReadMem: addressed writes, comb + sync read ports
 )
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def parse_feature_mask(raw: str) -> frozenset[str]:
@@ -141,20 +125,18 @@ class FuzzConfig:
 
     @classmethod
     def from_environment(cls) -> "FuzzConfig":
-        config = cls()
-        seed = _env_int(SEED_ENV)
-        if seed is not None:
-            config = replace(config, seed=seed)
-        iterations = _env_int(ITERATIONS_ENV)
-        if iterations is not None:
-            config = replace(config, iterations=max(0, iterations))
-        points = _env_int(POINTS_ENV)
-        if points is not None:
-            config = replace(config, points=max(1, points))
-        features_raw = os.environ.get(FEATURES_ENV, "").strip()
-        if features_raw:
-            config = replace(config, features=parse_feature_mask(features_raw))
-        corpus_raw = os.environ.get(CORPUS_ENV, "").strip()
-        if corpus_raw and corpus_raw.lower() not in ("0", "off", "none"):
-            config = replace(config, corpus_path=corpus_raw)
-        return config
+        raw = settings.read("REPRO_FUZZ_FEATURES")
+        try:
+            features = parse_feature_mask(raw)
+        except ValueError:
+            rule = "'all' or comma-separated names from " + ", ".join(ALL_FEATURES)
+            raise settings.SettingError("REPRO_FUZZ_FEATURES", rule, raw) from None
+        return cls(
+            features=features,
+            **settings.overrides(
+                seed="REPRO_FUZZ_SEED",
+                iterations="REPRO_FUZZ_ITERATIONS",
+                points="REPRO_FUZZ_POINTS",
+                corpus_path="REPRO_FUZZ_CORPUS",
+            ),
+        )

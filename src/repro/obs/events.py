@@ -31,6 +31,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro import settings
+
 #: Monotonic sequence shared by every bus in the process, so merged streams
 #: from several buses still have a total order.
 _sequence = itertools.count(1)
@@ -273,9 +275,6 @@ class EventBus:
 # The process-global bus
 # ---------------------------------------------------------------------------
 
-JSONL_ENV = "REPRO_EVENTS_JSONL"
-SOCKET_ENV = "REPRO_EVENTS_SOCKET"
-
 _global_bus: EventBus | None = None
 _global_lock = threading.Lock()
 _env_installed = False
@@ -298,7 +297,7 @@ def get_bus() -> EventBus:
             _global_bus = EventBus()
         if not _env_installed:
             _env_installed = True
-            if os.environ.get(JSONL_ENV) or os.environ.get(SOCKET_ENV):
+            if settings.read("REPRO_EVENTS_JSONL") or settings.read("REPRO_EVENTS_SOCKET"):
                 from repro.obs.transport import install_from_environment
 
                 install_from_environment(_global_bus)

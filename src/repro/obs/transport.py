@@ -25,7 +25,8 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
-from repro.obs.events import Event, EventBus, JSONL_ENV, SOCKET_ENV
+from repro import settings
+from repro.obs.events import Event, EventBus
 
 _POLL = 0.2  # seconds between queue drains when idle
 
@@ -181,11 +182,11 @@ def parse_endpoint(raw: str, default_host: str = "127.0.0.1") -> tuple[str, int]
 def install_from_environment(bus: EventBus) -> list[object]:
     """Attach the transports named by the environment; returns what was built."""
     installed: list[object] = []
-    jsonl = os.environ.get(JSONL_ENV, "").strip()
-    if jsonl and jsonl.lower() not in ("0", "off", "none"):
+    jsonl = settings.read("REPRO_EVENTS_JSONL")
+    if jsonl:
         installed.append(JsonlWriter(bus, jsonl))
-    endpoint = os.environ.get(SOCKET_ENV, "").strip()
-    if endpoint and endpoint.lower() not in ("0", "off", "none"):
+    endpoint = settings.read("REPRO_EVENTS_SOCKET")
+    if endpoint:
         host, port = parse_endpoint(endpoint)
         installed.append(SocketEventServer(bus, host, port))
     return installed

@@ -19,23 +19,20 @@ orchestrator was about to grow a third copy.  They now share one vocabulary:
 * :func:`emit_retry` — every retry in the system announces itself as a
   ``retry.attempt`` event on the bus, tagged with its source layer.
 
-Everything here is dependency-free (stdlib + :mod:`repro.obs`) so any layer
-may import it without cycles.
+Everything here is dependency-free (stdlib, :mod:`repro.obs` and the leaf
+:mod:`repro.settings`) so any layer may import it without cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import threading
 import time
 from dataclasses import dataclass
 
-BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-BREAKER_COOLDOWN_ENV = "REPRO_BREAKER_COOLDOWN"
-BREAKER_PROBES_ENV = "REPRO_BREAKER_PROBES"
+from repro import settings
 
 #: Breaker states (string-valued so snapshots serialize naturally).
 CLOSED = "closed"
@@ -150,16 +147,6 @@ def emit_retry(bus, source: str, attempt: int, reason: str, delay: float) -> Non
 
 
 # -------------------------------------------------------------------- breaker
-
-
-def _env_number(name: str, cast):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
 
 
 class CircuitBreaker:
@@ -283,15 +270,13 @@ class CircuitBreaker:
         cls, *, name: str = "llm", bus=None, default_threshold: int = 5
     ) -> "CircuitBreaker | None":
         """Build a breaker from ``REPRO_BREAKER_*``; threshold 0 disables it."""
-        threshold = _env_number(BREAKER_THRESHOLD_ENV, int)
-        if threshold is not None and threshold <= 0:
+        threshold = settings.read("REPRO_BREAKER_THRESHOLD", default_threshold)
+        if threshold is None:
             return None
-        cooldown = _env_number(BREAKER_COOLDOWN_ENV, float)
-        probes = _env_number(BREAKER_PROBES_ENV, int)
         return cls(
-            threshold if threshold is not None else default_threshold,
-            cooldown if cooldown is not None and cooldown >= 0 else 1.0,
-            max(1, probes) if probes is not None else 1,
+            threshold,
+            settings.read("REPRO_BREAKER_COOLDOWN"),
+            settings.read("REPRO_BREAKER_PROBES"),
             name=name,
             bus=bus,
         )

@@ -7,43 +7,10 @@ the catalogue.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.experiments.config import RESULT_STORE_ENV, _DISABLED_STORE_VALUES
+from repro import settings
 from repro.llm.dispatch import RetryPolicy
-
-BATCH_WINDOW_ENV = "REPRO_SERVICE_BATCH_WINDOW"
-MAX_INFLIGHT_ENV = "REPRO_SERVICE_MAX_INFLIGHT"
-RATE_LIMIT_ENV = "REPRO_SERVICE_RATE_LIMIT"
-MAX_BATCH_ENV = "REPRO_SERVICE_MAX_BATCH"
-QUEUE_LIMIT_ENV = "REPRO_SERVICE_QUEUE_LIMIT"
-TOOL_WORKERS_ENV = "REPRO_SERVICE_TOOL_WORKERS"
-FLEET_WORKERS_ENV = "REPRO_SERVICE_FLEET_WORKERS"
-REQUEST_TIMEOUT_ENV = "REPRO_SERVICE_REQUEST_TIMEOUT"
-SIM_BATCH_WINDOW_ENV = "REPRO_SERVICE_SIM_BATCH_WINDOW"
-SIM_MAX_BATCH_ENV = "REPRO_SERVICE_SIM_MAX_BATCH"
-DRAIN_TIMEOUT_ENV = "REPRO_SERVICE_DRAIN_TIMEOUT"
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -78,7 +45,7 @@ class ServiceConfig:
 
     ``drain_timeout`` bounds how long ``close(drain=True)`` waits for
     in-flight and queued jobs to finish before tearing the service down
-    anyway (graceful shutdown with a hard edge).
+    anyway (graceful shutdown with a hard edge); ``0`` waits indefinitely.
 
     ``breaker`` optionally installs a :class:`repro.retry.CircuitBreaker`
     around the dispatcher's transport attempts (build one with
@@ -123,41 +90,20 @@ class ServiceConfig:
 
     @classmethod
     def from_environment(cls) -> "ServiceConfig":
-        config = cls()
-        batch_window = _env_float(BATCH_WINDOW_ENV)
-        if batch_window is not None:
-            config.batch_window = max(0.0, batch_window)
-        max_in_flight = _env_int(MAX_INFLIGHT_ENV)
-        if max_in_flight is not None:
-            config.max_in_flight = max(1, max_in_flight)
-        rate_limit = _env_float(RATE_LIMIT_ENV)
-        if rate_limit is not None:
-            config.rate_limit = rate_limit if rate_limit > 0 else None
-        max_batch = _env_int(MAX_BATCH_ENV)
-        if max_batch is not None:
-            config.max_batch = max(1, max_batch)
-        queue_limit = _env_int(QUEUE_LIMIT_ENV)
-        if queue_limit is not None:
-            config.queue_limit = max(1, queue_limit)
-        tool_workers = _env_int(TOOL_WORKERS_ENV)
-        if tool_workers is not None:
-            config.tool_workers = max(1, tool_workers)
-        fleet_workers = _env_int(FLEET_WORKERS_ENV)
-        if fleet_workers is not None:
-            config.fleet_workers = max(0, fleet_workers)
-        request_timeout = _env_float(REQUEST_TIMEOUT_ENV)
-        if request_timeout is not None:
-            config.request_timeout = request_timeout if request_timeout > 0 else None
-        sim_batch_window = _env_float(SIM_BATCH_WINDOW_ENV)
-        if sim_batch_window is not None:
-            config.sim_batch_window = max(0.0, sim_batch_window)
-        sim_max_batch = _env_int(SIM_MAX_BATCH_ENV)
-        if sim_max_batch is not None:
-            config.sim_max_batch = sim_max_batch
-        drain_timeout = _env_float(DRAIN_TIMEOUT_ENV)
-        if drain_timeout is not None:
-            config.drain_timeout = max(0.0, drain_timeout)
-        store_raw = os.environ.get(RESULT_STORE_ENV, "").strip()
-        if store_raw.lower() not in _DISABLED_STORE_VALUES:
-            config.store_path = store_raw
-        return config
+        return replace(
+            cls(),
+            **settings.overrides(
+                batch_window="REPRO_SERVICE_BATCH_WINDOW",
+                max_in_flight="REPRO_SERVICE_MAX_INFLIGHT",
+                rate_limit="REPRO_SERVICE_RATE_LIMIT",
+                max_batch="REPRO_SERVICE_MAX_BATCH",
+                queue_limit="REPRO_SERVICE_QUEUE_LIMIT",
+                tool_workers="REPRO_SERVICE_TOOL_WORKERS",
+                fleet_workers="REPRO_SERVICE_FLEET_WORKERS",
+                request_timeout="REPRO_SERVICE_REQUEST_TIMEOUT",
+                sim_batch_window="REPRO_SERVICE_SIM_BATCH_WINDOW",
+                sim_max_batch="REPRO_SERVICE_SIM_MAX_BATCH",
+                drain_timeout="REPRO_SERVICE_DRAIN_TIMEOUT",
+                store_path="REPRO_RESULT_STORE",
+            ),
+        )

@@ -54,21 +54,16 @@ call (duplicate (candidate, stimulus) rows collapse to a single lane), with
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, get_trace_kernel
 from repro.verilog.compile_vec import VecTraceKernel, get_vec_kernel
-from repro.verilog.simulator import Simulation, SimulationError
+from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
 
-_TB_BACKEND_ENV = "REPRO_TB_BACKEND"
 _TB_BACKENDS = ("auto", "trace", "stepwise", "vector")
-_MAX_LANES_ENV = "REPRO_SIM_MAX_LANES"
-_DEFAULT_MAX_LANES = 65536
-_HEALTH_THRESHOLD_ENV = "REPRO_SIM_HEALTH_THRESHOLD"
 _HEALTH_COOLDOWN = 5.0
 
 #: Per-backend health breakers (lazily built; ``None`` entries = disabled).
@@ -78,21 +73,11 @@ _health: dict[str, CircuitBreaker | None] | None = None
 def _health_breakers() -> dict[str, CircuitBreaker | None]:
     global _health
     if _health is None:
-        raw = os.environ.get(_HEALTH_THRESHOLD_ENV, "").strip()
-        try:
-            threshold = int(raw) if raw else 3
-        except ValueError:
-            raise SimulationError(
-                f"{_HEALTH_THRESHOLD_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if threshold < 0:
-            raise SimulationError(
-                f"{_HEALTH_THRESHOLD_ENV} must be >= 0 (0 disables), got {raw!r}"
-            )
+        threshold = read_setting("REPRO_SIM_HEALTH_THRESHOLD")
         _health = {
             name: (
                 CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim." + name)
-                if threshold > 0
+                if threshold is not None
                 else None
             )
             for name in ("vector", "trace")
@@ -429,29 +414,26 @@ def _run_testbench_vector(
     return _compare_vec_outputs(testbench, observed, dut_out, ref_out)
 
 
-def _max_lanes() -> int:
-    raw = os.environ.get(_MAX_LANES_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"{_MAX_LANES_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if value <= 0:
-            raise SimulationError(f"{_MAX_LANES_ENV} must be positive, got {raw!r}")
-        return value
-    return _DEFAULT_MAX_LANES
-
-
 def _run_vec_group(kernel: VecTraceKernel, rows: list[tuple]) -> list:
     """Run one kernel's deduplicated stimulus rows, chunked by the lane budget."""
-    rows_per_chunk = max(1, _max_lanes() // max(1, kernel.lanes_per_row))
+    max_lanes = read_setting("REPRO_SIM_MAX_LANES")
+    rows_per_chunk = max(1, max_lanes // max(1, kernel.lanes_per_row))
     outputs: list = []
     for start in range(0, len(rows), rows_per_chunk):
         matrix = kernel.run(rows[start : start + rows_per_chunk])
         outputs.extend(matrix[i] for i in range(matrix.shape[0]))
     return outputs
+
+
+def _resolve_backend(backend: str | None) -> tuple[str, str]:
+    """``(REPRO_TB_BACKEND, backend to run)``: the argument wins over the env."""
+    env_backend = read_setting("REPRO_TB_BACKEND")
+    resolved = backend if backend is not None else env_backend
+    if resolved not in _TB_BACKENDS:
+        raise SimulationError(
+            f"unknown testbench backend {resolved!r}; expected one of {_TB_BACKENDS}"
+        )
+    return env_backend, resolved
 
 
 def run_testbenches(
@@ -476,14 +458,9 @@ def run_testbenches(
     batches are split into ragged chunks transparently.
     """
     jobs = list(jobs)
-    env_backend = os.environ.get(_TB_BACKEND_ENV)
-    resolved = backend if backend is not None else env_backend or "auto"
-    if resolved not in _TB_BACKENDS:
-        raise SimulationError(
-            f"unknown testbench backend {resolved!r}; expected one of {_TB_BACKENDS}"
-        )
+    env_backend, resolved = _resolve_backend(backend)
     use_vector = resolved in ("auto", "vector")
-    if resolved == "auto" and os.environ.get("REPRO_SIM_BACKEND") == "interpreter":
+    if resolved == "auto" and read_setting("REPRO_SIM_BACKEND") == "interpreter":
         use_vector = False
     strict_vector = backend is None and env_backend == "vector"
     if use_vector and not strict_vector and not _health_allows("vector"):
@@ -585,17 +562,12 @@ def run_testbench(
     backend: str | None = None,
 ) -> SimulationReport:
     """Run ``testbench`` on both devices and compare outputs point by point."""
-    env_backend = os.environ.get(_TB_BACKEND_ENV)
-    resolved = backend if backend is not None else env_backend or "auto"
-    if resolved not in _TB_BACKENDS:
-        raise SimulationError(
-            f"unknown testbench backend {resolved!r}; expected one of {_TB_BACKENDS}"
-        )
+    env_backend, resolved = _resolve_backend(backend)
     # Env-forced trace/vector is strict: a silent fallback would quietly
     # invalidate the forcing, so ineligible pairings fail loudly instead.
     strict_trace = backend is None and env_backend == "trace"
     strict_vector = backend is None and env_backend == "vector"
-    if resolved == "auto" and os.environ.get("REPRO_SIM_BACKEND") == "interpreter":
+    if resolved == "auto" and read_setting("REPRO_SIM_BACKEND") == "interpreter":
         resolved = "stepwise"  # honour the forced-interpreter knob
     if resolved == "vector":
         if isinstance(dut, VModule) and isinstance(reference, VModule):
@@ -617,7 +589,7 @@ def run_testbench(
                 return report
             if strict_vector:
                 raise SimulationError(
-                    f"{_TB_BACKEND_ENV}=vector was forced, but the pairing of "
+                    "REPRO_TB_BACKEND=vector was forced, but the pairing of "
                     f"modules {dut.name!r} and {reference.name!r} is not "
                     "vector-eligible (NumPy unavailable, >64-bit signals, "
                     "interpreter-only module, port mismatch, or oversized "
@@ -627,7 +599,7 @@ def run_testbench(
         elif strict_vector:
             devices = ", ".join(type(device).__name__ for device in (dut, reference))
             raise SimulationError(
-                f"{_TB_BACKEND_ENV}=vector was forced, but the vector backend "
+                "REPRO_TB_BACKEND=vector was forced, but the vector backend "
                 f"requires parsed Verilog modules on both sides (got {devices}); "
                 "behavioural references always run step-wise"
             )
@@ -654,7 +626,7 @@ def run_testbench(
             return report
         if strict_trace:
             raise SimulationError(
-                f"{_TB_BACKEND_ENV}=trace was forced, but the pairing of modules "
+                "REPRO_TB_BACKEND=trace was forced, but the pairing of modules "
                 f"{dut.name!r} and {reference.name!r} is not trace-eligible "
                 "(interpreter-only module, port mismatch, or oversized schedule); "
                 "unset the variable or use backend='auto' to allow the step-wise "
@@ -663,7 +635,7 @@ def run_testbench(
     elif strict_trace:
         devices = ", ".join(type(device).__name__ for device in (dut, reference))
         raise SimulationError(
-            f"{_TB_BACKEND_ENV}=trace was forced, but the trace backend requires "
+            "REPRO_TB_BACKEND=trace was forced, but the trace backend requires "
             f"parsed Verilog modules on both sides (got {devices}); behavioural "
             "references always run step-wise"
         )

@@ -30,9 +30,9 @@ simplified form that is sufficient for the emitted and hand-written designs:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
+from repro import settings
 from repro.hdl.bits import Bits, mask, to_signed
 from repro.verilog import vast
 from repro.verilog.analysis import AnalysisError, ModuleAnalysis
@@ -43,9 +43,17 @@ class SimulationError(Exception):
     """Raised for unresolvable references, non-convergence or unsupported forms."""
 
 
+def read_setting(name: str):
+    """:func:`repro.settings.read` for a simulator knob, raising
+    :class:`SimulationError` (which the simulator's callers handle)."""
+    try:
+        return settings.read(name)
+    except settings.SettingError as exc:
+        raise SimulationError(str(exc)) from None
+
+
 _MAX_SETTLE_ITERATIONS = 256
 
-_BACKEND_ENV = "REPRO_SIM_BACKEND"
 _BACKENDS = ("auto", "compiled", "interpreter")
 
 
@@ -89,7 +97,7 @@ class Simulation:
 
         resolved = self.backend
         if resolved == "auto":
-            resolved = os.environ.get(_BACKEND_ENV, "auto")
+            resolved = read_setting("REPRO_SIM_BACKEND")
         if resolved not in _BACKENDS:
             raise SimulationError(
                 f"unknown simulation backend {resolved!r}; expected one of {_BACKENDS}"

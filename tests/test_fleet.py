@@ -10,17 +10,11 @@ import os
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, FLEET_ENV
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import SweepEngine
 from repro.experiments.executors import SerialExecutor
 from repro.experiments.work import WorkerContext, WorkUnit
 from repro.fleet import FleetConfig, FleetExecutor, FleetSupervisor, HashRing
-from repro.fleet.config import (
-    HEARTBEAT_ENV,
-    MAX_RESTARTS_ENV,
-    POISON_THRESHOLD_ENV,
-    WORKERS_ENV,
-)
 from repro.service import ServiceConfig, serve_units
 
 RECHISEL_KNOBS = (
@@ -114,10 +108,10 @@ class TestFleetConfig:
             FleetConfig(poison_threshold=0)
 
     def test_from_environment(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
-        monkeypatch.setenv(HEARTBEAT_ENV, "0.25")
-        monkeypatch.setenv(MAX_RESTARTS_ENV, "2")
-        monkeypatch.setenv(POISON_THRESHOLD_ENV, "3")
+        monkeypatch.setenv("REPRO_FLEET_WORKERS", "7")
+        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "0.25")
+        monkeypatch.setenv("REPRO_FLEET_MAX_RESTARTS", "2")
+        monkeypatch.setenv("REPRO_FLEET_POISON_THRESHOLD", "3")
         config = FleetConfig.from_environment()
         assert config.workers == 7
         assert config.heartbeat_interval == 0.25
@@ -125,7 +119,7 @@ class TestFleetConfig:
         assert config.poison_threshold == 3
 
     def test_environment_overrides_base(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv("REPRO_FLEET_WORKERS", "3")
         config = FleetConfig.from_environment(FleetConfig(workers=8, lease_timeout=9.0))
         assert config.workers == 3
         assert config.lease_timeout == 9.0
@@ -200,9 +194,9 @@ class TestEngineIntegration:
         assert fleet_engine._fleet is None
 
     def test_fleet_env_knob(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "1")
+        monkeypatch.setenv("REPRO_FLEET", "1")
         assert ExperimentConfig.from_environment().fleet is True
-        monkeypatch.setenv(FLEET_ENV, "0")
+        monkeypatch.setenv("REPRO_FLEET", "0")
         assert ExperimentConfig.from_environment().fleet is False
 
     def test_single_job_config_never_builds_a_fleet(self):

@@ -30,7 +30,6 @@ from repro.fuzz import (
     shrink,
     shrink_failure,
 )
-from repro.fuzz.config import CORPUS_ENV, FEATURES_ENV, ITERATIONS_ENV, SEED_ENV
 from repro.problems.mutations import SYNTAX_FAULTS_BY_ID
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog.simulator import Simulation
@@ -38,10 +37,10 @@ from repro.verilog.simulator import Simulation
 
 class TestFuzzConfig:
     def test_environment_knobs(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV, "42")
-        monkeypatch.setenv(ITERATIONS_ENV, "17")
-        monkeypatch.setenv(FEATURES_ENV, "arith,mux")
-        monkeypatch.setenv(CORPUS_ENV, "/tmp/corpus.jsonl")
+        monkeypatch.setenv("REPRO_FUZZ_SEED", "42")
+        monkeypatch.setenv("REPRO_FUZZ_ITERATIONS", "17")
+        monkeypatch.setenv("REPRO_FUZZ_FEATURES", "arith,mux")
+        monkeypatch.setenv("REPRO_FUZZ_CORPUS", "/tmp/corpus.jsonl")
         config = FuzzConfig.from_environment()
         assert config.seed == 42
         assert config.iterations == 17

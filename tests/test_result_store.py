@@ -14,11 +14,7 @@ import time
 
 import pytest
 
-from repro.experiments.store import (
-    SEGMENT_BYTES_ENV,
-    SEGMENT_RECORDS_ENV,
-    ResultStore,
-)
+from repro.experiments.store import ResultStore
 from repro.experiments.work import PAYLOAD_VERSION, WorkUnit
 
 _FORK = multiprocessing.get_context("fork")
@@ -94,12 +90,31 @@ class TestSegmentation:
         store.close()
 
     def test_environment_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEGMENT_RECORDS_ENV, "2")
-        monkeypatch.setenv(SEGMENT_BYTES_ENV, str(64 * 1024 * 1024))
+        monkeypatch.setenv("REPRO_STORE_SEGMENT_RECORDS", "2")
+        monkeypatch.setenv("REPRO_STORE_SEGMENT_BYTES", str(64 * 1024 * 1024))
         store = ResultStore(tmp_path / "store")
         _fill(store, 4)
         assert store.stats()["segments"] == 2
         store.close()
+
+    @pytest.mark.parametrize(
+        "sizes", [{"segment_records": -1}, {"segment_records": 0}, {"segment_bytes": 0}]
+    )
+    def test_segment_sizes_below_one_are_rejected(self, tmp_path, sizes):
+        # A store opened with segment_records=-1 used to compact() to zero
+        # records: range(0, n, -1) wrote no segment, then every old one went.
+        with ResultStore(tmp_path / "store", segment_records=2) as store:
+            _fill(store, 3)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ResultStore(tmp_path / "store", **sizes)
+        with ResultStore(tmp_path / "store") as reopened:
+            assert len(reopened) == 3
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_environment_segment_records_below_one_raises(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_STORE_SEGMENT_RECORDS", raw)
+        with pytest.raises(ValueError, match=f"REPRO_STORE_SEGMENT_RECORDS.*'{raw}'"):
+            ResultStore(tmp_path / "store")
 
 
 class TestRecovery:

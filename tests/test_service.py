@@ -17,11 +17,6 @@ from repro.llm.dispatch import (
     TokenBucket,
 )
 from repro.service import GenerationService, ServiceConfig, serve_units
-from repro.service.config import (
-    BATCH_WINDOW_ENV,
-    MAX_INFLIGHT_ENV,
-    RATE_LIMIT_ENV,
-)
 from repro.service.telemetry import percentile
 
 RECHISEL_KNOBS = (
@@ -633,16 +628,16 @@ class TestConcurrentRecording:
 
 class TestServiceConfig:
     def test_from_environment_reads_service_knobs(self, monkeypatch):
-        monkeypatch.setenv(BATCH_WINDOW_ENV, "0.25")
-        monkeypatch.setenv(MAX_INFLIGHT_ENV, "64")
-        monkeypatch.setenv(RATE_LIMIT_ENV, "12.5")
+        monkeypatch.setenv("REPRO_SERVICE_BATCH_WINDOW", "0.25")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "64")
+        monkeypatch.setenv("REPRO_SERVICE_RATE_LIMIT", "12.5")
         config = ServiceConfig.from_environment()
         assert config.batch_window == 0.25
         assert config.max_in_flight == 64
         assert config.rate_limit == 12.5
 
     def test_from_environment_disables_zero_rate(self, monkeypatch):
-        monkeypatch.setenv(RATE_LIMIT_ENV, "0")
+        monkeypatch.setenv("REPRO_SERVICE_RATE_LIMIT", "0")
         assert ServiceConfig.from_environment().rate_limit is None
 
     def test_invalid_values_rejected(self):

@@ -1,0 +1,260 @@
+"""The ``REPRO_*`` settings table: one reader, one error style, docs in sync.
+
+Every knob is declared once in :mod:`repro.settings`.  These tests drive each
+row through the code that actually consumes it, so a malformed value must fail
+loudly at the real call site, and a row's declared default must be the value
+its consumer uses when the variable is unset.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import settings
+from repro.campaign.config import CampaignConfig
+from repro.console.__main__ import build_parser
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.store import ResultStore
+from repro.fleet.config import FleetConfig
+from repro.fuzz.config import FuzzConfig
+from repro.obs.events import EventBus
+from repro.obs.transport import install_from_environment
+from repro.retry import CircuitBreaker
+from repro.service.config import ServiceConfig
+from repro.settings import SETTINGS, SettingError
+from repro.sim.testbench import (
+    FunctionalPoint,
+    Testbench,
+    backend_health,
+    reset_backend_health,
+    run_testbench,
+    run_testbenches,
+)
+from repro.verilog.parser import parse_verilog
+from repro.verilog.simulator import Simulation, SimulationError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SEQ = """
+module m(input clock, input [3:0] d, output reg [3:0] q);
+  always @(posedge clock) q <= d;
+endmodule
+"""
+BENCH = Testbench(
+    points=[FunctionalPoint(inputs={"d": value}) for value in range(4)],
+    observed_outputs=["q"],
+    reset_cycles=0,
+)
+
+#: Knobs read inside the simulator, whose callers handle SimulationError.
+SIMULATOR_KNOBS = {
+    "REPRO_SIM_BACKEND",
+    "REPRO_TB_BACKEND",
+    "REPRO_SIM_MAX_LANES",
+    "REPRO_SIM_HEALTH_THRESHOLD",
+}
+
+#: Config classes that layer the environment over their own defaults.
+CONFIG_READERS = {
+    "REPRO_SERVICE_": ServiceConfig.from_environment,
+    "REPRO_FLEET_": FleetConfig.from_environment,
+    "REPRO_CAMPAIGN_": CampaignConfig.from_environment,
+    "REPRO_FUZZ_": FuzzConfig.from_environment,
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_environment(monkeypatch):
+    for name in SETTINGS:
+        monkeypatch.delenv(name, raising=False)
+    reset_backend_health()
+    yield
+    reset_backend_health()
+
+
+def consume(name: str, tmp_path: Path):
+    """Run the code that reads ``name``, returning what the knob shaped."""
+    for prefix, reader in CONFIG_READERS.items():
+        if name.startswith(prefix):
+            return reader()
+    if name in ("REPRO_FULL_EVAL", "REPRO_JOBS", "REPRO_RESULT_STORE", "REPRO_FLEET", "REPRO_LOCKSTEP"):
+        return ExperimentConfig.from_environment()
+    if name.startswith("REPRO_BREAKER_"):
+        breaker = CircuitBreaker.from_environment()
+        return breaker and breaker.snapshot()
+    if name.startswith("REPRO_STORE_"):
+        with ResultStore(tmp_path / "store") as store:
+            return (store.segment_records, store.segment_bytes, store.fsync)
+    if name.startswith("REPRO_EVENTS_"):
+        return install_from_environment(EventBus())
+    if name.startswith("REPRO_CONSOLE_"):
+        return vars(build_parser().parse_args([]))
+    module = parse_verilog(SEQ)[0]
+    if name == "REPRO_SIM_BACKEND":
+        return Simulation(module).backend_in_use
+    if name == "REPRO_TB_BACKEND":
+        return run_testbench(module, module, BENCH)
+    if name == "REPRO_SIM_MAX_LANES":
+        return run_testbenches([(module, module, BENCH)] * 3, backend="vector")
+    if name == "REPRO_SIM_HEALTH_THRESHOLD":
+        reset_backend_health()
+        return backend_health()
+    raise AssertionError(f"no consumer registered for {name}")
+
+
+def malformed_values(row: settings.Setting) -> list[str]:
+    """Values outside ``row``'s rule: wrong shape, then below the bound."""
+    kind = row.kind
+    if kind is bool:
+        return ["maybe"]
+    if isinstance(kind, tuple):
+        return ["bogus"]
+    if kind == settings.ENDPOINT:
+        return ["localhost:http"]
+    if kind is str:
+        return ["nonsense"]
+    if kind == settings.PATH:
+        return []  # any string names a path
+    values = ["abc", "1.5"] if kind is int else ["abc", "nan"]
+    if row.low is not None:
+        values.append(f"{row.low:g}" if row.low_open else f"{row.low - 1:g}")
+    return values
+
+
+def spelled_default(row: settings.Setting) -> str | None:
+    """The variable value that means the row's default; ``None`` where no value
+    does (an unbounded LLM budget, the automatic fleet start method)."""
+    if row.default is None:
+        if row.kind in (settings.PATH, settings.ENDPOINT):
+            return "off"
+        return "0" if row.zero_off else None
+    if row.default is False:
+        return "off"
+    return str(row.default)
+
+
+MALFORMED = [
+    (name, raw) for name, row in SETTINGS.items() for raw in malformed_values(row)
+]
+
+
+class TestEveryRow:
+    @pytest.mark.parametrize("name,raw", MALFORMED)
+    def test_malformed_value_fails_at_the_consumer(self, tmp_path, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        error = SimulationError if name in SIMULATOR_KNOBS else SettingError
+        with pytest.raises(error, match=f"{name} must be .*, got {re.escape(repr(raw))}"):
+            consume(name, tmp_path)
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, row in SETTINGS.items() if spelled_default(row))
+    )
+    def test_declared_default_is_what_the_consumer_uses(self, tmp_path, monkeypatch, name):
+        raw = spelled_default(SETTINGS[name])
+        unset = consume(name, tmp_path)
+        monkeypatch.setenv(name, raw)
+        assert consume(name, tmp_path) == unset
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, row in SETTINGS.items() if row.kind is bool)
+    )
+    def test_bool_spellings(self, monkeypatch, name):
+        for raw, expected in [("ON", True), ("True", True), ("yes", True), ("0", False), ("off", False)]:
+            monkeypatch.setenv(name, raw)
+            assert settings.read(name) is expected
+        monkeypatch.setenv(name, "maybe")
+        with pytest.raises(SettingError, match=f"{name} must be a boolean"):
+            settings.read(name)
+
+    def test_blank_is_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "  ")
+        assert settings.read("REPRO_JOBS") == 1
+        assert settings.read("REPRO_JOBS", 7) == 7
+
+    def test_unknown_name_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            settings.read("REPRO_NO_SUCH_KNOB")
+
+
+class TestFormerlySilentValues:
+    def test_store_fsync_on(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "on")
+        with ResultStore(tmp_path / "store") as store:
+            assert store.fsync is True
+
+    def test_full_eval_uppercase(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FULL_EVAL", "TRUE")
+        assert ExperimentConfig.from_environment() == ExperimentConfig.paper_scale()
+
+    def test_console_plain_false(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONSOLE_PLAIN", "false")
+        assert build_parser().parse_args([]).plain is False
+
+    def test_negative_llm_budget_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_LLM_BUDGET", "-1")
+        with pytest.raises(SettingError, match="REPRO_CAMPAIGN_LLM_BUDGET.*'-1'"):
+            CampaignConfig.from_environment()
+
+    def test_zero_jobs_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(SettingError, match="REPRO_JOBS must be an integer >= 1, got '0'"):
+            ExperimentConfig.from_environment()
+
+    def test_off_spellings_switch_paths_off(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_FUZZ_CORPUS", "false")
+        assert FuzzConfig.from_environment().corpus_path is None
+        monkeypatch.setenv("REPRO_EVENTS_JSONL", "no")
+        assert install_from_environment(EventBus()) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_console_interval_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONSOLE_INTERVAL", "abc")
+        with pytest.raises(SettingError, match="REPRO_CONSOLE_INTERVAL.*'abc'"):
+            build_parser()
+
+    def test_zero_still_disables(self, monkeypatch):
+        for name in ("REPRO_SERVICE_RATE_LIMIT", "REPRO_SERVICE_REQUEST_TIMEOUT"):
+            monkeypatch.setenv(name, "0")
+        monkeypatch.setenv("REPRO_CAMPAIGN_DEADLINE", "0")
+        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
+        service = ServiceConfig.from_environment()
+        assert service.rate_limit is None and service.request_timeout is None
+        assert CampaignConfig.from_environment().deadline is None
+        assert CircuitBreaker.from_environment() is None
+
+    def test_campaign_store_off_beats_result_store(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_STORE", "/tmp/shared")
+        assert CampaignConfig.from_environment().store_path == "/tmp/shared"
+        monkeypatch.setenv("REPRO_CAMPAIGN_STORE", "off")
+        assert CampaignConfig.from_environment().store_path is None
+
+
+class TestDocsInSync:
+    NAME = re.compile(r"\bREPRO_[A-Z0-9_]+")
+    DOC_ROW = re.compile(r"^\| `(REPRO_[A-Z0-9_]+)` \| ([^|]+?) \|", re.MULTILINE)
+
+    def test_table_names_are_the_names_src_reads(self):
+        used = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            if path.name != "settings.py":
+                used |= set(self.NAME.findall(path.read_text()))
+        # ``REPRO_SERVICE_*``-style mentions name a family, not a knob.
+        assert {name for name in used if not name.endswith("_")} == set(SETTINGS)
+
+    def test_every_row_is_documented_with_its_default(self):
+        documented = dict(self.DOC_ROW.findall((ROOT / "EXPERIMENTS.md").read_text()))
+        assert set(documented) == set(SETTINGS)
+        for name, row in SETTINGS.items():
+            assert documented[name] == self.shown(row.default), name
+
+    @staticmethod
+    def shown(default) -> str:
+        if default is None or default is False:
+            return "off"
+        if isinstance(default, float):
+            return f"`{default:g}`"
+        return f"`{default}`"
