@@ -62,8 +62,8 @@ def _verify(compiler: ChiselCompiler, index: int) -> None:
 
 
 def test_warm_verify_with_bus_overhead(benchmark):
-    compiler = ChiselCompiler(top="TopModule", cache_size=4096)
-    _verify(compiler, 0)  # iteration k fills the stage caches
+    compiler = ChiselCompiler(top="TopModule")
+    _verify(compiler, 0)  # iteration k fills the Verilog-parse and kernel caches
 
     bus = EventBus()
     subscription = bus.subscribe(("service", "trace"), maxsize=65536)

@@ -68,9 +68,9 @@ def test_fleet_warm_throughput(benchmark):
     units = _table1_units(config)
 
     # Pin the serial baseline to a cold-cache regime so the comparison does
-    # not depend on which earlier tests warmed the process-global stage
-    # caches (the warm fleet inherits the serial pass's caches via fork, so
-    # its documented advantage is preserved either way).
+    # not depend on which earlier tests warmed the process-global caches
+    # (the warm fleet inherits the serial pass's caches via fork, so its
+    # documented advantage is preserved either way).
     clear_registered_caches()
     clear_kernel_cache()
     serial = SerialExecutor(WorkerContext())

@@ -49,13 +49,12 @@ def test_simulate_alu_cold_compile(benchmark):
     from repro.caching import clear_registered_caches
     from repro.verilog.compile_sim import clear_kernel_cache
 
-    cold_compiler = ChiselCompiler(top="TopModule", cache_size=None)
+    cold_compiler = ChiselCompiler(top="TopModule", cached=False)
     problem = REGISTRY.by_id("alu_w8")
 
     def run():
-        # The compile pipeline is incrementally cached at every stage, so a
-        # cache-less compiler alone no longer defeats memoization: clear the
-        # shared stage/kernel caches to pay the full compile each round.
+        # The uncached compiler pays the full frontend; clear the shared
+        # Verilog-parse and kernel caches so the backend is cold too.
         clear_registered_caches()
         clear_kernel_cache()
         compiled = cold_compiler.compile(problem.golden_chisel)

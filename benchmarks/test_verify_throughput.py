@@ -14,8 +14,9 @@ the golden ALU over a deep (8192-point) stimulus program:
   unseen candidate pays parse→elaborate→passes→emit→kernel→trace compilation,
   and the schedule runs as one trace call.  Asserted ≥3x the baseline;
 * ``test_verify_warm_iteration`` — iteration k+1 of a repair loop: the
-  revision is structurally identical outside the edit, so every stage after
-  parse replays from the content-addressed caches.  Asserted ≥5x the baseline.
+  revision differs only cosmetically, so the frontend re-runs, emits the
+  same Verilog and hits the Verilog-parse and kernel caches.  Asserted ≥5x
+  the baseline.
 
 ``test_verify_trace_vs_stepwise`` isolates the testbench backends with a warm
 compiler on both sides (trace asserted ≥2x step-wise).
@@ -100,7 +101,7 @@ def _median_rounds(round_fn) -> float:
 
 
 def _run_baseline() -> float:
-    compiler = ChiselCompiler(top="TopModule", cache_size=None)
+    compiler = ChiselCompiler(top="TopModule", cached=False)
 
     def round_fn(index: int) -> None:
         clear_registered_caches()
@@ -123,7 +124,7 @@ def test_verify_cold_stepwise_full_recompile(benchmark):
 
 @pytest.mark.cache_mutating
 def test_verify_cold_candidate_trace(benchmark):
-    compiler = ChiselCompiler(top="TopModule", cache_size=4096)
+    compiler = ChiselCompiler(top="TopModule")
     clear_registered_caches()
     clear_kernel_cache()
     _verify(compiler, _candidate(2000), "auto")  # steady state: golden side warm
@@ -140,8 +141,8 @@ def test_verify_cold_candidate_trace(benchmark):
 
 
 def test_verify_warm_iteration(benchmark):
-    compiler = ChiselCompiler(top="TopModule", cache_size=4096)
-    _verify(compiler, _revision(0), "auto")  # iteration k fills the stage caches
+    compiler = ChiselCompiler(top="TopModule")
+    _verify(compiler, _revision(0), "auto")  # iteration k fills the downstream caches
 
     def run() -> float:
         return _median_rounds(lambda index: _verify(compiler, _revision(1 + index), "auto"))
@@ -155,7 +156,7 @@ def test_verify_warm_iteration(benchmark):
 
 
 def test_verify_trace_vs_stepwise(benchmark):
-    compiler = ChiselCompiler(top="TopModule", cache_size=4096)
+    compiler = ChiselCompiler(top="TopModule")
     _verify(compiler, _candidate(3000), "auto")
 
     def stepwise() -> float:

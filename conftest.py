@@ -5,7 +5,7 @@ editable builds need the ``wheel`` package); adding ``src`` to ``sys.path``
 here keeps ``pytest`` runnable either way.
 
 Also provides test isolation for the global toolchain caches: tests (and
-benchmarks) that clear or cold-start the registered stage caches
+benchmarks) that clear or cold-start the registered caches
 (``clear_registered_caches``, ``clear_kernel_cache``) or assert absolute
 hit/miss counters carry the ``cache_mutating`` marker; the autouse fixture
 below gives them a deterministic cold start and restores the snapshotted warm

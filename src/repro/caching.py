@@ -1,14 +1,12 @@
 """Bounded LRU caches, the cache registry and content fingerprints.
 
-Every memoization layer in the toolchain — Chisel parsing and per-module
-elaboration, the FIRRTL pass pipeline, Verilog emission and parsing, compiled
-simulation kernels, trace-compiled testbenches and vectorized NumPy kernels
-(``sim_vec`` / ``sim_vec_kernel``) — shares :class:`LruCache`
-so the eviction policy and hit/miss accounting live in one place.  Caches
-constructed with a ``name`` self-register in a process-wide registry;
-:func:`cache_stats` aggregates hits/misses/size per name (summing across
-instances, e.g. every per-compiler result cache) and is what
-``repro.service.telemetry`` snapshots surface.
+Every memoization layer in the toolchain — whole Chisel compile results,
+Verilog parsing, compiled simulation kernels, trace-compiled testbenches and
+vectorized NumPy kernels (``sim_vec`` / ``sim_vec_kernel``) — shares
+:class:`LruCache` so the eviction policy and hit/miss accounting live in one
+place.  Caches constructed with a ``name`` self-register in a process-wide
+registry; :func:`cache_stats` aggregates hits/misses/size per name (summing
+across instances) and is what ``repro.service.telemetry`` snapshots surface.
 
 Cached values are shared between callers: treat them as immutable.
 """
@@ -20,7 +18,6 @@ import json
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import fields, is_dataclass
 from typing import Generic, TypeVar
 
 V = TypeVar("V")
@@ -48,59 +45,8 @@ def stable_fingerprint(document: object) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def structural_fingerprint(node: object, skip_fields: tuple[str, ...] = ("location",)) -> str:
-    """Content hash of a dataclass tree, ignoring ``skip_fields`` everywhere.
-
-    This is the key for the stage-level compile caches: two parse trees (or
-    FIRRTL circuits) that differ only in source *positions* — shifted lines
-    after an edit elsewhere in the file, moved comments — hash identically, so
-    ReChisel iteration k+1 re-runs a stage only when the revision structurally
-    changed its input.  The trade-off is the classic one of content-addressed
-    build caches: diagnostics replayed from a cached stage carry the source
-    coordinates of the first structurally-identical occurrence.  Error *text*,
-    classes and ordering are unaffected.
-
-    May raise ``RecursionError`` on pathologically deep trees; callers fall
-    back to the uncached path in that case.
-    """
-    digest = hashlib.sha256()
-    update = digest.update
-    _structural_update(node, update, skip_fields)
-    return digest.hexdigest()
-
-
-def _structural_update(value: object, update, skip_fields: tuple[str, ...]) -> None:
-    if is_dataclass(value) and not isinstance(value, type):
-        update(b"D")
-        update(type(value).__name__.encode())
-        update(b"\x1f")
-        for field_ in fields(value):
-            if field_.name in skip_fields:
-                continue
-            update(field_.name.encode())
-            update(b"=")
-            _structural_update(getattr(value, field_.name), update, skip_fields)
-        update(b";")
-    elif isinstance(value, (list, tuple)):
-        update(b"L")
-        for item in value:
-            _structural_update(item, update, skip_fields)
-        update(b";")
-    elif isinstance(value, dict):
-        update(b"M")
-        for key, item in value.items():
-            _structural_update(key, update, skip_fields)
-            update(b":")
-            _structural_update(item, update, skip_fields)
-        update(b";")
-    else:
-        update(b"v")
-        update(repr(value).encode())
-        update(b"\x1f")
-
-
 def get_or_compute(cache, key: str, compute, cache_exceptions: tuple = ()):
-    """Shared stage-memo pattern: lookup, compute on miss, replay failures.
+    """Shared memo pattern: lookup, compute on miss, replay failures.
 
     Exceptions of the listed types are cached as values and re-raised on both
     the miss and every subsequent hit (the same faulty candidate recurs
@@ -149,10 +95,9 @@ def _live_caches() -> dict[str, list["LruCache"]]:
 def cache_stats() -> dict[str, dict[str, int]]:
     """Hit/miss/size counters for every registered cache, aggregated by name.
 
-    Covers the whole verification engine: ``chisel_parse``,
-    ``chisel_elaborate``, ``chisel_compile`` (summed over compiler instances),
-    ``firrtl_passes``, ``verilog_emit``, ``verilog_parse``, ``sim_kernel`` and
-    ``sim_trace``.
+    Covers the whole verification engine: ``chisel_compile`` (whole compile
+    results by source text), ``verilog_parse``, ``sim_kernel``, ``sim_trace``
+    and the vector kernel caches.
     """
     stats: dict[str, dict[str, int]] = {}
     for name, instances in sorted(_live_caches().items()):
@@ -169,8 +114,8 @@ def clear_registered_caches() -> None:
     """Empty every registered cache and reset its counters (cold-start helper).
 
     Benchmarks use this to force deterministic cold runs; note it clears the
-    *registered* caches only — per-object memos (module fingerprints, testbench
-    trace plans) key by identity and stay valid.
+    *registered* caches only — per-object memos (testbench trace plans) key by
+    identity and stay valid.
     """
     for instances in _live_caches().values():
         for cache in instances:
@@ -181,7 +126,7 @@ def clear_registered_caches() -> None:
 def publish_cache_stats(bus=None, name: str = "snapshot") -> None:
     """Publish one ``cache.stats`` event carrying :func:`cache_stats`.
 
-    The stage caches are too hot to instrument per lookup; instead consumers
+    The caches are too hot to instrument per lookup; instead consumers
     (the generation service after each completed job, the console on demand)
     publish aggregate snapshots.  A no-op unless the bus has subscribers, so
     it is safe anywhere.

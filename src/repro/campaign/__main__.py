@@ -31,7 +31,9 @@ import argparse
 import json
 import signal
 import sys
+from dataclasses import replace
 
+from repro import settings
 from repro.campaign.checkpoint import list_campaigns
 from repro.campaign.config import CampaignConfig
 from repro.campaign.orchestrator import (
@@ -91,40 +93,63 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated problem ids (with --quick)",
     )
     parser.add_argument(
-        "--samples", type=int, default=2, help="samples per strategy/problem (with --quick)"
+        "--samples",
+        type=settings.arg_type("--samples", kind=int, low=1),
+        default=2,
+        help="samples per strategy/problem (with --quick)",
+    )
+    # The bounds below override their REPRO_CAMPAIGN_* knob only when given,
+    # and accept exactly what that knob accepts.
+    parser.add_argument(
+        "--deadline",
+        type=settings.arg_type("--deadline", "REPRO_CAMPAIGN_DEADLINE"),
+        default=argparse.SUPPRESS,
+        help="wall-clock bound in seconds (0 = no bound)",
     )
     parser.add_argument(
-        "--deadline", type=float, default=None, help="wall-clock bound in seconds"
+        "--budget",
+        type=settings.arg_type("--budget", "REPRO_CAMPAIGN_LLM_BUDGET"),
+        default=argparse.SUPPRESS,
+        help="LLM-completion budget across all resumes",
     )
     parser.add_argument(
-        "--budget", type=int, default=None, help="LLM-completion budget across all resumes"
+        "--chunk",
+        type=settings.arg_type("--chunk", "REPRO_CAMPAIGN_CHUNK"),
+        default=argparse.SUPPRESS,
+        help="work units per preemptible chunk",
     )
     parser.add_argument(
-        "--chunk", type=int, default=None, help="work units per preemptible chunk"
+        "--fleet",
+        type=settings.arg_type("--fleet", "REPRO_CAMPAIGN_FLEET"),
+        default=argparse.SUPPRESS,
+        help="run chunks on a supervised fleet this large",
     )
     parser.add_argument(
-        "--fleet", type=int, default=None, help="run chunks on a supervised fleet this large"
-    )
-    parser.add_argument(
-        "--throttle", type=float, default=None, help="seconds to sleep between chunks"
+        "--throttle",
+        type=settings.arg_type("--throttle", "REPRO_CAMPAIGN_THROTTLE"),
+        default=argparse.SUPPRESS,
+        help="seconds to sleep between chunks",
     )
     return parser
 
 
+#: CampaignConfig field -> the flag that overrides it.
+_FLAG_FIELDS = {
+    "deadline": "deadline",
+    "llm_budget": "budget",
+    "chunk_size": "chunk",
+    "fleet": "fleet",
+    "throttle": "throttle",
+}
+
+
 def _build_config(args) -> CampaignConfig:
-    config = CampaignConfig(store_path=args.store)
-    config = CampaignConfig.from_environment(config)
-    if args.deadline is not None:
-        config.deadline = args.deadline if args.deadline > 0 else None
-    if args.budget is not None:
-        config.llm_budget = max(0, args.budget)
-    if args.chunk is not None:
-        config.chunk_size = max(1, args.chunk)
-    if args.fleet is not None:
-        config.fleet = max(0, args.fleet)
-    if args.throttle is not None:
-        config.throttle = max(0.0, args.throttle)
-    return config
+    config = CampaignConfig.from_environment(CampaignConfig(store_path=args.store))
+    given = vars(args)
+    return replace(
+        config,
+        **{field: given[flag] for field, flag in _FLAG_FIELDS.items() if flag in given},
+    )
 
 
 def _list(config: CampaignConfig) -> int:
@@ -161,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             spec = default_campaign(
                 problems=tuple(p for p in args.problems.split(",") if p),
-                samples=max(1, args.samples),
+                samples=args.samples,
                 seed=args.seed,
             )
         orchestrator = CampaignOrchestrator(spec, config)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 
-from repro.caching import LruCache, get_or_compute, structural_fingerprint, text_key
 from repro.chisel import ast
 from repro.chisel import values as v
 from repro.chisel.diagnostics import ChiselError, SourceLocation
@@ -853,64 +852,6 @@ def resolve_top(program: ast.Program, top: str | None) -> ast.ClassDef:
     return module_classes[-1]
 
 
-# ---------------------------------------------------------------------------
-# Elaboration cache (stage 2 of the incremental compile pipeline)
-# ---------------------------------------------------------------------------
-#
-# Elaboration is memoized *per module class*, keyed on a structural hash of
-# the class body (source positions excluded), so a revision that edits one
-# module re-elaborates only that module: every other class in the file — and
-# candidates that differ only in comments, whitespace or code outside the
-# class — hit the cache.  Because ``new Name(...)`` can reach Bundle classes
-# defined elsewhere in the program, the key also covers the name/parents
-# signature of every sibling class plus the full structure of non-module
-# siblings (module bodies are never entered, so their edits cannot change the
-# result).
-
-_elaborate_cache: LruCache[object] = LruCache(256, name="chisel_elaborate")
-
-
-def _class_fingerprint(cls: ast.ClassDef) -> str:
-    fingerprint = cls.__dict__.get("_structural_fp")
-    if fingerprint is None:
-        fingerprint = structural_fingerprint(cls)
-        cls._structural_fp = fingerprint  # AST is immutable by convention
-    return fingerprint
-
-
-def _elaboration_key(program: ast.Program, cls: ast.ClassDef) -> str:
-    parts = [_class_fingerprint(cls)]
-    for sibling in program.classes:
-        if sibling is cls:
-            continue
-        signature = f"{sibling.name}({','.join(sibling.parents)})"
-        if not sibling.is_module:
-            signature += ":" + _class_fingerprint(sibling)
-        parts.append(signature)
-    return text_key(*parts)
-
-
 def elaborate(program: ast.Program, top: str | None = None) -> ir.Circuit:
-    """Elaborate a parsed Chisel program into a FIRRTL circuit (stage-cached).
-
-    Successful elaborations and :class:`ChiselError` failures are both
-    memoized; the cached :class:`~repro.firrtl.ir.Module` is shared between
-    circuits (FIRRTL passes never mutate their input).  Top-class resolution
-    stays uncached — its diagnostics depend on the whole program.
-    """
-    cls = resolve_top(program, top)
-    try:
-        key = _elaboration_key(program, cls)
-    except RecursionError:
-        return Elaborator(program, top).elaborate()
-    module = get_or_compute(
-        _elaborate_cache,
-        key,
-        lambda: Elaborator(program, top)._elaborate_module(cls),
-        cache_exceptions=(ChiselError,),
-    )
-    return ir.Circuit(module.name, [module])
-
-
-def clear_elaboration_cache() -> None:
-    _elaborate_cache.clear()
+    """Uncached :meth:`Elaborator.elaborate`, kept as the benchmark's layer boundary."""
+    return Elaborator(program, top).elaborate()

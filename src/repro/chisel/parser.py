@@ -9,7 +9,6 @@ output is one of the syntax-error classes the reflection loop must handle.
 
 from __future__ import annotations
 
-from repro.caching import LruCache, get_or_compute, text_key
 from repro.chisel import ast
 from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import Token, TokenKind, tokenize
@@ -777,27 +776,6 @@ def parse_source(source: str, file: str = "Main.scala") -> ast.Program:
     return Parser(tokens).parse_program()
 
 
-# ---------------------------------------------------------------------------
-# Parse cache (stage 1 of the incremental compile pipeline)
-# ---------------------------------------------------------------------------
-
-_parse_cache: LruCache[object] = LruCache(256, name="chisel_parse")
-
-
 def parse_source_cached(source: str, file: str = "Main.scala") -> ast.Program:
-    """:func:`parse_source` memoized by exact source text.
-
-    Parse failures are cached too and re-raised on hit.  The returned
-    :class:`Program` is shared between callers: treat it as immutable.
-    ``RecursionError`` is never cached — it depends on the caller's stack.
-    """
-    return get_or_compute(
-        _parse_cache,
-        text_key(file, source),
-        lambda: parse_source(source, file),
-        cache_exceptions=(ChiselError,),
-    )
-
-
-def clear_parse_cache() -> None:
-    _parse_cache.clear()
+    """Uncached :func:`parse_source`, kept as the benchmark's layer boundary."""
+    return parse_source(source, file)

@@ -95,16 +95,16 @@ class WorkerContext:
     """Per-process execution state shared by every unit a worker runs.
 
     Built once per executor worker (and once for the serial path): the problem
-    registry, a ``ChiselCompiler`` with a large memo (identical candidate code
-    recurs constantly across samples/iterations), the parse-caching
-    ``Simulator`` facade, and the golden-Verilog cache.  All of it is
-    deterministic derived state — sharing it across units changes speed, never
-    results.
+    registry, a ``ChiselCompiler`` on the process-wide compile cache
+    (identical candidate code recurs constantly across samples/iterations),
+    the parse-caching ``Simulator`` facade, and the golden-Verilog cache.  All
+    of it is deterministic derived state — sharing it across units changes
+    speed, never results.
     """
 
-    def __init__(self, registry: ProblemRegistry | None = None, compile_cache_size: int = 1024):
+    def __init__(self, registry: ProblemRegistry | None = None):
         self.registry = registry or build_default_registry()
-        self.compiler = ChiselCompiler(top="TopModule", cache_size=compile_cache_size)
+        self.compiler = ChiselCompiler(top="TopModule")
         self.simulator = Simulator(top="TopModule")
         self.golden_verilog: dict[str, str] = {}
         self._golden_digests: dict[str, str] = {}

@@ -1,19 +1,13 @@
 """Pass manager: run the FIRRTL pipeline and collect diagnostics.
 
-The pipeline result is memoized per circuit *content* (stage 3 of the
-incremental compile pipeline): :func:`circuit_fingerprint` hashes every
-module's structure once — memoized on the module object, so circuits rebuilt
-around a cached elaboration cost one dict lookup — and
-:meth:`PassManager.run_cached` replays the stored :class:`PassResult` for
-repeat circuits.  Passes never mutate their input, so cached circuits and
-diagnostic lists are shared; treat them as immutable.
+The pipeline is uncached: ``ChiselCompiler`` memoizes whole compile results
+by source text instead.  Passes never mutate their input circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.caching import LruCache, get_or_compute, structural_fingerprint, text_key
 from repro.diagnostics import DiagnosticList
 from repro.firrtl import ir
 from repro.firrtl.passes import (
@@ -24,18 +18,6 @@ from repro.firrtl.passes import (
     LowerTypes,
 )
 from repro.firrtl.passes.base import Pass
-
-
-def circuit_fingerprint(circuit: ir.Circuit) -> str:
-    """Structural content hash of a circuit (source positions excluded)."""
-    parts = [circuit.name]
-    for module in circuit.modules:
-        fingerprint = module.__dict__.get("_structural_fp")
-        if fingerprint is None:
-            fingerprint = structural_fingerprint(module)
-            module._structural_fp = fingerprint  # IR is immutable by convention
-        parts.append(fingerprint)
-    return text_key(*parts)
 
 
 @dataclass
@@ -58,9 +40,8 @@ class PassManager:
     and the compiler feedback the Reviewer sees is the first batch of errors.
     """
 
-    def __init__(self, passes: list[Pass] | None = None, cache_size: int | None = 256):
+    def __init__(self, passes: list[Pass] | None = None):
         self.passes = passes if passes is not None else default_passes()
-        self._cache: LruCache[PassResult] = LruCache(cache_size, name="firrtl_passes")
 
     def run(self, circuit: ir.Circuit) -> PassResult:
         diagnostics = DiagnosticList()
@@ -72,18 +53,8 @@ class PassManager:
         return PassResult(current, diagnostics)
 
     def run_cached(self, circuit: ir.Circuit) -> PassResult:
-        """:meth:`run`, memoized by circuit fingerprint.
-
-        The returned :class:`PassResult` (circuit and diagnostics included) is
-        shared between callers and must not be mutated.
-        """
-        if not self._cache.max_size:
-            return self.run(circuit)
-        try:
-            key = circuit_fingerprint(circuit)
-        except RecursionError:
-            return self.run(circuit)
-        return get_or_compute(self._cache, key, lambda: self.run(circuit))
+        """Uncached :meth:`run`, kept as the benchmark's layer boundary."""
+        return self.run(circuit)
 
 
 def default_passes() -> list[Pass]:

@@ -3,7 +3,7 @@
 ``python -m repro.fuzz --seed 0 --n 500`` generates 500 random-but-well-typed
 Chisel programs and pushes each through every seam of the toolchain —
 compile, Verilog re-parse, interpreter vs compiled vs trace simulation
-backends, warm vs cold stage caches — shrinking and persisting anything that
+backends, warm vs cold caches — shrinking and persisting anything that
 diverges.  See README.md "Fuzzing & conformance" and the ``REPRO_FUZZ_*``
 knobs in EXPERIMENTS.md.
 """

@@ -17,6 +17,7 @@ import dataclasses
 import os
 import sys
 
+from repro import settings
 from repro.fuzz.config import FuzzConfig, parse_feature_mask
 from repro.fuzz.corpus import load_corpus_entries
 from repro.fuzz.generate import generate_program
@@ -31,7 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
     env = FuzzConfig.from_environment()
     parser.add_argument("--seed", type=int, default=env.seed, help="session seed")
     parser.add_argument(
-        "--n", type=int, default=env.iterations, help="number of programs to generate"
+        "--n",
+        type=settings.arg_type("--n", "REPRO_FUZZ_ITERATIONS"),
+        default=env.iterations,
+        help="number of programs to generate",
     )
     parser.add_argument(
         "--skip", type=int, default=0, help="first program index (for one-line repros)"
@@ -42,7 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON-lines corpus path for failures and interesting survivors",
     )
     parser.add_argument(
-        "--points", type=int, default=env.points, help="stimulus points per program"
+        "--points",
+        type=settings.arg_type("--points", "REPRO_FUZZ_POINTS"),
+        default=env.points,
+        help="stimulus points per program",
     )
     parser.add_argument(
         "--features",
@@ -50,7 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated feature mask (default: all; see repro.fuzz.ALL_FEATURES)",
     )
     parser.add_argument(
-        "--keep", type=int, default=env.keep_survivors, help="max survivors to store"
+        "--keep",
+        type=settings.arg_type("--keep", kind=int, low=0),
+        default=env.keep_survivors,
+        help="max survivors to store",
     )
     parser.add_argument(
         "--no-shrink", action="store_true", help="report failures without minimizing"
@@ -101,9 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         FuzzConfig.from_environment(),
         seed=args.seed,
         iterations=args.n,
-        points=max(1, args.points),
+        points=args.points,
         corpus_path=args.corpus,
-        keep_survivors=max(0, args.keep),
+        keep_survivors=args.keep,
         shrink_failures=not args.no_shrink,
     )
     if args.features:

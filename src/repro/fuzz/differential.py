@@ -16,8 +16,8 @@ toolchain:
 * the vectorized NumPy backend (``backend="vector"``, both the single-run
   and the batched :func:`~repro.sim.testbench.run_testbenches` paths) must
   also reproduce it bit for bit on vector-eligible designs;
-* a warm run (stage caches populated by every previously checked program —
-  the state in which cache-key collisions bite) must equal a cold run from
+* a warm run (caches populated by every previously checked program — the
+  state in which cache-key collisions bite) must equal a cold run from
   cleared caches, both for the emitted Verilog and for every simulation
   report.
 
@@ -245,7 +245,7 @@ def check_source(
 ) -> ConformanceReport:
     """Push ``source`` through every seam; see the module docstring.
 
-    The warm pass runs first against whatever the process-wide stage caches
+    The warm pass runs first against whatever the process-wide caches
     already contain (that is the collision-sensitive state); ``check_cold``
     then clears every registered cache, asserts the cold rerun is
     bit-identical, and restores the accumulated warm state afterwards — so a
@@ -303,7 +303,7 @@ def check_source(
     warm_snapshot = snapshot_registered_caches()
     warm_fallbacks = (compile_sim._fallbacks[0], compile_vec._vec_fallbacks[0])
     try:
-        cold_compiler = ChiselCompiler(cache_size=None)
+        cold_compiler = ChiselCompiler(cached=False)
         for top in tops:
             warm_result, warm_tb, warm_runs = warm[top]
             if warm_result is None:

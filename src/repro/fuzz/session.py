@@ -104,7 +104,7 @@ def shrink_failure(
                 tb_seed=tb_seed,
                 points=config.points if needs_sim else 4,
                 sequential=sequential,
-                compiler=ChiselCompiler(cache_size=None),
+                compiler=ChiselCompiler(cached=False),
                 check_cold=needs_sim,
             )
         except Exception:  # noqa: BLE001 — a crashing candidate is not "the same failure"

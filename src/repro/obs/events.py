@@ -1,7 +1,7 @@
 """The structured event bus: typed events, topic pub/sub, bounded subscribers.
 
 Every layer of the served system (service, dispatcher, fleet supervisor,
-sweep engine, stage caches, fuzz engine) publishes :class:`Event` records
+sweep engine, toolchain caches, fuzz engine) publishes :class:`Event` records
 onto an :class:`EventBus`.  Publishing is designed to sit on hot paths:
 
 * with **no subscribers** a ``publish`` call is one attribute read and a

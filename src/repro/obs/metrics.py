@@ -271,10 +271,10 @@ class MetricsSink:
             ).inc(event=name)
         elif topic == "cache.stats":
             for cache, counters in (attrs.get("caches") or {}).items():
-                registry.gauge("repro_cache_hits", "stage-cache hits").set(
+                registry.gauge("repro_cache_hits", "toolchain cache hits").set(
                     counters.get("hits", 0), cache=cache
                 )
-                registry.gauge("repro_cache_misses", "stage-cache misses").set(
+                registry.gauge("repro_cache_misses", "toolchain cache misses").set(
                     counters.get("misses", 0), cache=cache
                 )
         elif topic == "sweep.progress":

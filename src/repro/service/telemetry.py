@@ -55,8 +55,8 @@ class ServiceSnapshot:
     p99_latency: float = 0.0
     max_latency: float = 0.0
     dispatcher: dict = field(default_factory=dict)
-    # Toolchain cache counters (repro.caching.cache_stats()): parse,
-    # elaborate, compile, pass-pipeline, emit, kernel and trace caches.
+    # Toolchain cache counters (repro.caching.cache_stats()): compile
+    # results, Verilog parse, kernel and trace caches.
     caches: dict = field(default_factory=dict)
     # Worker-health report from the generation fleet's supervisor
     # (FleetSupervisor.health()); empty when the service runs in-process.

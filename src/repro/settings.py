@@ -20,6 +20,9 @@ Kinds and the values they accept:
 * :data:`ENDPOINT` — ``host:port`` / ``:port`` / ``port``, or one of :data:`OFF`;
 * ``str`` — free text the consumer parses itself.
 
+:func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
+and its knob accept the same values and fail the same way.
+
 EXPERIMENTS.md documents what each knob does; ``tests/test_settings.py``
 checks that the two stay in sync.  This module imports nothing from
 :mod:`repro`, so every layer can use it.
@@ -27,9 +30,11 @@ checks that the two stay in sync.  This module imports nothing from
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 PATH = "path"
 ENDPOINT = "endpoint"
@@ -204,3 +209,22 @@ def overrides(**fields: str) -> dict[str, object]:
     """
     values = {field: read(name, _UNSET) for field, name in fields.items()}
     return {field: value for field, value in values.items() if value is not _UNSET}
+
+
+def arg_type(flag: str, knob: str | None = None, **rule) -> Callable[[str], object]:
+    """An argparse ``type=`` that checks ``flag`` against one rule.
+
+    The rule is knob ``knob``'s row, or an ad-hoc one built from ``rule``
+    (:class:`Setting` fields, e.g. ``kind=int, low=1``) for a flag with no
+    knob.  A bad value fails as ``<flag> must be <rule>, got '<raw>'`` and
+    argparse exits with status 2; a ``zero_off`` row reads ``0`` as ``None``.
+    """
+    row = replace(SETTINGS[knob], name=flag) if knob else Setting(flag, **rule)
+
+    def parse(raw: str) -> object:
+        try:
+            return row.parse(raw.strip())
+        except SettingError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse

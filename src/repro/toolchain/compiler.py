@@ -6,43 +6,31 @@ failure mode is reported as a list of :class:`~repro.chisel.diagnostics.Diagnost
 so the Reviewer can consume a uniform error list regardless of which stage
 failed.
 
-Compilation is incremental: beyond the whole-result memo keyed on exact
-source text, every stage boundary has its own content-addressed cache —
-parse by source hash (:func:`~repro.chisel.parser.parse_source_cached`),
-elaboration per module-class structural hash
-(:func:`~repro.chisel.elaborator.elaborate`), the FIRRTL pass pipeline and
-Verilog emission per circuit fingerprint.  A ReChisel revision therefore only
-re-runs the stages whose *input* structurally changed: candidates differing
-in comments, whitespace or an unrelated class skip straight to the cached
-Verilog, feeding the parsed-module and kernel caches downstream.
+Each distinct source is compiled once: the whole :class:`CompileResult` is
+memoized in one process-wide ``chisel_compile`` cache keyed by the exact
+source text (and top), shared by every compiler instance and inherited by
+forked workers.  The stages themselves are uncached, so diagnostics always
+carry the candidate's own source coordinates.  A cosmetic revision (a moved
+comment, shifted lines) re-runs the frontend and then hits the Verilog-parse
+and kernel caches downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.caching import LruCache, get_or_compute, text_key
-from repro.diagnostics import ChiselError, Diagnostic, DiagnosticList, Severity
+from repro.caching import LruCache, text_key
+from repro.diagnostics import ChiselError, Diagnostic, Severity
 from repro.chisel.elaborator import elaborate
 from repro.chisel.parser import parse_source_cached
 from repro.firrtl import ir
-from repro.firrtl.pass_manager import PassManager, circuit_fingerprint
+from repro.firrtl.pass_manager import PassManager
 from repro.verilog.emitter import EmitterError, emit_verilog
-
-# Emission cache (stage 4): the emitter is a pure function of the lowered
-# circuit, which is shared between cache-hitting compiles, so its fingerprint
-# is usually already memoized on the module objects.
-_emit_cache: LruCache[object] = LruCache(256, name="verilog_emit")
 
 
 def _emit_cached(circuit: ir.Circuit) -> str:
-    try:
-        key = circuit_fingerprint(circuit)
-    except RecursionError:
-        return emit_verilog(circuit)
-    return get_or_compute(
-        _emit_cache, key, lambda: emit_verilog(circuit), cache_exceptions=(EmitterError,)
-    )
+    """Uncached :func:`emit_verilog`, kept as the benchmark's layer boundary."""
+    return emit_verilog(circuit)
 
 
 # Compilation stages, reported so experiments can attribute errors.
@@ -76,6 +64,10 @@ class CompileResult:
         return "\n".join(lines)
 
 
+#: Compile results by exact (top, source) text, shared by every compiler.
+_compile_cache: LruCache[CompileResult] = LruCache(1024, name="chisel_compile")
+
+
 class ChiselCompiler:
     """Compile Chisel source text to Verilog.
 
@@ -85,33 +77,29 @@ class ChiselCompiler:
         Optional top-module class name.  When omitted, the last class extending
         ``Module`` in the source is elaborated (matching how the benchmark
         specs name a single ``TopModule``).
-    cache_size:
-        Number of compile results memoized by source hash (``None``/0 turns
-        caching off).  Compilation is a pure function of the source text, and
-        identical candidate Chisel recurs constantly across samples and
-        iterations in the paper-scale sweeps, so hits are the common case.
-        Cached :class:`CompileResult` objects are shared — treat them as
-        immutable.
+    cached:
+        Whether to go through the process-wide compile cache (``False``
+        compiles every call from scratch).  Compilation is a pure function of
+        the source text, and identical candidate Chisel recurs constantly
+        across samples and iterations in the paper-scale sweeps, so hits are
+        common.  Cached :class:`CompileResult` objects are shared — treat them
+        as immutable.
     """
 
-    def __init__(self, top: str | None = None, cache_size: int | None = 128):
+    def __init__(self, top: str | None = None, cached: bool = True):
         self.top = top
+        self.cached = cached
         self.pass_manager = PassManager()
-        self._cache: LruCache[CompileResult] = LruCache(cache_size, name="chisel_compile")
-
-    @property
-    def cache_stats(self) -> dict[str, int]:
-        return self._cache.stats
 
     def compile(self, source: str, top: str | None = None) -> CompileResult:
         top = top if top is not None else self.top
-        if not self._cache.max_size:
+        if not self.cached:
             return self._compile(source, top)
         key = text_key(top, source)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        return self._cache.put(key, self._compile(source, top))
+        result = _compile_cache.get(key)
+        if result is not None:
+            return result
+        return _compile_cache.put(key, self._compile(source, top))
 
     def _compile(self, source: str, top: str | None) -> CompileResult:
         try:

@@ -1,19 +1,17 @@
 """Property-style tests for the content-fingerprint helpers in repro.caching.
 
 ``stable_fingerprint`` keys the sweep result store and the fuzz corpus;
-``structural_fingerprint`` keys the stage-level compile caches.  These tests
-pin the properties the cache layers rely on: invariance under dict ordering
-and source-location shifts, sensitivity to genuine structural edits, and the
-absence of collisions across a generated fuzz corpus.
+``text_key`` keys the compile cache by exact source text.  These tests pin
+the properties the cache layers rely on: invariance under dict ordering,
+sensitivity to genuine edits, and the absence of collisions across a
+generated fuzz corpus.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from repro.caching import stable_fingerprint, structural_fingerprint
-from repro.chisel.parser import parse_source
+from repro.caching import stable_fingerprint, text_key
 from repro.fuzz import FuzzConfig, generate_program
 
 
@@ -40,60 +38,12 @@ class TestStableFingerprint:
         assert stable_fingerprint({"x": 1}) != stable_fingerprint({"x": "1"})
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    name: str
-    value: int
-    location: str = "here"
-
-
-@dataclass(frozen=True)
-class _Tree:
-    children: tuple
-    table: dict = field(default_factory=dict)
-    location: str = "root"
-
-
-class TestStructuralFingerprint:
-    def test_skip_fields_are_ignored_everywhere(self):
-        a = _Tree((_Leaf("x", 1, "file:1"), _Leaf("y", 2, "file:2")), location="file:0")
-        b = _Tree((_Leaf("x", 1, "other:9"), _Leaf("y", 2, "other:10")), location="other:0")
-        assert structural_fingerprint(a) == structural_fingerprint(b)
-
-    def test_sensitive_to_structural_edits(self):
-        base = _Tree((_Leaf("x", 1), _Leaf("y", 2)))
-        assert structural_fingerprint(base) != structural_fingerprint(
-            _Tree((_Leaf("x", 1), _Leaf("y", 3)))
-        )
-        assert structural_fingerprint(base) != structural_fingerprint(
-            _Tree((_Leaf("y", 2), _Leaf("x", 1)))  # order matters
-        )
-        assert structural_fingerprint(base) != structural_fingerprint(
-            _Tree((_Leaf("x", 1),))
-        )
-
-    def test_parse_trees_hash_identically_across_cosmetic_edits(self):
-        """Shifted lines, comments and whitespace must not change the key."""
-        source = (
-            "import chisel3._\n"
-            "class TopModule extends Module {\n"
-            "  val io = IO(new Bundle { val a = Input(UInt(4.W)); val y = Output(UInt(4.W)) })\n"
-            "  io.y := io.a + 1.U\n"
-            "}\n"
-        )
-        cosmetic = "// revised attempt\n\n\n" + source.replace(" + ", "  +  ")
-        structural = source.replace("1.U", "2.U")
-        fp = structural_fingerprint(parse_source(source))
-        assert fp == structural_fingerprint(parse_source(cosmetic))
-        assert fp != structural_fingerprint(parse_source(structural))
-
-
 class TestCorpusCollisionSmoke:
     def test_no_fingerprint_collisions_over_fuzz_corpus(self):
         """Distinct generated programs must get distinct cache keys.
 
-        This is the property the stage caches (and therefore the warm/cold
-        conformance pass of the fuzzer) depend on: a collision here is a
+        This is the property the compile cache (and therefore the warm/cold
+        conformance pass of the fuzzer) depends on: a collision here is a
         cache-poisoning bug of the kind the differential engine exists to
         catch.
         """
@@ -101,9 +51,7 @@ class TestCorpusCollisionSmoke:
             ("arith", "bitops", "mux", "reg", "when", "switch", "vec", "sint")
         ))
         sources = {generate_program(config, index).source for index in range(80)}
-        structural = {
-            structural_fingerprint(parse_source(source)) for source in sources
-        }
+        compile_keys = {text_key("TopModule", source) for source in sources}
         stable = {stable_fingerprint({"source": source}) for source in sources}
-        assert len(structural) == len(sources)
+        assert len(compile_keys) == len(sources)
         assert len(stable) == len(sources)

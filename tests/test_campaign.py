@@ -564,6 +564,38 @@ class TestCampaignCli:
         result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert result["status"] == "budget-exhausted"
 
+    @pytest.mark.parametrize(
+        "flag, raw, rule",
+        [
+            ("--budget", "-1", "an integer >= 0"),
+            ("--chunk", "0", "an integer >= 1"),
+            ("--fleet", "-1", "an integer >= 0"),
+            ("--throttle", "-0.5", "a number >= 0"),
+            ("--samples", "0", "an integer >= 1"),
+            ("--deadline", "-5", "a number >= 0 (0 disables)"),
+            ("--deadline", "inf", "a number >= 0 (0 disables)"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, tmp_path, capsys, flag, raw, rule):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(["--store", str(tmp_path / "store"), "--list", flag, raw])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be {rule}, got '{raw}'" in capsys.readouterr().err
+
+    def test_flags_override_the_environment_and_zero_deadline_is_off(self, monkeypatch):
+        from repro.campaign.__main__ import _build_config, build_parser
+
+        monkeypatch.setenv("REPRO_CAMPAIGN_DEADLINE", "30")
+        monkeypatch.setenv("REPRO_CAMPAIGN_CHUNK", "3")
+
+        def config(*flags):
+            return _build_config(build_parser().parse_args(["--store", "s", *flags]))
+
+        assert (config().deadline, config().chunk_size) == (30.0, 3)
+        assert config("--deadline", "0").deadline is None
+        assert config("--deadline", "2.5", "--chunk", "1").chunk_size == 1
+        assert config("--budget", "0").llm_budget == 0
+
     def test_missing_store_is_usage_error(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_STORE", raising=False)
         monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)

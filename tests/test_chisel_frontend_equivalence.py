@@ -113,7 +113,7 @@ _MODULE = """class TopModule extends Module {{
     ],
 )
 def test_malformed_integer_literals_are_parse_diagnostics(literal, message, column):
-    result = ChiselCompiler(cache_size=None).compile(_MODULE.format(value=literal))
+    result = ChiselCompiler(cached=False).compile(_MODULE.format(value=literal))
     assert not result.success and result.stage == STAGE_PARSE
     diagnostic = result.diagnostics[0]
     assert diagnostic.message == message
@@ -123,7 +123,7 @@ def test_malformed_integer_literals_are_parse_diagnostics(literal, message, colu
 @pytest.mark.parametrize("depth", [40, 3000])
 def test_deeply_nested_expression_compiles_or_reports_parse(depth):
     value = "(" * depth + "1.U" + " + 1.U)" * depth
-    result = ChiselCompiler(cache_size=None).compile(_MODULE.format(value=value))
+    result = ChiselCompiler(cached=False).compile(_MODULE.format(value=value))
     if result.success:
         assert result.stage == STAGE_OK
     else:

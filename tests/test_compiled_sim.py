@@ -8,8 +8,12 @@ backends and every declared signal (outputs and internal nets) is compared.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.caching import cache_stats
 from repro.problems.registry import build_default_registry
 from repro.sim.testbench import DeviceUnderTest, FunctionalPoint, Testbench, run_testbench
 from repro.toolchain.compiler import ChiselCompiler
@@ -303,14 +307,50 @@ class TestLatchSettleParity:
 
 class TestCompilerCache:
     def test_compile_results_are_memoized(self):
-        compiler = ChiselCompiler(top="TopModule", cache_size=8)
-        source = REGISTRY.by_id("alu_w8").golden_chisel
+        compiler = ChiselCompiler(top="TopModule")
+        source = "// memoized once\n" + REGISTRY.by_id("alu_w8").golden_chisel
+        before = cache_stats()["chisel_compile"]
         first = compiler.compile(source)
-        second = compiler.compile(source)
-        assert first is second
-        assert compiler.cache_stats == {"hits": 1, "misses": 1}
+        second = ChiselCompiler(top="TopModule").compile(source)
+        after = cache_stats()["chisel_compile"]
+        assert first is second  # one process-wide cache, shared by instances
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 1
 
     def test_cache_can_be_disabled(self):
-        compiler = ChiselCompiler(top="TopModule", cache_size=None)
+        compiler = ChiselCompiler(top="TopModule", cached=False)
         source = REGISTRY.by_id("alu_w8").golden_chisel
         assert compiler.compile(source) is not compiler.compile(source)
+
+    def test_shared_cache_stays_consistent_across_threads(self):
+        """Compilers on several threads share the one cache: every result is
+        the uncached one and no lookup is lost from the counters."""
+        golden = REGISTRY.by_id("alu_w8").golden_chisel
+        sources = [f"// thread variant {index}\n" + golden for index in range(6)]
+        expected = {
+            source: ChiselCompiler(top="TopModule", cached=False).compile(source).verilog
+            for source in sources
+        }
+        seen = []
+
+        def worker() -> None:
+            compiler = ChiselCompiler(top="TopModule")
+            for source in sources * 3:
+                seen.append((source, compiler.compile(source).verilog))
+
+        before = cache_stats()["chisel_compile"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        after = cache_stats()["chisel_compile"]
+        lookups = sum(after[k] - before[k] for k in ("hits", "misses"))
+        assert len(seen) == lookups == 6 * len(sources) * 3
+        assert all(verilog == expected[source] for source, verilog in seen)

@@ -75,7 +75,7 @@ class TestConsoleModel:
         cache_rows = model.cache_rows()
         assert cache_rows, "cache.stats snapshots never reached the model"
         names = {row[0] for row in cache_rows}
-        assert "chisel_parse" in names
+        assert "chisel_compile" in names
         rendered = model.render()
         assert "caches:" in rendered
         assert "sessions (newest first):" in rendered

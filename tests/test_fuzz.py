@@ -283,6 +283,25 @@ class TestSession:
         assert "repro: python -m repro.fuzz" in result.render()
 
 
+class TestCli:
+    @pytest.mark.parametrize(
+        "flag, raw, rule",
+        [
+            ("--n", "-1", "an integer >= 0"),
+            ("--points", "0", "an integer >= 1"),
+            ("--points", "many", "an integer >= 1"),
+            ("--keep", "-1", "an integer >= 0"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, flag, raw, rule, capsys):
+        from repro.fuzz.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--n", "0", flag, raw])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be {rule}, got '{raw}'" in capsys.readouterr().err
+
+
 @pytest.mark.fuzz
 @pytest.mark.cache_mutating
 class TestFuzzSessionLong:

@@ -4,7 +4,7 @@
 ``python -m repro.fuzz`` (feature-diverse generated designs that passed every
 conformance seam when they were committed).  Each entry is replayed through
 the full differential engine — compile, Verilog re-parse, interpreter vs
-compiled vs trace backends, warm vs cold stage caches — so any semantic
+compiled vs trace backends, warm vs cold caches — so any semantic
 drift in the simulator, the FIRRTL passes or the caches fails here with a
 one-line repro before it ships.
 """

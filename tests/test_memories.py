@@ -4,7 +4,7 @@ Covers the full pipeline added for the memory language surface — frontend
 elaboration and diagnostics, Verilog emission and re-parse of memory arrays,
 bit-identical semantics across the interpreter, scalar trace kernels and
 vectorized SoA kernels (including the batched ``run_testbenches`` path and
-warm/cold stage caches), read-during-write pinning for ``SyncReadMem``, the
+warm/cold caches), read-during-write pinning for ``SyncReadMem``, the
 width-63/64 lane-boundary seams of the vector backend, and the ``memory``
 problem family riding the standard sweep path.
 """
