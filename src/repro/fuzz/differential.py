@@ -16,10 +16,15 @@ toolchain:
 * the vectorized NumPy backend (``backend="vector"``, both the single-run
   and the batched :func:`~repro.sim.testbench.run_testbenches` paths) must
   also reproduce it bit for bit on vector-eligible designs;
+* those reports compare the module with itself, so the reference's outputs
+  are simulated once and reused for the DUT; a deterministic kernel codegen
+  bug would pass them.  The trace and vector kernels' flat sampled outputs
+  must therefore also equal those of a step-wise interpreter run over the
+  same schedule;
 * a warm run (caches populated by every previously checked program — the
   state in which cache-key collisions bite) must equal a cold run from
-  cleared caches, both for the emitted Verilog and for every simulation
-  report.
+  cleared caches on a freshly built testbench, both for the emitted Verilog
+  and for every simulation report.
 
 Failures carry a ``(kind, stage)`` signature that the shrinker uses as its
 preservation predicate.
@@ -51,7 +56,7 @@ from repro.verilog import compile_sim, compile_vec
 from repro.verilog.compile_sim import clear_kernel_cache, get_kernel, get_trace_kernel
 from repro.verilog.compile_vec import get_vec_kernel
 from repro.verilog.parser import VerilogParseError, parse_verilog
-from repro.verilog.simulator import Simulation
+from repro.verilog.simulator import Simulation, SimulationError
 from repro.verilog.vast import VModule
 
 _IMPLICIT_PORTS = ("clock", "reset")
@@ -134,6 +139,43 @@ def build_testbench(module: VModule, tb_seed: str, points: int, sequential: bool
     return Testbench(points=functional_points, reset_cycles=2 if sequential else 0)
 
 
+def _stepwise_samples(
+    module: VModule, testbench: Testbench, observed: tuple[str, ...]
+) -> list[int]:
+    """Flat sampled outputs of a step-wise interpreter run, in kernel order.
+
+    Replays the step-wise testbench sequence (reset pulse, then drive, tick
+    and, at checked points, read every observed output) on an interpreter
+    device, so the result lines up with ``TraceKernel.run`` and each row of
+    ``VecTraceKernel.run``.
+    """
+    device = _ForcedBackendDevice(module, "interpreter")
+    device.reset_pulse(testbench.reset, testbench.clock, testbench.reset_cycles)
+    samples: list[int] = []
+    for point in testbench.points:
+        device.drive(point.inputs)
+        device.tick(testbench.clock, point.clock_cycles)
+        if point.check:
+            samples.extend(device.read(signal) for signal in observed)
+        else:
+            device.flush()
+    return samples
+
+
+def _first_divergence(
+    testbench: Testbench, observed: tuple[str, ...], expected: list[int], actual: list[int]
+) -> str:
+    """Where two flat sample arrays first differ, for a failure's detail."""
+    if len(actual) != len(expected):
+        return f"{len(actual)} samples, expected {len(expected)}"
+    flat = next(i for i, (want, got) in enumerate(zip(expected, actual)) if want != got)
+    checked = [index for index, point in enumerate(testbench.points) if point.check]
+    return (
+        f"functional point #{checked[flat // len(observed)]} output "
+        f"{observed[flat % len(observed)]}: {actual[flat]}, expected {expected[flat]}"
+    )
+
+
 def _run_backends(
     module: VModule, testbench: Testbench, top: str, report: ConformanceReport
 ) -> dict[str, SimulationReport]:
@@ -195,11 +237,41 @@ def _run_backends(
             )
 
     observed = tuple(port.name for port in module.outputs())
-    schedule, _ = _trace_plan(testbench, observed)
-    if get_trace_kernel(module, schedule) is None:
+    schedule, stimulus = _trace_plan(testbench, observed)
+    trace_kernel = get_trace_kernel(module, schedule)
+    if trace_kernel is None:
         report.trace_eligible = False
 
-    if get_vec_kernel(module, schedule) is None:
+    vec_kernel = get_vec_kernel(module, schedule)
+    samples: dict[str, list[int]] = {}
+    if trace_kernel is not None:
+        samples["trace-values"] = trace_kernel.run(stimulus)
+    if vec_kernel is not None:
+        samples["vector-values"] = vec_kernel.run([stimulus])[0].tolist()
+    if samples:
+        try:
+            expected = _stepwise_samples(module, testbench, observed)
+        except SimulationError as exc:
+            report.failures.append(
+                ConformanceFailure(
+                    "backend", "interpreter-samples", top, f"runtime error: {exc}"
+                )
+            )
+            samples = {}
+        for stage, actual in samples.items():
+            report.checks += 1
+            if actual != expected:
+                report.failures.append(
+                    ConformanceFailure(
+                        "backend",
+                        stage,
+                        top,
+                        f"{_first_divergence(testbench, observed, expected, actual)} "
+                        "(kernel sampled outputs vs step-wise interpreter)",
+                    )
+                )
+
+    if vec_kernel is None:
         # Wide-context designs (>64-bit lanes) and NumPy-less environments
         # fall back by design; eligibility is reported, not a failure.
         report.vector_eligible = False
@@ -273,7 +345,7 @@ def check_source(
                         code=getattr(first, "code", None),
                     )
                 )
-                warm[top] = (result, None, None)
+                warm[top] = (result, None)
                 continue
             report.checks += 1
             try:
@@ -282,15 +354,15 @@ def check_source(
                 report.failures.append(
                     ConformanceFailure("reparse", None, top, str(exc))
                 )
-                warm[top] = (result, None, None)
+                warm[top] = (result, None)
                 continue
             report.checks += 1
             testbench = build_testbench(module, f"{tb_seed}:{top}", points, sequential)
             runs = _run_backends(module, testbench, top, report)
-            warm[top] = (result, testbench, runs)
+            warm[top] = (result, runs)
         except Exception as exc:  # noqa: BLE001 — a crash is a finding, not an abort
             report.failures.append(ConformanceFailure("crash", None, top, repr(exc)))
-            warm[top] = (None, None, None)
+            warm[top] = (None, None)
 
     if not check_cold:
         return report
@@ -305,7 +377,7 @@ def check_source(
     try:
         cold_compiler = ChiselCompiler(cached=False)
         for top in tops:
-            warm_result, warm_tb, warm_runs = warm[top]
+            warm_result, warm_runs = warm[top]
             if warm_result is None:
                 continue
             try:
@@ -336,8 +408,12 @@ def check_source(
                 if not cold.success or warm_runs is None:
                     continue
                 module = parse_verilog(cold.verilog)[-1]
+                # A fresh testbench from the same seed: the warm one carries
+                # the per-testbench memos (trace plans, vector packs,
+                # reference outputs) that would make this run warm.
+                cold_tb = build_testbench(module, f"{tb_seed}:{top}", points, sequential)
                 cold_report = ConformanceReport()
-                cold_runs = _run_backends(module, warm_tb, top, cold_report)
+                cold_runs = _run_backends(module, cold_tb, top, cold_report)
                 report.checks += 1
                 for name, warm_run in warm_runs.items():
                     if cold_runs.get(name) != warm_run:

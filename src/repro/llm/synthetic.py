@@ -275,8 +275,7 @@ class SyntheticChiselLLM:
                 if verilog_fault.applies(code):
                     code = verilog_fault.apply(code)
         if revision > 0:
-            comment = "//" if language == "chisel" else "//"
-            code = code.rstrip("\n") + f"\n{comment} revision {revision}\n"
+            code = code.rstrip("\n") + f"\n// revision {revision}\n"
         return code
 
     def _register(

@@ -50,12 +50,20 @@ breakers; ``reset_backend_health()`` re-arms them (tests).
 structural fingerprint and testbench shape coalesce into one vector-kernel
 call (duplicate (candidate, stimulus) rows collapse to a single lane), with
 ``REPRO_SIM_MAX_LANES`` bounding the lanes per call.
+
+**Reference reuse**: all three kernel paths simulate a reference once per
+stimulus program.  Its sampled outputs are memoized on the
+:class:`Testbench` (:func:`_reference_outputs`), and a DUT whose cached kernel
+is the reference's reuses them instead of running.  Reports are then built
+by one comparison pass (:func:`_compare_outputs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import compress, count
+from operator import ne
+from typing import Callable, Iterable, Sequence
 
 from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, get_trace_kernel
@@ -300,6 +308,34 @@ def _trace_plan(testbench: Testbench, observed: tuple[str, ...]):
     return plan
 
 
+def _checked_points(testbench: Testbench) -> tuple[int, ...]:
+    """Indices of the checked points, memoized on the testbench."""
+    checked = testbench.__dict__.get("_checked_points")
+    if checked is None:
+        checked = testbench.__dict__["_checked_points"] = tuple(
+            index for index, point in enumerate(testbench.points) if point.check
+        )
+    return checked
+
+
+def _reference_outputs(testbench: Testbench, kernel, run: Callable[[], object] | None = None):
+    """The reference kernel's sampled outputs, memoized on the testbench.
+
+    Every candidate of a sweep, sample or repair iteration is checked against
+    the same golden on the same stimulus program, so the golden's outputs are
+    simulated once per ``(fingerprint, digest)`` — the key of the kernel
+    caches — and the kernel kind (trace lists and vector arrays are kept
+    apart).  On a miss, ``run()`` computes and memoizes them; without ``run``
+    a miss returns ``None``.  A raising ``run`` memoizes nothing.
+    """
+    memo = testbench.__dict__.setdefault("_reference_outputs", {})
+    key = (type(kernel).__name__, kernel.fingerprint, kernel.digest)
+    outputs = memo.get(key)
+    if outputs is None and run is not None:
+        outputs = memo[key] = run()
+    return outputs
+
+
 def _compare_outputs(
     testbench: Testbench,
     observed: Sequence[str],
@@ -308,29 +344,33 @@ def _compare_outputs(
 ) -> SimulationReport:
     """Build the report from two flat sampled-output arrays (point-major order).
 
-    Shared by the trace and vector backends so mismatch ordering and
-    ``max_mismatches`` capping are identical by construction.
+    Samples cover the checked points only, ``len(observed)`` per point.  Equal
+    arrays return at once; otherwise one pass finds the mismatching flat
+    indices, in point-major order, and only those are mapped back to
+    ``(point, signal)``.  Shared by the trace and vector backends so mismatch
+    ordering and ``max_mismatches`` capping are identical by construction.
     """
-    report = SimulationReport(total_points=len(testbench.points))
-    cursor = 0
+    checked = _checked_points(testbench)
+    report = SimulationReport(total_points=len(testbench.points), checked_points=len(checked))
+    if dut_out is ref_out or dut_out == ref_out:
+        return report
     width = len(observed)
-    for index, point in enumerate(testbench.points):
-        if not point.check:
-            continue
-        report.checked_points += 1
-        point_failed = False
-        for position, signal in enumerate(observed):
-            expected = ref_out[cursor + position]
-            actual = dut_out[cursor + position]
-            if expected != actual:
-                point_failed = True
-                if len(report.mismatches) < testbench.max_mismatches:
-                    report.mismatches.append(
-                        Mismatch(index, signal, dict(point.inputs), expected, actual, point.comment)
-                    )
-        cursor += width
-        if point_failed:
-            report.failed_points += 1
+    diverging = list(compress(count(), map(ne, ref_out, dut_out)))
+    report.failed_points = len({flat // width for flat in diverging})
+    points = testbench.points
+    for flat in diverging[: max(0, testbench.max_mismatches)]:
+        point_index = checked[flat // width]
+        point = points[point_index]
+        report.mismatches.append(
+            Mismatch(
+                point_index,
+                observed[flat % width],
+                dict(point.inputs),
+                ref_out[flat],
+                dut_out[flat],
+                point.comment,
+            )
+        )
     return report
 
 
@@ -349,8 +389,8 @@ def _run_testbench_trace(
     if ref_kernel is None:
         return None
 
-    dut_out = dut_kernel.run(stimulus)
-    ref_out = ref_kernel.run(stimulus)
+    ref_out = _reference_outputs(testbench, ref_kernel, lambda: ref_kernel.run(stimulus))
+    dut_out = ref_out if dut_kernel is ref_kernel else dut_kernel.run(stimulus)
     return _compare_outputs(testbench, observed, dut_out, ref_out)
 
 
@@ -360,18 +400,13 @@ def _compare_vec_outputs(
     dut_out,
     ref_out,
 ) -> SimulationReport:
-    """:func:`_compare_outputs` over uint64 sample arrays, fast-pathed.
+    """:func:`_compare_outputs` over uint64 sample arrays.
 
-    Matching arrays (the overwhelmingly common case for a passing candidate,
-    and always the case for shared DUT/reference lanes) skip the per-point
-    Python loop entirely — with no mismatches the loop can only count checked
-    points, which is computed directly.  Divergent arrays take the shared
-    slow path so mismatch ordering and capping stay identical by construction.
+    Matching arrays (a passing candidate, or shared DUT/reference lanes) are
+    decided by one array comparison; divergent ones are compared as lists.
     """
     if dut_out is ref_out or bool((dut_out == ref_out).all()):
-        report = SimulationReport(total_points=len(testbench.points))
-        report.checked_points = sum(1 for point in testbench.points if point.check)
-        return report
+        return _compare_outputs(testbench, observed, ref_out, ref_out)
     return _compare_outputs(testbench, observed, dut_out.tolist(), ref_out.tolist())
 
 
@@ -404,13 +439,17 @@ def _run_testbench_vector(
     ref_kernel = get_vec_kernel(reference, schedule)
     if ref_kernel is None:
         return None
-    if ref_kernel is dut_kernel:
+    ref_out = _reference_outputs(
+        testbench,
+        ref_kernel,
+        lambda: ref_kernel.run(_packed_stimulus(testbench, ref_kernel, stimulus))[0],
+    )
+    if dut_kernel is ref_kernel:
         # Structurally identical DUT and reference (same fingerprint hits the
         # same cached kernel): one set of lanes serves both sides.
-        dut_out = ref_out = dut_kernel.run(_packed_stimulus(testbench, dut_kernel, stimulus))[0]
+        dut_out = ref_out
     else:
         dut_out = dut_kernel.run(_packed_stimulus(testbench, dut_kernel, stimulus))[0]
-        ref_out = ref_kernel.run(_packed_stimulus(testbench, ref_kernel, stimulus))[0]
     return _compare_vec_outputs(testbench, observed, dut_out, ref_out)
 
 
@@ -445,7 +484,8 @@ def run_testbenches(
     Jobs whose modules share a structural fingerprint and testbench shape are
     grouped onto one vector kernel and simulated as a single lockstep batch;
     duplicate (module, stimulus) rows — N samples that produced the same
-    candidate, or the shared golden reference — collapse to one lane.  Reports
+    candidate, or the shared golden reference — collapse to one lane, and a
+    reference already memoized on its testbench needs none.  Reports
     come back in job order and are bit-identical to per-job
     :func:`run_testbench` results.
 
@@ -476,7 +516,9 @@ def run_testbenches(
     # Per-kernel groups: id(kernel) -> (kernel, rows, {stimulus: row index}).
     groups: dict[int, tuple[VecTraceKernel, list[tuple], dict[tuple, int]]] = {}
     kernel_jobs: dict[int, int] = {}
-    staged: list = []  # (job index, testbench, observed, dut handle, ref handle)
+    # (job index, testbench, observed, ref kernel, memoized ref outputs,
+    #  ref lane handle, dut lane handle or None when it shares the reference's)
+    staged: list = []
 
     def enlist(kernel: VecTraceKernel, stimulus: tuple) -> tuple[int, int]:
         key = id(kernel)
@@ -490,6 +532,15 @@ def run_testbenches(
             rows.append(stimulus)
         return key, row
 
+    kernels: dict[tuple[int, str], VecTraceKernel | None] = {}
+
+    def vec_kernel(module: VModule, schedule: TraceSchedule) -> VecTraceKernel | None:
+        # One kernel-cache lookup per (module, testbench shape) in the batch.
+        key = (id(module), schedule.digest)
+        if key not in kernels:
+            kernels[key] = get_vec_kernel(module, schedule)
+        return kernels[key]
+
     eligible: list = []  # (job index, testbench, observed, stimulus, dut_k, ref_k)
     for index, (dut, reference, testbench) in enumerate(jobs):
         plan = None
@@ -498,10 +549,8 @@ def run_testbenches(
             if observed is None:
                 observed = [port.name for port in reference.outputs()]
             schedule, stimulus = _trace_plan(testbench, tuple(observed))
-            dut_kernel = get_vec_kernel(dut, schedule)
-            ref_kernel = (
-                get_vec_kernel(reference, schedule) if dut_kernel is not None else None
-            )
+            dut_kernel = vec_kernel(dut, schedule)
+            ref_kernel = vec_kernel(reference, schedule) if dut_kernel is not None else None
             if dut_kernel is not None and ref_kernel is not None:
                 plan = (index, testbench, observed, stimulus, dut_kernel, ref_kernel)
         if plan is None:
@@ -522,9 +571,12 @@ def run_testbenches(
                 dut, reference, _tb = jobs[index]
                 reports[index] = run_testbench(dut, reference, testbench, "auto")
                 continue
-        staged.append(
-            (index, testbench, observed, enlist(dut_kernel, stimulus), enlist(ref_kernel, stimulus))
-        )
+        # A memoized reference needs no lane; a DUT that shares the
+        # reference's kernel reuses the reference's outputs.
+        ref_out = _reference_outputs(testbench, ref_kernel)
+        ref = enlist(ref_kernel, stimulus) if ref_out is None else None
+        dut = None if dut_kernel is ref_kernel else enlist(dut_kernel, stimulus)
+        staged.append((index, testbench, observed, ref_kernel, ref_out, ref, dut))
 
     results: dict[int, list | None] = {}
     crashed = False
@@ -541,16 +593,25 @@ def run_testbenches(
             _health_failure("vector")
             crashed = True
             results[key] = None
-    for index, testbench, observed, (dut_key, dut_row), (ref_key, ref_row) in staged:
-        dut_result, ref_result = results[dut_key], results[ref_key]
-        if dut_result is None or ref_result is None:
-            dut, reference, _tb = jobs[index]
-            reports[index] = run_testbench(dut, reference, testbench, fallback_backend)
+
+    def lane(handle: tuple[int, int]):
+        key, row = handle
+        result = results[key]
+        return None if result is None else result[row]
+
+    for index, testbench, observed, ref_kernel, ref_out, ref, dut in staged:
+        if ref_out is None:
+            ref_out = lane(ref)
+            if ref_out is not None:
+                # A copy, so the memo does not pin the whole lane matrix.
+                ref_out = _reference_outputs(testbench, ref_kernel, ref_out.copy)
+        dut_out = ref_out if dut is None else lane(dut)
+        if dut_out is None or ref_out is None:
+            dut_module, reference, _tb = jobs[index]
+            reports[index] = run_testbench(dut_module, reference, testbench, fallback_backend)
         else:
-            reports[index] = _compare_vec_outputs(
-                testbench, observed, dut_result[dut_row], ref_result[ref_row]
-            )
-    if groups and not crashed:
+            reports[index] = _compare_vec_outputs(testbench, observed, dut_out, ref_out)
+    if staged and not crashed:
         _health_success("vector")
     return reports
 

@@ -11,6 +11,7 @@ corpus persistence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -30,8 +31,11 @@ from repro.fuzz import (
     shrink,
     shrink_failure,
 )
+from repro.fuzz import differential
 from repro.problems.mutations import SYNTAX_FAULTS_BY_ID
 from repro.toolchain.compiler import ChiselCompiler
+from repro.verilog import compile_sim, compile_vec
+from repro.verilog.compile_vec import HAVE_NUMPY
 from repro.verilog.simulator import Simulation
 
 
@@ -143,6 +147,63 @@ class TestConformance:
         assert not report.ok
         kinds = {failure.kind for failure in report.failures}
         assert "backend" in kinds
+
+
+    @pytest.mark.parametrize(
+        ("factory", "stage"),
+        [
+            ("compile_trace", "trace-values"),
+            pytest.param(
+                "compile_vec_trace",
+                "vector-values",
+                marks=pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable"),
+            ),
+        ],
+    )
+    def test_deterministic_kernel_value_bug_is_caught(self, monkeypatch, factory, stage):
+        """A kernel that is wrong but self-consistent passes module-vs-itself
+        reports; the value-level seam against the interpreter catches it."""
+        owner = compile_sim if factory == "compile_trace" else compile_vec
+        original = getattr(owner, factory)
+
+        def corrupted(*args, **kwargs):
+            kernel = original(*args, **kwargs)
+            run = kernel.run
+
+            def flipped(stimulus):
+                out = run(stimulus)
+                out[-1] ^= 1  # numpy rows and lists alike
+                return out
+
+            return dataclasses.replace(kernel, run=flipped)
+
+        monkeypatch.setattr(owner, factory, corrupted)
+        config = FuzzConfig(seed=1, points=8)
+        report = check_program(generate_program(config, 0), config, check_cold=False)
+        stages = {failure.stage for failure in report.failures}
+        assert stage in stages, report.render()
+        assert not stages & {"trace", "vector", "vector-batched"}, report.render()
+
+    def test_cold_rerun_builds_a_fresh_testbench(self, monkeypatch):
+        """The warm testbench carries per-testbench memos; the cold run must not."""
+        seen = []
+        original = differential._run_backends
+
+        def spy(module, testbench, top, report):
+            seen.append((testbench, dict(testbench.__dict__)))
+            return original(module, testbench, top, report)
+
+        monkeypatch.setattr(differential, "_run_backends", spy)
+        config = FuzzConfig(seed=1, points=8)
+        program = generate_program(config, 0)
+        report = check_program(program, config)
+        assert report.ok, report.render()
+        tops = len(program.tops)
+        assert len(seen) == 2 * tops
+        for (warm, _), (cold, cold_state) in zip(seen[:tops], seen[tops:]):
+            assert cold is not warm and cold == warm
+            assert "_reference_outputs" not in cold_state
+            assert "_trace_plans" not in cold_state
 
 
 @pytest.mark.cache_mutating
