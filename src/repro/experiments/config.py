@@ -24,12 +24,7 @@ class ExperimentConfig:
     bit-identical either way.  ``fleet`` (``REPRO_FLEET=1``) upgrades the
     parallel path to the supervised :mod:`repro.fleet` — warm restartable
     workers with crash detection, lease re-queueing and graceful degradation
-    — still bit-identical.  ``lockstep`` (``REPRO_LOCKSTEP=1``) swaps the
-    serial executor for the in-process
-    :class:`~repro.experiments.executors.LockstepExecutor`, which drives all
-    unit sessions together and coalesces their simulate calls into vectorized
-    batches (bit-identical again; ignored when ``jobs > 1``).  ``store_path``
-    points the engine at a persistent
+    — still bit-identical.  ``store_path`` points the engine at a persistent
     segmented result store (``REPRO_RESULT_STORE``) so repeated and
     overlapping sweeps reuse completed work units and interrupted runs
     resume; ``None`` disables persistence (in-process memoization across
@@ -45,7 +40,6 @@ class ExperimentConfig:
     jobs: int = 1
     store_path: str | None = None
     fleet: bool = False
-    lockstep: bool = False
 
     @classmethod
     def paper_scale(cls) -> "ExperimentConfig":
@@ -65,6 +59,5 @@ class ExperimentConfig:
                 jobs="REPRO_JOBS",
                 store_path="REPRO_RESULT_STORE",
                 fleet="REPRO_FLEET",
-                lockstep="REPRO_LOCKSTEP",
             ),
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.executors import LockstepExecutor, ParallelExecutor, SerialExecutor
+from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.store import ResultStore
 from repro.experiments.work import WorkerContext, WorkUnit
 from repro.obs import EventBus, get_bus, span
@@ -174,8 +174,6 @@ class SweepEngine:
             if self._parallel is None:
                 self._parallel = ParallelExecutor(jobs)
             return self._parallel
-        if getattr(self.config, "lockstep", False) and pending_count > 1:
-            return LockstepExecutor(self.context)
         return SerialExecutor(self.context)
 
     def close(self) -> None:

@@ -25,10 +25,8 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Iterable, Iterator
 
-from repro.core.session import LLMCall, ToolCall
-from repro.experiments.strategies import execute_unit, strategy_from_unit
+from repro.experiments.strategies import execute_unit
 from repro.experiments.work import WorkerContext, WorkUnit
-from repro.toolchain.simulator import SimulateRequest
 
 
 class SerialExecutor:
@@ -42,73 +40,6 @@ class SerialExecutor:
     def run_stream(self, units: Iterable[WorkUnit]) -> Iterator[tuple[int, dict]]:
         for index, unit in enumerate(units):
             yield index, execute_unit(self.context, unit)
-
-
-class LockstepExecutor:
-    """Drive all unit sessions concurrently, coalescing simulate tool calls.
-
-    Every unit's step-wise session advances in-process until it parks on a
-    :class:`ToolCall` carrying a :class:`SimulateRequest` ``batch`` payload
-    (or finishes).  Parked requests are then executed together through
-    :meth:`Simulator.simulate_many`, which groups structurally-identical
-    candidates onto shared vector kernels (see
-    ``repro.sim.testbench.run_testbenches``), and the sessions resume with
-    their individual outcomes.  LLM calls and other tool calls run inline, so
-    results are bit-identical to :class:`SerialExecutor`; a tier-1 test
-    asserts it.  Enable with ``config.lockstep`` / ``REPRO_LOCKSTEP=1``.
-    """
-
-    jobs = 1
-
-    def __init__(self, context: WorkerContext | None = None):
-        self.context = context or WorkerContext()
-
-    def run_stream(self, units: Iterable[WorkUnit]) -> Iterator[tuple[int, dict]]:
-        live: list[list] = []  # [index, session, client, send_value]
-        for index, unit in enumerate(units):
-            client = self.context.client_for(unit)
-            session = strategy_from_unit(unit).session(self.context, unit, client)
-            live.append([index, session, client, None])
-
-        _START = object()
-        for entry in live:
-            entry[3] = _START
-
-        while live:
-            parked: list[tuple[list, SimulateRequest]] = []
-            finished: list[tuple[int, dict]] = []
-            for entry in live:
-                index, session, client, value = entry
-                try:
-                    step = next(session) if value is _START else session.send(value)
-                    while True:
-                        if isinstance(step, LLMCall):
-                            step = session.send(client.complete(step.messages))
-                        elif isinstance(step, ToolCall) and isinstance(step.batch, SimulateRequest):
-                            parked.append((entry, step.batch))
-                            break
-                        else:
-                            step = session.send(step.run())
-                except StopIteration as stop:
-                    finished.append((index, stop.value))
-
-            parked_ids = {id(e) for e, _ in parked}
-            live = [e for e in live if id(e) in parked_ids]
-            yield from finished
-
-            if parked:
-                # Group by simulator so each facade's top-module selection and
-                # parse memo apply, then fan the batch into vector lanes.
-                by_sim: dict[int, list[tuple[list, SimulateRequest]]] = {}
-                for entry, request in parked:
-                    by_sim.setdefault(id(request.simulator), []).append((entry, request))
-                for group in by_sim.values():
-                    simulator = group[0][1].simulator
-                    outcomes = simulator.simulate_many(
-                        [(r.dut_verilog, r.reference, r.testbench) for _, r in group]
-                    )
-                    for (entry, _request), outcome in zip(group, outcomes):
-                        entry[3] = outcome
 
 
 # Per-process context for pool workers; built lazily so both the initializer

@@ -121,7 +121,6 @@ _ROWS = (
     Setting("REPRO_JOBS", int, 1, low=1),
     Setting("REPRO_RESULT_STORE", PATH),
     Setting("REPRO_FLEET", bool, False),
-    Setting("REPRO_LOCKSTEP", bool, False),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
     Setting("REPRO_SIM_BACKEND", ("auto", "compiled", "interpreter"), "auto"),
     Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise", "vector"), "auto"),

@@ -12,39 +12,39 @@ Three backends produce bit-identical :class:`SimulationReport`s:
   (:func:`repro.verilog.compile_vec.get_vec_kernel`) goes one step further:
   NumPy structure-of-arrays kernels with one ``uint64`` lane per execution,
   evaluating every stimulus point of a combinational testbench — and, through
-  :func:`run_testbenches`, every structurally identical candidate of a batch
-  in lockstep — in one kernel call.  Ineligible pairings (>64-bit contexts,
-  missing NumPy) silently fall back to trace/step-wise;
+  :func:`run_testbenches`, every structurally identical candidate of a batch —
+  in one kernel call.  Ineligible pairings (>64-bit contexts, missing NumPy)
+  fall back to trace/step-wise;
 * the **step-wise** backend drives both devices point by point through the
   :class:`DeviceUnderTest` interface.  It is the semantic oracle, the only
   path for behavioural references and interpreter-fallback modules, and the
   path that reproduces runtime :class:`SimulationError` reports exactly.
 
-Backend selection: ``run_testbench(..., backend=...)`` accepts ``"auto"``
-(trace when both devices are eligible — the default), ``"trace"`` /
-``"vector"`` (prefer that path, silently falling back when the pairing is
-ineligible) and ``"stepwise"``; the environment variable ``REPRO_TB_BACKEND``
-overrides the default for ``"auto"`` callers.  Forcing the backend through the
-*environment* is stricter than the argument: ``REPRO_TB_BACKEND=trace`` (or
-``=vector``) raises :class:`~repro.verilog.simulator.SimulationError` when the
-pairing cannot use the forced backend (behavioural reference,
-interpreter-only module, oversized schedule, >64-bit signals for vector)
-instead of silently falling back — a global forcing knob that degrades
-quietly would invalidate whatever measurement or verification the caller
-forced it for.  ``REPRO_SIM_BACKEND=interpreter`` also disables the trace and
-vector paths under ``"auto"``, since both execute compiled kernels.
+**Backend rules.**  One plan (:func:`_backend_plan`) decides every run: the
+tiers to try in order, vector → trace → step-wise or a suffix of it.
 
-**Health-based degradation**: kernel-path crashes (exceptions escaping a
-compiled vector/trace kernel — never ordinary mismatch reports or
-:class:`SimulationError`) feed per-backend circuit breakers.  Under
-``"auto"``, a backend whose breaker trips (``REPRO_SIM_HEALTH_THRESHOLD``
-consecutive crashes, default 3) is skipped until its cooldown expires —
-vector degrades to trace, trace to step-wise — so a single poisoned kernel
-path cannot fail a whole campaign.  Env-forced backends stay strict: with
-``REPRO_TB_BACKEND=vector``/``=trace`` a kernel crash propagates instead of
-degrading, because a forced backend that silently degrades would invalidate
-whatever the caller forced it for.  ``backend_health()`` snapshots the
-breakers; ``reset_backend_health()`` re-arms them (tests).
+* ``backend=`` names the first tier (``"vector"``, ``"trace"``,
+  ``"stepwise"``); ``"auto"``, the default, starts at trace.  ``None`` reads
+  ``REPRO_TB_BACKEND``.  Any other name raises :class:`SimulationError`.
+* A tier named by the *argument* falls back silently when the pairing is
+  ineligible (behavioural reference, interpreter-only module, port mismatch,
+  oversized schedule, >64-bit signals for vector).  A tier forced through
+  the *environment* (``REPRO_TB_BACKEND=trace`` or ``=vector``) is strict: it
+  answers or raises, and its kernel crashes propagate, because a forcing
+  knob that degrades quietly would invalidate what the caller forced it for.
+* ``REPRO_SIM_BACKEND=interpreter`` makes ``"auto"`` step-wise only, since
+  the trace and vector tiers run compiled kernels.  ``run_testbench``'s
+  ``backend="vector"`` still falls back to trace, but the jobs
+  :func:`run_testbenches` sends back from ``"vector"`` lanes follow ``"auto"``.
+* **Breaker degradation**: kernel-path crashes (exceptions escaping a
+  compiled kernel — never mismatch reports or :class:`SimulationError`) feed
+  per-tier circuit breakers.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
+  consecutive crashes, default 3) skips its tier until the cooldown
+  expires, so one poisoned kernel path cannot fail a whole campaign.  A
+  half-open breaker admits one probe: a tier that answers closes it, one
+  that answers nothing hands the probe back.  Strict tiers bypass their
+  breaker.  ``backend_health()`` snapshots the breakers;
+  ``reset_backend_health()`` re-arms them (tests).
 
 :func:`run_testbenches` is the batched entry point: jobs whose modules share a
 structural fingerprint and testbench shape coalesce into one vector-kernel
@@ -60,10 +60,11 @@ by one comparison pass (:func:`_compare_outputs`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, get_trace_kernel
@@ -72,6 +73,7 @@ from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
 
 _TB_BACKENDS = ("auto", "trace", "stepwise", "vector")
+_TIERS = ("vector", "trace", "stepwise")
 _HEALTH_COOLDOWN = 5.0
 
 #: Per-backend health breakers (lazily built; ``None`` entries = disabled).
@@ -93,21 +95,33 @@ def _health_breakers() -> dict[str, CircuitBreaker | None]:
     return _health
 
 
-def _health_allows(backend: str) -> bool:
-    breaker = _health_breakers().get(backend)
-    return breaker is None or breaker.allow()
+def _admit(tier: str, forced: bool) -> bool:
+    """Whether kernel tier ``tier`` may run now: a forced tier always may;
+    otherwise its breaker decides (claiming the probe slot when half-open)."""
+    breaker = _health_breakers()[tier]
+    return forced or breaker is None or breaker.allow()
 
 
-def _health_failure(backend: str) -> None:
-    breaker = _health_breakers().get(backend)
+def _settle(tier: str, forced: bool, answered: bool, crash: Exception | None = None) -> None:
+    """Report an admitted attempt at ``tier`` to its breaker.
+
+    A ``crash`` re-raises when the tier is forced or the crash is a
+    :class:`SimulationError` (a semantic error, not health evidence); any
+    other crash counts as a failure.  An answer counts as a success.  An
+    attempt that answered nothing hands its probe slot back, so a half-open
+    breaker never waits on a probe that ran no kernel.
+    """
+    breaker = _health_breakers()[tier]
+    propagate = crash is not None and (forced or isinstance(crash, SimulationError))
     if breaker is not None:
-        breaker.record_failure()
-
-
-def _health_success(backend: str) -> None:
-    breaker = _health_breakers().get(backend)
-    if breaker is not None:
-        breaker.record_success()
+        if crash is not None and not propagate:
+            breaker.record_failure()
+        elif answered:
+            breaker.record_success()
+        elif not forced:
+            breaker.release()
+    if propagate:
+        raise crash
 
 
 def backend_health() -> dict:
@@ -308,6 +322,14 @@ def _trace_plan(testbench: Testbench, observed: tuple[str, ...]):
     return plan
 
 
+def _trace_plan_for(testbench: Testbench, reference: VModule):
+    """``(observed, schedule, stimulus)``: observed defaults to the reference's outputs."""
+    observed = testbench.observed_outputs
+    if observed is None:
+        observed = [port.name for port in reference.outputs()]
+    return (observed, *_trace_plan(testbench, tuple(observed)))
+
+
 def _checked_points(testbench: Testbench) -> tuple[int, ...]:
     """Indices of the checked points, memoized on the testbench."""
     checked = testbench.__dict__.get("_checked_points")
@@ -378,10 +400,7 @@ def _run_testbench_trace(
     dut: VModule, reference: VModule, testbench: Testbench
 ) -> SimulationReport | None:
     """Trace-compiled run; ``None`` when the pairing needs the step-wise path."""
-    observed = testbench.observed_outputs
-    if observed is None:
-        observed = [port.name for port in reference.outputs()]
-    schedule, stimulus = _trace_plan(testbench, tuple(observed))
+    observed, schedule, stimulus = _trace_plan_for(testbench, reference)
     dut_kernel = get_trace_kernel(dut, schedule)
     if dut_kernel is None:
         return None
@@ -429,10 +448,7 @@ def _run_testbench_vector(
     dut: VModule, reference: VModule, testbench: Testbench
 ) -> SimulationReport | None:
     """Vector-kernel run; ``None`` when the pairing needs a scalar backend."""
-    observed = testbench.observed_outputs
-    if observed is None:
-        observed = [port.name for port in reference.outputs()]
-    schedule, stimulus = _trace_plan(testbench, tuple(observed))
+    observed, schedule, stimulus = _trace_plan_for(testbench, reference)
     dut_kernel = get_vec_kernel(dut, schedule)
     if dut_kernel is None:
         return None
@@ -444,9 +460,7 @@ def _run_testbench_vector(
         ref_kernel,
         lambda: ref_kernel.run(_packed_stimulus(testbench, ref_kernel, stimulus))[0],
     )
-    if dut_kernel is ref_kernel:
-        # Structurally identical DUT and reference (same fingerprint hits the
-        # same cached kernel): one set of lanes serves both sides.
+    if dut_kernel is ref_kernel:  # a structurally identical DUT reuses the lanes
         dut_out = ref_out
     else:
         dut_out = dut_kernel.run(_packed_stimulus(testbench, dut_kernel, stimulus))[0]
@@ -464,15 +478,82 @@ def _run_vec_group(kernel: VecTraceKernel, rows: list[tuple]) -> list:
     return outputs
 
 
-def _resolve_backend(backend: str | None) -> tuple[str, str]:
-    """``(REPRO_TB_BACKEND, backend to run)``: the argument wins over the env."""
-    env_backend = read_setting("REPRO_TB_BACKEND")
-    resolved = backend if backend is not None else env_backend
-    if resolved not in _TB_BACKENDS:
+class _BackendPlan(NamedTuple):
+    """Which backend tiers a testbench run tries (see the module docstring)."""
+
+    tiers: tuple[str, ...]  # tried in order by run_testbench; a suffix of _TIERS
+    strict: bool  # tiers[0] was forced through REPRO_TB_BACKEND: it answers or raises
+    lanes: str | None  # run_testbenches' vector lanes: "every" job, "shared" kernels, none
+    fallback: tuple[str, ...]  # tiers for the jobs run_testbenches does not answer on lanes
+
+
+def _backend_plan(backend: str | None) -> _BackendPlan:
+    """Resolve ``backend`` (``None``: ``REPRO_TB_BACKEND``) into a plan."""
+    env = read_setting("REPRO_TB_BACKEND")
+    name = env if backend is None else backend
+    if name not in _TB_BACKENDS:
         raise SimulationError(
-            f"unknown testbench backend {resolved!r}; expected one of {_TB_BACKENDS}"
+            f"unknown testbench backend {name!r}; expected one of {_TB_BACKENDS}"
         )
-    return env_backend, resolved
+    strict = backend is None and name in ("trace", "vector")
+    if name == "auto" or (name == "vector" and not strict):
+        interpreter = read_setting("REPRO_SIM_BACKEND") == "interpreter"
+        auto = _TIERS[2:] if interpreter else _TIERS[1:]
+        if name == "auto":
+            return _BackendPlan(auto, False, None if interpreter else "shared", auto)
+        return _BackendPlan(_TIERS, False, "every", auto)
+    tiers = _TIERS[_TIERS.index(name) :]
+    return _BackendPlan(tiers, strict, "every" if name == "vector" else None, tiers)
+
+
+#: Why a forced kernel tier refuses a pairing, and the fallback it skips.
+_INELIGIBLE = {
+    "vector": ("NumPy unavailable, >64-bit signals, interpreter-only module", "scalar fallbacks"),
+    "trace": ("interpreter-only module", "step-wise fallback"),
+}
+
+
+def _forced_ineligible(tier: str, dut, reference) -> SimulationError:
+    """The error a strict tier raises for a pairing it cannot run."""
+    prefix = f"REPRO_TB_BACKEND={tier} was forced, but the "
+    if isinstance(dut, VModule) and isinstance(reference, VModule):
+        causes, fallback = _INELIGIBLE[tier]
+        return SimulationError(
+            f"{prefix}pairing of modules {dut.name!r} and {reference.name!r} is not "
+            f"{tier}-eligible ({causes}, port mismatch, or oversized schedule); unset "
+            f"the variable or use backend='auto' to allow the {fallback}"
+        )
+    devices = ", ".join(type(device).__name__ for device in (dut, reference))
+    return SimulationError(
+        f"{prefix}{tier} backend requires parsed Verilog modules on both sides "
+        f"(got {devices}); behavioural references always run step-wise"
+    )
+
+
+def _run_tiers(
+    dut: DeviceUnderTest | VModule,
+    reference: DeviceUnderTest | VModule,
+    testbench: Testbench,
+    tiers: tuple[str, ...],
+    strict: bool,
+) -> SimulationReport:
+    """Try ``tiers`` in order until one answers; every plan ends step-wise."""
+    modules = isinstance(dut, VModule) and isinstance(reference, VModule)
+    for tier in tiers[:-1]:
+        forced = strict and tier == tiers[0]
+        if modules and _admit(tier, forced):
+            run = _run_testbench_vector if tier == "vector" else _run_testbench_trace
+            try:
+                report = run(dut, reference, testbench)
+            except Exception as crash:
+                _settle(tier, forced, False, crash)
+                continue
+            _settle(tier, forced, report is not None)
+            if report is not None:
+                return report
+        if forced:
+            raise _forced_ineligible(tier, dut, reference)
+    return _run_testbench_stepwise(dut, reference, testbench)
 
 
 def run_testbenches(
@@ -482,55 +563,42 @@ def run_testbenches(
     """Run many ``(dut, reference, testbench)`` jobs, coalescing same-shape work.
 
     Jobs whose modules share a structural fingerprint and testbench shape are
-    grouped onto one vector kernel and simulated as a single lockstep batch;
+    grouped onto one vector kernel and simulated as a single batch;
     duplicate (module, stimulus) rows — N samples that produced the same
     candidate, or the shared golden reference — collapse to one lane, and a
     reference already memoized on its testbench needs none.  Reports
     come back in job order and are bit-identical to per-job
     :func:`run_testbench` results.
 
-    Under ``backend=None``/``"auto"``, a lone sequential job (nothing to
-    batch with) keeps the scalar trace path, which is faster at one lane;
-    ``backend="vector"`` or ``REPRO_TB_BACKEND=vector`` forces vector
-    execution, the latter strictly (ineligible jobs raise).  Ineligible or
-    non-batchable jobs fall back to :func:`run_testbench` individually.
-    ``REPRO_SIM_MAX_LANES`` caps the lanes evaluated per kernel call; larger
-    batches are split into ragged chunks transparently.
+    The backend plan decides which jobs go to vector lanes: under ``"auto"``
+    only jobs whose kernels are point-lane or shared with another job (a lone
+    sequential job is faster on the scalar trace), under ``"vector"`` every
+    eligible job.  The rest, and jobs whose kernel group crashed, run the
+    plan's fallback tiers one by one.  ``REPRO_SIM_MAX_LANES`` caps the
+    lanes per kernel call; larger batches are split into ragged chunks.
     """
     jobs = list(jobs)
-    env_backend, resolved = _resolve_backend(backend)
-    use_vector = resolved in ("auto", "vector")
-    if resolved == "auto" and read_setting("REPRO_SIM_BACKEND") == "interpreter":
-        use_vector = False
-    strict_vector = backend is None and env_backend == "vector"
-    if use_vector and not strict_vector and not _health_allows("vector"):
-        use_vector = False  # tripped health breaker: degrade the whole batch
-    if backend is None:
-        fallback_backend = None  # env semantics (incl. strictness) apply per job
-    elif resolved == "vector":
-        fallback_backend = "auto"
-    else:
-        fallback_backend = backend
+    plan = _backend_plan(backend)
+    batching = plan.lanes is not None and _admit("vector", plan.strict)
+
+    def fall_back(index: int) -> SimulationReport:
+        dut, reference, testbench = jobs[index]
+        return _run_tiers(dut, reference, testbench, plan.fallback, plan.strict)
 
     reports: list[SimulationReport | None] = [None] * len(jobs)
     # Per-kernel groups: id(kernel) -> (kernel, rows, {stimulus: row index}).
     groups: dict[int, tuple[VecTraceKernel, list[tuple], dict[tuple, int]]] = {}
-    kernel_jobs: dict[int, int] = {}
+    kernel_jobs: Counter[int] = Counter()
     # (job index, testbench, observed, ref kernel, memoized ref outputs,
     #  ref lane handle, dut lane handle or None when it shares the reference's)
     staged: list = []
 
     def enlist(kernel: VecTraceKernel, stimulus: tuple) -> tuple[int, int]:
-        key = id(kernel)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (kernel, [], {})
-        _kernel, rows, row_index = group
-        row = row_index.get(stimulus)
-        if row is None:
-            row = row_index[stimulus] = len(rows)
+        _kernel, rows, row_index = groups.setdefault(id(kernel), (kernel, [], {}))
+        row = row_index.setdefault(stimulus, len(rows))
+        if row == len(rows):
             rows.append(stimulus)
-        return key, row
+        return id(kernel), row
 
     kernels: dict[tuple[int, str], VecTraceKernel | None] = {}
 
@@ -543,34 +611,28 @@ def run_testbenches(
 
     eligible: list = []  # (job index, testbench, observed, stimulus, dut_k, ref_k)
     for index, (dut, reference, testbench) in enumerate(jobs):
-        plan = None
-        if use_vector and isinstance(dut, VModule) and isinstance(reference, VModule):
-            observed = testbench.observed_outputs
-            if observed is None:
-                observed = [port.name for port in reference.outputs()]
-            schedule, stimulus = _trace_plan(testbench, tuple(observed))
+        job = None
+        if batching and isinstance(dut, VModule) and isinstance(reference, VModule):
+            observed, schedule, stimulus = _trace_plan_for(testbench, reference)
             dut_kernel = vec_kernel(dut, schedule)
             ref_kernel = vec_kernel(reference, schedule) if dut_kernel is not None else None
             if dut_kernel is not None and ref_kernel is not None:
-                plan = (index, testbench, observed, stimulus, dut_kernel, ref_kernel)
-        if plan is None:
-            reports[index] = run_testbench(dut, reference, testbench, fallback_backend)
+                job = (index, testbench, observed, stimulus, dut_kernel, ref_kernel)
+        if job is None:
+            reports[index] = fall_back(index)
         else:
-            eligible.append(plan)
-            kernel_jobs[id(plan[4])] = kernel_jobs.get(id(plan[4]), 0) + 1
-            kernel_jobs[id(plan[5])] = kernel_jobs.get(id(plan[5]), 0) + 1
+            eligible.append(job)
+            kernel_jobs.update((id(dut_kernel), id(ref_kernel)))
+
+    def worthwhile(kernel: VecTraceKernel) -> bool:
+        # A lone lockstep-mode job has nothing to batch with; the scalar trace
+        # is faster at one lane.  Point-lane kernels win even solo.
+        return kernel.mode == "points" or kernel_jobs[id(kernel)] > 1
 
     for index, testbench, observed, stimulus, dut_kernel, ref_kernel in eligible:
-        if resolved == "auto":
-            # A lone lockstep job has nothing to batch with; the scalar trace
-            # is faster at one lane.  Point-lane kernels win even solo.
-            def worthwhile(kernel: VecTraceKernel) -> bool:
-                return kernel.mode == "points" or kernel_jobs[id(kernel)] > 1
-
-            if not (worthwhile(dut_kernel) and worthwhile(ref_kernel)):
-                dut, reference, _tb = jobs[index]
-                reports[index] = run_testbench(dut, reference, testbench, "auto")
-                continue
+        if plan.lanes == "shared" and not (worthwhile(dut_kernel) and worthwhile(ref_kernel)):
+            reports[index] = fall_back(index)
+            continue
         # A memoized reference needs no lane; a DUT that shares the
         # reference's kernel reuses the reference's outputs.
         ref_out = _reference_outputs(testbench, ref_kernel)
@@ -583,16 +645,13 @@ def run_testbenches(
     for key, (kernel, rows, _) in groups.items():
         try:
             results[key] = _run_vec_group(kernel, rows)
-        except SimulationError:
-            raise
-        except Exception:
-            # A crashed kernel group fails its lanes over to the per-job
-            # scalar path; strict env forcing propagates the crash instead.
-            if strict_vector:
-                raise
-            _health_failure("vector")
+        except Exception as crash:
+            # A crashed kernel group sends its lanes' jobs to the fallback.
+            _settle("vector", plan.strict, False, crash)
             crashed = True
             results[key] = None
+    if batching and not crashed:
+        _settle("vector", plan.strict, bool(staged))
 
     def lane(handle: tuple[int, int]):
         key, row = handle
@@ -607,12 +666,9 @@ def run_testbenches(
                 ref_out = _reference_outputs(testbench, ref_kernel, ref_out.copy)
         dut_out = ref_out if dut is None else lane(dut)
         if dut_out is None or ref_out is None:
-            dut_module, reference, _tb = jobs[index]
-            reports[index] = run_testbench(dut_module, reference, testbench, fallback_backend)
+            reports[index] = fall_back(index)
         else:
             reports[index] = _compare_vec_outputs(testbench, observed, dut_out, ref_out)
-    if staged and not crashed:
-        _health_success("vector")
     return reports
 
 
@@ -622,85 +678,20 @@ def run_testbench(
     testbench: Testbench,
     backend: str | None = None,
 ) -> SimulationReport:
-    """Run ``testbench`` on both devices and compare outputs point by point."""
-    env_backend, resolved = _resolve_backend(backend)
-    # Env-forced trace/vector is strict: a silent fallback would quietly
-    # invalidate the forcing, so ineligible pairings fail loudly instead.
-    strict_trace = backend is None and env_backend == "trace"
-    strict_vector = backend is None and env_backend == "vector"
-    if resolved == "auto" and read_setting("REPRO_SIM_BACKEND") == "interpreter":
-        resolved = "stepwise"  # honour the forced-interpreter knob
-    if resolved == "vector":
-        if isinstance(dut, VModule) and isinstance(reference, VModule):
-            report = None
-            if strict_vector or _health_allows("vector"):
-                try:
-                    report = _run_testbench_vector(dut, reference, testbench)
-                except SimulationError:
-                    raise
-                except Exception:
-                    # Kernel-path crash: strict env forcing propagates it;
-                    # otherwise it feeds the vector health breaker and the
-                    # job degrades to the trace tier.
-                    if strict_vector:
-                        raise
-                    _health_failure("vector")
-            if report is not None:
-                _health_success("vector")
-                return report
-            if strict_vector:
-                raise SimulationError(
-                    "REPRO_TB_BACKEND=vector was forced, but the pairing of "
-                    f"modules {dut.name!r} and {reference.name!r} is not "
-                    "vector-eligible (NumPy unavailable, >64-bit signals, "
-                    "interpreter-only module, port mismatch, or oversized "
-                    "schedule); unset the variable or use backend='auto' to "
-                    "allow the scalar fallbacks"
-                )
-        elif strict_vector:
-            devices = ", ".join(type(device).__name__ for device in (dut, reference))
-            raise SimulationError(
-                "REPRO_TB_BACKEND=vector was forced, but the vector backend "
-                f"requires parsed Verilog modules on both sides (got {devices}); "
-                "behavioural references always run step-wise"
-            )
-        resolved = "auto"  # argument semantics: fall back to trace, then step-wise
-    if (
-        resolved in ("auto", "trace")
-        and isinstance(dut, VModule)
-        and isinstance(reference, VModule)
-    ):
-        report = None
-        if strict_trace or _health_allows("trace"):
-            try:
-                report = _run_testbench_trace(dut, reference, testbench)
-            except SimulationError:
-                raise
-            except Exception:
-                # Kernel-path crash: strict forcing propagates, auto feeds
-                # the trace health breaker and degrades to step-wise.
-                if strict_trace:
-                    raise
-                _health_failure("trace")
-        if report is not None:
-            _health_success("trace")
-            return report
-        if strict_trace:
-            raise SimulationError(
-                "REPRO_TB_BACKEND=trace was forced, but the pairing of modules "
-                f"{dut.name!r} and {reference.name!r} is not trace-eligible "
-                "(interpreter-only module, port mismatch, or oversized schedule); "
-                "unset the variable or use backend='auto' to allow the step-wise "
-                "fallback"
-            )
-    elif strict_trace:
-        devices = ", ".join(type(device).__name__ for device in (dut, reference))
-        raise SimulationError(
-            "REPRO_TB_BACKEND=trace was forced, but the trace backend requires "
-            f"parsed Verilog modules on both sides (got {devices}); behavioural "
-            "references always run step-wise"
-        )
+    """Run ``testbench`` on both devices and compare outputs point by point.
 
+    ``backend`` picks the tiers to try; see the module docstring.
+    """
+    plan = _backend_plan(backend)
+    return _run_tiers(dut, reference, testbench, plan.tiers, plan.strict)
+
+
+def _run_testbench_stepwise(
+    dut: DeviceUnderTest | VModule,
+    reference: DeviceUnderTest | VModule,
+    testbench: Testbench,
+) -> SimulationReport:
+    """The step-wise oracle: drive both devices point by point."""
     if isinstance(dut, VModule):
         dut = VerilogDevice(dut)
     if isinstance(reference, VModule):

@@ -17,6 +17,7 @@ from repro.sim.testbench import (
     backend_health,
     reset_backend_health,
     run_testbench,
+    run_testbenches,
 )
 from repro.verilog.parser import parse_verilog
 
@@ -145,3 +146,91 @@ class TestHealthKnobs:
         reset_backend_health()
         with pytest.raises(SimulationError, match=f"REPRO_SIM_HEALTH_THRESHOLD.*'{raw}'"):
             backend_health()
+
+
+PORTLESS = parse_verilog(
+    """
+module top(input wire [3:0] d, output wire [3:0] r);
+  assign r = d;
+endmodule
+"""
+)[0]
+
+REGISTER = """
+module top(input wire clock, input wire reset, input wire [7:0] d, output reg [7:0] q);
+  always @(posedge clock) begin
+    if (reset) q <= 8'd0;
+    else q <= d{suffix};
+  end
+endmodule
+"""
+SEQ_REF = parse_verilog(REGISTER.format(suffix=""))[0]
+SEQ_DUT = parse_verilog(REGISTER.format(suffix=" + 8'd1"))[0]
+
+
+def _seq_bench() -> Testbench:
+    return Testbench(
+        points=[FunctionalPoint(inputs={"d": value}, clock_cycles=1) for value in range(4)],
+        observed_outputs=["q"],
+    )
+
+
+class TestHalfOpenProbeIsHandedBack:
+    """A tier that runs no kernel must not keep the half-open probe slot.
+
+    With a one-crash threshold and no cooldown, one crash leaves the breaker
+    half-open at once.  A job that then takes the probe but runs no kernel
+    used to hold the slot for good, locking the tier off for the process.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _instant_half_open(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "1")
+        monkeypatch.setattr(tb, "_HEALTH_COOLDOWN", 0.0)
+        reset_backend_health()
+
+    def test_ineligible_trace_pairing_keeps_the_trace_tier_alive(self, monkeypatch):
+        real = tb._run_testbench_trace
+        calls = []
+
+        def crash_once(dut, reference, testbench):
+            calls.append(dut.name)
+            if len(calls) == 1:
+                raise RuntimeError("chaos: trace kernel crash")
+            return real(dut, reference, testbench)
+
+        monkeypatch.setattr(tb, "_run_testbench_trace", crash_once)
+        assert run_testbench(MODULE, MODULE, BENCH).passed  # crash, answered step-wise
+        assert backend_health()["trace"]["opens"] == 1
+        # A DUT missing the observed port: the trace tier returns None.
+        assert run_testbench(PORTLESS, MODULE, BENCH).runtime_error is not None
+        for _ in range(3):
+            assert run_testbench(MODULE, MODULE, BENCH).passed
+        assert len(calls) == 5  # every later eligible job reached the trace tier
+        assert backend_health()["trace"]["state"] == "closed"
+
+    def test_lone_sequential_job_keeps_the_vector_lanes_alive(self, monkeypatch):
+        real = tb._run_vec_group
+        groups = []
+
+        def crash_once(kernel, rows):
+            groups.append(kernel)
+            if len(groups) == 1:
+                raise RuntimeError("chaos: vector kernel crash")
+            return real(kernel, rows)
+
+        monkeypatch.setattr(tb, "_run_vec_group", crash_once)
+        crashed = run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())] * 2)
+        assert [report.failed_points for report in crashed] == [4, 4]  # answered by trace
+        assert backend_health()["vector"]["opens"] == 1
+        # Nothing to batch with: the lone job runs on the trace tier.
+        ran_before = len(groups)
+        assert not run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())])[0].passed
+        assert len(groups) == ran_before
+        ran = []
+        for _ in range(3):
+            before = len(groups)
+            run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())] * 2)
+            ran.append(len(groups) - before)
+        assert all(ran), ran  # every batchable batch ran vector lanes
+        assert backend_health()["vector"]["state"] == "closed"

@@ -80,7 +80,7 @@ def consume(name: str, tmp_path: Path):
     for prefix, reader in CONFIG_READERS.items():
         if name.startswith(prefix):
             return reader()
-    if name in ("REPRO_FULL_EVAL", "REPRO_JOBS", "REPRO_RESULT_STORE", "REPRO_FLEET", "REPRO_LOCKSTEP"):
+    if name in ("REPRO_FULL_EVAL", "REPRO_JOBS", "REPRO_RESULT_STORE", "REPRO_FLEET"):
         return ExperimentConfig.from_environment()
     if name.startswith("REPRO_BREAKER_"):
         breaker = CircuitBreaker.from_environment()

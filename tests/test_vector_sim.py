@@ -399,66 +399,6 @@ class TestVectorCaches:
         assert "sim_vec" in snapshot.caches and "sim_vec_kernel" in snapshot.caches
 
 
-class TestLockstepExecutor:
-    def test_lockstep_executor_matches_serial(self):
-        from repro.experiments.executors import LockstepExecutor, SerialExecutor
-        from repro.experiments.work import (
-            STRATEGY_RECHISEL,
-            STRATEGY_ZERO_SHOT,
-            WorkerContext,
-            WorkUnit,
-        )
-
-        knobs = (
-            ("enable_escape", True),
-            ("feedback_detail", "full"),
-            ("use_knowledge", True),
-        )
-        units = []
-        for sample in range(3):
-            for problem_id in ("alu_w4", "counter_w4"):
-                units.append(
-                    WorkUnit(STRATEGY_RECHISEL, "GPT-4o mini", problem_id, 0, sample, 0, 6, knobs)
-                )
-                units.append(
-                    WorkUnit(
-                        STRATEGY_ZERO_SHOT,
-                        "GPT-4o mini",
-                        problem_id,
-                        0,
-                        sample,
-                        0,
-                        1,
-                        (("language", "chisel"),),
-                    )
-                )
-
-        def collect(executor):
-            ordered = [None] * len(units)
-            for index, payload in executor.run_stream(units):
-                ordered[index] = payload
-            return ordered
-
-        serial = collect(SerialExecutor(WorkerContext()))
-        lockstep = collect(LockstepExecutor(WorkerContext()))
-        assert serial == lockstep
-
-    def test_engine_selects_lockstep_executor(self):
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.engine import SweepEngine
-        from repro.experiments.executors import LockstepExecutor, SerialExecutor
-
-        engine = SweepEngine(ExperimentConfig(jobs=1, lockstep=True))
-        assert isinstance(engine._select_executor(pending_count=10), LockstepExecutor)
-        assert isinstance(engine._select_executor(pending_count=1), SerialExecutor)
-
-    def test_lockstep_env_opt_in(self, monkeypatch):
-        from repro.experiments.config import ExperimentConfig
-
-        monkeypatch.setenv("REPRO_LOCKSTEP", "1")
-        assert ExperimentConfig.from_environment().lockstep
-
-
 class TestServiceSimBatching:
     def test_service_batches_simulations_bit_identically(self):
         from repro.experiments.executors import SerialExecutor
