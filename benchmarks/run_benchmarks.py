@@ -13,9 +13,8 @@ backends, with asserted minimum speedups), the
 vectorized simulation backend (deep-verify speedup over the scalar trace
 kernels and the 16-candidate lockstep multiple), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
-executors, cold vs warm result store), the supervised generation fleet
-(warm-fleet throughput vs the serial baseline, O(1) result-store lookups),
-the generation-service throughput
+executors, cold vs warm result store, O(1) result-store lookups), the
+generation-service throughput
 (serial latency baseline vs concurrency-32 service vs warm result cache),
 the differential-fuzzing engine (generated programs conformance-checked per
 second) and the campaign orchestrator (cold end-to-end campaign, warm
@@ -100,7 +99,6 @@ def main(argv: list[str]) -> int:
             os.path.join(root, "benchmarks", "test_verify_throughput.py"),
             os.path.join(root, "benchmarks", "test_vector_throughput.py"),
             os.path.join(root, "benchmarks", "test_sweep_throughput.py"),
-            os.path.join(root, "benchmarks", "test_fleet_throughput.py"),
             os.path.join(root, "benchmarks", "test_service_throughput.py"),
             os.path.join(root, "benchmarks", "test_fuzz_throughput.py"),
             os.path.join(root, "benchmarks", "test_campaign_throughput.py"),

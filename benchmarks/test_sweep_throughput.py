@@ -9,16 +9,23 @@ into ``BENCH_toolchain.json`` by ``python benchmarks/run_benchmarks.py``:
   bit-identical to the serial run (on a single-core host this records the
   pool overhead rather than a speedup — the wall-clock delta is the point);
 * ``test_sweep_warm_store`` — a rerun against the persisted store, asserted
-  to execute zero new work units.
+  to execute zero new work units;
+* ``test_store_lookup_is_o1`` — ``get`` latency on the segmented result
+  store measured at two store sizes an order of magnitude apart; the
+  per-lookup cost must not scale with store size (the in-memory fingerprint
+  index maps straight to one seek + read).
 """
 
 import dataclasses
+import time
 
 from conftest import run_once
 
 from repro.experiments import table1
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EvaluationHarness
+from repro.experiments.store import ResultStore
+from repro.experiments.work import WorkUnit
 
 PARALLEL_JOBS = 4
 
@@ -76,3 +83,51 @@ def test_sweep_warm_store(benchmark, tmp_path):
     assert stats.executed == 0
     assert stats.store_hits == cold_stats.executed
     assert _rows(result) == _rows(cold_result)
+
+
+def _unit(index: int) -> WorkUnit:
+    return WorkUnit(
+        strategy="zero_shot",
+        model="Claude 3.5 Sonnet",
+        problem_id="passthrough_w8",
+        case_index=0,
+        sample=index,
+        seed=0,
+        max_iterations=0,
+        knobs=(("language", "chisel"),),
+    )
+
+
+def _fill_store(path, count: int) -> ResultStore:
+    store = ResultStore(path, segment_records=1024)
+    for index in range(count):
+        store.put(f"fp{index:08d}", _unit(index), {"index": index})
+    return store
+
+
+def _mean_lookup_seconds(store: ResultStore, count: int, probes: int = 2000) -> float:
+    stride = max(1, count // probes)
+    fingerprints = [f"fp{index:08d}" for index in range(0, count, stride)][:probes]
+    started = time.perf_counter()
+    for fingerprint in fingerprints:
+        assert store.get(fingerprint) is not None
+    return (time.perf_counter() - started) / len(fingerprints)
+
+
+def test_store_lookup_is_o1(benchmark, tmp_path):
+    small_count, large_count = 1_000, 10_000
+    small = _fill_store(tmp_path / "small", small_count)
+    large = _fill_store(tmp_path / "large", large_count)
+    try:
+        small_mean = _mean_lookup_seconds(small, small_count)
+        large_mean = run_once(benchmark, _mean_lookup_seconds, large, large_count)
+        # 10x the records must not mean meaningfully slower lookups; allow
+        # generous jitter headroom, which still rules out any O(n) scan
+        # (that would show up as ~10x).
+        assert large_mean <= small_mean * 3.0, (
+            f"lookup slowed from {small_mean * 1e6:.1f}us to {large_mean * 1e6:.1f}us "
+            f"when the store grew {large_count // small_count}x"
+        )
+    finally:
+        small.close()
+        large.close()

@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="work units per preemptible chunk",
     )
     parser.add_argument(
-        "--fleet",
-        type=settings.arg_type("--fleet", "REPRO_CAMPAIGN_FLEET"),
-        default=argparse.SUPPRESS,
-        help="run chunks on a supervised fleet this large",
-    )
-    parser.add_argument(
         "--throttle",
         type=settings.arg_type("--throttle", "REPRO_CAMPAIGN_THROTTLE"),
         default=argparse.SUPPRESS,
@@ -138,7 +132,6 @@ _FLAG_FIELDS = {
     "deadline": "deadline",
     "llm_budget": "budget",
     "chunk_size": "chunk",
-    "fleet": "fleet",
     "throttle": "throttle",
 }
 

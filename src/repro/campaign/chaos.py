@@ -18,9 +18,8 @@ orchestrator composes, one fault class at a time:
 * **event bus** — :func:`overload_bus` attaches a pathological one-slot
   subscriber to every topic, forcing the full routing + drop path on every
   publish (observability overload must never perturb results);
-* **fleet / orchestrator** — no helpers needed here: the fleet chaos hooks
-  live in :mod:`repro.fleet.faults`, and orchestrator kills are real SIGKILLs
-  delivered by the resume tests.
+* **orchestrator** — no helpers needed here: orchestrator kills are real
+  SIGKILLs delivered by the resume tests.
 
 Fault schedules draw from :func:`repro.retry.seeded_rng`, so a given seed
 produces the same fault pattern every run; ``limit`` bounds total injections

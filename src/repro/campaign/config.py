@@ -34,9 +34,7 @@ class CampaignConfig:
     resumed campaign keeps paying from the same purse.  ``unit_retries``
     bounds chunk-level retries after transport-classified failures, cooled
     down by ``retry_backoff``.  ``throttle`` sleeps that many seconds between
-    chunks (chaos tests use it to widen kill windows); ``fleet`` > 0 executes
-    chunks on a supervised worker fleet of that size, degrading to inline
-    execution if the fleet fails.
+    chunks (chaos tests use it to widen kill windows).
     """
 
     store_path: str | None = None
@@ -48,7 +46,6 @@ class CampaignConfig:
     checkpoint_every: int = 1
     preempt_wait: float = 5.0
     throttle: float = 0.0
-    fleet: int = 0
 
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
@@ -63,8 +60,6 @@ class CampaignConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.preempt_wait < 0:
             raise ValueError("preempt_wait must be >= 0")
-        if self.fleet < 0:
-            raise ValueError("fleet must be >= 0")
 
     @classmethod
     def from_environment(cls, base: "CampaignConfig | None" = None) -> "CampaignConfig":
@@ -78,7 +73,6 @@ class CampaignConfig:
                 checkpoint_every="REPRO_CAMPAIGN_CHECKPOINT_EVERY",
                 preempt_wait="REPRO_CAMPAIGN_PREEMPT_WAIT",
                 throttle="REPRO_CAMPAIGN_THROTTLE",
-                fleet="REPRO_CAMPAIGN_FLEET",
             ),
         )
         if config.store_path is None:

@@ -8,7 +8,7 @@ and the orchestrator may be SIGKILLed at any instant — ``--resume`` (or
 simply re-running the same spec against the same store) replays zero
 completed units and converges to results bit-identical to an uninterrupted
 run.  The chaos matrix in ``tests/test_campaign_chaos.py`` asserts exactly
-that for LLM-transport, store, event-bus, fleet and orchestrator faults.
+that for LLM-transport, store, event-bus and orchestrator faults.
 
 Control is cooperative throughout.  Between every chunk of work units the
 orchestrator re-evaluates the world:
@@ -27,10 +27,11 @@ orchestrator re-evaluates the world:
   probes close it on recovery;
 * **drain** — SIGTERM (or :meth:`request_drain`) sets the cancel token; the
   campaign finishes its current chunk, checkpoints a ``drained`` manifest
-  and exits cleanly;
-* **degradation** — a failing fleet executor degrades to inline serial
-  execution (fleet → inline) rather than failing the campaign, mirroring
-  the simulator's vector → trace → stepwise backend fallback.
+  and exits cleanly.
+
+Units run in-process on one :class:`SerialExecutor`: only this process can
+meter the budget and deadline, so no unit runs where its LLM calls would
+escape them.
 """
 
 from __future__ import annotations
@@ -207,7 +208,6 @@ class CampaignOrchestrator:
         *,
         store=None,
         registry=None,
-        executor=None,
         bus=None,
         gate: PriorityGate | None = None,
         breaker: CircuitBreaker | None = None,
@@ -245,7 +245,6 @@ class CampaignOrchestrator:
         self.cancel = CancelToken()
         self.preemptions = int(manifest.get("preemptions", 0)) if manifest else 0
         self._chunks_run = 0
-        self._degraded = False
         self._status = str(manifest.get("status", RUNNING)) if manifest else RUNNING
         self._stages: dict[str, StageState] = {}
         recorded = {
@@ -264,22 +263,11 @@ class CampaignOrchestrator:
         self._context = _CampaignContext(
             self.budget, self.deadline, client_middleware, registry=registry
         )
-        self._serial = SerialExecutor(self._context)
-        if executor is not None:
-            self._executor = executor
-        elif self.config.fleet > 0:
-            from repro.fleet import FleetConfig, FleetExecutor
-
-            self._executor = FleetExecutor(
-                FleetConfig.from_environment(FleetConfig(workers=self.config.fleet))
-            )
-        else:
-            self._executor = self._serial
         self.engine = SweepEngine(
             ExperimentConfig(store_path=None),
             registry=registry,
             store=self.store,
-            executor=self._executor,
+            executor=SerialExecutor(self._context),
             bus=self.bus,
         )
 
@@ -344,8 +332,6 @@ class CampaignOrchestrator:
 
     def close(self) -> None:
         self.engine.close()
-        if self._executor is not self._serial and hasattr(self._executor, "shutdown"):
-            self._executor.shutdown()
         if hasattr(self.store, "flush"):
             self.store.flush()
         if self._owns_store:
@@ -381,8 +367,6 @@ class CampaignOrchestrator:
             except Exception as exc:
                 if is_transport_fault(exc) and self.breaker is not None:
                     self.breaker.record_failure()
-                if self._maybe_degrade(exc):
-                    continue
                 attempt += 1
                 if attempt > self.config.unit_retries or not is_transport_fault(exc):
                     raise
@@ -396,28 +380,6 @@ class CampaignOrchestrator:
                 if self._chunks_run % self.config.checkpoint_every == 0:
                     self._save_checkpoint()
                 return payloads
-
-    def _maybe_degrade(self, exc: Exception) -> bool:
-        """Fleet → inline degradation: swap the failing fleet executor for the
-        in-process serial path and retry the chunk (completed units are store
-        hits, so nothing replays)."""
-        if self._degraded or self._executor is self._serial:
-            return False
-        self._degraded = True
-        self._publish(
-            "degrade",
-            source=type(self._executor).__name__,
-            target="SerialExecutor",
-            reason=type(exc).__name__,
-        )
-        if hasattr(self._executor, "shutdown"):
-            try:
-                self._executor.shutdown()
-            except Exception:
-                pass
-        self._executor = self._serial
-        self.engine._executor = self._serial
-        return True
 
     def _wait_for_breaker(self) -> None:
         """Park while the circuit breaker is open (deadline/drain aware)."""

@@ -4,9 +4,9 @@ Importing this module requires the optional ``textual`` dependency
 (``pip install repro-chipgpt[console]``); everything headless lives in
 :mod:`repro.console.model` so the rest of the toolchain never pays for the
 import.  The app polls the model on a timer (the model pumps its bus
-subscription), then repaints four panels: the live session table, the fleet
-worker table, the cache hit-rate table, and the batch-size sparklines with a
-scrolling event tail.  A resilience panel (circuit-breaker state, campaign
+subscription), then repaints three panels: the live session table, the
+cache hit-rate table, and the batch-size sparklines with a scrolling event
+tail.  A resilience panel (circuit-breaker state, campaign
 budget and stage progress, preemption/retry counters) appears under the
 caches whenever those events flow.
 """
@@ -31,7 +31,6 @@ SESSION_COLUMNS = (
     "problem", "strategy", "model", "s", "status",
     "llm ms", "compile ms", "sim ms", "total ms",
 )
-WORKER_COLUMNS = ("slot", "state", "pid", "restarts", "leases", "hb age")
 CACHE_COLUMNS = ("cache", "hits", "misses", "rate", "size")
 
 
@@ -43,7 +42,6 @@ class ConsoleApp(App):
     CSS = """
     #sessions { height: 1fr; }
     #side { width: 46; }
-    #fleet { height: auto; max-height: 12; }
     #caches { height: auto; max-height: 14; }
     #resilience { height: auto; max-height: 10; padding: 0 1; }
     #batches { height: 4; padding: 0 1; }
@@ -66,7 +64,6 @@ class ConsoleApp(App):
         with Horizontal():
             yield DataTable(id="sessions")
             with Vertical(id="side"):
-                yield DataTable(id="fleet")
                 yield DataTable(id="caches")
                 yield Static("", id="resilience")
                 yield Static("", id="batches")
@@ -75,7 +72,6 @@ class ConsoleApp(App):
 
     def on_mount(self) -> None:
         self.query_one("#sessions", DataTable).add_columns(*SESSION_COLUMNS)
-        self.query_one("#fleet", DataTable).add_columns(*WORKER_COLUMNS)
         self.query_one("#caches", DataTable).add_columns(*CACHE_COLUMNS)
         self.set_interval(self.interval, self.refresh_model)
         self.refresh_model()
@@ -84,7 +80,6 @@ class ConsoleApp(App):
         self.model.pump()
         self.query_one("#headline", Static).update(self.model.headline())
         self._repaint(self.query_one("#sessions", DataTable), self.model.session_rows())
-        self._repaint(self.query_one("#fleet", DataTable), self.model.worker_rows())
         self._repaint(self.query_one("#caches", DataTable), self.model.cache_rows())
         self.query_one("#resilience", Static).update(
             "\n".join(self.model.resilience_lines())

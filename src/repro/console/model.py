@@ -2,9 +2,8 @@
 
 :class:`ConsoleModel` consumes structured events from a
 :class:`repro.obs.EventBus` subscription and folds them into the live tables
-the console renders: per-session rows with per-stage latencies, the fleet
-worker panel, cache hit rates, recent LLM/simulation batch sizes and a
-bounded event tail.
+the console renders: per-session rows with per-stage latencies, cache hit
+rates, recent LLM/simulation batch sizes and a bounded event tail.
 
 It is deliberately pure Python with no UI dependency: the Textual app in
 :mod:`repro.console.app` is a thin view over this model, the plain-text
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.obs import Event, EventBus, Subscription
 
 #: Topic prefixes the console subscribes to — everything it knows how to fold.
-TOPICS = ("service", "trace", "fleet", "llm", "sim", "cache", "sweep", "fuzz", "campaign", "retry")
+TOPICS = ("service", "trace", "llm", "sim", "cache", "sweep", "fuzz", "campaign", "retry")
 
 #: Glyphs for :func:`sparkline`, lowest to highest.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -71,7 +70,6 @@ class ConsoleModel:
         self.max_sessions = max_sessions
         self.counters: dict[str, int] = {}
         self.snapshot: dict = {}
-        self.fleet: dict = {}
         self.caches: dict[str, dict] = {}
         self.llm_batches: deque[int] = deque(maxlen=batches)
         self.sim_batches: deque[int] = deque(maxlen=batches)
@@ -136,12 +134,6 @@ class ConsoleModel:
                 self._count("cache-hit." + str(event.attrs.get("tier", "?")))
         elif topic == "service.snapshot":
             self.snapshot = dict(event.attrs)
-        elif topic == "fleet":
-            if event.name == "health":
-                self.fleet = dict(event.attrs)
-            else:
-                self._count("fleet." + event.name)
-                self.tail.append(self._format(event))
         elif topic == "cache.stats":
             self.caches = dict(event.attrs.get("caches", {}))
         elif topic == "llm.batch":
@@ -189,7 +181,7 @@ class ConsoleModel:
             self._count("campaign.preempt")
         elif event.name == "checkpoint":
             self._count("campaign.checkpoint")
-        else:  # start / complete / drain / degrade
+        else:  # start / complete / drain
             self._count("campaign." + event.name)
             if event.name == "complete":
                 self.campaign_status = str(attrs.get("status", "?"))
@@ -261,23 +253,6 @@ class ConsoleModel:
             )
         return rows
 
-    def worker_rows(self) -> list[tuple]:
-        """``(slot, state, pid, restarts, leases, heartbeat age)`` per worker."""
-        rows = []
-        for worker in self.fleet.get("workers", []):
-            age = worker.get("heartbeat_age")
-            rows.append(
-                (
-                    str(worker.get("slot", "?")),
-                    str(worker.get("state", "?")),
-                    str(worker.get("pid", "-")),
-                    str(worker.get("restarts", 0)),
-                    str(worker.get("leases", 0)),
-                    "-" if age is None else f"{age:.2f}s",
-                )
-            )
-        return rows
-
     def cache_rows(self) -> list[tuple]:
         """``(cache, hits, misses, hit rate, size)`` per registered cache."""
         rows = []
@@ -301,8 +276,6 @@ class ConsoleModel:
         ]
         if self.sweep:
             parts.append(f"sweep={self.sweep.get('done', 0)}/{self.sweep.get('total', 0)}")
-        if self.fleet:
-            parts.append(f"workers-alive={self.fleet.get('alive', 0)}")
         if self.breaker:
             parts.append(f"breaker={self.breaker.get('state', '?')}")
         return "  ".join(parts)
@@ -340,11 +313,8 @@ class ConsoleModel:
         retries = sum(
             count for key, count in self.counters.items() if key.startswith("retry.")
         )
-        degrades = self.counters.get("campaign.degrade", 0)
-        if preempts or retries or degrades:
-            lines.append(
-                f"preemptions={preempts}  retries={retries}  degrades={degrades}"
-            )
+        if preempts or retries:
+            lines.append(f"preemptions={preempts}  retries={retries}")
         return lines
 
     # ------------------------------------------------------------- plain text
@@ -356,11 +326,6 @@ class ConsoleModel:
         header = ("problem", "strategy", "model", "s", "status", "llm ms", "compile ms", "sim ms", "total ms")
         for row in [header] + self.session_rows()[:sessions]:
             lines.append("  " + "  ".join(str(cell).ljust(12) for cell in row).rstrip())
-        if self.fleet:
-            lines.append("")
-            lines.append("fleet workers:")
-            for row in self.worker_rows():
-                lines.append("  " + "  ".join(row))
         if self.caches:
             lines.append("")
             lines.append("caches:")

@@ -21,10 +21,7 @@ class ExperimentConfig:
 
     ``jobs`` selects the sweep executor: 1 runs every work unit in-process,
     >1 fans units out over a process pool (``REPRO_JOBS``); results are
-    bit-identical either way.  ``fleet`` (``REPRO_FLEET=1``) upgrades the
-    parallel path to the supervised :mod:`repro.fleet` — warm restartable
-    workers with crash detection, lease re-queueing and graceful degradation
-    — still bit-identical.  ``store_path`` points the engine at a persistent
+    bit-identical either way.  ``store_path`` points the engine at a persistent
     segmented result store (``REPRO_RESULT_STORE``) so repeated and
     overlapping sweeps reuse completed work units and interrupted runs
     resume; ``None`` disables persistence (in-process memoization across
@@ -39,7 +36,6 @@ class ExperimentConfig:
     seed: int = 0
     jobs: int = 1
     store_path: str | None = None
-    fleet: bool = False
 
     @classmethod
     def paper_scale(cls) -> "ExperimentConfig":
@@ -58,6 +54,5 @@ class ExperimentConfig:
             **settings.overrides(
                 jobs="REPRO_JOBS",
                 store_path="REPRO_RESULT_STORE",
-                fleet="REPRO_FLEET",
             ),
         )

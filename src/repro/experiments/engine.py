@@ -9,12 +9,10 @@ each batch of :class:`~repro.experiments.work.WorkUnit`\\ s it
    nothing), then from the optional persistent
    :class:`~repro.experiments.store.ResultStore`,
 3. executes only the remaining units through the configured executor
-   (:class:`~repro.experiments.executors.SerialExecutor`, the process-pool
+   (:class:`~repro.experiments.executors.SerialExecutor`, or the process-pool
    :class:`~repro.experiments.executors.ParallelExecutor` when
-   ``config.jobs > 1``, or the supervised
-   :class:`~repro.fleet.supervisor.FleetExecutor` when ``config.fleet`` is
-   also set), streaming each result into the memo and store the moment it
-   completes.
+   ``config.jobs > 1``), streaming each result into the memo and store the
+   moment it completes.
 
 ``stats`` counts executed units and memo/store hits cumulatively, which is
 what the warm-store and resume tests assert against.
@@ -74,7 +72,6 @@ class SweepEngine:
         self.store = store
         self._executor = executor
         self._parallel: ParallelExecutor | None = None
-        self._fleet = None  # lazily-built FleetExecutor when config.fleet
         self._memo: dict[str, dict] = {}
         self.stats = SweepStats()
         #: Optional per-unit completion callback ``(done, total)``; invoked
@@ -162,15 +159,6 @@ class SweepEngine:
         if jobs > 1 and pending_count > 1 and not self._custom_registry:
             # One long-lived executor: its process pool (and every worker's
             # caches) stays warm across all of this engine's sweeps.
-            if getattr(self.config, "fleet", False):
-                if self._fleet is None:
-                    from repro.fleet import FleetConfig, FleetExecutor
-
-                    fleet_config = FleetConfig.from_environment(
-                        FleetConfig(workers=jobs)
-                    )
-                    self._fleet = FleetExecutor(fleet_config)
-                return self._fleet
             if self._parallel is None:
                 self._parallel = ParallelExecutor(jobs)
             return self._parallel
@@ -183,9 +171,6 @@ class SweepEngine:
         if self._parallel is not None:
             self._parallel.shutdown()
             self._parallel = None
-        if self._fleet is not None:
-            self._fleet.shutdown()
-            self._fleet = None
 
 
 def chunk_by_case(payloads: Sequence[dict], samples_per_case: int) -> list[list[dict]]:

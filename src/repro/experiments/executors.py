@@ -11,18 +11,16 @@ The parallel executor uses a ``ProcessPoolExecutor`` whose workers each build
 one :class:`~repro.experiments.work.WorkerContext` (problem registry, compiler
 memo, golden-Verilog cache, compiled-sim kernel cache) on first use and reuse
 it for every unit they run.  The ``fork`` start method is preferred where
-available so workers don't pay module re-import costs.
-
-A third executor with the same protocol lives in :mod:`repro.fleet`:
-:class:`~repro.fleet.supervisor.FleetExecutor` trades the pool for supervised
-worker processes that survive crashes, hangs and poisoned jobs (enable with
-``config.fleet`` / ``REPRO_FLEET=1``).
+available so workers don't pay module re-import costs.  A worker that dies
+mid-batch fails that batch loudly (``BrokenProcessPool``); the executor then
+drops the broken pool, and the next batch starts a fresh one.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Iterator
 
 from repro.experiments.strategies import execute_unit
@@ -99,10 +97,17 @@ class ParallelExecutor:
         if not units:
             return
         pool = self._ensure_pool()
-        futures = {pool.submit(_execute_in_worker, unit): i for i, unit in enumerate(units)}
+        futures: dict = {}
         try:
+            for i, unit in enumerate(units):
+                futures[pool.submit(_execute_in_worker, unit)] = i
             for future in as_completed(futures):
                 yield futures[future], future.result()
+        except BrokenProcessPool:
+            # A dead worker breaks the pool for good; drop it so the next
+            # batch gets a fresh one instead of failing the same way.
+            self.shutdown()
+            raise
         finally:
             # If the consumer abandons the stream (error, early exit), don't
             # leave queued units running in the still-alive pool.

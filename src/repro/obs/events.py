@@ -1,7 +1,7 @@
 """The structured event bus: typed events, topic pub/sub, bounded subscribers.
 
-Every layer of the served system (service, dispatcher, fleet supervisor,
-sweep engine, toolchain caches, fuzz engine) publishes :class:`Event` records
+Every layer of the served system (service, dispatcher, sweep engine,
+toolchain caches, fuzz engine, campaign orchestrator) publishes :class:`Event` records
 onto an :class:`EventBus`.  Publishing is designed to sit on hot paths:
 
 * with **no subscribers** a ``publish`` call is one attribute read and a
@@ -15,8 +15,8 @@ the loss is counted per subscriber — silent event loss is a bug class this
 module refuses to have.  External processes subscribe through the line-JSON
 transports in :mod:`repro.obs.transport`.
 
-Topics are dotted names (``service.job``, ``llm.batch``, ``fleet``,
-``trace``, ``cache.stats``, ``sweep.progress``, ``fuzz.program``).  A
+Topics are dotted names (``service.job``, ``llm.batch``, ``trace``,
+``cache.stats``, ``sweep.progress``, ``fuzz.program``).  A
 subscription names topic *prefixes*: ``"service"`` matches ``service.job``
 and ``service.snapshot``; ``None`` (or ``"*"``) matches everything.
 """

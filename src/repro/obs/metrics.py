@@ -7,8 +7,8 @@ renders them in the Prometheus text format, so any scraper (or a human with
 :class:`MetricsSink` derives the whole registry from the structured event
 stream — the same events the operations console renders — instead of a
 second set of ad-hoc counters threaded through the code: job states, cache
-tiers, span latencies, LLM/sim batch sizes, queue depth and fleet
-supervision counters all fall out of one ``attach``.
+tiers, span latencies, LLM/sim batch sizes and queue depth all fall out of
+one ``attach``.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class MetricsSink:
     """
 
     TOPICS = (
-        "service", "llm", "sim", "trace", "fleet", "cache", "sweep", "fuzz",
-        "campaign", "retry",
+        "service", "llm", "sim", "trace", "cache", "sweep", "fuzz", "campaign",
+        "retry",
     )
 
     def __init__(self, registry: MetricsRegistry | None = None):
@@ -265,10 +265,6 @@ class MetricsSink:
                 "simulate micro-batch sizes",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128),
             ).observe(attrs.get("size", 0))
-        elif topic == "fleet":
-            registry.counter(
-                "repro_fleet_events_total", "fleet supervision events"
-            ).inc(event=name)
         elif topic == "cache.stats":
             for cache, counters in (attrs.get("caches") or {}).items():
                 registry.gauge("repro_cache_hits", "toolchain cache hits").set(

@@ -1,12 +1,9 @@
 """Unified retry, backoff and circuit-breaking primitives.
 
-Before this module, every layer carried its own flavor of "try again later":
-the fleet supervisor computed exponential restart cooldowns inline, the LLM
-dispatcher owned a jittered :class:`RetryPolicy`, and the campaign
-orchestrator was about to grow a third copy.  They now share one vocabulary:
+Every layer that tries again later shares one vocabulary:
 
 * :class:`BackoffPolicy` — deterministic capped exponential backoff (the
-  fleet's restart cooldown);
+  campaign's chunk-retry cooldown);
 * :class:`RetryPolicy` — capped exponential backoff with multiplicative
   jitter (the dispatcher's retry schedule); jitter draws from a caller-owned
   ``random.Random``, so a seeded RNG makes whole retry schedules
@@ -90,8 +87,7 @@ class BackoffPolicy:
     """Deterministic capped exponential backoff.
 
     ``delay(k)`` for attempt ``k`` (1-based) is ``base * factor**(k-1)``
-    capped at ``cap``.  This is the fleet supervisor's historical restart
-    cooldown, extracted so every layer cools down the same way.
+    capped at ``cap``, so every layer cools down the same way.
     """
 
     base: float = 0.1

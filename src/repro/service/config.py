@@ -28,10 +28,6 @@ class ServiceConfig:
     engine, so specs already swept are served without any LLM traffic;
     ``memo_size`` bounds the in-process payload memo in front of it.
 
-    ``fleet_workers`` > 0 routes unit execution through a supervised
-    :class:`~repro.fleet.supervisor.FleetSupervisor` of that many worker
-    processes (crash isolation: a unit that takes a worker down no longer
-    takes the service event loop with it); 0 keeps the in-process path.
     ``request_timeout`` bounds each LLM dispatch attempt in seconds
     (``None`` disables the bound); timed-out attempts are retried like
     transport errors and counted in ``DispatchStats.timeouts``.
@@ -64,7 +60,6 @@ class ServiceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     store_path: str | None = None
     memo_size: int = 8192
-    fleet_workers: int = 0
     request_timeout: float | None = None
     sim_batch_window: float = 0.0
     sim_max_batch: int = 16
@@ -79,8 +74,6 @@ class ServiceConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.tool_workers < 1:
             raise ValueError("tool_workers must be >= 1")
-        if self.fleet_workers < 0:
-            raise ValueError("fleet_workers must be >= 0")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError("request_timeout must be > 0 or None")
         if self.sim_batch_window < 0:
@@ -99,7 +92,6 @@ class ServiceConfig:
                 max_batch="REPRO_SERVICE_MAX_BATCH",
                 queue_limit="REPRO_SERVICE_QUEUE_LIMIT",
                 tool_workers="REPRO_SERVICE_TOOL_WORKERS",
-                fleet_workers="REPRO_SERVICE_FLEET_WORKERS",
                 request_timeout="REPRO_SERVICE_REQUEST_TIMEOUT",
                 sim_batch_window="REPRO_SERVICE_SIM_BATCH_WINDOW",
                 sim_max_batch="REPRO_SERVICE_SIM_MAX_BATCH",

@@ -19,13 +19,7 @@ step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
   memoized in-process, served from a persistent
   :class:`~repro.experiments.store.ResultStore` when one is configured, and
   duplicate in-flight specs coalesce onto a single execution — repeat specs
-  cost zero LLM calls;
-* **crash isolation** (``fleet_workers > 0``) executes units on a supervised
-  :class:`~repro.fleet.supervisor.FleetSupervisor` of worker processes
-  instead of in-process sessions: a unit that crashes or wedges its worker
-  is re-queued onto a restarted one and never takes the event loop down.
-  Fleet workers run their own deterministically seeded clients, so payloads
-  stay bit-identical to the in-process path.
+  cost zero LLM calls.
 
 Every session owns its deterministically seeded client, so results are
 bit-identical to blocking ``ReChisel.run`` / ``ZeroShotRunner.run`` /
@@ -215,8 +209,6 @@ class GenerationService:
         # Futures of jobs a worker has dequeued but not yet resolved; swept at
         # close so a dying worker can never strand its submitter.
         self._active: dict[int, asyncio.Future] = {}
-        self._fleet = None  # FleetSupervisor when config.fleet_workers > 0
-        self._fleet_health: dict = {}  # last health report, survives close()
         self._sim_batcher: _SimulationBatcher | None = None
         self._draining = False
 
@@ -243,14 +235,6 @@ class GenerationService:
             budget=config.llm_budget,
             bus=self.bus,
         )
-        if config.fleet_workers > 0 and self._fleet is None:
-            from repro.fleet import FleetConfig, FleetSupervisor
-
-            fleet_config = FleetConfig.from_environment(
-                FleetConfig(workers=config.fleet_workers)
-            )
-            self._fleet = FleetSupervisor(fleet_config, bus=self.bus)
-            self._fleet.start()
         self._queue = asyncio.Queue(maxsize=config.queue_limit)
         self._tools = ThreadPoolExecutor(
             max_workers=config.tool_workers, thread_name_prefix="repro-svc-tool"
@@ -306,10 +290,6 @@ class GenerationService:
         self._active.clear()
         if self._queue is not None:
             await self._fail_queued_jobs()
-        if self._fleet is not None:
-            self._fleet_health = self._fleet.health()
-            self._fleet.close()
-            self._fleet = None
         if self._sim_batcher is not None:
             self._sim_batcher.close()
             self._sim_batcher = None
@@ -384,7 +364,6 @@ class GenerationService:
         return self.telemetry.snapshot(
             queue_depth=self._queue.qsize() if self._queue is not None else 0,
             dispatcher_stats=self.dispatcher.stats.snapshot() if self.dispatcher else None,
-            fleet_health=self._fleet.health() if self._fleet is not None else self._fleet_health,
         )
 
     # ---------------------------------------------------------------- workers
@@ -482,12 +461,9 @@ class GenerationService:
                 sample=unit.sample,
                 fingerprint=fingerprint[:12],
             ):
-                if self._fleet is not None:
-                    payload = await asyncio.wrap_future(self._fleet.submit(unit))
-                else:
-                    client = self._client_factory(unit)
-                    session = strategy_from_unit(unit).session(self.context, unit, client)
-                    payload = await self._drive(session, client, unit.model)
+                client = self._client_factory(unit)
+                session = strategy_from_unit(unit).session(self.context, unit, client)
+                payload = await self._drive(session, client, unit.model)
         except BaseException as exc:
             if not barrier.done():
                 barrier.set_exception(exc)
@@ -571,8 +547,6 @@ class GenerationService:
         if now - self._last_stats_publish >= 0.25:
             self._last_stats_publish = now
             bus.publish("cache.stats", "snapshot", caches=cache_stats())
-            if self._fleet is not None:
-                bus.publish("fleet", "health", **self._fleet.health())
 
 
 def serve_units(

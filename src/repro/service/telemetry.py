@@ -58,9 +58,6 @@ class ServiceSnapshot:
     # Toolchain cache counters (repro.caching.cache_stats()): compile
     # results, Verilog parse, kernel and trace caches.
     caches: dict = field(default_factory=dict)
-    # Worker-health report from the generation fleet's supervisor
-    # (FleetSupervisor.health()); empty when the service runs in-process.
-    fleet: dict = field(default_factory=dict)
     # Simulate-call micro-batching (0 everywhere when sim_max_batch <= 1).
     sim_batches: int = 0
     sim_batched_requests: int = 0
@@ -112,17 +109,6 @@ class ServiceSnapshot:
                 for name, counters in sorted(self.caches.items())
             ]
             lines.append("toolchain caches (hits/lookups)  " + ", ".join(parts))
-        if self.fleet:
-            workers = self.fleet.get("workers", [])
-            counters = self.fleet.get("counters", {})
-            state = "DEGRADED (in-process)" if self.fleet.get("degraded") else "supervised"
-            lines.append(
-                "fleet            "
-                f"{self.fleet.get('alive', 0)}/{len(workers)} workers alive ({state}); "
-                f"restarts {counters.get('restarts', 0)}, "
-                f"requeues {counters.get('requeues', 0)}, "
-                f"evictions {counters.get('evictions', 0)}"
-            )
         return "\n".join(lines)
 
 
@@ -155,7 +141,6 @@ class Telemetry:
         self,
         queue_depth: int = 0,
         dispatcher_stats: dict | None = None,
-        fleet_health: dict | None = None,
     ) -> ServiceSnapshot:
         samples = list(self._latencies)
         return ServiceSnapshot(
@@ -175,7 +160,6 @@ class Telemetry:
             max_latency=max(samples) if samples else 0.0,
             dispatcher=dict(dispatcher_stats or {}),
             caches=cache_stats(),
-            fleet=dict(fleet_health or {}),
             sim_batches=self.sim_batches,
             sim_batched_requests=self.sim_batched_requests,
             max_sim_batch=self.max_sim_batch,

@@ -120,7 +120,6 @@ _ROWS = (
     Setting("REPRO_FULL_EVAL", bool, False),
     Setting("REPRO_JOBS", int, 1, low=1),
     Setting("REPRO_RESULT_STORE", PATH),
-    Setting("REPRO_FLEET", bool, False),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
     Setting("REPRO_SIM_BACKEND", ("auto", "compiled", "interpreter"), "auto"),
     Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise", "vector"), "auto"),
@@ -137,21 +136,10 @@ _ROWS = (
     Setting("REPRO_SERVICE_MAX_BATCH", int, 16, low=1),
     Setting("REPRO_SERVICE_QUEUE_LIMIT", int, 128, low=1),
     Setting("REPRO_SERVICE_TOOL_WORKERS", int, 1, low=1),
-    Setting("REPRO_SERVICE_FLEET_WORKERS", int, 0, low=0),
     Setting("REPRO_SERVICE_REQUEST_TIMEOUT", float, low=0, zero_off=True),
     Setting("REPRO_SERVICE_SIM_BATCH_WINDOW", float, 0.0, low=0),
     Setting("REPRO_SERVICE_SIM_MAX_BATCH", int, 16, low=0),
     Setting("REPRO_SERVICE_DRAIN_TIMEOUT", float, 30.0, low=0),
-    # Generation fleet (repro.fleet.config)
-    Setting("REPRO_FLEET_WORKERS", int, 4, low=1),
-    Setting("REPRO_FLEET_HEARTBEAT", float, 0.5, low=0, low_open=True),
-    Setting("REPRO_FLEET_HEARTBEAT_MISSES", int, 6, low=1),
-    Setting("REPRO_FLEET_LEASE_TIMEOUT", float, 120.0, low=0, low_open=True),
-    Setting("REPRO_FLEET_BACKOFF", float, 0.1, low=0),
-    Setting("REPRO_FLEET_BACKOFF_MAX", float, 5.0, low=0),
-    Setting("REPRO_FLEET_MAX_RESTARTS", int, 5, low=0),
-    Setting("REPRO_FLEET_POISON_THRESHOLD", int, 2, low=1),
-    Setting("REPRO_FLEET_START_METHOD", ("fork", "forkserver", "spawn")),
     # Campaigns (repro.campaign.config) and the LLM breaker (repro.retry)
     Setting("REPRO_CAMPAIGN_STORE", PATH),
     Setting("REPRO_CAMPAIGN_CHUNK", int, 4, low=1),
@@ -161,7 +149,6 @@ _ROWS = (
     Setting("REPRO_CAMPAIGN_CHECKPOINT_EVERY", int, 1, low=1),
     Setting("REPRO_CAMPAIGN_PREEMPT_WAIT", float, 5.0, low=0),
     Setting("REPRO_CAMPAIGN_THROTTLE", float, 0.0, low=0),
-    Setting("REPRO_CAMPAIGN_FLEET", int, 0, low=0),
     Setting("REPRO_BREAKER_THRESHOLD", int, 5, low=0, zero_off=True),
     Setting("REPRO_BREAKER_COOLDOWN", float, 1.0, low=0),
     Setting("REPRO_BREAKER_PROBES", int, 1, low=1),

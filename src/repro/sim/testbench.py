@@ -33,9 +33,10 @@ tiers to try in order, vector → trace → step-wise or a suffix of it.
   answers or raises, and its kernel crashes propagate, because a forcing
   knob that degrades quietly would invalidate what the caller forced it for.
 * ``REPRO_SIM_BACKEND=interpreter`` makes ``"auto"`` step-wise only, since
-  the trace and vector tiers run compiled kernels.  ``run_testbench``'s
-  ``backend="vector"`` still falls back to trace, but the jobs
-  :func:`run_testbenches` sends back from ``"vector"`` lanes follow ``"auto"``.
+  the trace and vector tiers run compiled kernels.  It changes no named
+  tier: under ``backend="vector"``, ``run_testbench`` and the jobs
+  :func:`run_testbenches` sends back from its lanes both fall back to trace,
+  then step-wise.
 * **Breaker degradation**: kernel-path crashes (exceptions escaping a
   compiled kernel — never mismatch reports or :class:`SimulationError`) feed
   per-tier circuit breakers.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
@@ -496,14 +497,16 @@ def _backend_plan(backend: str | None) -> _BackendPlan:
             f"unknown testbench backend {name!r}; expected one of {_TB_BACKENDS}"
         )
     strict = backend is None and name in ("trace", "vector")
-    if name == "auto" or (name == "vector" and not strict):
+    if name == "auto":
         interpreter = read_setting("REPRO_SIM_BACKEND") == "interpreter"
-        auto = _TIERS[2:] if interpreter else _TIERS[1:]
-        if name == "auto":
-            return _BackendPlan(auto, False, None if interpreter else "shared", auto)
-        return _BackendPlan(_TIERS, False, "every", auto)
+        tiers = _TIERS[2:] if interpreter else _TIERS[1:]
+        return _BackendPlan(tiers, False, None if interpreter else "shared", tiers)
     tiers = _TIERS[_TIERS.index(name) :]
-    return _BackendPlan(tiers, strict, "every" if name == "vector" else None, tiers)
+    if name != "vector":
+        return _BackendPlan(tiers, strict, None, tiers)
+    # Jobs sent back from the lanes take the vector tier's own remaining
+    # chain; a forced vector tier still answers each of them or raises.
+    return _BackendPlan(tiers, strict, "every", tiers if strict else tiers[1:])
 
 
 #: Why a forced kernel tier refuses a pairing, and the fallback it skips.

@@ -107,6 +107,23 @@ class TestCampaignSpec:
             sweep_units(stage, 0)
 
 
+class TestCampaignConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_size", 0),
+            ("deadline", 0),
+            ("llm_budget", -1),
+            ("unit_retries", -1),
+            ("checkpoint_every", 0),
+            ("preempt_wait", -0.5),
+        ],
+    )
+    def test_each_out_of_range_field_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**{field: value})
+
+
 # ------------------------------------------------------------ control primitives
 
 
@@ -569,7 +586,6 @@ class TestCampaignCli:
         [
             ("--budget", "-1", "an integer >= 0"),
             ("--chunk", "0", "an integer >= 1"),
-            ("--fleet", "-1", "an integer >= 0"),
             ("--throttle", "-0.5", "a number >= 0"),
             ("--samples", "0", "an integer >= 1"),
             ("--deadline", "-5", "a number >= 0 (0 disables)"),

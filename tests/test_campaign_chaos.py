@@ -1,7 +1,7 @@
 """Stack-wide chaos matrix: every fault class converges to fault-free results.
 
 Each test injects one fault class — LLM transport faults, store write faults,
-torn tail records, event-bus overload, executor loss — into a full campaign
+torn tail records, event-bus overload — into a full campaign
 and asserts the store and stage digests are bit-identical to an uninterrupted
 fault-free run of the same spec.  The remaining class, orchestrator SIGKILL,
 lives in ``test_campaign_resume.py`` (it needs a subprocess).
@@ -32,7 +32,7 @@ from repro.campaign.config import CampaignConfig
 from repro.campaign.orchestrator import CampaignOrchestrator
 from repro.campaign.spec import default_campaign
 from repro.obs import EventBus
-from repro.retry import CircuitBreaker, TransportTimeout
+from repro.retry import CircuitBreaker
 
 pytestmark = pytest.mark.chaos
 
@@ -73,6 +73,18 @@ class TestLlmTransportChaos:
         assert schedule_a == [plan_b.next_fault() for _ in range(30)]
         assert sum(1 for kind in schedule_a if kind) == 8
         assert {kind for kind in schedule_a if kind} <= set(FAULT_KINDS)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rate": -0.1}, "rate must be in"),
+            ({"rate": 1.5}, "rate must be in"),
+            ({"kinds": ("meteor-strike",)}, "unknown fault kind"),
+        ],
+    )
+    def test_fault_plan_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FaultPlan(**kwargs)
 
     def test_faulty_client_raises_before_inner_call(self):
         calls = []
@@ -119,6 +131,22 @@ class TestLlmTransportChaos:
         assert result.breaker["opens"] >= 1
 
 
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_each_fault_kind_converges_and_is_never_charged(self, tmp_path, reference, kind):
+        plan = FaultPlan(rate=0.35, kinds=(kind,), seed=5, limit=6)
+        result = CampaignOrchestrator(
+            chaos_spec(),
+            chaos_config(tmp_path, kind),
+            client_middleware=chaos_middleware(plan),
+        ).run()
+        assert_identical(tmp_path, kind, result, reference)
+        faults = plan.snapshot()
+        assert faults["injected"] > 0
+        # The meter sits inside the fault layer: exactly the calls that got
+        # past it were charged.
+        assert result.llm_spent == faults["calls"] - faults["injected"]
+
+
 class TestStoreChaos:
     def test_enospc_bursts_are_buffered_and_flushed(self, tmp_path, reference):
         flaky = {}
@@ -155,29 +183,6 @@ class TestBusChaos:
         ).run()
         assert_identical(tmp_path, "bus", result, reference)
         assert jammed.dropped > 0  # the slow consumer lost events, not the run
-
-
-class TestExecutorChaos:
-    def test_executor_loss_degrades_to_serial(self, tmp_path, reference):
-        class _DeadExecutor:
-            def run_stream(self, units):
-                raise TransportTimeout("fleet transport lost")
-                yield  # pragma: no cover
-
-            def shutdown(self):
-                pass
-
-        bus = EventBus()
-        subscription = bus.subscribe("campaign")
-        result = CampaignOrchestrator(
-            chaos_spec(),
-            chaos_config(tmp_path, "degrade"),
-            executor=_DeadExecutor(),
-            bus=bus,
-        ).run()
-        assert_identical(tmp_path, "degrade", result, reference)
-        names = [event.name for event in subscription.pop_all()]
-        assert "degrade" in names
 
 
 class TestCombinedChaos:

@@ -4,8 +4,7 @@ The headless tests are the acceptance path: a real
 :class:`~repro.service.service.GenerationService` run (synthetic
 EchoClient-backed clients, real toolchain) publishes onto a private bus, and
 the :class:`~repro.console.model.ConsoleModel` attached to it must show live
-session rows with per-stage latencies, the fleet worker panel and the cache
-panel.  The Textual pilot test at the bottom runs only where the optional
+session rows with per-stage latencies and the cache panel.  The Textual pilot test at the bottom runs only where the optional
 ``textual`` dependency is installed (the CI console-smoke job).
 """
 
@@ -79,20 +78,6 @@ class TestConsoleModel:
         rendered = model.render()
         assert "caches:" in rendered
         assert "sessions (newest first):" in rendered
-
-    def test_fleet_panel_shows_worker_rows(self):
-        units = make_units(samples=1)
-        model, _, snapshot = serve_watched(
-            units, ServiceConfig(max_in_flight=4, fleet_workers=1)
-        )
-        assert snapshot.fleet
-        workers = model.worker_rows()
-        assert len(workers) == 1
-        slot, state, pid, _restarts, _leases, _age = workers[0]
-        assert slot == "0"
-        assert state in ("ready", "starting")
-        assert pid not in ("-", "None")
-        assert "workers-alive=1" in model.headline()
 
     def test_batch_sparkline_tracks_llm_batches(self):
         units = make_units()

@@ -5,9 +5,6 @@ import threading
 
 import pytest
 
-from repro.fleet.config import FleetConfig
-from repro.fleet.events import EventLog
-from repro.fleet.supervisor import FleetSupervisor
 from repro.obs import (
     Event,
     EventBus,
@@ -36,7 +33,7 @@ class TestEventBus:
         bus = EventBus()
         service = bus.subscribe("service")
         everything = bus.subscribe()
-        trace = bus.subscribe(["trace", "fleet"])
+        trace = bus.subscribe(["trace", "fuzz"])
 
         bus.publish("service.job", "completed")
         bus.publish("service.snapshot", "update")
@@ -260,10 +257,9 @@ class TestMetrics:
         bus.publish("llm.batch", "flush", size=4)
         bus.publish("llm.retry", "retry", attempt=1, reason="timeout")
         bus.publish("cache.stats", "snapshot", caches={"sim_kernel": {"hits": 9, "misses": 1}})
-        bus.publish("fleet", "spawn", slot=0)
         bus.publish("fuzz.program", "checked", index=0, ok=True)
         consumed = sink.pump()
-        assert consumed == 10
+        assert consumed == 9
         registry = sink.registry
         assert registry.counter("repro_service_jobs_total").value(state="completed") == 2
         assert registry.counter("repro_service_cache_hits_total").value(tier="memo") == 1
@@ -275,32 +271,6 @@ class TestMetrics:
         sink.detach()
 
 
-class TestFleetEventBridge:
-    def test_eventlog_mirrors_records_onto_the_bus(self):
-        bus = EventBus()
-        sub = bus.subscribe("fleet")
-        log = EventLog(limit=2, bus=bus)
-        log.record("spawn", slot=0)
-        log.record("ready", slot=0, pid=123)
-        log.record("dispatch", job="j-1", slot=0)
-        # In-memory window is bounded, the bus saw everything.
-        assert [entry["event"] for entry in log.events()] == ["ready", "dispatch"]
-        assert log.dropped == 1
-        published = sub.pop_all()
-        assert [event.name for event in published] == ["spawn", "ready", "dispatch"]
-        assert published[1].attrs == {"slot": 0, "pid": 123}
-
-    def test_supervisor_health_reports_event_drops(self):
-        bus = EventBus()
-        supervisor = FleetSupervisor(FleetConfig(workers=1), bus=bus)
-        health = supervisor.health()
-        assert health["events_dropped"] == 0
-        supervisor.events.limit = 1
-        supervisor.events.record("spawn", slot=0)
-        supervisor.events.record("ready", slot=0)
-        assert supervisor.health()["events_dropped"] == 1
-
-
 class TestResilienceMetrics:
     def test_breaker_retry_and_campaign_events_become_series(self):
         bus = EventBus()
@@ -308,7 +278,7 @@ class TestResilienceMetrics:
         bus.publish("llm.breaker", "open", state="open", failures=3)
         bus.publish("llm.breaker", "close", state="closed")
         bus.publish("retry", "attempt", source="campaign", attempt=1)
-        bus.publish("retry", "attempt", source="fleet", attempt=2)
+        bus.publish("retry", "attempt", source="llm", attempt=2)
         bus.publish("campaign", "budget", campaign="abc", spent=7, limit=10)
         bus.publish("campaign", "progress", campaign="abc", stage="generate", done=3, total=4)
         bus.publish("campaign", "checkpoint", campaign="abc", seq=2)
@@ -317,7 +287,7 @@ class TestResilienceMetrics:
         assert registry.counter("repro_breaker_transitions_total").value(transition="open") == 1
         assert registry.counter("repro_breaker_transitions_total").value(transition="close") == 1
         assert registry.counter("repro_retries_total").value(source="campaign") == 1
-        assert registry.counter("repro_retries_total").value(source="fleet") == 1
+        assert registry.counter("repro_retries_total").value(source="llm") == 1
         assert registry.gauge("repro_campaign_llm_spent").value() == 7
         assert registry.gauge("repro_campaign_stage_done").value(stage="generate") == 3
         assert registry.counter("repro_campaign_events_total").value(event="checkpoint") == 1

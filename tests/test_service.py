@@ -646,6 +646,21 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             TokenBucket(rate=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_in_flight", 0),
+            ("queue_limit", 0),
+            ("tool_workers", 0),
+            ("request_timeout", 0),
+            ("sim_batch_window", -0.1),
+            ("drain_timeout", -1),
+        ],
+    )
+    def test_each_out_of_range_field_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
     def test_submit_requires_started_service(self):
         service = GenerationService(ServiceConfig())
         unit = make_units(samples=1)[0]

@@ -18,7 +18,6 @@ from repro.campaign.config import CampaignConfig
 from repro.console.__main__ import build_parser
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
-from repro.fleet.config import FleetConfig
 from repro.fuzz.config import FuzzConfig
 from repro.obs.events import EventBus
 from repro.obs.transport import install_from_environment
@@ -60,7 +59,6 @@ SIMULATOR_KNOBS = {
 #: Config classes that layer the environment over their own defaults.
 CONFIG_READERS = {
     "REPRO_SERVICE_": ServiceConfig.from_environment,
-    "REPRO_FLEET_": FleetConfig.from_environment,
     "REPRO_CAMPAIGN_": CampaignConfig.from_environment,
     "REPRO_FUZZ_": FuzzConfig.from_environment,
 }
@@ -80,7 +78,7 @@ def consume(name: str, tmp_path: Path):
     for prefix, reader in CONFIG_READERS.items():
         if name.startswith(prefix):
             return reader()
-    if name in ("REPRO_FULL_EVAL", "REPRO_JOBS", "REPRO_RESULT_STORE", "REPRO_FLEET"):
+    if name in ("REPRO_FULL_EVAL", "REPRO_JOBS", "REPRO_RESULT_STORE"):
         return ExperimentConfig.from_environment()
     if name.startswith("REPRO_BREAKER_"):
         breaker = CircuitBreaker.from_environment()
@@ -126,7 +124,7 @@ def malformed_values(row: settings.Setting) -> list[str]:
 
 def spelled_default(row: settings.Setting) -> str | None:
     """The variable value that means the row's default; ``None`` where no value
-    does (an unbounded LLM budget, the automatic fleet start method)."""
+    does (an unbounded LLM budget)."""
     if row.default is None:
         if row.kind in (settings.PATH, settings.ENDPOINT):
             return "off"

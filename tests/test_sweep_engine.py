@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -190,6 +194,26 @@ class TestExecutorEquivalence:
         assert first._pool is pool  # same warm workers, no cold restart
         engine.close()
         assert engine._parallel is None
+
+    def test_dead_worker_fails_one_batch_and_the_next_gets_a_fresh_pool(self):
+        batch = [_unit(sample=sample) for sample in range(4)]
+        expected = list(SerialExecutor().run_stream(batch))
+        executor = ParallelExecutor(2)
+        try:
+            list(executor.run_stream(batch))
+            pool = executor._pool
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(BrokenProcessPool):
+                list(executor.run_stream(batch))
+            assert executor._pool is None
+            assert sorted(executor.run_stream(batch)) == expected
+        finally:
+            executor.shutdown()
 
 
 class TestStoreAndResume:
