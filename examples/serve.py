@@ -104,17 +104,19 @@ async def main() -> None:
         print(service.snapshot().render())
 
         # A second wave of identical specs: served entirely from the result
-        # cache — queue, workers and telemetry advance, LLM traffic does not.
-        before = service.dispatcher.stats.requests
+        # cache — queue, workers and job counts advance, LLM traffic does not.
+        before = service.snapshot().llm_calls
         start = time.perf_counter()
         replay = await service.run(units)
         elapsed = time.perf_counter() - start
         assert replay == payloads
+        warm = service.snapshot()
+        new_calls = warm.llm_calls - before
         print(
             f"\nwarm wave: {len(replay)} sessions in {elapsed:.2f}s — "
-            f"{service.dispatcher.stats.requests - before} new LLM calls "
-            f"(cache hits {service.snapshot().cache_hits})"
+            f"{new_calls} new LLM calls (cache hits {warm.cache_hits})"
         )
+        assert new_calls == 0, f"the warm wave made {new_calls} LLM calls"
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ vectorized NumPy kernels (``sim_vec`` / ``sim_vec_kernel``) — shares
 :class:`LruCache` so the eviction policy and hit/miss accounting live in one
 place.  Caches constructed with a ``name`` self-register in a process-wide
 registry; :func:`cache_stats` aggregates hits/misses/size per name (summing
-across instances) and is what ``repro.service.telemetry`` snapshots surface.
+across instances) and is what ``GenerationService.snapshot()`` surfaces as
+``ServiceSnapshot.caches``.
 
 Cached values are shared between callers: treat them as immutable.
 """

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from repro.obs import Event, EventBus, Subscription
 
 #: Topic prefixes the console subscribes to — everything it knows how to fold.
-TOPICS = ("service", "trace", "llm", "sim", "cache", "sweep", "fuzz", "campaign", "retry")
+TOPICS = (
+    "service.snapshot", "trace", "llm", "sim", "cache", "sweep", "fuzz", "campaign", "retry",
+)
 
 #: Glyphs for :func:`sparkline`, lowest to highest.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
@@ -128,10 +130,6 @@ class ConsoleModel:
         topic = event.topic
         if topic == "trace":
             self._apply_trace(event)
-        elif topic == "service.job":
-            self._count(event.name)
-            if event.name == "cache-hit":
-                self._count("cache-hit." + str(event.attrs.get("tier", "?")))
         elif topic == "service.snapshot":
             self.snapshot = dict(event.attrs)
         elif topic == "cache.stats":
@@ -140,9 +138,6 @@ class ConsoleModel:
             self.llm_batches.append(int(event.attrs.get("size", 0)))
         elif topic == "sim.batch":
             self.sim_batches.append(int(event.attrs.get("size", 0)))
-        elif topic == "llm.retry":
-            self._count("llm-retry")
-            self.tail.append(self._format(event))
         elif topic == "llm.breaker":
             self.breaker = dict(event.attrs)
             self._count("breaker." + event.name)
@@ -150,6 +145,7 @@ class ConsoleModel:
                 self.tail.append(self._format(event))
         elif topic == "retry":
             self._count("retry." + str(event.attrs.get("source", "?")))
+            self.tail.append(self._format(event))
         elif topic == "campaign":
             self._apply_campaign(event)
         elif topic == "sweep.progress":
@@ -265,12 +261,18 @@ class ConsoleModel:
         return rows
 
     def headline(self) -> str:
-        """One status line: throughput counters, queue depth, sweep progress."""
+        """One status line: job counts, queue depth, sweep progress.
+
+        Job counts come from the latest ``service.snapshot`` event, which
+        carries the service's cumulative counts, so events dropped under
+        backpressure do not make the line undercount.
+        """
         snap = self.snapshot
+        hits = sum(snap.get(tier, 0) for tier in ("memo_hits", "store_hits", "coalesced_hits"))
         parts = [
-            f"done={self.counters.get('completed', 0)}",
-            f"failed={self.counters.get('failed', 0)}",
-            f"cache-hits={self.counters.get('cache-hit', 0)}",
+            f"done={snap.get('completed', 0)}",
+            f"failed={snap.get('failed', 0)}",
+            f"cache-hits={hits}",
             f"queue={snap.get('queue_depth', 0)}",
             f"in-flight={snap.get('in_flight', 0)}",
         ]

@@ -25,7 +25,7 @@ driver may hold it suspended for as long as scheduling requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Union
 
 from repro.llm.client import ChatClient, ChatMessage
@@ -36,7 +36,7 @@ class LLMCall:
     """The session is suspended on a chat completion for ``messages``.
 
     ``purpose`` labels the agent role behind the call ("generate", "revise",
-    "review", "loop_check") for telemetry; it never affects execution.
+    "review", "loop_check") for tracing spans; it never affects execution.
     """
 
     messages: list[ChatMessage]
@@ -50,7 +50,7 @@ class ToolCall:
     ``fn`` must be a zero-argument callable free of side effects beyond
     cache warming, so it can run inline, in a thread, or be retried without
     changing the session's result.  ``purpose`` labels the tool ("compile",
-    "simulate", "parse", "reference") for telemetry.
+    "simulate", "parse", "reference") for tracing spans.
 
     ``batch`` optionally carries a declarative, batchable form of the same
     computation (e.g. a :class:`repro.toolchain.simulator.SimulateRequest`).
@@ -89,34 +89,6 @@ def drive(session: Session, client: ChatClient) -> object:
                 value = client.complete(step.messages)
             else:
                 value = step.run()
-            step = session.send(value)
-    except StopIteration as stop:
-        return stop.value
-
-
-@dataclass
-class StepCounts:
-    """Per-kind step tally, filled by :func:`counting` (used by telemetry)."""
-
-    llm_calls: int = 0
-    tool_calls: int = 0
-    by_purpose: dict[str, int] = field(default_factory=dict)
-
-    def record(self, step: SessionStep) -> None:
-        if isinstance(step, LLMCall):
-            self.llm_calls += 1
-        else:
-            self.tool_calls += 1
-        self.by_purpose[step.purpose] = self.by_purpose.get(step.purpose, 0) + 1
-
-
-def counting(session: Session, counts: StepCounts) -> Session:
-    """Wrap a session, tallying every step it yields into ``counts``."""
-    try:
-        step = next(session)
-        while True:
-            counts.record(step)
-            value = yield step
             step = session.send(value)
     except StopIteration as stop:
         return stop.value

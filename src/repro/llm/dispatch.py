@@ -23,6 +23,9 @@ hundreds.  This module provides the shared machinery between them:
   errors without adding failure evidence) and charges a duck-typed budget
   (anything with ``charge(n)``) one unit per accepted request, so campaign
   LLM-call budgets propagate into the service path with no import cycle.
+  Requests, outcomes and batch sizes are counted in the dispatcher's own
+  :class:`~repro.obs.MetricsRegistry` (``metrics``); :meth:`snapshot` reads
+  them back as one dict.
 
 Determinism note: each generation session owns its deterministically seeded
 client, and the dispatcher always answers a request through *that* request's
@@ -36,17 +39,16 @@ from __future__ import annotations
 import asyncio
 import inspect
 import random
-from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.llm.client import ChatClient, ChatMessage
+from repro.obs.metrics import BATCH_BUCKETS, MetricsRegistry
 from repro.retry import BreakerOpenError, RetryPolicy, emit_retry, is_transport_fault
 
 __all__ = [
     "AsyncChatClient",
     "BatchChatClient",
     "BatchingDispatcher",
-    "DispatchStats",
     "LatencyClient",
     "RetryPolicy",
     "SyncClientAdapter",
@@ -142,49 +144,17 @@ class TokenBucket:
                 self._refill(loop.time())
 
 
-@dataclass
-class DispatchStats:
-    """Cumulative dispatcher accounting (all mutated on the event loop)."""
-
-    requests: int = 0
-    batches: int = 0
-    retries: int = 0
-    failures: int = 0
-    timeouts: int = 0
-    cancelled: int = 0
-    breaker_rejections: int = 0
-    budget_rejections: int = 0
-    max_batch_size: int = 0
-    batched_requests: int = 0
-    batch_sizes: list[int] = field(default_factory=list)
-
-    _BATCH_HISTORY = 1024
-
-    def record_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_requests += size
-        self.max_batch_size = max(self.max_batch_size, size)
-        self.batch_sizes.append(size)
-        if len(self.batch_sizes) > self._BATCH_HISTORY:
-            del self.batch_sizes[: len(self.batch_sizes) - self._BATCH_HISTORY]
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.batched_requests / self.batches if self.batches else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "retries": self.retries,
-            "failures": self.failures,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "breaker_rejections": self.breaker_rejections,
-            "budget_rejections": self.budget_rejections,
-            "mean_batch_size": round(self.mean_batch_size, 3),
-            "max_batch_size": self.max_batch_size,
-        }
+#: The counts of :meth:`BatchingDispatcher.snapshot`, one ``kind`` label each
+#: of ``repro_llm_dispatch_total``.
+DISPATCH_COUNTS = (
+    "requests",
+    "retries",
+    "failures",
+    "timeouts",
+    "cancelled",
+    "breaker_rejections",
+    "budget_rejections",
+)
 
 
 class _Request:
@@ -214,7 +184,7 @@ class BatchingDispatcher:
     with jittered exponential backoff.
 
     ``request_timeout`` bounds every completion *attempt*: an attempt slower
-    than that many seconds is abandoned, counted in ``stats.timeouts`` and
+    than that many seconds is abandoned, counted as a timeout and
     retried under the same policy as a transport error (so a wedged provider
     call cannot hold its batch slot forever).  Cancellation propagates both
     ways — a caller abandoning ``complete`` marks its request cancelled so
@@ -261,7 +231,13 @@ class BatchingDispatcher:
         self.per_profile_limit = per_profile_limit
         self.retry = retry or RetryPolicy()
         self.request_timeout = request_timeout
-        self.stats = DispatchStats()
+        self.metrics = MetricsRegistry()
+        self._counts = self.metrics.counter(
+            "repro_llm_dispatch_total", "dispatcher requests and their outcomes"
+        )
+        self._batch_sizes = self.metrics.histogram(
+            "repro_llm_batch_size", "LLM micro-batch sizes", buckets=BATCH_BUCKETS
+        )
         self._rng = random.Random(retry_seed)
         self._pending: list[_Request] = []
         self._timer: asyncio.Task | None = None
@@ -291,6 +267,17 @@ class BatchingDispatcher:
                 return await self._enqueue(messages, resolved)
         return await self._enqueue(messages, resolved)
 
+    def snapshot(self) -> dict:
+        """The dispatcher's counts, read from :attr:`metrics`."""
+        counts = {name: self._counts.value(kind=name) for name in DISPATCH_COUNTS}
+        batches = self._batch_sizes.count()
+        counts["batches"] = batches
+        counts["mean_batch_size"] = (
+            round(self._batch_sizes.sum() / batches, 3) if batches else 0.0
+        )
+        counts["max_batch_size"] = self._batch_sizes.max()
+        return counts
+
     async def drain(self) -> None:
         """Wait until every pending and in-flight batch has finished."""
         while self._pending or self._batch_tasks or self._timer is not None:
@@ -309,11 +296,11 @@ class BatchingDispatcher:
             try:
                 self.budget.charge(1)
             except Exception:
-                self.stats.budget_rejections += 1
+                self._counts.inc(kind="budget_rejections")
                 raise
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self.stats.requests += 1
+        self._counts.inc(kind="requests")
         self._pending.append(_Request(messages, client, future))
         if len(self._pending) >= self.max_batch:
             self._flush_all()
@@ -328,7 +315,7 @@ class BatchingDispatcher:
             if not future.done():
                 future.cancel()
             if future.cancelled():
-                self.stats.cancelled += 1
+                self._counts.inc(kind="cancelled")
             raise
 
     async def _flush_after_window(self) -> None:
@@ -378,7 +365,7 @@ class BatchingDispatcher:
     async def _execute_batch(self, batch: list[_Request]) -> None:
         if self.rate_limiter is not None:
             await self.rate_limiter.acquire(len(batch))
-        self.stats.record_batch(len(batch))
+        self._batch_sizes.observe(len(batch))
         if self.bus is not None and self.bus.active:
             self.bus.publish("llm.batch", "flush", size=len(batch))
         grouped = [request for request in batch if self._is_batchable(request)]
@@ -416,7 +403,7 @@ class BatchingDispatcher:
                 return  # The caller abandoned this request; spend nothing on it.
             try:
                 if self.breaker is not None and not self.breaker.allow():
-                    self.stats.breaker_rejections += 1
+                    self._counts.inc(kind="breaker_rejections")
                     raise BreakerOpenError(
                         f"circuit breaker {self.breaker.name!r} is open"
                     )
@@ -431,7 +418,7 @@ class BatchingDispatcher:
             except Exception as exc:
                 timed_out = isinstance(exc, (asyncio.TimeoutError, TimeoutError))
                 if timed_out:
-                    self.stats.timeouts += 1
+                    self._counts.inc(kind="timeouts")
                     exc = TimeoutError(
                         f"completion attempt exceeded {self.request_timeout}s"
                     )
@@ -443,16 +430,14 @@ class BatchingDispatcher:
                 attempt += 1
                 reason = "timeout" if timed_out else type(exc).__name__
                 if attempt > self.retry.attempts:
-                    self.stats.failures += 1
+                    self._counts.inc(kind="failures")
                     if self.bus is not None and self.bus.active:
                         self.bus.publish("llm.retry", "exhausted", reason=reason)
                     if not request.future.done():
                         request.future.set_exception(exc)
                     return
-                self.stats.retries += 1
+                self._counts.inc(kind="retries")
                 delay = self.retry.delay(attempt, self._rng)
-                if self.bus is not None and self.bus.active:
-                    self.bus.publish("llm.retry", "retry", attempt=attempt, reason=reason)
                 emit_retry(self.bus, "llm", attempt, reason, delay)
                 await asyncio.sleep(delay)
 
@@ -472,7 +457,7 @@ class BatchingDispatcher:
                 )
         except Exception as exc:
             if isinstance(exc, (asyncio.TimeoutError, TimeoutError)):
-                self.stats.timeouts += 1
+                self._counts.inc(kind="timeouts")
             # One poisoned request must not sink its batch-mates: degrade to
             # per-request completion, where the retry policy (and per-attempt
             # timeout) isolates failures to the requests that caused them.

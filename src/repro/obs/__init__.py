@@ -9,8 +9,12 @@ console").  Three layers share one event stream:
 * :mod:`repro.obs.spans` — :func:`span` context managers emitting
   start/end trace events with monotonic durations and parent/child lineage
   (session → LLM call → tool call → simulate), plus timeline reconstruction;
-* :mod:`repro.obs.metrics` — a Prometheus-style registry fed from the same
-  events by :class:`MetricsSink`;
+* :mod:`repro.obs.metrics` — a Prometheus-style :class:`MetricsRegistry`.
+  The generation service and its LLM dispatcher each count into their own
+  registry where things happen (``service.metrics``,
+  ``dispatcher.metrics``); :class:`MetricsSink` fills one from the events
+  that have no such owner (spans, retries, campaigns, cache snapshots,
+  sweeps, fuzzing);
 * :mod:`repro.obs.transport` — JSON-lines file and line-JSON socket
   transports so external processes (the Textual console, CI artifacts, a
   scraper) subscribe without touching the serving process.

@@ -4,11 +4,17 @@ The registry holds typed instruments keyed by ``(name, labels)`` series and
 renders them in the Prometheus text format, so any scraper (or a human with
 ``curl`` against a dump) can read service health without bespoke parsing.
 
-:class:`MetricsSink` derives the whole registry from the structured event
-stream — the same events the operations console renders — instead of a
-second set of ad-hoc counters threaded through the code: job states, cache
-tiers, span latencies, LLM/sim batch sizes and queue depth all fall out of
-one ``attach``.
+A registry is the counter store of the layer that owns it: the generation
+service counts job states, cache tiers, session steps, in-flight sessions
+and simulate batch sizes in ``GenerationService.metrics``, and the LLM
+dispatcher counts requests, outcomes and batch sizes in
+``BatchingDispatcher.metrics``.  Each count is taken once, where it happens,
+and their snapshots are built from those registries.
+
+:class:`MetricsSink` fills a registry from the structured event stream for
+the topics that have no owner counting at the source: span latencies,
+breaker transitions, retry attempts, campaign progress, toolchain cache
+snapshots, sweep progress and fuzz outcomes.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from bisect import bisect_right
 from repro.obs.events import Event, EventBus, Subscription
 
 _DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+#: Buckets for micro-batch sizes (LLM and simulate batches).
+BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _labels_key(labels: dict) -> tuple[tuple[str, str], ...]:
@@ -43,13 +51,13 @@ class Counter:
         self._series: dict[tuple, float] = {}
         self._lock = threading.Lock()
 
-    def inc(self, value: float = 1.0, **labels) -> None:
+    def inc(self, value: float = 1, **labels) -> None:
         key = _labels_key(labels)
         with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
+            self._series[key] = self._series.get(key, 0) + value
 
     def value(self, **labels) -> float:
-        return self._series.get(_labels_key(labels), 0.0)
+        return self._series.get(_labels_key(labels), 0)
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} {self.kind}"]
@@ -69,7 +77,11 @@ class Gauge(Counter):
 
 
 class Histogram:
-    """Cumulative-bucket histogram in the Prometheus style."""
+    """Cumulative-bucket histogram in the Prometheus style.
+
+    Each series also keeps its exact largest observation (:meth:`max`),
+    which the buckets alone can only bound.
+    """
 
     kind = "histogram"
 
@@ -77,7 +89,7 @@ class Histogram:
         self.name = name
         self.help = help
         self.buckets = tuple(sorted(buckets))
-        self._series: dict[tuple, list] = {}  # key -> [bucket counts..., count, sum]
+        self._series: dict[tuple, list] = {}  # key -> [bucket counts..., count, sum, max]
         self._lock = threading.Lock()
 
     def observe(self, value: float, **labels) -> None:
@@ -85,20 +97,25 @@ class Histogram:
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                series = self._series[key] = [0] * len(self.buckets) + [0, 0.0]
+                series = self._series[key] = [0] * len(self.buckets) + [0, 0, value]
             index = bisect_right(self.buckets, value)
             for i in range(index, len(self.buckets)):
                 series[i] += 1
-            series[-2] += 1
-            series[-1] += value
+            series[-3] += 1
+            series[-2] += value
+            series[-1] = max(series[-1], value)
 
     def count(self, **labels) -> int:
         series = self._series.get(_labels_key(labels))
-        return series[-2] if series else 0
+        return series[-3] if series else 0
 
     def sum(self, **labels) -> float:
         series = self._series.get(_labels_key(labels))
-        return series[-1] if series else 0.0
+        return series[-2] if series else 0
+
+    def max(self, **labels) -> float:
+        series = self._series.get(_labels_key(labels))
+        return series[-1] if series else 0
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} {self.kind}"]
@@ -108,9 +125,9 @@ class Histogram:
                 labelled = key + (("le", f"{bucket:g}"),)
                 lines.append(f"{self.name}_bucket{_render_labels(labelled)} {cumulative}")
             inf_key = key + (("le", "+Inf"),)
-            lines.append(f"{self.name}_bucket{_render_labels(inf_key)} {series[-2]}")
-            lines.append(f"{self.name}_count{_render_labels(key)} {series[-2]}")
-            lines.append(f"{self.name}_sum{_render_labels(key)} {series[-1]:g}")
+            lines.append(f"{self.name}_bucket{_render_labels(inf_key)} {series[-3]}")
+            lines.append(f"{self.name}_count{_render_labels(key)} {series[-3]}")
+            lines.append(f"{self.name}_sum{_render_labels(key)} {series[-2]:g}")
         return lines
 
 
@@ -159,22 +176,23 @@ class MetricsSink:
     ``pump()`` drains the sink's bus subscription and folds every event into
     the registry; call it from a timer, a console refresh, or a loop around
     ``subscription.get``.  ``attach``/``detach`` manage the subscription;
-    events lost to backpressure surface as ``repro_events_dropped_total``.
+    events lost to backpressure count in ``repro_events_dropped_total``.
+    Service and dispatcher counts are not here: their owners keep them in
+    their own registries.
     """
 
-    TOPICS = (
-        "service", "llm", "sim", "trace", "cache", "sweep", "fuzz", "campaign",
-        "retry",
-    )
+    TOPICS = ("trace", "llm.breaker", "retry", "campaign", "cache", "sweep", "fuzz")
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry or MetricsRegistry()
         self._subscription: Subscription | None = None
         self._bus: EventBus | None = None
+        self._dropped = 0
 
     def attach(self, bus: EventBus, maxsize: int = 8192) -> "MetricsSink":
         self._bus = bus
         self._subscription = bus.subscribe(self.TOPICS, maxsize=maxsize, name="metrics")
+        self._dropped = 0
         return self
 
     def detach(self) -> None:
@@ -191,14 +209,11 @@ class MetricsSink:
         for event in events:
             self.apply(event)
         dropped = self._subscription.dropped
-        if dropped:
+        if dropped > self._dropped:
             self.registry.counter(
                 "repro_events_dropped_total", "events lost to sink backpressure"
-            ).inc(0)  # ensure the series exists even before the first loss
-            gauge = self.registry.gauge(
-                "repro_events_dropped", "current drop count of the metrics sink"
-            )
-            gauge.set(dropped)
+            ).inc(dropped - self._dropped)
+            self._dropped = dropped
         return len(events)
 
     # ------------------------------------------------------------------ rules
@@ -206,38 +221,12 @@ class MetricsSink:
     def apply(self, event: Event) -> None:
         registry = self.registry
         topic, name, attrs = event.topic, event.name, event.attrs
-        if topic == "service.job":
-            if name == "cache-hit":
-                registry.counter(
-                    "repro_service_cache_hits_total", "jobs served from a cache tier"
-                ).inc(tier=attrs.get("tier", "unknown"))
-            else:
-                registry.counter(
-                    "repro_service_jobs_total", "job state transitions"
-                ).inc(state=name)
-        elif topic == "service.snapshot":
-            registry.gauge("repro_service_queue_depth", "queued jobs").set(
-                attrs.get("queue_depth", 0)
-            )
-            registry.gauge("repro_service_in_flight", "executing sessions").set(
-                attrs.get("in_flight", 0)
-            )
-        elif topic == "trace" and name == "span.end":
+        if topic == "trace" and name == "span.end":
             duration = attrs.get("duration")
             if duration is not None:
                 registry.histogram(
                     "repro_span_seconds", "span durations by operation"
                 ).observe(duration, op=attrs.get("op", ""))
-        elif topic == "llm.batch":
-            registry.histogram(
-                "repro_llm_batch_size",
-                "LLM micro-batch sizes",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            ).observe(attrs.get("size", 0))
-        elif topic == "llm.retry":
-            registry.counter("repro_llm_retries_total", "dispatch retries").inc(
-                reason=attrs.get("reason", "error")
-            )
         elif topic == "llm.breaker":
             registry.counter(
                 "repro_breaker_transitions_total", "circuit-breaker transitions"
@@ -259,12 +248,6 @@ class MetricsSink:
                 registry.counter(
                     "repro_campaign_events_total", "campaign lifecycle events"
                 ).inc(event=name)
-        elif topic == "sim.batch":
-            registry.histogram(
-                "repro_sim_batch_size",
-                "simulate micro-batch sizes",
-                buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-            ).observe(attrs.get("size", 0))
         elif topic == "cache.stats":
             for cache, counters in (attrs.get("caches") or {}).items():
                 registry.gauge("repro_cache_hits", "toolchain cache hits").set(

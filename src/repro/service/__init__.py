@@ -7,12 +7,11 @@ See :mod:`repro.service.service` for the architecture overview, README
 
 from repro.service.config import ServiceConfig
 from repro.service.service import GenerationService, serve_units
-from repro.service.telemetry import ServiceSnapshot, Telemetry
+from repro.service.telemetry import ServiceSnapshot
 
 __all__ = [
     "GenerationService",
     "ServiceConfig",
     "ServiceSnapshot",
-    "Telemetry",
     "serve_units",
 ]

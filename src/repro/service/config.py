@@ -30,7 +30,8 @@ class ServiceConfig:
 
     ``request_timeout`` bounds each LLM dispatch attempt in seconds
     (``None`` disables the bound); timed-out attempts are retried like
-    transport errors and counted in ``DispatchStats.timeouts``.
+    transport errors and counted as ``timeouts`` in the dispatcher's metrics
+    registry (``dispatcher.snapshot()["timeouts"]``).
 
     ``sim_batch_window`` / ``sim_max_batch`` parameterize simulate-call
     micro-batching: simulate tool steps from concurrent sessions collect for

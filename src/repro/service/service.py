@@ -19,7 +19,13 @@ step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
   memoized in-process, served from a persistent
   :class:`~repro.experiments.store.ResultStore` when one is configured, and
   duplicate in-flight specs coalesce onto a single execution — repeat specs
-  cost zero LLM calls.
+  cost zero LLM calls;
+* **counting** is done once, where each fact happens, in the service's
+  :class:`~repro.obs.MetricsRegistry` (``metrics``: job states, cache tiers,
+  session steps, in-flight sessions, simulate batch sizes) and the
+  dispatcher's (``dispatcher.metrics``: requests, retries, failures,
+  timeouts, rejections, LLM batch sizes).  :meth:`GenerationService.snapshot`
+  and the ``service.snapshot`` event are both built from them.
 
 Every session owns its deterministically seeded client, so results are
 bit-identical to blocking ``ReChisel.run`` / ``ZeroShotRunner.run`` /
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -41,10 +48,11 @@ from repro.experiments.store import ResultStore
 from repro.experiments.strategies import strategy_from_unit
 from repro.experiments.work import WorkerContext, WorkUnit
 from repro.llm.dispatch import BatchingDispatcher, TokenBucket
-from repro.obs import EventBus, get_bus, span
+from repro.obs import EventBus, MetricsRegistry, get_bus, span
+from repro.obs.metrics import BATCH_BUCKETS, Histogram
 from repro.problems.registry import ProblemRegistry
 from repro.service.config import ServiceConfig
-from repro.service.telemetry import ServiceSnapshot, Telemetry
+from repro.service.telemetry import ServiceSnapshot, percentile
 from repro.toolchain.simulator import SimulateRequest
 
 
@@ -63,21 +71,22 @@ class _SimulationBatcher:
     share vector-kernel lanes.  Bit-identity with per-call ``simulate`` is
     guaranteed by ``run_testbenches``; if a batch fails wholesale, each
     request is retried individually so one poisoned DUT can't fail its
-    batch-mates.
+    batch-mates.  Each batch's size is observed in ``sizes``, the service's
+    ``repro_sim_batch_size`` histogram.
     """
 
     def __init__(
         self,
         loop,
         executor,
-        telemetry: Telemetry,
+        sizes: Histogram,
         window: float,
         max_batch: int,
         bus: EventBus | None = None,
     ):
         self._loop = loop
         self._executor = executor
-        self._telemetry = telemetry
+        self._sizes = sizes
         self._window = window
         self._max_batch = max_batch
         self._bus = bus
@@ -102,7 +111,7 @@ class _SimulationBatcher:
             self._loop.create_task(self._run(batch))
 
     async def _run(self, batch: list[tuple[SimulateRequest, asyncio.Future]]) -> None:
-        self._telemetry.record_sim_batch(len(batch))
+        self._sizes.observe(len(batch))
         if self._bus is not None and self._bus.active:
             self._bus.publish("sim.batch", "flush", size=len(batch))
         try:
@@ -195,7 +204,20 @@ class GenerationService:
         else:
             self._owns_store = False
         self.store = store
-        self.telemetry = Telemetry()
+        # The service's one counter store; snapshot() reads it back.
+        self.metrics = MetricsRegistry()
+        self._jobs = self.metrics.counter("repro_service_jobs_total", "job state transitions")
+        self._cache_hits = self.metrics.counter(
+            "repro_service_cache_hits_total", "jobs served from a cache tier"
+        )
+        self._steps = self.metrics.counter("repro_session_steps_total", "session steps by kind")
+        self._in_flight = self.metrics.gauge("repro_service_in_flight", "executing sessions")
+        self._sim_batch_sizes = self.metrics.histogram(
+            "repro_sim_batch_size", "simulate micro-batch sizes", buckets=BATCH_BUCKETS
+        )
+        # The most recent session latencies: enough for stable percentiles
+        # without unbounded growth.
+        self._latencies: deque[float] = deque(maxlen=4096)
         self._dispatcher_override = dispatcher
         self._client_factory = client_factory or self.context.client_for
         self.dispatcher: BatchingDispatcher | None = None
@@ -243,7 +265,7 @@ class GenerationService:
             self._sim_batcher = _SimulationBatcher(
                 loop,
                 self._tools,
-                self.telemetry,
+                self._sim_batch_sizes,
                 config.sim_batch_window,
                 config.sim_max_batch,
                 bus=self.bus,
@@ -272,7 +294,7 @@ class GenerationService:
                     "service.job",
                     "drained",
                     pending=self._queue.qsize() if self._queue is not None else 0,
-                    in_flight=self.telemetry.in_flight,
+                    in_flight=self._in_flight.value(),
                 )
         for worker in self._workers:
             worker.cancel()
@@ -338,7 +360,7 @@ class GenerationService:
             raise RuntimeError("generation service is draining; not accepting new jobs")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        self.telemetry.submitted += 1
+        self._jobs.inc(state="submitted")
         if self.bus.active:
             self.bus.publish(
                 "service.job",
@@ -360,11 +382,40 @@ class GenerationService:
         return await asyncio.gather(*(self.submit(unit) for unit in units))
 
     def snapshot(self) -> ServiceSnapshot:
-        """A consistent telemetry snapshot (queue depth, cache hits, p50/p95)."""
-        return self.telemetry.snapshot(
-            queue_depth=self._queue.qsize() if self._queue is not None else 0,
-            dispatcher_stats=self.dispatcher.stats.snapshot() if self.dispatcher else None,
+        """A consistent snapshot (queue depth, cache hits, p50/p95) of the registries."""
+        samples = list(self._latencies)
+        sizes = self._sim_batch_sizes
+        return ServiceSnapshot(
+            **self._counts(),
+            p50_latency=percentile(samples, 0.50),
+            p95_latency=percentile(samples, 0.95),
+            p99_latency=percentile(samples, 0.99),
+            max_latency=max(samples) if samples else 0.0,
+            dispatcher=self.dispatcher.snapshot() if self.dispatcher else {},
+            caches=cache_stats(),
+            sim_batches=sizes.count(),
+            sim_batched_requests=sizes.sum(),
+            max_sim_batch=sizes.max(),
         )
+
+    def _counts(self) -> dict:
+        """The count fields of :class:`ServiceSnapshot`, read from :attr:`metrics`.
+
+        They are also the attributes of every ``service.snapshot`` event.
+        """
+        jobs, hits, steps = self._jobs, self._cache_hits, self._steps
+        return {
+            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "in_flight": self._in_flight.value(),
+            "submitted": jobs.value(state="submitted"),
+            "completed": jobs.value(state="completed"),
+            "failed": jobs.value(state="failed"),
+            "memo_hits": hits.value(tier="memo"),
+            "store_hits": hits.value(tier="store"),
+            "coalesced_hits": hits.value(tier="coalesced"),
+            "llm_calls": steps.value(kind="llm"),
+            "tool_calls": steps.value(kind="tool"),
+        }
 
     # ---------------------------------------------------------------- workers
 
@@ -379,7 +430,7 @@ class GenerationService:
                     future.cancel()
                 raise
             except Exception as exc:
-                self.telemetry.failed += 1
+                self._jobs.inc(state="failed")
                 if self.bus.active:
                     self.bus.publish(
                         "service.job",
@@ -388,18 +439,19 @@ class GenerationService:
                         strategy=unit.strategy,
                         error=type(exc).__name__,
                     )
+                    self._publish_snapshot()
                 if not future.done():
                     future.set_exception(exc)
             except BaseException:
                 # The worker task itself is dying (KeyboardInterrupt & co.);
                 # resolve the job so its submitter isn't stranded, then let
                 # the exception take the task down.
-                self.telemetry.failed += 1
+                self._jobs.inc(state="failed")
                 if not future.done():
                     future.set_exception(RuntimeError("generation worker died mid-job"))
                 raise
             else:
-                self.telemetry.completed += 1
+                self._jobs.inc(state="completed")
                 if self.bus.active:
                     self.bus.publish(
                         "service.job",
@@ -424,13 +476,13 @@ class GenerationService:
 
         payload = self._memo.get(fingerprint)
         if payload is not None:
-            self.telemetry.memo_hits += 1
+            self._cache_hits.inc(tier="memo")
             self._publish_cache_hit("memo", unit)
             return payload
         if self.store is not None:
             payload = self.store.get(fingerprint)
             if payload is not None:
-                self.telemetry.store_hits += 1
+                self._cache_hits.inc(tier="store")
                 self._publish_cache_hit("store", unit)
                 self._memo.put(fingerprint, payload)
                 return payload
@@ -438,14 +490,14 @@ class GenerationService:
         if pending is not None:
             # The same spec is already executing: piggyback on its result
             # instead of spending duplicate LLM calls.
-            self.telemetry.coalesced_hits += 1
+            self._cache_hits.inc(tier="coalesced")
             self._publish_cache_hit("coalesced", unit)
             return await pending
 
         barrier: asyncio.Future = loop.create_future()
         barrier.add_done_callback(_consume_exception)
         self._inflight[fingerprint] = barrier
-        self.telemetry.in_flight += 1
+        self._in_flight.inc()
         started = loop.time()
         # Real executions (not cache hits) mark the process-wide priority
         # gate: background campaigns park while interactive jobs run.
@@ -470,8 +522,8 @@ class GenerationService:
             raise
         finally:
             gate.interactive_end()
-            self.telemetry.in_flight -= 1
-            self.telemetry.record_latency(loop.time() - started)
+            self._in_flight.inc(-1)
+            self._latencies.append(loop.time() - started)
             del self._inflight[fingerprint]
         self._memo.put(fingerprint, payload)
         if self.store is not None:
@@ -492,7 +544,7 @@ class GenerationService:
         try:
             step = next(session)
             while True:
-                self.telemetry.steps.record(step)
+                self._steps.inc(kind="llm" if isinstance(step, LLMCall) else "tool")
                 if isinstance(step, LLMCall):
                     with span("llm." + step.purpose, bus=bus):
                         value = await self.dispatcher.complete(
@@ -527,22 +579,14 @@ class GenerationService:
     def _publish_snapshot(self) -> None:
         """Emit ``service.snapshot`` + ``cache.stats`` (throttled) events.
 
-        Called after each completed job while subscribers are attached; the
-        cache-stats walk is throttled so a burst of completions costs one
-        registry scan per interval, not one per job.
+        Called after each completed or failed job while subscribers are
+        attached.  The snapshot carries :meth:`_counts`, so the latest one is
+        complete even when a lossy subscriber dropped the job events before
+        it.  The cache-stats walk is throttled so a burst of completions
+        costs one registry scan per interval, not one per job.
         """
         bus = self.bus
-        bus.publish(
-            "service.snapshot",
-            "update",
-            queue_depth=self._queue.qsize() if self._queue is not None else 0,
-            in_flight=self.telemetry.in_flight,
-            submitted=self.telemetry.submitted,
-            completed=self.telemetry.completed,
-            failed=self.telemetry.failed,
-            llm_calls=self.telemetry.steps.llm_calls,
-            tool_calls=self.telemetry.steps.tool_calls,
-        )
+        bus.publish("service.snapshot", "update", **self._counts())
         now = time.monotonic()
         if now - self._last_stats_publish >= 0.25:
             self._last_stats_publish = now
@@ -557,7 +601,7 @@ def serve_units(
     """Blocking convenience: run ``units`` through a fresh service.
 
     Spins up an event loop, serves every unit, and returns the payloads (in
-    submission order) together with the final telemetry snapshot.
+    submission order) together with the final :class:`ServiceSnapshot`.
     """
 
     async def _main() -> tuple[list[dict], ServiceSnapshot]:

@@ -1,18 +1,15 @@
-"""Service telemetry: counters, latency percentiles, one-call snapshots.
+"""The service snapshot type and the latency percentile it reports.
 
-All counters are mutated from the event loop only, so no locking is needed;
-the latency reservoir is a bounded deque holding the most recent session
-latencies (enough for stable p50/p95 without unbounded growth).
+:class:`ServiceSnapshot` is one consistent view of a
+:class:`~repro.service.service.GenerationService`.  The service builds it
+from the counts in its own and its dispatcher's metrics registries, plus its
+latency reservoir, queue and the toolchain cache counters.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-
-from repro.caching import cache_stats
-from repro.core.session import StepCounts
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -110,57 +107,3 @@ class ServiceSnapshot:
             ]
             lines.append("toolchain caches (hits/lookups)  " + ", ".join(parts))
         return "\n".join(lines)
-
-
-class Telemetry:
-    """Cumulative service accounting; see :class:`ServiceSnapshot`."""
-
-    def __init__(self, latency_window: int = 4096):
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.memo_hits = 0
-        self.store_hits = 0
-        self.coalesced_hits = 0
-        self.in_flight = 0
-        self.sim_batches = 0
-        self.sim_batched_requests = 0
-        self.max_sim_batch = 0
-        self.steps = StepCounts()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-
-    def record_sim_batch(self, size: int) -> None:
-        self.sim_batches += 1
-        self.sim_batched_requests += size
-        self.max_sim_batch = max(self.max_sim_batch, size)
-
-    def record_latency(self, seconds: float) -> None:
-        self._latencies.append(seconds)
-
-    def snapshot(
-        self,
-        queue_depth: int = 0,
-        dispatcher_stats: dict | None = None,
-    ) -> ServiceSnapshot:
-        samples = list(self._latencies)
-        return ServiceSnapshot(
-            queue_depth=queue_depth,
-            in_flight=self.in_flight,
-            submitted=self.submitted,
-            completed=self.completed,
-            failed=self.failed,
-            memo_hits=self.memo_hits,
-            store_hits=self.store_hits,
-            coalesced_hits=self.coalesced_hits,
-            llm_calls=self.steps.llm_calls,
-            tool_calls=self.steps.tool_calls,
-            p50_latency=percentile(samples, 0.50),
-            p95_latency=percentile(samples, 0.95),
-            p99_latency=percentile(samples, 0.99),
-            max_latency=max(samples) if samples else 0.0,
-            dispatcher=dict(dispatcher_stats or {}),
-            caches=cache_stats(),
-            sim_batches=self.sim_batches,
-            sim_batched_requests=self.sim_batched_requests,
-            max_sim_batch=self.max_sim_batch,
-        )

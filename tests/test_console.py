@@ -66,7 +66,8 @@ class TestConsoleModel:
         # calls and in the toolchain.
         assert all(float(row[5]) > 0 for row in rows), "llm ms column empty"
         assert any(float(row[6]) > 0 for row in rows), "compile ms column empty"
-        assert model.counters["completed"] == len(units)
+        assert model.snapshot["completed"] == len(units)
+        assert f"done={len(units)}" in model.headline()
 
     def test_cache_panel_reflects_stage_caches(self):
         units = make_units(samples=1)
@@ -78,6 +79,26 @@ class TestConsoleModel:
         rendered = model.render()
         assert "caches:" in rendered
         assert "sessions (newest first):" in rendered
+
+    def test_headline_counts_every_job_under_backpressure(self):
+        """A small subscription drops most events, but the headline reads the
+        service's cumulative counts from the latest snapshot event."""
+        units = [
+            WorkUnit("rechisel", "GPT-4o mini", "alu_w4", 0, sample, 0, 6, RECHISEL_KNOBS)
+            for sample in range(8)
+        ]
+        bus = EventBus()
+        model = ConsoleModel()
+        subscription = model.attach(bus, maxsize=16)
+        try:
+            _, snapshot = serve_units(units, ServiceConfig(max_in_flight=4), bus=bus)
+            model.pump()
+        finally:
+            model.detach()
+        assert subscription.dropped > 0
+        assert snapshot.completed == 8
+        assert "done=8" in model.headline()
+        assert "failed=0" in model.headline()
 
     def test_batch_sparkline_tracks_llm_batches(self):
         units = make_units()

@@ -248,27 +248,130 @@ class TestMetrics:
     def test_sink_derives_metrics_from_events(self):
         bus = EventBus()
         sink = MetricsSink().attach(bus)
-        bus.publish("service.job", "completed")
-        bus.publish("service.job", "completed")
-        bus.publish("service.job", "cache-hit", tier="memo")
-        bus.publish("service.snapshot", "update", queue_depth=3, in_flight=2)
         bus.publish("trace", "span.end", span="s", parent="", trace="t",
                     op="tool.simulate", duration=0.02)
-        bus.publish("llm.batch", "flush", size=4)
-        bus.publish("llm.retry", "retry", attempt=1, reason="timeout")
         bus.publish("cache.stats", "snapshot", caches={"sim_kernel": {"hits": 9, "misses": 1}})
         bus.publish("fuzz.program", "checked", index=0, ok=True)
         consumed = sink.pump()
-        assert consumed == 9
+        assert consumed == 3
         registry = sink.registry
-        assert registry.counter("repro_service_jobs_total").value(state="completed") == 2
-        assert registry.counter("repro_service_cache_hits_total").value(tier="memo") == 1
-        assert registry.gauge("repro_service_queue_depth").value() == 3
         assert registry.histogram("repro_span_seconds").count(op="tool.simulate") == 1
-        assert registry.counter("repro_llm_retries_total").value(reason="timeout") == 1
         assert registry.gauge("repro_cache_hits").value(cache="sim_kernel") == 9
         assert registry.counter("repro_fuzz_programs_total").value(ok="true") == 1
         sink.detach()
+
+    def test_sink_leaves_service_and_dispatch_counts_to_their_owners(self):
+        bus = EventBus()
+        sink = MetricsSink().attach(bus)
+        bus.publish("service.job", "completed")
+        bus.publish("service.job", "cache-hit", tier="memo")
+        bus.publish("service.snapshot", "update", queue_depth=3, in_flight=2)
+        bus.publish("llm.batch", "flush", size=4)
+        bus.publish("llm.retry", "exhausted", reason="timeout")
+        bus.publish("sim.batch", "flush", size=2)
+        assert sink.pump() == 0
+        assert sink.registry.render() == ""
+        sink.detach()
+
+    def test_dropped_events_count_in_the_dropped_total(self):
+        bus = EventBus()
+        sink = MetricsSink().attach(bus, maxsize=2)
+        for index in range(5):
+            bus.publish("sweep.progress", "unit", done=index)
+        assert sink.pump() == 2
+        text = sink.registry.render()
+        assert "repro_events_dropped_total 3" in text
+        assert "repro_events_dropped " not in text
+        # Each pump adds only the drops since the previous one.
+        for index in range(3):
+            bus.publish("sweep.progress", "unit", done=index)
+        sink.pump()
+        assert sink.registry.counter("repro_events_dropped_total").value() == 4
+        sink.detach()
+
+    def test_histogram_keeps_the_exact_max_per_series(self):
+        histogram = MetricsRegistry().histogram("repro_batch", buckets=(1, 8))
+        for size in (3, 5, 2):
+            histogram.observe(size)
+        histogram.observe(7, kind="llm")
+        assert histogram.max() == 5 and histogram.max(kind="llm") == 7
+        assert histogram.count() == 3 and histogram.sum() == 10
+        assert histogram.max(kind="sim") == 0
+
+
+class TestAtSourceCounts:
+    """The service and the dispatcher count in their own registries."""
+
+    def test_service_counts_jobs_cache_tiers_and_steps(self):
+        from repro.experiments.work import WorkUnit
+        from repro.service import GenerationService, ServiceConfig
+
+        unit = WorkUnit(
+            "rechisel", "GPT-4o mini", "alu_w4", 0, 2, 0, 6,
+            (("enable_escape", True), ("feedback_detail", "full"), ("use_knowledge", True)),
+        )
+
+        async def main():
+            service = GenerationService(ServiceConfig(max_in_flight=2))
+            async with service:
+                await service.run([unit, unit])
+                await service.run([unit])
+            return service
+
+        service = asyncio.run(main())
+        snapshot = service.snapshot()
+        metrics = service.metrics
+        jobs = metrics.counter("repro_service_jobs_total")
+        assert jobs.value(state="submitted") == jobs.value(state="completed") == 3
+        hits = metrics.counter("repro_service_cache_hits_total")
+        assert hits.value(tier="coalesced") == 1 and hits.value(tier="memo") == 1
+        assert metrics.gauge("repro_service_in_flight").value() == 0
+        steps = metrics.counter("repro_session_steps_total")
+        assert steps.value(kind="llm") == snapshot.llm_calls > 0
+        assert steps.value(kind="tool") == snapshot.tool_calls > 0
+        sizes = metrics.histogram("repro_sim_batch_size")
+        assert sizes.count() == snapshot.sim_batches > 0
+        assert sizes.sum() == snapshot.sim_batched_requests
+        assert 'repro_service_jobs_total{state="completed"} 3' in metrics.render()
+        dispatch = service.dispatcher.metrics
+        assert dispatch.counter("repro_llm_dispatch_total").value(kind="requests") == (
+            snapshot.llm_calls
+        )
+        assert dispatch.histogram("repro_llm_batch_size").sum() == snapshot.llm_calls
+
+    def test_one_transient_failure_is_one_retry_event_and_one_count(self):
+        from repro.llm.client import ChatMessage
+        from repro.llm.dispatch import BatchingDispatcher, RetryPolicy
+
+        class FlakyOnce:
+            def __init__(self):
+                self.calls = 0
+
+            def complete(self, messages):
+                self.calls += 1
+                if self.calls == 1:
+                    raise ConnectionError("transient")
+                return "ok"
+
+        bus = EventBus()
+        subscription = bus.subscribe(None)
+
+        async def main():
+            dispatcher = BatchingDispatcher(
+                FlakyOnce(), retry=RetryPolicy(attempts=2, base_delay=0.001),
+                retry_seed=0, bus=bus,
+            )
+            return await dispatcher.complete([ChatMessage("user", "q")]), dispatcher
+
+        result, dispatcher = asyncio.run(main())
+        assert result == "ok"
+        retries = [
+            event for event in subscription.pop_all() if event.topic in ("retry", "llm.retry")
+        ]
+        assert [(event.topic, event.name) for event in retries] == [("retry", "attempt")]
+        assert retries[0].attrs["source"] == "llm"
+        assert dispatcher.metrics.counter("repro_llm_dispatch_total").value(kind="retries") == 1
+        assert dispatcher.snapshot()["retries"] == 1
 
 
 class TestResilienceMetrics:

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.core.session import LLMCall, StepCounts, ToolCall, counting, drive
+from repro.core.session import LLMCall, ToolCall, drive
 from repro.experiments.strategies import strategy_from_unit
 from repro.experiments.work import WorkerContext, WorkUnit
 from repro.llm.client import ChatMessage, EchoClient, RecordingClient
@@ -224,7 +224,7 @@ class TestServiceCaching:
         assert snapshot.failed == 0
 
 
-class TestTelemetry:
+class TestServiceSnapshot:
     def test_snapshot_counts_llm_and_tool_steps(self):
         units = make_units(samples=1)
         _, snapshot = serve_units(units, ServiceConfig(max_in_flight=4))
@@ -267,15 +267,15 @@ class TestDispatcher:
                     for i in range(16)
                 )
             )
-            return results, dispatcher.stats
+            return results, dispatcher.snapshot()
 
         results, stats = self.run(main())
         assert results == ["ok"] * 16
-        assert stats.requests == 16
+        assert stats["requests"] == 16
         # All 16 requests were enqueued in one event-loop tick, so they
         # coalesce into far fewer batches than requests.
-        assert stats.batches < 16
-        assert stats.max_batch_size > 1
+        assert stats["batches"] < 16
+        assert stats["max_batch_size"] > 1
 
     def test_max_batch_is_respected(self):
         client = EchoClient("ok")
@@ -285,11 +285,11 @@ class TestDispatcher:
             await asyncio.gather(
                 *(dispatcher.complete([ChatMessage("user", str(i))]) for i in range(10))
             )
-            return dispatcher.stats
+            return dispatcher.snapshot()
 
         stats = self.run(main())
-        assert stats.requests == 10
-        assert stats.max_batch_size <= 4
+        assert stats["requests"] == 10
+        assert stats["max_batch_size"] <= 4
 
     def test_native_batch_client_gets_grouped_call(self):
         class BatchClient:
@@ -362,12 +362,12 @@ class TestDispatcher:
             dispatcher = BatchingDispatcher(
                 client, retry=RetryPolicy(attempts=3, base_delay=0.001), retry_seed=0
             )
-            return await dispatcher.complete([ChatMessage("user", "q")]), dispatcher.stats
+            return await dispatcher.complete([ChatMessage("user", "q")]), dispatcher.snapshot()
 
         result, stats = self.run(main())
         assert result == "recovered"
-        assert stats.retries == 2
-        assert stats.failures == 0
+        assert stats["retries"] == 2
+        assert stats["failures"] == 0
 
     def test_retry_exhaustion_raises(self):
         class DeadClient:
@@ -380,11 +380,11 @@ class TestDispatcher:
             )
             with pytest.raises(ConnectionError):
                 await dispatcher.complete([ChatMessage("user", "q")])
-            return dispatcher.stats
+            return dispatcher.snapshot()
 
         stats = self.run(main())
-        assert stats.failures == 1
-        assert stats.retries == 1
+        assert stats["failures"] == 1
+        assert stats["retries"] == 1
 
     def test_request_timeout_retries_then_succeeds(self):
         class SlowThenFastClient:
@@ -406,14 +406,19 @@ class TestDispatcher:
             result = await dispatcher.complete(
                 [ChatMessage("user", "q")], client=SlowThenFastClient()
             )
-            return result, dispatcher.stats
+            return result, dispatcher
 
-        result, stats = self.run(main())
+        result, dispatcher = self.run(main())
+        stats = dispatcher.snapshot()
         assert result == "eventually"
-        assert stats.timeouts == 2
-        assert stats.retries == 2
-        assert stats.failures == 0
-        assert stats.snapshot()["timeouts"] == 2
+        assert stats["timeouts"] == 2
+        assert stats["retries"] == 2
+        assert stats["failures"] == 0
+        # The snapshot reads the dispatcher's registry, which renders the
+        # same counts for a scraper.
+        text = dispatcher.metrics.render()
+        assert 'repro_llm_dispatch_total{kind="timeouts"} 2' in text
+        assert 'repro_llm_dispatch_total{kind="retries"} 2' in text
 
     def test_request_timeout_exhaustion_raises_timeout_error(self):
         class WedgedClient:
@@ -428,11 +433,11 @@ class TestDispatcher:
             )
             with pytest.raises(TimeoutError):
                 await dispatcher.complete([ChatMessage("user", "q")], client=WedgedClient())
-            return dispatcher.stats
+            return dispatcher.snapshot()
 
         stats = self.run(main())
-        assert stats.failures == 1
-        assert stats.timeouts == 2  # the first attempt and its one retry
+        assert stats["failures"] == 1
+        assert stats["timeouts"] == 2  # the first attempt and its one retry
 
     def test_request_timeout_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
@@ -459,10 +464,10 @@ class TestDispatcher:
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            return dispatcher.stats
+            return dispatcher.snapshot()
 
         stats = self.run(main())
-        assert stats.cancelled == 1
+        assert stats["cancelled"] == 1
 
     def test_abandoned_request_is_not_attempted(self):
         """A request whose caller cancelled before its batch ran costs nothing."""
@@ -487,12 +492,12 @@ class TestDispatcher:
             with pytest.raises(asyncio.CancelledError):
                 await doomed
             await dispatcher.drain()
-            return survivor, client.calls, dispatcher.stats
+            return survivor, client.calls, dispatcher.snapshot()
 
         survivor, calls, stats = self.run(main())
         assert survivor == "ok"
         assert calls == 1
-        assert stats.cancelled == 1
+        assert stats["cancelled"] == 1
 
     def test_per_profile_concurrency_cap(self):
         class GaugeClient:
@@ -577,19 +582,6 @@ class TestSessionProtocol:
             return doubled
 
         assert drive(session(), EchoClient("x")) == "xx"
-
-    def test_counting_wrapper_tallies_steps(self):
-        def session():
-            yield LLMCall([ChatMessage("user", "hi")], "generate")
-            yield ToolCall(lambda: 1, "compile")
-            yield ToolCall(lambda: 2, "simulate")
-            return "done"
-
-        counts = StepCounts()
-        assert drive(counting(session(), counts), EchoClient("x")) == "done"
-        assert counts.llm_calls == 1
-        assert counts.tool_calls == 2
-        assert counts.by_purpose == {"generate": 1, "compile": 1, "simulate": 1}
 
 
 class TestConcurrentRecording:

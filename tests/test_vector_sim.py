@@ -393,9 +393,9 @@ class TestVectorCaches:
         run_testbench(wide, wide, _tb([2]), backend="vector")  # negatively cached
         assert kernel_cache_stats()["vec_fallbacks"] == 1
 
-        from repro.service.telemetry import Telemetry
+        from repro.service import GenerationService
 
-        snapshot = Telemetry().snapshot()
+        snapshot = GenerationService().snapshot()
         assert "sim_vec" in snapshot.caches and "sim_vec_kernel" in snapshot.caches
 
 

@@ -382,8 +382,8 @@ class TestCacheRegistry:
             assert counters["hits"] == 0 and counters["misses"] == 0 and counters["size"] == 0
 
     def test_snapshot_surfaces_cache_stats(self):
-        from repro.service.telemetry import Telemetry
+        from repro.service import GenerationService
 
-        snapshot = Telemetry().snapshot()
+        snapshot = GenerationService().snapshot()
         assert "sim_trace" in snapshot.caches
         assert "toolchain caches" in snapshot.render()
