@@ -11,7 +11,7 @@ character-at-a-time reference frontend), the batched verification engine
 (cold candidate, warm iteration-k+1 and trace vs step-wise testbench
 backends, with asserted minimum speedups), the
 vectorized simulation backend (deep-verify speedup over the scalar trace
-kernels and the 16-candidate lockstep multiple), the
+kernels), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
 executors, cold vs warm result store, O(1) result-store lookups), the
 generation-service throughput

@@ -13,9 +13,8 @@ toolchain:
   as a functional mismatch report);
 * the trace-compiled testbench backend must reproduce the step-wise report
   exactly;
-* the vectorized NumPy backend (``backend="vector"``, both the single-run
-  and the batched :func:`~repro.sim.testbench.run_testbenches` paths) must
-  also reproduce it bit for bit on vector-eligible designs;
+* the vectorized NumPy backend (``backend="vector"``) must also reproduce it
+  bit for bit on vector-eligible designs;
 * those reports compare the module with itself, so the reference's outputs
   are simulated once and reused for the DUT; a deterministic kernel codegen
   bug would pass them.  The trace and vector kernels' flat sampled outputs
@@ -49,7 +48,6 @@ from repro.sim.testbench import (
     VerilogDevice,
     _trace_plan,
     run_testbench,
-    run_testbenches,
 )
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog import compile_sim, compile_vec
@@ -286,20 +284,6 @@ def _run_backends(
                     "vector",
                     top,
                     f"vector report diverges from step-wise: {vector.render()}",
-                )
-            )
-        batched = run_testbenches(
-            [(module, module, testbench), (module, module, testbench)], backend="vector"
-        )
-        runs["vector_batched"] = batched[0]
-        report.checks += 1
-        if batched[0] != stepwise or batched[1] != stepwise:
-            report.failures.append(
-                ConformanceFailure(
-                    "backend",
-                    "vector-batched",
-                    top,
-                    f"batched vector report diverges from step-wise: {batched[0].render()}",
                 )
             )
     return runs

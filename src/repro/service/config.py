@@ -36,9 +36,8 @@ class ServiceConfig:
     ``sim_batch_window`` / ``sim_max_batch`` parameterize simulate-call
     micro-batching: simulate tool steps from concurrent sessions collect for
     up to ``sim_batch_window`` seconds (or until ``sim_max_batch`` are
-    pending) and run as one :meth:`Simulator.simulate_many` batch, which
-    coalesces structurally-identical candidates onto shared vector kernels.
-    ``sim_max_batch <= 1`` disables batching (each simulate runs alone).
+    pending) and run as one :meth:`Simulator.simulate_many` call on the tool
+    executor.  ``sim_max_batch <= 1`` disables batching (each simulate runs alone).
 
     ``drain_timeout`` bounds how long ``close(drain=True)`` waits for
     in-flight and queued jobs to finish before tearing the service down

@@ -10,8 +10,7 @@ step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
 * **tool steps** (compile / simulate / parse) are offloaded to a bounded
   thread executor so the loop stays responsive for dispatch timers; simulate
   steps additionally micro-batch through a :class:`_SimulationBatcher`
-  (``sim_batch_window`` / ``sim_max_batch``) so structurally-identical
-  candidates from concurrent sessions share vector-kernel lanes;
+  (``sim_batch_window`` / ``sim_max_batch``), one executor call per batch;
 * **scheduling** is fair FIFO: a bounded job queue feeds ``max_in_flight``
   worker tasks, and ``submit`` awaits whenever the queue is full
   (backpressure);
@@ -67,11 +66,10 @@ class _SimulationBatcher:
 
     Requests collect for up to ``window`` seconds (or until ``max_batch`` are
     pending) and run as one :meth:`Simulator.simulate_many` call on the tool
-    executor, so structurally-identical candidates from different sessions
-    share vector-kernel lanes.  Bit-identity with per-call ``simulate`` is
-    guaranteed by ``run_testbenches``; if a batch fails wholesale, each
-    request is retried individually so one poisoned DUT can't fail its
-    batch-mates.  Each batch's size is observed in ``sizes``, the service's
+    executor, which simulates them one after another; outcomes equal
+    per-call ``simulate``.  If a batch fails wholesale, each request is
+    retried individually so one poisoned DUT can't fail its batch-mates.
+    Each batch's size is observed in ``sizes``, the service's
     ``repro_sim_batch_size`` histogram.
     """
 

@@ -11,10 +11,10 @@ Three backends produce bit-identical :class:`SimulationReport`s:
 * the **vector** backend
   (:func:`repro.verilog.compile_vec.get_vec_kernel`) goes one step further:
   NumPy structure-of-arrays kernels with one ``uint64`` lane per execution,
-  evaluating every stimulus point of a combinational testbench — and, through
-  :func:`run_testbenches`, every structurally identical candidate of a batch —
-  in one kernel call.  Ineligible pairings (>64-bit contexts, missing NumPy)
-  fall back to trace/step-wise;
+  evaluating every stimulus point of a combinational testbench in one kernel
+  call (a sequential testbench steps its points in time on one lane).
+  Ineligible pairings (>64-bit contexts, missing NumPy) fall back to
+  trace/step-wise;
 * the **step-wise** backend drives both devices point by point through the
   :class:`DeviceUnderTest` interface.  It is the semantic oracle, the only
   path for behavioural references and interpreter-fallback modules, and the
@@ -34,9 +34,8 @@ tiers to try in order, vector → trace → step-wise or a suffix of it.
   knob that degrades quietly would invalidate what the caller forced it for.
 * ``REPRO_SIM_BACKEND=interpreter`` makes ``"auto"`` step-wise only, since
   the trace and vector tiers run compiled kernels.  It changes no named
-  tier: under ``backend="vector"``, ``run_testbench`` and the jobs
-  :func:`run_testbenches` sends back from its lanes both fall back to trace,
-  then step-wise.
+  tier: under ``backend="vector"`` an ineligible run still falls back to
+  trace, then step-wise.
 * **Breaker degradation**: kernel-path crashes (exceptions escaping a
   compiled kernel — never mismatch reports or :class:`SimulationError`) feed
   per-tier circuit breakers.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
@@ -47,12 +46,12 @@ tiers to try in order, vector → trace → step-wise or a suffix of it.
   breaker.  ``backend_health()`` snapshots the breakers;
   ``reset_backend_health()`` re-arms them (tests).
 
-:func:`run_testbenches` is the batched entry point: jobs whose modules share a
-structural fingerprint and testbench shape coalesce into one vector-kernel
-call (duplicate (candidate, stimulus) rows collapse to a single lane), with
-``REPRO_SIM_MAX_LANES`` bounding the lanes per call.
+:func:`run_testbenches` runs many jobs under one plan, each through its own
+tiers, so its reports equal per-job :func:`run_testbench` calls.  Candidates
+are not batched across jobs: at the batch sizes the service sees, lockstep
+vector lanes ran slower than per-job trace kernels.
 
-**Reference reuse**: all three kernel paths simulate a reference once per
+**Reference reuse**: both kernel tiers simulate a reference once per
 stimulus program.  Its sampled outputs are memoized on the
 :class:`Testbench` (:func:`_reference_outputs`), and a DUT whose cached kernel
 is the reference's reuses them instead of running.  Reports are then built
@@ -61,7 +60,6 @@ by one comparison pass (:func:`_compare_outputs`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
@@ -422,8 +420,9 @@ def _compare_vec_outputs(
 ) -> SimulationReport:
     """:func:`_compare_outputs` over uint64 sample arrays.
 
-    Matching arrays (a passing candidate, or shared DUT/reference lanes) are
-    decided by one array comparison; divergent ones are compared as lists.
+    Matching arrays (a passing candidate, or a DUT reusing the reference's
+    outputs) are decided by one array comparison; divergent ones are
+    compared as lists.
     """
     if dut_out is ref_out or bool((dut_out == ref_out).all()):
         return _compare_outputs(testbench, observed, ref_out, ref_out)
@@ -461,31 +460,18 @@ def _run_testbench_vector(
         ref_kernel,
         lambda: ref_kernel.run(_packed_stimulus(testbench, ref_kernel, stimulus))[0],
     )
-    if dut_kernel is ref_kernel:  # a structurally identical DUT reuses the lanes
+    if dut_kernel is ref_kernel:  # a structurally identical DUT reuses the outputs
         dut_out = ref_out
     else:
         dut_out = dut_kernel.run(_packed_stimulus(testbench, dut_kernel, stimulus))[0]
     return _compare_vec_outputs(testbench, observed, dut_out, ref_out)
 
 
-def _run_vec_group(kernel: VecTraceKernel, rows: list[tuple]) -> list:
-    """Run one kernel's deduplicated stimulus rows, chunked by the lane budget."""
-    max_lanes = read_setting("REPRO_SIM_MAX_LANES")
-    rows_per_chunk = max(1, max_lanes // max(1, kernel.lanes_per_row))
-    outputs: list = []
-    for start in range(0, len(rows), rows_per_chunk):
-        matrix = kernel.run(rows[start : start + rows_per_chunk])
-        outputs.extend(matrix[i] for i in range(matrix.shape[0]))
-    return outputs
-
-
 class _BackendPlan(NamedTuple):
     """Which backend tiers a testbench run tries (see the module docstring)."""
 
-    tiers: tuple[str, ...]  # tried in order by run_testbench; a suffix of _TIERS
+    tiers: tuple[str, ...]  # tried in order for every job; a suffix of _TIERS
     strict: bool  # tiers[0] was forced through REPRO_TB_BACKEND: it answers or raises
-    lanes: str | None  # run_testbenches' vector lanes: "every" job, "shared" kernels, none
-    fallback: tuple[str, ...]  # tiers for the jobs run_testbenches does not answer on lanes
 
 
 def _backend_plan(backend: str | None) -> _BackendPlan:
@@ -499,14 +485,8 @@ def _backend_plan(backend: str | None) -> _BackendPlan:
     strict = backend is None and name in ("trace", "vector")
     if name == "auto":
         interpreter = read_setting("REPRO_SIM_BACKEND") == "interpreter"
-        tiers = _TIERS[2:] if interpreter else _TIERS[1:]
-        return _BackendPlan(tiers, False, None if interpreter else "shared", tiers)
-    tiers = _TIERS[_TIERS.index(name) :]
-    if name != "vector":
-        return _BackendPlan(tiers, strict, None, tiers)
-    # Jobs sent back from the lanes take the vector tier's own remaining
-    # chain; a forced vector tier still answers each of them or raises.
-    return _BackendPlan(tiers, strict, "every", tiers if strict else tiers[1:])
+        return _BackendPlan(_TIERS[2:] if interpreter else _TIERS[1:], False)
+    return _BackendPlan(_TIERS[_TIERS.index(name) :], strict)
 
 
 #: Why a forced kernel tier refuses a pairing, and the fallback it skips.
@@ -563,116 +543,17 @@ def run_testbenches(
     jobs: Iterable[tuple[DeviceUnderTest | VModule, DeviceUnderTest | VModule, Testbench]],
     backend: str | None = None,
 ) -> list[SimulationReport]:
-    """Run many ``(dut, reference, testbench)`` jobs, coalescing same-shape work.
+    """Run many ``(dut, reference, testbench)`` jobs; reports in job order.
 
-    Jobs whose modules share a structural fingerprint and testbench shape are
-    grouped onto one vector kernel and simulated as a single batch;
-    duplicate (module, stimulus) rows — N samples that produced the same
-    candidate, or the shared golden reference — collapse to one lane, and a
-    reference already memoized on its testbench needs none.  Reports
-    come back in job order and are bit-identical to per-job
-    :func:`run_testbench` results.
-
-    The backend plan decides which jobs go to vector lanes: under ``"auto"``
-    only jobs whose kernels are point-lane or shared with another job (a lone
-    sequential job is faster on the scalar trace), under ``"vector"`` every
-    eligible job.  The rest, and jobs whose kernel group crashed, run the
-    plan's fallback tiers one by one.  ``REPRO_SIM_MAX_LANES`` caps the
-    lanes per kernel call; larger batches are split into ragged chunks.
+    Equal to :func:`run_testbench` per job: ``backend`` is resolved once and
+    every job tries the plan's tiers on its own.  Jobs on one testbench share
+    its memoized reference outputs.
     """
-    jobs = list(jobs)
     plan = _backend_plan(backend)
-    batching = plan.lanes is not None and _admit("vector", plan.strict)
-
-    def fall_back(index: int) -> SimulationReport:
-        dut, reference, testbench = jobs[index]
-        return _run_tiers(dut, reference, testbench, plan.fallback, plan.strict)
-
-    reports: list[SimulationReport | None] = [None] * len(jobs)
-    # Per-kernel groups: id(kernel) -> (kernel, rows, {stimulus: row index}).
-    groups: dict[int, tuple[VecTraceKernel, list[tuple], dict[tuple, int]]] = {}
-    kernel_jobs: Counter[int] = Counter()
-    # (job index, testbench, observed, ref kernel, memoized ref outputs,
-    #  ref lane handle, dut lane handle or None when it shares the reference's)
-    staged: list = []
-
-    def enlist(kernel: VecTraceKernel, stimulus: tuple) -> tuple[int, int]:
-        _kernel, rows, row_index = groups.setdefault(id(kernel), (kernel, [], {}))
-        row = row_index.setdefault(stimulus, len(rows))
-        if row == len(rows):
-            rows.append(stimulus)
-        return id(kernel), row
-
-    kernels: dict[tuple[int, str], VecTraceKernel | None] = {}
-
-    def vec_kernel(module: VModule, schedule: TraceSchedule) -> VecTraceKernel | None:
-        # One kernel-cache lookup per (module, testbench shape) in the batch.
-        key = (id(module), schedule.digest)
-        if key not in kernels:
-            kernels[key] = get_vec_kernel(module, schedule)
-        return kernels[key]
-
-    eligible: list = []  # (job index, testbench, observed, stimulus, dut_k, ref_k)
-    for index, (dut, reference, testbench) in enumerate(jobs):
-        job = None
-        if batching and isinstance(dut, VModule) and isinstance(reference, VModule):
-            observed, schedule, stimulus = _trace_plan_for(testbench, reference)
-            dut_kernel = vec_kernel(dut, schedule)
-            ref_kernel = vec_kernel(reference, schedule) if dut_kernel is not None else None
-            if dut_kernel is not None and ref_kernel is not None:
-                job = (index, testbench, observed, stimulus, dut_kernel, ref_kernel)
-        if job is None:
-            reports[index] = fall_back(index)
-        else:
-            eligible.append(job)
-            kernel_jobs.update((id(dut_kernel), id(ref_kernel)))
-
-    def worthwhile(kernel: VecTraceKernel) -> bool:
-        # A lone lockstep-mode job has nothing to batch with; the scalar trace
-        # is faster at one lane.  Point-lane kernels win even solo.
-        return kernel.mode == "points" or kernel_jobs[id(kernel)] > 1
-
-    for index, testbench, observed, stimulus, dut_kernel, ref_kernel in eligible:
-        if plan.lanes == "shared" and not (worthwhile(dut_kernel) and worthwhile(ref_kernel)):
-            reports[index] = fall_back(index)
-            continue
-        # A memoized reference needs no lane; a DUT that shares the
-        # reference's kernel reuses the reference's outputs.
-        ref_out = _reference_outputs(testbench, ref_kernel)
-        ref = enlist(ref_kernel, stimulus) if ref_out is None else None
-        dut = None if dut_kernel is ref_kernel else enlist(dut_kernel, stimulus)
-        staged.append((index, testbench, observed, ref_kernel, ref_out, ref, dut))
-
-    results: dict[int, list | None] = {}
-    crashed = False
-    for key, (kernel, rows, _) in groups.items():
-        try:
-            results[key] = _run_vec_group(kernel, rows)
-        except Exception as crash:
-            # A crashed kernel group sends its lanes' jobs to the fallback.
-            _settle("vector", plan.strict, False, crash)
-            crashed = True
-            results[key] = None
-    if batching and not crashed:
-        _settle("vector", plan.strict, bool(staged))
-
-    def lane(handle: tuple[int, int]):
-        key, row = handle
-        result = results[key]
-        return None if result is None else result[row]
-
-    for index, testbench, observed, ref_kernel, ref_out, ref, dut in staged:
-        if ref_out is None:
-            ref_out = lane(ref)
-            if ref_out is not None:
-                # A copy, so the memo does not pin the whole lane matrix.
-                ref_out = _reference_outputs(testbench, ref_kernel, ref_out.copy)
-        dut_out = ref_out if dut is None else lane(dut)
-        if dut_out is None or ref_out is None:
-            reports[index] = fall_back(index)
-        else:
-            reports[index] = _compare_vec_outputs(testbench, observed, dut_out, ref_out)
-    return reports
+    return [
+        _run_tiers(dut, reference, testbench, plan.tiers, plan.strict)
+        for dut, reference, testbench in jobs
+    ]
 
 
 def run_testbench(

@@ -62,8 +62,8 @@ class SimulateRequest:
     """A deferred :meth:`Simulator.simulate` call.
 
     Attached to a simulate :class:`~repro.core.session.ToolCall` as its
-    ``batch`` payload so executors and the service can coalesce requests from
-    many concurrent sessions into one :meth:`Simulator.simulate_many` batch.
+    ``batch`` payload so executors and the service can collect requests from
+    many concurrent sessions into one :meth:`Simulator.simulate_many` call.
     ``run()`` is the sequential equivalent used when nothing batches.
     """
 
@@ -104,10 +104,11 @@ class Simulator:
         self,
         items: list[tuple[str, VModule | str | DeviceUnderTest, Testbench]],
     ) -> list[SimulationOutcome]:
-        """Batched :meth:`simulate`: coalesce same-shape runs into vector lanes.
+        """Many :meth:`simulate` calls in one: outcome ``i`` equals
+        ``simulate(*items[i])`` bit for bit.
 
-        Outcome ``i`` equals ``simulate(*items[i])`` bit for bit; parse errors
-        become per-item error outcomes while the remaining items still batch.
+        Parse errors become per-item error outcomes; the remaining items run
+        through one :func:`~repro.sim.testbench.run_testbenches` call.
         """
         outcomes: list[SimulationOutcome | None] = [None] * len(items)
         jobs: list[tuple[VModule, DeviceUnderTest | VModule, Testbench]] = []

@@ -429,8 +429,6 @@ class VecTraceKernel:
     module_name: str
     fingerprint: str
     digest: str
-    mode: str  # "points" (stimulus points are lanes) | "lockstep" (rows are)
-    lanes_per_row: int
     n_samples: int
     run: Callable[[Sequence[Sequence[int]]], "np.ndarray"]
     pack: Callable[[Sequence[Sequence[int]]], "np.ndarray"]
@@ -577,10 +575,8 @@ def compile_vec_trace(
     template = template if template is not None else compile_vec_kernel(module)
     ports = check_schedule_ports(module, schedule)
     if schedule.clock in template.steps:
-        mode, lanes_per_row = "lockstep", 1
         run_packed, source = _lockstep(schedule, template, ports)
     else:
-        mode, lanes_per_row = "points", max(1, len(schedule.points))
         run_packed, source = _point_lanes(schedule, template), template.source
     masks = [template.slots[name].mask for names, _, _ in schedule.points for name in names]
 
@@ -597,8 +593,6 @@ def compile_vec_trace(
         module_name=module.name,
         fingerprint=template.fingerprint,
         digest=schedule.digest,
-        mode=mode,
-        lanes_per_row=lanes_per_row,
         n_samples=_sample_count(schedule)[1],
         run=run,
         pack=pack,

@@ -17,7 +17,6 @@ from repro.sim.testbench import (
     backend_health,
     reset_backend_health,
     run_testbench,
-    run_testbenches,
 )
 from repro.verilog.parser import parse_verilog
 
@@ -209,28 +208,23 @@ class TestHalfOpenProbeIsHandedBack:
         assert len(calls) == 5  # every later eligible job reached the trace tier
         assert backend_health()["trace"]["state"] == "closed"
 
-    def test_lone_sequential_job_keeps_the_vector_lanes_alive(self, monkeypatch):
-        real = tb._run_vec_group
-        groups = []
+    def test_ineligible_vector_pairing_keeps_the_vector_tier_alive(self, monkeypatch):
+        real = tb._run_testbench_vector
+        calls = []
 
-        def crash_once(kernel, rows):
-            groups.append(kernel)
-            if len(groups) == 1:
+        def crash_once(dut, reference, testbench):
+            calls.append(dut.name)
+            if len(calls) == 1:
                 raise RuntimeError("chaos: vector kernel crash")
-            return real(kernel, rows)
+            return real(dut, reference, testbench)
 
-        monkeypatch.setattr(tb, "_run_vec_group", crash_once)
-        crashed = run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())] * 2)
-        assert [report.failed_points for report in crashed] == [4, 4]  # answered by trace
+        monkeypatch.setattr(tb, "_run_testbench_vector", crash_once)
+        crashed = run_testbench(SEQ_DUT, SEQ_REF, _seq_bench(), backend="vector")
+        assert crashed.failed_points == 4  # answered by the trace tier
         assert backend_health()["vector"]["opens"] == 1
-        # Nothing to batch with: the lone job runs on the trace tier.
-        ran_before = len(groups)
-        assert not run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())])[0].passed
-        assert len(groups) == ran_before
-        ran = []
+        # A DUT missing the observed port: the vector tier returns None.
+        assert run_testbench(PORTLESS, MODULE, BENCH, backend="vector").runtime_error is not None
         for _ in range(3):
-            before = len(groups)
-            run_testbenches([(SEQ_DUT, SEQ_REF, _seq_bench())] * 2)
-            ran.append(len(groups) - before)
-        assert all(ran), ran  # every batchable batch ran vector lanes
+            assert not run_testbench(SEQ_DUT, SEQ_REF, _seq_bench(), backend="vector").passed
+        assert len(calls) == 5  # every later eligible run reached the vector tier
         assert backend_health()["vector"]["state"] == "closed"

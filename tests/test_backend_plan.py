@@ -2,17 +2,17 @@
 
 Every combination of backend argument, ``REPRO_TB_BACKEND``,
 ``REPRO_SIM_BACKEND`` and pairing is run through both entry points (the
-batched one with one job and with two identical jobs).  The tier runners and
-``_run_vec_group`` are wrapped to record which tier answered; a run that
-raises records the exception type and message instead.  The outcomes must
+batched one with one job and with two identical jobs).  The tier runners are
+wrapped to record which tier answered; a run that raises records the
+exception type and message instead.  The outcomes must
 equal the committed table ``tests/data/backend_plan.json``, so a refactor of
 backend selection, strictness or fallback cannot change which tier runs.
 
 Each outcome reads ``<tiers> <reports>``:
 
 * ``<tiers>`` lists, in call order, the tier runners that returned a report
-  (``trace``, ``vector``) and the vector-lane groups that ran (``lanes``),
-  joined by ``+``; ``-`` means none did, so every job ran step-wise;
+  (``trace``, ``vector``), joined by ``+``; ``-`` means none did, so every
+  job ran step-wise;
 * ``<reports>`` has one letter per job: ``P`` passed, ``F`` mismatched,
   ``E`` runtime error.
 
@@ -177,7 +177,6 @@ def _outcome(entry: str, backend: str | None, pairing: str) -> str:
         for name, runner in (
             ("trace", "_run_testbench_trace"),
             ("vector", "_run_testbench_vector"),
-            ("lanes", "_run_vec_group"),
         ):
             patch.setattr(tb, runner, answering(name, getattr(tb, runner)))
         try:
@@ -230,6 +229,14 @@ def test_table_covers_every_combination(expected):
         )
     }
     assert set(expected) == keys
+
+
+def test_one_job_batch_resolves_like_a_single_run(expected):
+    """``run_testbenches`` is ``run_testbench`` per job: same tiers, same reports."""
+    single = {key: outcome for key, outcome in expected.items() if key.startswith("run_testbench ")}
+    assert single
+    for key, outcome in single.items():
+        assert expected[key.replace("run_testbench ", "run_testbenches[1] ", 1)] == outcome, key
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ class TestConformance:
         report = check_program(generate_program(config, 0), config, check_cold=False)
         stages = {failure.stage for failure in report.failures}
         assert stage in stages, report.render()
-        assert not stages & {"trace", "vector", "vector-batched"}, report.render()
+        assert not stages & {"trace", "vector"}, report.render()
 
     def test_cold_rerun_builds_a_fresh_testbench(self, monkeypatch):
         """The warm testbench carries per-testbench memos; the cold run must not."""

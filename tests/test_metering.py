@@ -50,6 +50,10 @@ FLEET_KNOBS = (
     "REPRO_CAMPAIGN_FLEET",
 )
 
+#: Knobs whose code is gone: the fleet's, and the vector lane budget of the
+#: deleted cross-candidate batching.
+DELETED_KNOBS = FLEET_KNOBS + ("REPRO_SIM_MAX_LANES",)
+
 
 def rechisel_units(samples=6):
     return [
@@ -160,7 +164,7 @@ class TestServiceBudget:
 
 
 class TestNoFleetSurface:
-    @pytest.mark.parametrize("name", FLEET_KNOBS)
+    @pytest.mark.parametrize("name", DELETED_KNOBS)
     def test_fleet_knob_is_neither_a_setting_nor_documented(self, name):
         with pytest.raises(KeyError):
             settings.read(name)

@@ -276,7 +276,7 @@ class TestCrashesMemoizeNothing:
         expected = [oracle, run_testbench(REF_A, REF_A, _bench(), backend="stepwise")]
         assert run_testbenches(jobs, backend="vector") == expected
         assert "VecTraceKernel" not in [key[0] for key in _memo(testbench)]
-        assert backend_health()["vector"]["failures"] == 2
+        assert backend_health()["vector"]["failures"] == 3  # one record per crashed job
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
     def test_memo_hit_still_heals_the_vector_breaker(self, monkeypatch):
@@ -286,8 +286,8 @@ class TestCrashesMemoizeNothing:
         with monkeypatch.context() as patch:
             _crash(patch, get_vec_kernel(REF_A, schedule))
             run_testbenches([(REF_A, REF_A, _bench())] * 2, backend="vector")
-        assert backend_health()["vector"]["failures"] == 1
-        # All lanes memoized: no kernel runs, yet the batch still counts as a
-        # vector success, exactly as when its lanes ran.
+        assert backend_health()["vector"]["failures"] == 2  # one record per crashed job
+        # The reference is memoized: no kernel runs, yet each job still counts
+        # as a vector success, exactly as when its kernel ran.
         assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="vector")[0].passed
         assert backend_health()["vector"]["failures"] == 0

@@ -30,7 +30,6 @@ from repro.sim.testbench import (
     backend_health,
     reset_backend_health,
     run_testbench,
-    run_testbenches,
 )
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import Simulation, SimulationError
@@ -52,7 +51,6 @@ BENCH = Testbench(
 SIMULATOR_KNOBS = {
     "REPRO_SIM_BACKEND",
     "REPRO_TB_BACKEND",
-    "REPRO_SIM_MAX_LANES",
     "REPRO_SIM_HEALTH_THRESHOLD",
 }
 
@@ -95,8 +93,6 @@ def consume(name: str, tmp_path: Path):
         return Simulation(module).backend_in_use
     if name == "REPRO_TB_BACKEND":
         return run_testbench(module, module, BENCH)
-    if name == "REPRO_SIM_MAX_LANES":
-        return run_testbenches([(module, module, BENCH)] * 3, backend="vector")
     if name == "REPRO_SIM_HEALTH_THRESHOLD":
         reset_backend_health()
         return backend_health()

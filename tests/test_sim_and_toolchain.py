@@ -187,3 +187,98 @@ class TestVerilogParseCache:
             assert not _parses(self.BROKEN)
         good = golden_verilog(mux2(4, "verilogeval_s2r"))
         assert _parse_error(good) is None and _parses(good)
+
+
+def _simulate_many_items():
+    """A batch mixing passing, failing, unparseable and behavioural items."""
+    mux = mux2(4, "verilogeval_s2r")
+    mux_golden = golden_verilog(mux)
+    mux_broken = COMPILER.compile(mux.functional_faults[0].apply(mux.golden_chisel)).verilog
+    count = counter(4, "hdlbits")
+    count_golden = golden_verilog(count)
+    add = adder(8, "verilogeval_s2r")
+    adder_model = BehavioralDevice(
+        output_widths={"io_sum": 8, "io_cout": 1},
+        combinational=lambda inputs, state: {
+            "io_sum": inputs["io_a"] + inputs["io_b"] + inputs["io_cin"],
+            "io_cout": (inputs["io_a"] + inputs["io_b"] + inputs["io_cin"]) >> 8,
+        },
+    )
+    return [
+        (mux_golden, mux_golden, mux.build_testbench()),
+        (mux_broken, mux_golden, mux.build_testbench()),
+        ("module broken(", mux_golden, mux.build_testbench()),
+        (count_golden, count_golden, count.build_testbench(seed=5)),
+        (golden_verilog(add), adder_model, add.build_testbench(seed=3)),
+        (mux_golden, "module broken(", mux.build_testbench()),
+        ("// no module here\n", mux_golden, mux.build_testbench()),
+        (mux_broken, parse_verilog(mux_golden)[-1], mux.build_testbench()),
+    ]
+
+
+class TestSimulateMany:
+    """Outcome ``i`` of ``simulate_many`` equals ``simulate(*items[i])``."""
+
+    def test_empty_batch(self):
+        assert SIMULATOR.simulate_many([]) == []
+
+    def test_mixed_batch_equals_per_item_simulate(self):
+        items = _simulate_many_items()
+        expected = [SIMULATOR.simulate(*item) for item in items]
+        assert SIMULATOR.simulate_many(items) == expected
+        assert [outcome.success for outcome in expected] == [
+            True, False, False, True, True, False, False, False
+        ]
+
+    def test_errors_stay_in_their_own_slot(self):
+        outcomes = SIMULATOR.simulate_many(_simulate_many_items())
+        assert [outcome.error is not None for outcome in outcomes] == [
+            False, False, True, False, False, True, True, False
+        ]
+        assert "DUT Verilog could not be parsed" in outcomes[2].error
+        assert "reference Verilog could not be parsed" in outcomes[5].error
+        assert outcomes[6].error == "no Verilog module definitions found"
+        assert all(outcomes[i].report is not None for i in (0, 1, 3, 4, 7))
+
+    def test_one_item_batches_equal_the_whole_batch(self):
+        items = _simulate_many_items()
+        whole = SIMULATOR.simulate_many(items)
+        assert [SIMULATOR.simulate_many([item])[0] for item in items] == whole
+
+    @pytest.mark.parametrize("tb_backend", ["trace", "stepwise", "vector"])
+    def test_env_forced_backend_equals_per_item_simulate(self, monkeypatch, tb_backend):
+        mux = mux2(4, "verilogeval_s2r")
+        golden = golden_verilog(mux)
+        broken = COMPILER.compile(mux.functional_faults[0].apply(mux.golden_chisel)).verilog
+        items = [(golden, golden, mux.build_testbench()), (broken, golden, mux.build_testbench())]
+        monkeypatch.setenv("REPRO_TB_BACKEND", tb_backend)
+        expected = [SIMULATOR.simulate(*item) for item in items]
+        assert SIMULATOR.simulate_many(items) == expected
+        assert [outcome.success for outcome in expected] == [True, False]
+
+    def test_top_picks_the_named_module_in_every_item(self):
+        problem = mux2(4, "verilogeval_s2r")
+        golden = golden_verilog(problem)
+        decoy = "module Decoy(input a, output b);\n  assign b = a;\nendmodule\n"
+        items = [(golden + decoy, golden, problem.build_testbench())]
+        assert SIMULATOR.simulate_many(items)[0].success
+        # Without a top the last module is taken, and the decoy has no io ports.
+        assert not Simulator().simulate_many(items)[0].success
+
+    def test_simulate_request_run_equals_simulate(self):
+        from repro.toolchain.simulator import SimulateRequest
+
+        for item in _simulate_many_items():
+            assert SimulateRequest(SIMULATOR, *item).run() == SIMULATOR.simulate(*item)
+
+    def test_service_batcher_groups_requests_by_simulator(self):
+        from repro.service.service import _SimulationBatcher
+        from repro.toolchain.simulator import SimulateRequest
+
+        items = _simulate_many_items()
+        untopped = Simulator()
+        requests = [
+            SimulateRequest(SIMULATOR if index % 2 else untopped, *item)
+            for index, item in enumerate(items)
+        ]
+        assert _SimulationBatcher._execute(requests) == [request.run() for request in requests]

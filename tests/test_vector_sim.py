@@ -1,12 +1,11 @@
-"""Vectorized simulation backend: differential suite and lockstep batching.
+"""Vectorized simulation backend: differential suite and the batch entry point.
 
 The vector backend compiles NumPy structure-of-arrays kernels — one lane per
 execution — and must produce bit-identical :class:`SimulationReport`s to the
 scalar trace and step-wise oracles: same mismatch ordering, same
 ``max_mismatches`` capping, same unchecked-point flush semantics, for every
-golden design and injected-fault mutant.  ``run_testbenches`` layers lockstep
-candidate batching on top and must equal per-job ``run_testbench`` exactly,
-in job order, at any ``REPRO_SIM_MAX_LANES`` chunking.
+golden design and injected-fault mutant.  ``run_testbenches`` must equal
+per-job ``run_testbench`` exactly, in job order.
 """
 
 from __future__ import annotations
@@ -171,37 +170,6 @@ class TestVectorLaneEdgeCases:
         assert vector.failed_points == 16 and len(vector.mismatches) == 5
         assert [m.point_index for m in vector.mismatches] == list(range(5))
 
-    def test_ragged_lane_chunking(self, monkeypatch):
-        """A lane budget smaller than the batch splits into ragged chunks."""
-        module = parse_verilog(SEQ)[0]
-        benches = [
-            Testbench(
-                points=[
-                    FunctionalPoint(inputs={"d": (seed + i) % 16}, clock_cycles=1)
-                    for i in range(5)
-                ],
-                observed_outputs=["q"],
-                reset_cycles=1,
-            )
-            for seed in range(9)
-        ]
-        jobs = [(module, module, tb) for tb in benches]
-        expected = [run_testbench(*job) for job in jobs]
-        monkeypatch.setenv("REPRO_SIM_MAX_LANES", "2")
-        assert run_testbenches(jobs, backend="vector") == expected
-
-    @pytest.mark.parametrize("raw", ["many", "0", "-3"])
-    def test_invalid_max_lanes_raises(self, monkeypatch, raw):
-        module = parse_verilog(SEQ)[0]
-        testbench = Testbench(
-            points=[FunctionalPoint(inputs={"d": 1}, clock_cycles=1)],
-            observed_outputs=["q"],
-            reset_cycles=1,
-        )
-        monkeypatch.setenv("REPRO_SIM_MAX_LANES", raw)
-        with pytest.raises(SimulationError, match=f"REPRO_SIM_MAX_LANES.*'{raw}'"):
-            run_testbenches([(module, module, testbench)], backend="vector")
-
     def test_huge_clock_cycle_counts_fall_back(self):
         """Unrollable-but-enormous schedules fall back under the argument."""
         module = parse_verilog(SEQ)[0]
@@ -346,8 +314,8 @@ class TestRunTestbenches:
         assert batched == expected
         assert sum(0 if report.passed else 1 for report in batched) == 4
 
-    def test_duplicate_rows_collapse_to_shared_lanes(self):
-        """Identical (module, stimulus) jobs dedupe onto one lane set."""
+    def test_duplicate_jobs_equal_one_run(self):
+        """Identical (module, stimulus) jobs each report what one run does."""
         module = parse_verilog(SEQ)[0]
         testbench = Testbench(
             points=[FunctionalPoint(inputs={"d": i}, clock_cycles=1) for i in range(4)],
@@ -361,6 +329,41 @@ class TestRunTestbenches:
     def test_unknown_backend_raises(self):
         with pytest.raises(SimulationError, match="unknown testbench backend"):
             run_testbenches([], backend="warp")
+
+    @pytest.mark.parametrize("backend", [None, "auto", "trace", "stepwise", "vector"])
+    def test_batch_equals_per_job_runs_for_every_backend(self, backend):
+        """Passing, failing, sequential and ineligible jobs under one argument."""
+        narrow = parse_verilog(PASSTHROUGH)[0]
+        narrow_faulty = parse_verilog(PASSTHROUGH.replace("q = d", "q = d ^ 4'd1"))[0]
+        seq = parse_verilog(SEQ)[0]
+        seq_faulty = parse_verilog(SEQ.replace("q <= d", "q <= d + 1"))[0]
+        wide = parse_verilog(WIDE)[0]
+        seq_tb = Testbench(
+            points=[FunctionalPoint(inputs={"d": i % 16}, clock_cycles=1) for i in range(6)],
+            observed_outputs=["q"],
+            reset_cycles=1,
+        )
+        wide_tb = Testbench(
+            points=[FunctionalPoint(inputs={"d": (1 << 69) + i}) for i in range(3)],
+            observed_outputs=["q"],
+            reset_cycles=0,
+        )
+        jobs = [
+            (narrow, narrow, _tb([1, 2, 3])),
+            (narrow_faulty, narrow, _tb([1, 2, 3])),
+            (seq_faulty, seq, seq_tb),
+            (wide, wide, wide_tb),
+            (seq, seq, seq_tb),
+        ]
+        expected = [run_testbench(*job, backend=backend) for job in jobs]
+        assert run_testbenches(jobs, backend=backend) == expected
+        assert [report.passed for report in expected] == [True, False, False, True, True]
+
+    def test_jobs_may_be_any_iterable(self):
+        module = parse_verilog(PASSTHROUGH)[0]
+        jobs = [(module, module, _tb([value])) for value in range(3)]
+        expected = [run_testbench(*job) for job in jobs]
+        assert run_testbenches(job for job in jobs) == expected
 
 
 class TestVectorCaches:
