@@ -21,6 +21,11 @@ the golden ALU over a deep (8192-point) stimulus program:
 ``test_verify_trace_vs_stepwise`` isolates the testbench backends with a warm
 compiler on both sides (trace asserted ≥2x step-wise).
 
+``test_verify_first_fresh_program`` records, without a threshold, the first
+verify of a fresh 4096-point stimulus program with every compile cache warm:
+a new ``Testbench`` each round, so each round plans, digests and compares a
+program it has not seen (the all-miss path of deep verification).
+
 The regression guard lives in the assertions: CI fails if the engine loses
 its edge over the seed path.
 """
@@ -44,6 +49,7 @@ from repro.toolchain.simulator import Simulator
 from repro.verilog.compile_sim import clear_kernel_cache
 
 POINTS = 8192
+FRESH_POINTS = 4096
 ROUNDS = 10
 MIN_COLD_SPEEDUP = 3.0
 MIN_WARM_SPEEDUP = 5.0
@@ -54,15 +60,21 @@ PROBLEM = REGISTRY.by_id("alu_w8")
 SIMULATOR = Simulator(top="TopModule")
 
 _rng = random.Random(0)
-TESTBENCH = Testbench(
-    points=[
-        FunctionalPoint(
-            {port.verilog_name: _rng.getrandbits(port.width) for port in PROBLEM.inputs}
-        )
-        for _ in range(POINTS)
-    ],
-    reset_cycles=0,
-)
+
+
+def _testbench(points: int) -> Testbench:
+    return Testbench(
+        points=[
+            FunctionalPoint(
+                {port.verilog_name: _rng.getrandbits(port.width) for port in PROBLEM.inputs}
+            )
+            for _ in range(points)
+        ],
+        reset_cycles=0,
+    )
+
+
+TESTBENCH = _testbench(POINTS)
 
 _timings: dict[str, float] = {}
 
@@ -172,3 +184,20 @@ def test_verify_trace_vs_stepwise(benchmark):
         f"trace backend speedup {speedup:.1f}x below {MIN_TRACE_SPEEDUP}x "
         f"(step-wise {stepwise_elapsed * 1000:.1f} ms, trace {trace_elapsed * 1000:.1f} ms)"
     )
+
+
+def test_verify_first_fresh_program(benchmark):
+    """First verify of a fresh program, timed per round; recorded, not gated
+    (a ratio from one run is too noisy to gate on)."""
+    compiler = ChiselCompiler(top="TopModule")
+    golden = compiler.compile(PROBLEM.golden_chisel).verilog
+    candidate = compiler.compile(_candidate(4000)).verilog
+    SIMULATOR.simulate(candidate, golden, _testbench(FRESH_POINTS))  # warm every cache
+
+    def fresh_program():
+        return (candidate, golden, _testbench(FRESH_POINTS)), {}
+
+    outcome = benchmark.pedantic(
+        SIMULATOR.simulate, setup=fresh_program, rounds=ROUNDS, iterations=1
+    )
+    assert outcome.success, outcome.error

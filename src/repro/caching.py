@@ -117,11 +117,12 @@ def clear_registered_caches() -> None:
     Benchmarks use this to force deterministic cold runs; note it clears the
     *registered* caches only.  The per-testbench memos in
     :mod:`repro.sim.testbench` live on the ``Testbench`` object and stay valid:
-    ``_trace_plans`` (schedule and flat stimulus per observed-output tuple),
-    ``_checked_points`` (indices of the checked points), ``_vec_packs``
-    (packed vector stimulus per kernel) and ``_reference_outputs`` (the
-    reference kernel's sampled outputs per kernel kind, fingerprint and
-    schedule digest).  A truly cold run needs a freshly built testbench.
+    ``_trace_plans`` (the run-length schedule and flat stimulus per
+    observed-output tuple), ``_checked_points`` (indices of the checked
+    points, read off the schedule's runs), ``_vec_packs`` (packed vector
+    stimulus per kernel) and ``_reference_outputs`` (the reference kernel's
+    sampled outputs per kernel kind, fingerprint and schedule digest).  A
+    truly cold run needs a freshly built testbench.
     """
     for instances in _live_caches().values():
         for cache in instances:

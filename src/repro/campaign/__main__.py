@@ -27,9 +27,22 @@ resumable); 1 — failure.
 
 from __future__ import annotations
 
+import signal
+
+#: Signals received before :func:`main` installs the drain handler.
+_early_signals: list[int] = []
+
+if __name__ == "__main__":
+    # The imports below take most of a second; a SIGTERM in that window would
+    # kill the process.  Record it instead, and main() replays it as a drain.
+    def _record(signum, _frame):
+        _early_signals.append(signum)
+
+    signal.signal(signal.SIGTERM, _record)
+    signal.signal(signal.SIGINT, _record)
+
 import argparse
 import json
-import signal
 import sys
 from dataclasses import replace
 
@@ -191,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         signal.SIGTERM: signal.signal(signal.SIGTERM, _drain),
         signal.SIGINT: signal.signal(signal.SIGINT, _drain),
     }
+    for signum in _early_signals:
+        _drain(signum, None)
     try:
         result = orchestrator.run()
     except Exception as exc:

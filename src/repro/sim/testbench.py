@@ -66,7 +66,7 @@ from operator import ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.retry import CircuitBreaker
-from repro.verilog.compile_sim import TraceSchedule, get_trace_kernel
+from repro.verilog.compile_sim import TraceSchedule, checked_indices, get_trace_kernel
 from repro.verilog.compile_vec import VecTraceKernel, get_vec_kernel
 from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
@@ -298,24 +298,38 @@ class VerilogDevice(DeviceUnderTest):
 def _trace_plan(testbench: Testbench, observed: tuple[str, ...]):
     """``(TraceSchedule, flat stimulus tuple)`` for this testbench + outputs.
 
-    Memoized on the testbench instance (stimulus programs are immutable by
-    convention), keyed by the observed-output tuple since the default observed
-    list depends on the reference device.
+    One pass over the points builds both: the schedule's maximal runs of
+    equal point shapes and the stimulus values in point order.  Memoized on
+    the testbench instance (stimulus programs are immutable by convention),
+    keyed by the observed-output tuple since the default observed list
+    depends on the reference device.
     """
     plans = testbench.__dict__.setdefault("_trace_plans", {})
     plan = plans.get(observed)
     if plan is None:
-        points: list[tuple[tuple[str, ...], int, bool]] = []
+        runs: list[tuple[tuple[str, ...], int, bool, int]] = []
         stimulus: list[int] = []
+        extend = stimulus.extend
+        shape = None
+        length = 0
         for point in testbench.points:
-            points.append((tuple(point.inputs), point.clock_cycles, point.check))
-            stimulus.extend(point.inputs.values())
+            inputs = point.inputs
+            extend(inputs.values())
+            current = (tuple(inputs), point.clock_cycles, point.check)
+            if current == shape:
+                length += 1
+                continue
+            if length:
+                runs.append((*shape, length))
+            shape, length = current, 1
+        if length:
+            runs.append((*shape, length))
         schedule = TraceSchedule(
             clock=testbench.clock,
             reset=testbench.reset,
             reset_cycles=testbench.reset_cycles,
             observed=observed,
-            points=tuple(points),
+            runs=tuple(runs),
         )
         plan = plans[observed] = (schedule, tuple(stimulus))
     return plan
@@ -329,13 +343,16 @@ def _trace_plan_for(testbench: Testbench, reference: VModule):
     return (observed, *_trace_plan(testbench, tuple(observed)))
 
 
-def _checked_points(testbench: Testbench) -> tuple[int, ...]:
-    """Indices of the checked points, memoized on the testbench."""
+def _checked_points(testbench: Testbench, observed: Sequence[str]) -> tuple[int, ...]:
+    """Indices of the checked points, read off the schedule's runs.
+
+    Memoized on the testbench: which points are checked does not depend on
+    the observed outputs, which only pick the plan the runs come from.
+    """
     checked = testbench.__dict__.get("_checked_points")
     if checked is None:
-        checked = testbench.__dict__["_checked_points"] = tuple(
-            index for index, point in enumerate(testbench.points) if point.check
-        )
+        schedule = _trace_plan(testbench, tuple(observed))[0]
+        checked = testbench.__dict__["_checked_points"] = tuple(checked_indices(schedule))
     return checked
 
 
@@ -371,7 +388,7 @@ def _compare_outputs(
     ``(point, signal)``.  Shared by the trace and vector backends so mismatch
     ordering and ``max_mismatches`` capping are identical by construction.
     """
-    checked = _checked_points(testbench)
+    checked = _checked_points(testbench, observed)
     report = SimulationReport(total_points=len(testbench.points), checked_points=len(checked))
     if dut_out is ref_out or dut_out == ref_out:
         return report

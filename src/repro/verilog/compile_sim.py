@@ -625,33 +625,37 @@ def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None)
 # and one read() per observed output.  A *trace kernel* compiles the whole
 # schedule for one (module, testbench shape) pair into a single generated
 # function: stimulus values arrive as one flat array, the reset/drive/settle/
-# tick sequence is unrolled (uniform runs of points are re-rolled into a tight
-# loop so codegen stays O(distinct point shapes)), and every sampled output is
-# appended to one flat result list.  The generated code replays exactly the
-# comb()/step() call sequence the deferred-settle step-wise path performs, so
-# sampled values are bit-identical by construction.
+# tick sequence is unrolled, and every sampled output is appended to one flat
+# result list.  The schedule is stored as maximal runs of equal point shapes,
+# and a run whose settle state is stable from point to point is re-rolled into
+# a tight loop, so planning, digest, port check and codegen are O(runs), not
+# O(points).  The generated code replays exactly the comb()/step() call
+# sequence the deferred-settle step-wise path performs, so sampled values are
+# bit-identical by construction.
 
 
 @dataclass(frozen=True)
 class TraceSchedule:
     """Structural digest of a testbench: shapes, not stimulus values.
 
-    ``points`` holds ``(input_names, clock_cycles, check)`` per functional
-    point; the actual driven values are passed to :meth:`TraceKernel.run` as a
-    flat array in the same order, so one compiled trace serves any stimulus
-    with the same shape.
+    ``runs`` holds the maximal runs of consecutive functional points with
+    equal shape, ``(input_names, clock_cycles, check, length)`` each, in point
+    order.  The driven values are passed to :meth:`TraceKernel.run` as one
+    flat array in point order, so one compiled trace serves any stimulus with
+    the same shape.  A typical stimulus program is a single run, so the
+    digest and everything built from the schedule cost O(runs).
     """
 
     clock: str
     reset: str
     reset_cycles: int
     observed: tuple[str, ...]
-    points: tuple[tuple[tuple[str, ...], int, bool], ...]
+    runs: tuple[tuple[tuple[str, ...], int, bool, int], ...]
 
     @cached_property
     def digest(self) -> str:
         payload = repr(
-            (self.clock, self.reset, self.reset_cycles, self.observed, self.points)
+            (self.clock, self.reset, self.reset_cycles, self.observed, self.runs)
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -747,7 +751,7 @@ def check_schedule_ports(module: vast.VModule, schedule: TraceSchedule) -> set[s
     so the caller falls back.  Shared by the scalar and vector trace codegens.
     """
     ports = {port.name for port in module.ports}
-    for names, cycles, _check in schedule.points:
+    for names, cycles, _check, _length in schedule.runs:
         for name in names:
             if name not in ports:
                 raise AnalysisError(
@@ -765,10 +769,21 @@ def check_schedule_ports(module: vast.VModule, schedule: TraceSchedule) -> set[s
     return ports
 
 
+def checked_indices(schedule: TraceSchedule) -> list[int]:
+    """Indices of the schedule's checked points, expanded from its runs."""
+    indices: list[int] = []
+    start = 0
+    for _names, _cycles, check, length in schedule.runs:
+        if check:
+            indices.extend(range(start, start + length))
+        start += length
+    return indices
+
+
 def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Callable]:
     """Emit and exec ``def trace(s, stim, ap)`` for ``gen``'s schedule.
 
-    The reset preamble and point grouping are backend-independent; the stimulus
+    The reset preamble and the run loop are backend-independent; the stimulus
     drive layout is supplied by ``gen.drive_code``, so the vector backend reuses
     this emitter with array-shaped drives.  Returns ``(source, trace)``; ``tag``
     names the generated code in tracebacks.
@@ -792,16 +807,10 @@ def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Cal
         gen.emit(1, f"s[{meta.slot}] = 0")
         gen.emit(1, "comb(s)")  # eager settle of the deasserted reset
 
-    # Group consecutive identical point shapes and re-roll them into loops.
+    # Re-roll each run into a loop when its body is the same from one point
+    # to the next; otherwise unroll it point by point.
     offset = 0
-    index = 0
-    points = schedule.points
-    while index < len(points):
-        spec = points[index]
-        length = 1
-        while index + length < len(points) and points[index + length] == spec:
-            length += 1
-        names, cycles, check = spec
+    for names, cycles, check, length in schedule.runs:
         body, after = gen.point_body(
             names, cycles, check, needs_settle, lambda j: f"i + {j}" if j else "i"
         )
@@ -824,7 +833,6 @@ def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Cal
                     gen.emit(2, f"i += {len(names)}")
             needs_settle = after
             offset += length * len(names)
-            index += length
         else:
             for _ in range(length):
                 body, needs_settle = gen.point_body(
@@ -837,7 +845,6 @@ def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Cal
                 for line in body:
                     gen.emit(1, line)
                 offset += len(names)
-                index += 1
     gen.emit(1, "return None")
 
     source = "\n".join(gen.lines)

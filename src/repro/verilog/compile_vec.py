@@ -61,6 +61,7 @@ from repro.verilog.compile_sim import (
     _compile_module,
     _TraceGen,
     check_schedule_ports,
+    checked_indices,
     emit_trace_body,
 )
 
@@ -456,13 +457,10 @@ def _pack(rows: Sequence[Sequence[int]], masks: list[int]) -> "np.ndarray":
     ).reshape(len(rows), len(masks))
 
 
-def _sample_count(schedule: TraceSchedule) -> tuple[list[int], int]:
-    checked = [
-        index
-        for index, (_names, _cycles, check) in enumerate(schedule.points)
-        if check and schedule.observed
-    ]
-    return checked, len(checked) * len(schedule.observed)
+def _sample_count(schedule: TraceSchedule) -> int:
+    """Sampled values per stimulus row: every observed output at every checked point."""
+    checked = sum(length for _names, _cycles, check, length in schedule.runs if check)
+    return checked * len(schedule.observed)
 
 
 def _point_lanes(
@@ -477,18 +475,21 @@ def _point_lanes(
     reproduced per input with a static forward-fill gather over the points
     that drive it.
     """
-    points = schedule.points
+    # The only reader that needs per-point indices: expand the runs here.
     driven: dict[str, tuple[list[int], list[int]]] = {}
     offset = 0
-    for p_index, (names, _cycles, _check) in enumerate(points):
-        for j, name in enumerate(names):
-            entry = driven.setdefault(name, ([], []))
-            entry[0].append(p_index)
-            entry[1].append(offset + j)
-        offset += len(names)
-    n_points = len(points)
-    checked, n_samples = _sample_count(schedule)
-    checked_arr = np.array(checked, dtype=np.int64)
+    p_index = 0
+    for names, _cycles, _check, length in schedule.runs:
+        for _ in range(length):
+            for j, name in enumerate(names):
+                entry = driven.setdefault(name, ([], []))
+                entry[0].append(p_index)
+                entry[1].append(offset + j)
+            offset += len(names)
+            p_index += 1
+    n_points = p_index
+    n_samples = _sample_count(schedule)
+    checked_arr = np.array(checked_indices(schedule), dtype=np.int64)
     n_observed = len(schedule.observed)
     observed_slots = [template.slots[name].slot for name in schedule.observed]
 
@@ -578,7 +579,9 @@ def compile_vec_trace(
         run_packed, source = _lockstep(schedule, template, ports)
     else:
         run_packed, source = _point_lanes(schedule, template), template.source
-    masks = [template.slots[name].mask for names, _, _ in schedule.points for name in names]
+    masks: list[int] = []
+    for names, _cycles, _check, length in schedule.runs:
+        masks.extend([template.slots[name].mask for name in names] * length)
 
     def pack(rows: Sequence[Sequence[int]]) -> "np.ndarray":
         return _pack(rows, masks)
@@ -593,7 +596,7 @@ def compile_vec_trace(
         module_name=module.name,
         fingerprint=template.fingerprint,
         digest=schedule.digest,
-        n_samples=_sample_count(schedule)[1],
+        n_samples=_sample_count(schedule),
         run=run,
         pack=pack,
         source=source,
