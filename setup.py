@@ -7,9 +7,7 @@ setup(
     packages=find_packages("src"),
     # NumPy powers the vectorized simulation backend (repro.verilog.compile_vec);
     # the toolchain degrades to the scalar trace/step-wise backends without it.
-    # NetworkX finds combinational loops in the FIRRTL pass pipeline
-    # (repro.firrtl.passes.check_comb_loops), which every compile runs.
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     # The operations console's full-screen UI (repro.console.app); the event
     # bus, the headless console model and --plain mode work without it.
     extras_require={"console": ["textual"]},

@@ -1,60 +1,7 @@
 """Fault-tolerant campaign orchestration.
 
-A *campaign* composes the stack's stages — generate → verify → fuzz →
-benchmark — into one checkpointed, resumable, budgeted, preemptible run; see
-:mod:`repro.campaign.orchestrator` for the full control model and ``python
--m repro.campaign --help`` for the CLI.
-
-Attribute access is lazy: the generation service imports
-:mod:`repro.campaign.scheduler` (to mark interactive sections on the
-priority gate) while the orchestrator imports service-side modules, so
-importing this package must not eagerly pull the orchestrator graph.
+A *campaign* runs the stack's stages — generate → fuzz — as one
+checkpointed, resumable, budgeted run; see
+:mod:`repro.campaign.orchestrator` for the control model and ``python -m
+repro.campaign --help`` for the CLI.
 """
-
-from __future__ import annotations
-
-_EXPORTS = {
-    "Budget": "repro.campaign.budget",
-    "BudgetExceeded": "repro.campaign.budget",
-    "CampaignCancelled": "repro.campaign.budget",
-    "CancelToken": "repro.campaign.budget",
-    "Deadline": "repro.campaign.budget",
-    "DeadlineExceeded": "repro.campaign.budget",
-    "MeteredClient": "repro.campaign.budget",
-    "CampaignConfig": "repro.campaign.config",
-    "CheckpointLog": "repro.campaign.checkpoint",
-    "ResilientStore": "repro.campaign.checkpoint",
-    "list_campaigns": "repro.campaign.checkpoint",
-    "payload_digest": "repro.campaign.checkpoint",
-    "store_unit_digest": "repro.campaign.checkpoint",
-    "PriorityGate": "repro.campaign.scheduler",
-    "get_priority_gate": "repro.campaign.scheduler",
-    "set_priority_gate": "repro.campaign.scheduler",
-    "CampaignSpec": "repro.campaign.spec",
-    "StageSpec": "repro.campaign.spec",
-    "default_campaign": "repro.campaign.spec",
-    "sweep_units": "repro.campaign.spec",
-    "CampaignOrchestrator": "repro.campaign.orchestrator",
-    "CampaignResult": "repro.campaign.orchestrator",
-    "FaultPlan": "repro.campaign.chaos",
-    "FaultyClient": "repro.campaign.chaos",
-    "FlakyStore": "repro.campaign.chaos",
-    "chaos_middleware": "repro.campaign.chaos",
-    "overload_bus": "repro.campaign.chaos",
-    "tear_store_tail": "repro.campaign.chaos",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument(
         "--quick",
         action="store_true",
-        help="run the default quick campaign (generate → verify → fuzz → benchmark)",
+        help="run the default quick campaign (generate → fuzz)",
     )
     what.add_argument(
         "--spec",
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk",
         type=settings.arg_type("--chunk", "REPRO_CAMPAIGN_CHUNK"),
         default=argparse.SUPPRESS,
-        help="work units per preemptible chunk",
+        help="work units per checkpointed chunk",
     )
     parser.add_argument(
         "--throttle",

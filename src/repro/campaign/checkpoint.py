@@ -10,7 +10,7 @@ A campaign's durable state has two tiers, both living in the *same*
   at any instant (the store truncates a torn tail line on reopen, losing at
   most the one record that never committed);
 * **the manifest** — the campaign document (spec, per-stage status/digests,
-  LLM spend, preemption counts) written as *meta* records under
+  LLM spend) written as *meta* records under
   monotonically versioned keys ``campaign/<id>/manifest/<seq>``.  The store's
   first-wins append discipline makes each version immutable; the newest
   sequence number is the truth, and a crash mid-write loses at most the

@@ -22,11 +22,10 @@ class CampaignConfig:
     ``store_path`` locates the campaign's segmented
     :class:`~repro.experiments.store.ResultStore` — unit results, stage
     frontiers and manifest checkpoints all persist there, which is what makes
-    a SIGKILLed campaign resumable.  ``chunk_size`` is the preemption /
-    checkpoint granularity: the orchestrator runs units through the engine in
-    chunks of this many, yielding to interactive traffic and re-evaluating
-    deadline/budget/drain between chunks (``chunk_size=1`` preempts at true
-    work-unit granularity).
+    a SIGKILLed campaign resumable.  ``chunk_size`` is the checkpoint
+    granularity: the orchestrator runs units through the engine in chunks of
+    this many, re-evaluating deadline/budget/drain between chunks
+    (``chunk_size=1`` stops at true work-unit granularity).
 
     ``deadline`` bounds the run's wall clock in seconds (``None`` = no
     bound); ``llm_budget`` bounds LLM completions the campaign may spend
@@ -44,7 +43,6 @@ class CampaignConfig:
     unit_retries: int = 2
     retry_backoff: BackoffPolicy = BackoffPolicy(base=0.05, cap=1.0)
     checkpoint_every: int = 1
-    preempt_wait: float = 5.0
     throttle: float = 0.0
 
     def __post_init__(self) -> None:
@@ -58,8 +56,6 @@ class CampaignConfig:
             raise ValueError("unit_retries must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.preempt_wait < 0:
-            raise ValueError("preempt_wait must be >= 0")
 
     @classmethod
     def from_environment(cls, base: "CampaignConfig | None" = None) -> "CampaignConfig":
@@ -71,7 +67,6 @@ class CampaignConfig:
                 llm_budget="REPRO_CAMPAIGN_LLM_BUDGET",
                 unit_retries="REPRO_CAMPAIGN_RETRIES",
                 checkpoint_every="REPRO_CAMPAIGN_CHECKPOINT_EVERY",
-                preempt_wait="REPRO_CAMPAIGN_PREEMPT_WAIT",
                 throttle="REPRO_CAMPAIGN_THROTTLE",
             ),
         )

@@ -1,26 +1,35 @@
 """The fault-tolerant campaign orchestrator.
 
-A campaign composes stages (generate → verify → fuzz → benchmark) over the
-existing sweep machinery and runs them **crash-only**: every completed work
-unit is durable in the segmented result store the moment it finishes, the
-campaign manifest checkpoints as versioned meta records in the same store,
-and the orchestrator may be SIGKILLed at any instant — ``--resume`` (or
-simply re-running the same spec against the same store) replays zero
-completed units and converges to results bit-identical to an uninterrupted
-run.  The chaos matrix in ``tests/test_campaign_chaos.py`` asserts exactly
-that for LLM-transport, store, event-bus and orchestrator faults.
+A campaign runs its stages (generate → fuzz by default) over the existing
+sweep machinery **crash-only**: every completed work unit is durable in the
+segmented result store the moment it finishes, the campaign manifest
+checkpoints as versioned meta records in the same store, and the
+orchestrator may be SIGKILLed at any instant — ``--resume`` (or simply
+re-running the same spec against the same store) replays zero completed
+units and converges to results bit-identical to an uninterrupted run.  The
+chaos matrix in ``tests/test_campaign_chaos.py`` asserts exactly that for
+LLM-transport, store, event-bus and orchestrator faults.
+
+Two stage kinds exist, each with its own resume frontier:
+
+* ``sweep`` — the frontier is the result store itself: completed units are
+  store hits on resume;
+* ``fuzz`` — per-program frontier markers (store meta records) carry each
+  program's conformance result, so resumed fuzz stages skip finished
+  programs exactly like sweeps skip stored units.
+
+Each stage result is ``{"digest", "total", "executed", "reused", ...}``:
+``digest`` is the stage's deterministic content digest (the chaos matrix
+asserts these match fault-free runs bit-for-bit) and ``executed``/``reused``
+is the zero-recompute evidence the resume tests assert on.
 
 Control is cooperative throughout.  Between every chunk of work units the
 orchestrator re-evaluates the world:
 
-* **preemption** — if the process-wide :class:`PriorityGate` shows
-  interactive service traffic in flight, the campaign parks until the gate
-  clears (bounded by ``preempt_wait`` so a saturated service cannot starve
-  it);
 * **deadline / budget** — wall-clock deadlines raise at the next check;
-  LLM-call budgets are charged inside the session's metered client (and by
-  the batching dispatcher on the service path), so an exhausted purse stops
-  the campaign mid-stage with everything already completed safely persisted;
+  LLM-call budgets are charged inside the session's metered client, so an
+  exhausted purse stops the campaign mid-stage with everything already
+  completed safely persisted;
 * **circuit breaking** — transport-classified failures feed a shared
   :class:`~repro.retry.CircuitBreaker`; while it is open the campaign waits
   out the cooldown instead of hammering a failing provider, and half-open
@@ -36,7 +45,6 @@ escape them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.campaign.budget import (
@@ -48,11 +56,14 @@ from repro.campaign.budget import (
     DeadlineExceeded,
     MeteredClient,
 )
-from repro.campaign.checkpoint import CheckpointLog, ResilientStore
+from repro.campaign.checkpoint import (
+    CheckpointLog,
+    ResilientStore,
+    frontier_key,
+    payload_digest,
+)
 from repro.campaign.config import CampaignConfig
-from repro.campaign.scheduler import PriorityGate, get_priority_gate
-from repro.campaign.spec import CampaignSpec
-from repro.campaign.stages import STAGE_RUNNERS
+from repro.campaign.spec import KIND_SWEEP, CampaignSpec, StageSpec, sweep_units
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import SweepEngine
 from repro.experiments.executors import SerialExecutor
@@ -132,7 +143,6 @@ class CampaignResult:
     reused: int = 0
     llm_spent: int = 0
     llm_limit: int | None = None
-    preemptions: int = 0
     breaker: dict = field(default_factory=dict)
     checkpoint_seq: int = 0
     resumed: bool = False
@@ -147,7 +157,6 @@ class CampaignResult:
             "reused": self.reused,
             "llm_spent": self.llm_spent,
             "llm_limit": self.llm_limit,
-            "preemptions": self.preemptions,
             "breaker": self.breaker,
             "checkpoint_seq": self.checkpoint_seq,
             "resumed": self.resumed,
@@ -161,43 +170,6 @@ class CampaignResult:
         raise KeyError(name)
 
 
-class StageRuntime:
-    """The narrow world surface handed to stage runners."""
-
-    def __init__(self, orchestrator: "CampaignOrchestrator"):
-        self._orch = orchestrator
-
-    @property
-    def spec(self) -> CampaignSpec:
-        return self._orch.spec
-
-    @property
-    def campaign_id(self) -> str:
-        return self._orch.campaign_id
-
-    @property
-    def engine(self) -> SweepEngine:
-        return self._orch.engine
-
-    @property
-    def store(self):
-        return self._orch.store
-
-    def chunks(self, units):
-        size = self._orch.config.chunk_size
-        for start in range(0, len(units), size):
-            yield units[start : start + size]
-
-    def run_chunk(self, stage_name: str, units) -> list[dict]:
-        return self._orch._run_chunk(stage_name, units)
-
-    def tick(self, stage_name: str) -> None:
-        self._orch._tick(stage_name)
-
-    def publish_progress(self, stage_name: str, done: int, total: int) -> None:
-        self._orch._publish("progress", stage=stage_name, done=done, total=total)
-
-
 class CampaignOrchestrator:
     """Run one :class:`CampaignSpec` to completion, drain or checkpointed stop."""
 
@@ -209,7 +181,6 @@ class CampaignOrchestrator:
         store=None,
         registry=None,
         bus=None,
-        gate: PriorityGate | None = None,
         breaker: CircuitBreaker | None = None,
         client_middleware=None,
         store_wrapper=ResilientStore,
@@ -218,7 +189,6 @@ class CampaignOrchestrator:
         self.config = config or CampaignConfig()
         self.campaign_id = spec.campaign_id
         self.bus = bus if bus is not None else get_bus()
-        self.gate = gate if gate is not None else get_priority_gate()
         self._owns_store = store is None
         if store is None:
             if not self.config.store_path:
@@ -243,7 +213,6 @@ class CampaignOrchestrator:
         self.budget = Budget(self.config.llm_budget, spent=spent)
         self.deadline = Deadline(self.config.deadline)
         self.cancel = CancelToken()
-        self.preemptions = int(manifest.get("preemptions", 0)) if manifest else 0
         self._chunks_run = 0
         self._status = str(manifest.get("status", RUNNING)) if manifest else RUNNING
         self._stages: dict[str, StageState] = {}
@@ -285,7 +254,6 @@ class CampaignOrchestrator:
 
     def run(self) -> CampaignResult:
         self._publish("start", resumed=self._resumed, stages=len(self.spec.stages))
-        runtime = StageRuntime(self)
         status = COMPLETE
         error = ""
         try:
@@ -303,7 +271,10 @@ class CampaignOrchestrator:
                 state.status = RUNNING
                 self._publish("stage", stage=stage.name, status=RUNNING)
                 self._save_checkpoint()
-                state.result = STAGE_RUNNERS[stage.kind](runtime, stage)
+                if stage.kind == KIND_SWEEP:
+                    state.result = self._run_sweep(stage)
+                else:
+                    state.result = self._run_fuzz(stage)
                 state.status = COMPLETE
                 self._publish("stage", stage=stage.name, status=COMPLETE)
                 self._save_checkpoint()
@@ -346,19 +317,78 @@ class CampaignOrchestrator:
             reused=self.engine.stats.memo_hits + self.engine.stats.store_hits,
             llm_spent=self.budget.spent,
             llm_limit=self.budget.limit,
-            preemptions=self.preemptions,
             breaker=self.breaker.snapshot() if self.breaker is not None else {},
             checkpoint_seq=self.checkpoints.seq,
             resumed=self._resumed,
             error=error,
         )
 
+    # ------------------------------------------------------------------ stages
+
+    def _run_sweep(self, stage: StageSpec) -> dict:
+        units = sweep_units(stage, self.spec.seed)
+        stats = self.engine.stats
+        executed_before = stats.executed
+        reused_before = stats.memo_hits + stats.store_hits
+        payloads: list[dict] = []
+        size = self.config.chunk_size
+        for start in range(0, len(units), size):
+            payloads.extend(self._run_chunk(units[start : start + size]))
+            self._publish(
+                "progress", stage=stage.name, done=len(payloads), total=len(units)
+            )
+        return {
+            "digest": payload_digest(payloads),
+            "total": len(units),
+            "executed": stats.executed - executed_before,
+            "reused": stats.memo_hits + stats.store_hits - reused_before,
+        }
+
+    def _run_fuzz(self, stage: StageSpec) -> dict:
+        """Differential-conformance sweep over generated programs, one
+        frontier marker per program."""
+        from repro.fuzz import FuzzConfig, check_program, generate_program
+
+        programs = int(stage.params.get("programs", 3))
+        config = FuzzConfig(
+            seed=int(stage.params.get("seed", self.spec.seed)),
+            iterations=programs,
+            points=int(stage.params.get("points", 8)),
+            max_statements=int(stage.params.get("max_statements", 4)),
+            shrink_failures=False,
+        )
+        results: list[dict] = []
+        executed = 0
+        for index in range(programs):
+            key = frontier_key(self.campaign_id, stage.name, f"{index:06d}")
+            outcome = self.store.get_meta(key)
+            if outcome is None:
+                self._tick()
+                report = check_program(generate_program(config, index), config)
+                outcome = {
+                    "index": index,
+                    "ok": report.ok,
+                    "checks": report.checks,
+                    "failures": sorted(failure.render() for failure in report.failures),
+                }
+                self.store.put_meta(key, outcome)
+                executed += 1
+            results.append(outcome)
+            self._publish("progress", stage=stage.name, done=index + 1, total=programs)
+        return {
+            "digest": payload_digest(results),
+            "total": programs,
+            "executed": executed,
+            "reused": programs - executed,
+            "ok": sum(1 for result in results if result.get("ok")),
+        }
+
     # -------------------------------------------------------------- chunk loop
 
-    def _run_chunk(self, stage_name: str, units) -> list[dict]:
+    def _run_chunk(self, units) -> list[dict]:
         attempt = 0
         while True:
-            self._tick(stage_name)
+            self._tick()
             self._wait_for_breaker()
             try:
                 payloads = self.engine.run(units)
@@ -390,22 +420,10 @@ class CampaignOrchestrator:
             self.deadline.check()
             self.cancel.wait(min(0.02, max(self.breaker.cooldown, 0.001)))
 
-    def _tick(self, stage_name: str) -> None:
+    def _tick(self) -> None:
         """The cooperative checkpoint between work chunks."""
         self.cancel.check()
         self.deadline.check()
-        if self.gate.busy:
-            # Interactive service traffic has priority: park until the gate
-            # clears, but never unboundedly (a saturated service must not
-            # starve the campaign outright).
-            self.preemptions += 1
-            self._publish("preempt", stage=stage_name, active=self.gate.active)
-            waited = 0.0
-            while self.gate.busy and waited < self.config.preempt_wait:
-                self.cancel.check()
-                self.deadline.check()
-                self.gate.wait_until_clear(timeout=0.05)
-                waited += 0.05
         if self.config.throttle > 0:
             self.cancel.wait(self.config.throttle)
 
@@ -419,7 +437,6 @@ class CampaignOrchestrator:
             "stages": [state.to_dict() for state in self._stages.values()],
             "llm_spent": self.budget.spent,
             "llm_limit": self.budget.limit,
-            "preemptions": self.preemptions,
             "error": error,
         }
         seq = self.checkpoints.save(manifest)

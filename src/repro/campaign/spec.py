@@ -1,8 +1,8 @@
 """Campaign and stage specifications.
 
 A :class:`CampaignSpec` is a pure-data, JSON-round-trippable description of a
-campaign: an ordered tuple of :class:`StageSpec` s (generate → verify → fuzz
-→ benchmark by default) plus a campaign seed.  The campaign id is the
+campaign: an ordered tuple of :class:`StageSpec` s (generate → fuzz by
+default) plus a campaign seed.  The campaign id is the
 content fingerprint of the spec — two invocations of the same spec resolve
 to the same id, the same manifest lineage and the same unit frontier, which
 is why ``python -m repro.campaign`` naturally resumes if pointed at a store
@@ -23,10 +23,8 @@ from repro.experiments.work import (
 
 #: Stage kinds the orchestrator knows how to run.
 KIND_SWEEP = "sweep"
-KIND_REPORT = "report"
 KIND_FUZZ = "fuzz"
-KIND_BENCHMARK = "benchmark"
-STAGE_KINDS = (KIND_SWEEP, KIND_REPORT, KIND_FUZZ, KIND_BENCHMARK)
+STAGE_KINDS = (KIND_SWEEP, KIND_FUZZ)
 
 RECHISEL_KNOBS = (
     ("enable_escape", True),
@@ -49,10 +47,7 @@ class StageSpec:
 
     * ``sweep`` — ``strategies``, ``problems``, ``model``, ``samples``,
       ``max_iterations`` (optional per-strategy override), ``seed``;
-    * ``report`` — ``source`` (name of the sweep stage to aggregate);
-    * ``fuzz`` — ``seed``, ``programs``, ``points``, ``max_statements``;
-    * ``benchmark`` — ``source`` (sweep stage whose warm units to time),
-      ``repeat``.
+    * ``fuzz`` — ``seed``, ``programs``, ``points``, ``max_statements``.
     """
 
     name: str
@@ -157,7 +152,7 @@ def default_campaign(
     fuzz_programs: int = 3,
     seed: int = 0,
 ) -> CampaignSpec:
-    """The canonical generate → verify → fuzz → benchmark campaign."""
+    """The canonical generate → fuzz campaign."""
     return CampaignSpec(
         name=name,
         seed=seed,
@@ -171,12 +166,10 @@ def default_campaign(
                     "samples": samples,
                 },
             ),
-            StageSpec("verify", KIND_REPORT, {"source": "generate"}),
             StageSpec(
                 "fuzz",
                 KIND_FUZZ,
                 {"programs": fuzz_programs, "points": 8, "max_statements": 4},
             ),
-            StageSpec("benchmark", KIND_BENCHMARK, {"source": "generate", "repeat": 1}),
         ),
     )

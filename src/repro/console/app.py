@@ -7,7 +7,7 @@ import.  The app polls the model on a timer (the model pumps its bus
 subscription), then repaints three panels: the live session table, the
 cache hit-rate table, and the batch-size sparklines with a scrolling event
 tail.  A resilience panel (circuit-breaker state, campaign
-budget and stage progress, preemption/retry counters) appears under the
+budget and stage progress, retry counters) appears under the
 caches whenever those events flow.
 """
 

@@ -77,7 +77,7 @@ class ConsoleModel:
         self.sim_batches: deque[int] = deque(maxlen=batches)
         self.sweep: dict = {}
         # Resilience state: LLM breaker snapshot, live campaign budget /
-        # stage progress, preemption + retry counters (see resilience_lines).
+        # stage progress, retry counters (see resilience_lines).
         self.breaker: dict = {}
         self.campaign_id: str = ""
         self.campaign_status: str = ""
@@ -173,8 +173,6 @@ class ConsoleModel:
             self.tail.append(self._format(event))
         elif event.name == "budget":
             self.campaign_budget = dict(attrs)
-        elif event.name == "preempt":
-            self._count("campaign.preempt")
         elif event.name == "checkpoint":
             self._count("campaign.checkpoint")
         else:  # start / complete / drain
@@ -283,7 +281,7 @@ class ConsoleModel:
         return "  ".join(parts)
 
     def resilience_lines(self) -> list[str]:
-        """The resilience panel: breaker, budget, campaign stages, preemptions."""
+        """The resilience panel: breaker, budget, campaign stages, retries."""
         lines = []
         if self.breaker:
             lines.append(
@@ -311,12 +309,11 @@ class ConsoleModel:
             done, total = entry.get("done"), entry.get("total")
             progress = f"  {done}/{total}" if total else ""
             lines.append(f"  stage {stage}: {status}{progress}")
-        preempts = self.counters.get("campaign.preempt", 0)
         retries = sum(
             count for key, count in self.counters.items() if key.startswith("retry.")
         )
-        if preempts or retries:
-            lines.append(f"preemptions={preempts}  retries={retries}")
+        if retries:
+            lines.append(f"retries={retries}")
         return lines
 
     # ------------------------------------------------------------- plain text

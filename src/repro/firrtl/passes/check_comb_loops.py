@@ -6,11 +6,14 @@ driving expression — including the predicates of enclosing ``when`` blocks —
 is a dependency.  Registers break cycles (their outputs change only on clock
 edges).  Any strongly-connected component with more than one node, or a
 self-loop, is reported with a sample path formatted like firtool's output.
+
+The graph is an insertion-ordered adjacency dict: nodes in order of first
+appearance (the sources of one sink in sorted order), successors in
+statement order.  Components are reported in the order Tarjan's algorithm
+closes them, so the diagnostics do not depend on string hashing.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.diagnostics import DiagnosticList
 from repro.firrtl import ir
@@ -32,26 +35,20 @@ class CheckCombLoops(Pass):
         registers: set[str] = set()
         entries: list[tuple[bool, str, set[str]]] = []
         self._collect(module.body, [], registers, entries)
-        graph = nx.DiGraph()
+        graph: dict[str, dict[str, None]] = {}
         for is_connect, sink, sources in entries:
             if is_connect and sink in registers:
                 continue
-            for source in sources:
+            for source in sorted(sources):
                 if source in ("clock", "reset"):
                     continue
-                graph.add_edge(source, sink)
+                graph.setdefault(source, {})[sink] = None
+                graph.setdefault(sink, {})
 
-        reported: set[frozenset[str]] = set()
-        for cycle_nodes in nx.strongly_connected_components(graph):
-            if len(cycle_nodes) == 1:
-                node = next(iter(cycle_nodes))
-                if not graph.has_edge(node, node):
-                    continue
-            key = frozenset(cycle_nodes)
-            if key in reported:
+        for component in _strongly_connected_components(graph):
+            if len(component) == 1 and component[0] not in graph[component[0]]:
                 continue
-            reported.add(key)
-            sample = self._sample_path(graph, cycle_nodes)
+            sample = _sample_path(graph, set(component))
             diagnostics.error(
                 f"Detected combinational cycle in a FIRRTL module {module.name}. "
                 f"Sample path: {{{sample}}}. Break the loop by inserting a register "
@@ -89,13 +86,70 @@ class CheckCombLoops(Pass):
             elif isinstance(stmt, ir.Block):
                 self._collect(stmt, predicates, registers, entries)
 
-    def _sample_path(self, graph: nx.DiGraph, nodes: set[str]) -> str:
-        start = sorted(nodes)[0]
-        if graph.has_edge(start, start):
-            return f"{start} <- {start}"
-        try:
-            cycle = nx.find_cycle(graph.subgraph(nodes), source=start)
-        except nx.NetworkXNoCycle:  # pragma: no cover - SCC guarantees a cycle
-            return start
-        names = [edge[0] for edge in cycle] + [cycle[0][0]]
-        return " <- ".join(reversed(names))
+
+def _strongly_connected_components(graph: dict[str, dict[str, None]]) -> list[list[str]]:
+    """Tarjan's algorithm without recursion: components in closing order."""
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = lowlink[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(graph[successor])))
+                    break
+                if successor in on_stack:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def _sample_path(graph: dict[str, dict[str, None]], members: set[str]) -> str:
+    """The first cycle a depth-first walk from the least member closes."""
+    start = min(members)
+    if start in graph[start]:
+        return f"{start} <- {start}"
+    path = [start]
+    visited = {start}
+    work = [iter(graph[start])]
+    while work:
+        for successor in work[-1]:
+            if successor not in members:
+                continue
+            if successor in path:
+                cycle = path[path.index(successor) :] + [successor]
+                return " <- ".join(reversed(cycle))
+            if successor not in visited:
+                visited.add(successor)
+                path.append(successor)
+                work.append(iter(graph[successor]))
+                break
+        else:
+            work.pop()
+            path.pop()
+    return start  # pragma: no cover - a component always holds a cycle

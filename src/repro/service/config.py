@@ -46,7 +46,7 @@ class ServiceConfig:
     ``breaker`` optionally installs a :class:`repro.retry.CircuitBreaker`
     around the dispatcher's transport attempts (build one with
     ``CircuitBreaker.from_environment()``), and ``llm_budget`` any object
-    with ``charge(n)`` — e.g. a campaign's :class:`repro.campaign.Budget` —
+    with ``charge(n)`` — e.g. a :class:`repro.campaign.budget.Budget` —
     charged once per LLM request; both default off.
     """
 

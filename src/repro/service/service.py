@@ -41,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from repro.caching import LruCache, cache_stats
-from repro.campaign.scheduler import get_priority_gate
 from repro.core.session import LLMCall, Session
 from repro.experiments.store import ResultStore
 from repro.experiments.strategies import strategy_from_unit
@@ -497,10 +496,6 @@ class GenerationService:
         self._inflight[fingerprint] = barrier
         self._in_flight.inc()
         started = loop.time()
-        # Real executions (not cache hits) mark the process-wide priority
-        # gate: background campaigns park while interactive jobs run.
-        gate = get_priority_gate()
-        gate.interactive_begin()
         try:
             with span(
                 "session",
@@ -519,7 +514,6 @@ class GenerationService:
                 barrier.set_exception(exc)
             raise
         finally:
-            gate.interactive_end()
             self._in_flight.inc(-1)
             self._latencies.append(loop.time() - started)
             del self._inflight[fingerprint]

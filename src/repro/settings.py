@@ -146,7 +146,6 @@ _ROWS = (
     Setting("REPRO_CAMPAIGN_LLM_BUDGET", int, low=0),
     Setting("REPRO_CAMPAIGN_RETRIES", int, 2, low=0),
     Setting("REPRO_CAMPAIGN_CHECKPOINT_EVERY", int, 1, low=1),
-    Setting("REPRO_CAMPAIGN_PREEMPT_WAIT", float, 5.0, low=0),
     Setting("REPRO_CAMPAIGN_THROTTLE", float, 0.0, low=0),
     Setting("REPRO_BREAKER_THRESHOLD", int, 5, low=0, zero_off=True),
     Setting("REPRO_BREAKER_COOLDOWN", float, 1.0, low=0),

@@ -1,15 +1,14 @@
 """Unit and integration tests for the fault-tolerant campaign orchestrator.
 
-Covers the control primitives (budget, deadline, cancel, priority gate), the
-unified retry/breaker module, store meta records and manifest checkpoints,
-the ResilientStore write-fault buffer, and whole-campaign orchestration:
-complete runs, zero-replay resumes, drain, deadline/budget stops and
-interactive preemption.  Crash (SIGKILL) resumes live in
+Covers the control primitives (budget, deadline, cancel), the unified
+retry/breaker module, store meta records and manifest checkpoints, the
+ResilientStore write-fault buffer, and whole-campaign orchestration:
+complete runs, zero-replay resumes, drain and deadline/budget stops.
+Crash (SIGKILL) resumes live in
 ``test_campaign_resume.py`` and the fault matrix in ``test_campaign_chaos.py``.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -29,12 +28,11 @@ from repro.campaign.checkpoint import (
     payload_digest,
     store_unit_digest,
 )
-from repro.campaign.chaos import FlakyStore
+from chaos import FlakyStore
 from repro.campaign.config import CampaignConfig
 from repro.campaign.orchestrator import CampaignOrchestrator
-from repro.campaign.scheduler import PriorityGate
 from repro.campaign.spec import (
-    KIND_REPORT,
+    KIND_FUZZ,
     KIND_SWEEP,
     CampaignSpec,
     StageSpec,
@@ -85,12 +83,19 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="unique"):
             CampaignSpec(
                 "dup",
-                stages=(StageSpec("a", KIND_SWEEP), StageSpec("a", KIND_REPORT)),
+                stages=(StageSpec("a", KIND_SWEEP), StageSpec("a", KIND_FUZZ)),
             )
 
-    def test_unknown_stage_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["mystery", "report", "benchmark"])
+    def test_unknown_stage_kind_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown stage kind"):
-            StageSpec("x", "mystery")
+            StageSpec("x", kind)
+
+    def test_default_campaign_is_generate_then_fuzz(self):
+        assert [(stage.name, stage.kind) for stage in quick_spec().stages] == [
+            ("generate", KIND_SWEEP),
+            ("fuzz", KIND_FUZZ),
+        ]
 
     def test_sweep_units_are_deterministic_and_zero_shot_is_single_shot(self):
         stage = quick_spec().stage("generate")
@@ -116,7 +121,6 @@ class TestCampaignConfig:
             ("llm_budget", -1),
             ("unit_retries", -1),
             ("checkpoint_every", 0),
-            ("preempt_wait", -0.5),
         ],
     )
     def test_each_out_of_range_field_is_rejected_by_name(self, field, value):
@@ -192,30 +196,6 @@ class TestDeadlineAndCancel:
         with pytest.raises(BudgetExceeded):
             client.complete([])
         assert inner.calls == 1  # the refused call never reached the inner client
-
-
-class TestPriorityGate:
-    def test_counts_nested_interactive_sections(self):
-        gate = PriorityGate()
-        assert not gate.busy
-        with gate.interactive():
-            assert gate.busy
-            with gate.interactive():
-                assert gate.active == 2
-            assert gate.busy
-        assert not gate.busy
-        assert gate.marks == 2
-
-    def test_wait_until_clear_bounded(self):
-        gate = PriorityGate()
-        gate.interactive_begin()
-        assert gate.wait_until_clear(timeout=0.05) is False
-        timer = threading.Timer(0.05, gate.interactive_end)
-        timer.start()
-        try:
-            assert gate.wait_until_clear(timeout=2.0) is True
-        finally:
-            timer.cancel()
 
 
 # ---------------------------------------------------------------- retry module
@@ -411,11 +391,13 @@ class TestOrchestrator:
     def test_campaign_completes_all_stages(self, tmp_path):
         result = CampaignOrchestrator(quick_spec(), quick_config(tmp_path)).run()
         assert result.status == "complete"
-        assert [stage["status"] for stage in result.stages] == ["complete"] * 4
+        assert [stage["status"] for stage in result.stages] == ["complete"] * 2
         assert result.executed > 0
         assert result.llm_spent > 0
-        report = result.stage("verify")["result"]["report"]
-        assert report["samples"] == 2
+        generate = result.stage("generate")["result"]
+        # One zero-shot and one ReChisel unit, both run fresh.
+        assert (generate["total"], generate["executed"], generate["reused"]) == (2, 2, 0)
+        assert "preemptions" not in result.to_dict()
 
     def test_rerun_replays_zero_units_and_keeps_digests(self, tmp_path):
         config = quick_config(tmp_path)
@@ -498,20 +480,6 @@ class TestOrchestrator:
             s["result"]["digest"] for s in reference.stages
         ]
 
-    def test_interactive_traffic_preempts_campaign(self, tmp_path):
-        gate = PriorityGate()
-        gate.interactive_begin()
-        release = threading.Timer(0.1, gate.interactive_end)
-        release.start()
-        try:
-            result = CampaignOrchestrator(
-                quick_spec(), quick_config(tmp_path), gate=gate
-            ).run()
-        finally:
-            release.cancel()
-        assert result.status == "complete"
-        assert result.preemptions >= 1
-
     def test_campaign_events_flow_on_the_bus(self, tmp_path):
         bus = EventBus()
         subscription = bus.subscribe("campaign")
@@ -535,16 +503,15 @@ class TestOrchestrator:
         with pytest.raises(KeyError):
             CampaignOrchestrator.resume("feedfacecafe", config)
 
-    def test_report_stage_must_source_a_sweep(self, tmp_path):
-        spec = CampaignSpec(
-            "bad",
-            stages=(
-                StageSpec("generate", KIND_SWEEP, {"samples": 1}),
-                StageSpec("verify", KIND_REPORT, {"source": "verify"}),
-            ),
-        )
-        with pytest.raises(ValueError, match="must source a sweep"):
-            CampaignOrchestrator(spec, quick_config(tmp_path)).run()
+    def test_resume_rejects_a_manifest_with_an_unknown_stage_kind(self, tmp_path):
+        config = quick_config(tmp_path)
+        spec = quick_spec().to_dict()
+        spec["stages"].insert(1, {"name": "verify", "kind": "report", "params": {}})
+        store = ResultStore(config.store_path)
+        CheckpointLog(store, "0ldcampaign0").save({"spec": spec, "status": "running"})
+        store.close()
+        with pytest.raises(ValueError, match="unknown stage kind 'report'"):
+            CampaignOrchestrator.resume("0ldcampaign0", config)
 
 
 class TestCampaignCli:

@@ -18,7 +18,7 @@ Determinism invariants that make this possible:
 
 import pytest
 
-from repro.campaign.chaos import (
+from chaos import (
     FAULT_KINDS,
     FaultPlan,
     FaultyClient,

@@ -228,8 +228,9 @@ class TestResiliencePanel:
         lines = "\n".join(model.resilience_lines())
         assert f"campaign {result.campaign_id}: complete" in lines
         assert "llm budget: spent=" in lines
-        for stage in ("generate", "verify", "fuzz", "benchmark"):
+        for stage in ("generate", "fuzz"):
             assert f"stage {stage}: complete" in lines
+        assert lines.count("  stage ") == 2
 
     def test_empty_panel_stays_out_of_render(self):
         model = ConsoleModel()

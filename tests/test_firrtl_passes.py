@@ -1,5 +1,10 @@
 """Tests for the FIRRTL pass pipeline on hand-built and elaborated circuits."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.chisel.elaborator import elaborate
@@ -31,6 +36,31 @@ def build_circuit(body: str, io_fields: str = "") -> ir.Circuit:
         "}\n"
     )
     return elaborate(parse_source(source))
+
+
+LOOP_WIRES = "".join(f"  val {name} = Wire(UInt(8.W))\n" for name in "pqrxys")
+#: A three-wire loop, a two-wire loop and a self-loop, disjoint.
+LOOP_BODY = (
+    "  p := q + io.in\n"
+    "  q := r ^ io.in\n"
+    "  r := p & q\n"
+    "  x := y | io.in\n"
+    "  y := x\n"
+    "  s := s + 1.U\n"
+)
+
+
+def comb_loop_message(path: str) -> str:
+    return (
+        "Detected combinational cycle in a FIRRTL module TopModule. "
+        f"Sample path: {{{path}}}. Break the loop by inserting a register "
+        "or restructuring the logic"
+    )
+
+
+def comb_loop_messages(circuit: ir.Circuit) -> list[str]:
+    result = run_default_pipeline(circuit)
+    return [d.message for d in result.diagnostics.errors if d.code == "C2"]
 
 
 class TestTyping:
@@ -212,6 +242,40 @@ class TestChecks:
         )
         result = run_default_pipeline(circuit)
         assert any(d.code == "C2" for d in result.diagnostics.errors)
+
+    def test_disjoint_loops_and_a_self_loop_are_each_reported(self):
+        circuit = build_circuit(LOOP_WIRES + LOOP_BODY + "  io.out := p + x + s")
+        assert comb_loop_messages(circuit) == [
+            comb_loop_message("p <- q <- r <- p"),
+            comb_loop_message("x <- y <- x"),
+            comb_loop_message("s <- s"),
+        ]
+
+    def test_loop_report_order_does_not_depend_on_string_hashing(self):
+        # The first sink reads all three loops, so the order in which its
+        # sources enter the graph decides which loop is found first.
+        body = LOOP_WIRES + "  io.out := p + x + s\n" + LOOP_BODY
+        expected = [
+            comb_loop_message("p <- q <- r <- p"),
+            comb_loop_message("s <- s"),
+            comb_loop_message("x <- y <- x"),
+        ]
+        assert comb_loop_messages(build_circuit(body)) == expected
+        probe = (
+            "import json, sys\n"
+            "from test_firrtl_passes import build_circuit, comb_loop_messages\n"
+            "print(json.dumps(comb_loop_messages(build_circuit(sys.argv[1]))))\n"
+        )
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(tests_dir, os.pardir, "src")
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([src, tests_dir])}
+            out = subprocess.run(
+                [sys.executable, "-c", probe, body],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout
+            assert json.loads(out) == expected, seed
 
     def test_pipeline_stops_after_first_failing_pass(self):
         circuit = build_circuit(

@@ -50,9 +50,10 @@ FLEET_KNOBS = (
     "REPRO_CAMPAIGN_FLEET",
 )
 
-#: Knobs whose code is gone: the fleet's, and the vector lane budget of the
-#: deleted cross-candidate batching.
-DELETED_KNOBS = FLEET_KNOBS + ("REPRO_SIM_MAX_LANES",)
+#: Knobs whose code is gone: the fleet's, the vector lane budget of the
+#: deleted cross-candidate batching, and the campaign's wait for the deleted
+#: priority gate.
+DELETED_KNOBS = FLEET_KNOBS + ("REPRO_SIM_MAX_LANES", "REPRO_CAMPAIGN_PREEMPT_WAIT")
 
 
 def rechisel_units(samples=6):
@@ -177,9 +178,12 @@ class TestNoFleetSurface:
             lambda: ServiceConfig(fleet_workers=2),
             lambda: CampaignConfig(fleet=2),
             lambda: CampaignOrchestrator(quick_spec(), CampaignConfig(), executor=None),
+            lambda: CampaignConfig(preempt_wait=1.0),
+            lambda: CampaignOrchestrator(quick_spec(), CampaignConfig(), gate=None),
         ],
         ids=["ExperimentConfig.fleet", "ServiceConfig.fleet_workers", "CampaignConfig.fleet",
-             "CampaignOrchestrator.executor"],
+             "CampaignOrchestrator.executor", "CampaignConfig.preempt_wait",
+             "CampaignOrchestrator.gate"],
     )
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):

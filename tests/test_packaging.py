@@ -60,3 +60,9 @@ def test_every_import_is_stdlib_repro_or_declared():
         if name not in allowed
     }
     assert not undeclared, sorted(undeclared)
+
+
+def test_every_declared_package_is_imported():
+    imported = set().union(*(imported_packages(path) for path in SOURCES))
+    unused = declared_packages() - imported
+    assert not unused, sorted(unused)

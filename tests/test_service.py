@@ -755,19 +755,26 @@ class TestGracefulDrain:
 class TestCampaignHooks:
     """Campaign resilience knobs thread through the service config."""
 
-    def test_real_executions_mark_the_priority_gate(self):
-        from repro.campaign.scheduler import PriorityGate, set_priority_gate
+    def test_the_service_does_not_import_campaigns(self):
+        # Nothing couples a service to campaigns in the same process: the
+        # budget below is duck-typed through ``charge``.
+        import os
+        import subprocess
+        import sys
 
-        units = make_units(samples=1)[:4]
-        gate = PriorityGate()
-        set_priority_gate(gate)
-        try:
-            payloads, _ = serve_units(units, ServiceConfig(max_in_flight=2))
-        finally:
-            set_priority_gate(PriorityGate())
-        assert len(payloads) == len(units)
-        assert gate.marks == len(units)
-        assert not gate.busy  # every interactive section was closed
+        probe = (
+            "import sys, repro.service.service; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.campaign')))"
+        )
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_llm_budget_is_charged_through_the_dispatcher(self):
         from repro.campaign.budget import Budget
