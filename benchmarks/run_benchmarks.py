@@ -28,7 +28,8 @@ facades or the sweep engine.
 
 Each successful run also appends one timestamped line to
 ``BENCH_history.jsonl`` at the repo root — benchmark name to mean/min
-seconds, keyed by UTC time and the current commit — so the perf trajectory
+seconds, keyed by UTC time and the current commit (``<id>-dirty`` when the
+tree has uncommitted changes) — so the perf trajectory
 is a queryable trend, not just the latest snapshot.  ``--check-trend`` then
 compares the two most recent snapshots per benchmark (see
 ``bench_trend.py``) and exits nonzero when any mean slowed by more than 20%.
@@ -45,18 +46,25 @@ import sys
 import pytest
 
 
-def _current_commit(root: str) -> str | None:
+def _git(root: str, *args: str) -> str | None:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
+            ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
         )
     except OSError:
         return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _current_commit(root: str) -> str | None:
+    """The short id of ``HEAD``, suffixed ``-dirty`` when the tree has changes.
+
+    A run of uncommitted code must not be recorded under its parent's id.
+    """
+    commit = _git(root, "rev-parse", "--short", "HEAD")
+    if not commit:
+        return None
+    return commit + "-dirty" if _git(root, "status", "--porcelain") else commit
 
 
 def append_history(root: str, results_path: str, history_path: str | None = None) -> None:

@@ -20,8 +20,8 @@ import time
 
 from conftest import run_once
 
-from repro.chisel.diagnostics import ChiselError
 from repro.chisel.parser import parse_source
+from repro.diagnostics import ChiselError
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 from chisel_reference import reference_parse_source, registry_sources  # noqa: E402

@@ -11,11 +11,15 @@ by ``python benchmarks/run_benchmarks.py``:
   completion one after another, paying the full latency serially;
 * ``test_service_concurrent_32`` — the same workload through the service at
   concurrency 32; asserted bit-identical to the serial payloads and at least
-  5x the serial throughput;
+  5x the serial throughput.  Serial and service runs are interleaved in
+  pairs and the median per-pair ratio is compared, so one slow round on a
+  shared host cannot decide the gate; the recorded timing is one further
+  service run;
 * ``test_service_warm_cache`` — a repeat wave against a persistent result
   store; asserted to issue zero new LLM requests.
 """
 
+import statistics
 import time
 
 from conftest import run_once
@@ -30,9 +34,8 @@ LATENCY = 0.015  # simulated LLM round-trip, seconds
 CONCURRENCY = 32
 N_JOBS = 64
 MIN_SPEEDUP = 5.0
+SPEEDUP_PAIRS = 3
 MODELS = ("GPT-4o", "Claude 3.5 Sonnet")
-
-_serial_cache = None
 
 
 class SleepClient:
@@ -76,13 +79,6 @@ def _run_serial():
     return payloads, time.perf_counter() - start
 
 
-def _serial_reference():
-    global _serial_cache
-    if _serial_cache is None:
-        _serial_cache = _run_serial()
-    return _serial_cache
-
-
 def _run_service(store_path=None):
     context = WorkerContext()
     units = _units(context)
@@ -99,19 +95,23 @@ def _run_service(store_path=None):
 def test_service_serial_latency(benchmark):
     payloads, _ = run_once(benchmark, _run_serial)
     assert len(payloads) == N_JOBS
-    global _serial_cache
-    _serial_cache = None  # keep the timed run's payloads comparable but unshared
 
 
 def test_service_concurrent_32(benchmark):
-    serial_payloads, serial_elapsed = _serial_reference()
-    payloads, snapshot, elapsed = run_once(benchmark, _run_service)
-    assert payloads == serial_payloads  # bit-identical under concurrency
-    assert snapshot.failed == 0
-    speedup = serial_elapsed / elapsed
+    speedups = []
+    for _ in range(SPEEDUP_PAIRS):
+        serial_payloads, serial_elapsed = _run_serial()
+        payloads, snapshot, elapsed = _run_service()
+        assert payloads == serial_payloads  # bit-identical under concurrency
+        assert snapshot.failed == 0
+        speedups.append(serial_elapsed / elapsed)
+
+    payloads, snapshot, _ = run_once(benchmark, _run_service)
+    assert payloads == serial_payloads
+    speedup = statistics.median(speedups)
     assert speedup >= MIN_SPEEDUP, (
-        f"service speedup {speedup:.1f}x below {MIN_SPEEDUP}x "
-        f"(serial {serial_elapsed:.2f}s, service {elapsed:.2f}s)"
+        f"median service speedup {speedup:.1f}x below {MIN_SPEEDUP}x over "
+        f"{SPEEDUP_PAIRS} interleaved pairs ({', '.join(f'{s:.1f}x' for s in speedups)})"
     )
 
 

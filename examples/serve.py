@@ -4,7 +4,7 @@
 Usage:
     python examples/serve.py                       # 64 jobs, concurrency 32
     python examples/serve.py --jobs 200 --concurrency 64 --latency 0.02
-    python examples/serve.py --rate-limit 100 --batch-window 0.005
+    python examples/serve.py --rate-limit 100
 
 Synthesizes a mixed workload (zero-shot, ReChisel and AutoChip sessions over
 several models and benchmark problems), serves it through
@@ -13,7 +13,9 @@ several models and benchmark problems), serves it through
 show the fingerprint result cache serving repeats with zero LLM calls.
 
 The ``REPRO_SERVICE_*`` environment knobs (see EXPERIMENTS.md) provide the
-defaults; command-line flags override them.
+defaults; command-line flags override them and accept the same values as
+their knobs.  A malformed or out-of-range flag exits with status 2 and names
+the flag.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import settings
 from repro.experiments.work import WorkerContext, WorkUnit
 from repro.llm.dispatch import LatencyClient
 from repro.llm.profiles import PAPER_MODELS
@@ -60,22 +63,37 @@ def synth_workload(context: WorkerContext, jobs: int) -> list[WorkUnit]:
 
 
 async def main() -> None:
+    config = ServiceConfig.from_environment()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=64, help="synthetic client jobs to submit")
-    parser.add_argument("--concurrency", type=int, default=None, help="max in-flight sessions")
-    parser.add_argument("--latency", type=float, default=0.02, help="simulated LLM round-trip (s)")
-    parser.add_argument("--batch-window", type=float, default=None, help="dispatch batch window (s)")
-    parser.add_argument("--rate-limit", type=float, default=None, help="LLM requests per second")
+    parser.add_argument(
+        "--jobs",
+        type=settings.arg_type("--jobs", kind=int, low=1),
+        default=64,
+        help="synthetic client jobs to submit",
+    )
+    parser.add_argument(
+        "--concurrency",
+        type=settings.arg_type("--concurrency", "REPRO_SERVICE_MAX_INFLIGHT"),
+        default=config.max_in_flight,
+        help="max in-flight sessions",
+    )
+    parser.add_argument(
+        "--latency",
+        type=settings.arg_type("--latency", kind=float, low=0),
+        default=0.02,
+        help="simulated LLM round-trip (s)",
+    )
+    parser.add_argument(
+        "--rate-limit",
+        type=settings.arg_type("--rate-limit", "REPRO_SERVICE_RATE_LIMIT"),
+        default=config.rate_limit,
+        help="LLM requests per second (0: unlimited)",
+    )
     parser.add_argument("--store", default=None, help="persistent result store path")
     args = parser.parse_args()
 
-    config = ServiceConfig.from_environment()
-    if args.concurrency is not None:
-        config.max_in_flight = max(1, args.concurrency)
-    if args.batch_window is not None:
-        config.batch_window = max(0.0, args.batch_window)
-    if args.rate_limit is not None:
-        config.rate_limit = args.rate_limit if args.rate_limit > 0 else None
+    config.max_in_flight = args.concurrency
+    config.rate_limit = args.rate_limit
     if args.store is not None:
         config.store_path = args.store
 
@@ -90,7 +108,6 @@ async def main() -> None:
     print(
         f"Serving {len(units)} jobs at concurrency {config.max_in_flight} "
         f"(simulated LLM latency {args.latency * 1000:.0f} ms, "
-        f"batch window {config.batch_window * 1000:.1f} ms, "
         f"rate limit {config.rate_limit or 'off'})\n"
     )
 

@@ -12,10 +12,10 @@ FIRRTL circuit (:mod:`repro.firrtl`), raising Chisel-style diagnostics for the
 error classes catalogued in Table II of the paper.
 """
 
-from repro.chisel.diagnostics import ChiselError, Diagnostic, Severity
 from repro.chisel.elaborator import elaborate
 from repro.chisel.lexer import Token, TokenKind, tokenize
 from repro.chisel.parser import Parser, parse_source
+from repro.diagnostics import ChiselError, Diagnostic, Severity
 
 __all__ = [
     "ChiselError",

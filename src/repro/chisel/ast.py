@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chisel.diagnostics import SourceLocation
+from repro.diagnostics import SourceLocation
 
 
 @dataclass

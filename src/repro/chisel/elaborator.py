@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.chisel import ast
 from repro.chisel import values as v
-from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.naming import Namer
+from repro.diagnostics import ChiselError, SourceLocation
 from repro.firrtl import ir
 from repro.hdl.literals import LiteralError, parse_literal
 

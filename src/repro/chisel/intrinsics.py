@@ -14,7 +14,7 @@ import math
 
 from repro.chisel import ast
 from repro.chisel import values as v
-from repro.chisel.diagnostics import ChiselError, SourceLocation
+from repro.diagnostics import ChiselError, SourceLocation
 from repro.firrtl import ir
 from repro.hdl.bits import min_width_for
 from repro.hdl.literals import LiteralError, parse_literal

@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from repro.chisel.diagnostics import ChiselError, SourceLocation
+from repro.diagnostics import ChiselError, SourceLocation
 
 
 class TokenKind(enum.Enum):

@@ -10,8 +10,8 @@ output is one of the syntax-error classes the reflection loop must handle.
 from __future__ import annotations
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import Token, TokenKind, tokenize
+from repro.diagnostics import ChiselError, SourceLocation
 
 # Infix identifiers treated as binary operators (Scala method infix notation).
 _NAMED_INFIX = {"until", "to", "min", "max"}

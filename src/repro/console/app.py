@@ -5,10 +5,10 @@ Importing this module requires the optional ``textual`` dependency
 :mod:`repro.console.model` so the rest of the toolchain never pays for the
 import.  The app polls the model on a timer (the model pumps its bus
 subscription), then repaints three panels: the live session table, the
-cache hit-rate table, and the batch-size sparklines with a scrolling event
-tail.  A resilience panel (circuit-breaker state, campaign
-budget and stage progress, retry counters) appears under the
-caches whenever those events flow.
+cache hit-rate table, and the simulate batch-size sparkline with a
+scrolling event tail.  A resilience panel (circuit-breaker state, campaign
+budget and stage progress, retry counters) appears under the caches
+whenever those events flow.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class ConsoleApp(App):
             "\n".join(self.model.resilience_lines())
         )
         self.query_one("#batches", Static).update(
-            f"llm batches {sparkline(self.model.llm_batches)}\n"
             f"sim batches {sparkline(self.model.sim_batches)}"
         )
         tail = list(self.model.tail)

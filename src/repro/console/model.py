@@ -73,7 +73,6 @@ class ConsoleModel:
         self.counters: dict[str, int] = {}
         self.snapshot: dict = {}
         self.caches: dict[str, dict] = {}
-        self.llm_batches: deque[int] = deque(maxlen=batches)
         self.sim_batches: deque[int] = deque(maxlen=batches)
         self.sweep: dict = {}
         # Resilience state: LLM breaker snapshot, live campaign budget /
@@ -134,8 +133,6 @@ class ConsoleModel:
             self.snapshot = dict(event.attrs)
         elif topic == "cache.stats":
             self.caches = dict(event.attrs.get("caches", {}))
-        elif topic == "llm.batch":
-            self.llm_batches.append(int(event.attrs.get("size", 0)))
         elif topic == "sim.batch":
             self.sim_batches.append(int(event.attrs.get("size", 0)))
         elif topic == "llm.breaker":
@@ -335,9 +332,8 @@ class ConsoleModel:
             lines.append("")
             lines.append("resilience:")
             lines.extend("  " + line for line in resilience)
-        if self.llm_batches or self.sim_batches:
+        if self.sim_batches:
             lines.append("")
-            lines.append(f"llm batches: {sparkline(self.llm_batches)}")
             lines.append(f"sim batches: {sparkline(self.sim_batches)}")
         if self.tail:
             lines.append("")

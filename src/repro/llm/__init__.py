@@ -10,7 +10,8 @@ in by passing any ``messages -> text`` callable.
 For concurrent serving, :mod:`repro.llm.dispatch` adds the async side: the
 :class:`~repro.llm.dispatch.AsyncChatClient` protocol, adapters for blocking
 clients, and the :class:`~repro.llm.dispatch.BatchingDispatcher` that
-coalesces many sessions' requests into rate-limited micro-batches.
+answers many sessions' requests under one budget, rate limit and retry
+policy.
 """
 
 from repro.llm.client import (
@@ -24,12 +25,12 @@ from repro.llm.dispatch import (
     AsyncChatClient,
     BatchingDispatcher,
     LatencyClient,
-    RetryPolicy,
     SyncClientAdapter,
     TokenBucket,
 )
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile, profile_named
 from repro.llm.synthetic import SyntheticChiselLLM
+from repro.retry import RetryPolicy
 
 __all__ = [
     "ChatClient",

@@ -15,7 +15,7 @@ the loss is counted per subscriber — silent event loss is a bug class this
 module refuses to have.  External processes subscribe through the line-JSON
 transports in :mod:`repro.obs.transport`.
 
-Topics are dotted names (``service.job``, ``llm.batch``, ``trace``,
+Topics are dotted names (``service.job``, ``llm.retry``, ``trace``,
 ``cache.stats``, ``sweep.progress``, ``fuzz.program``).  A
 subscription names topic *prefixes*: ``"service"`` matches ``service.job``
 and ``service.snapshot``; ``None`` (or ``"*"``) matches everything.

@@ -7,7 +7,7 @@ renders them in the Prometheus text format, so any scraper (or a human with
 A registry is the counter store of the layer that owns it: the generation
 service counts job states, cache tiers, session steps, in-flight sessions
 and simulate batch sizes in ``GenerationService.metrics``, and the LLM
-dispatcher counts requests, outcomes and batch sizes in
+dispatcher counts requests and their outcomes in
 ``BatchingDispatcher.metrics``.  Each count is taken once, where it happens,
 and their snapshots are built from those registries.
 
@@ -20,12 +20,12 @@ snapshots, sweep progress and fuzz outcomes.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left
 
 from repro.obs.events import Event, EventBus, Subscription
 
 _DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-#: Buckets for micro-batch sizes (LLM and simulate batches).
+#: Buckets for simulate micro-batch sizes.
 BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
@@ -98,7 +98,8 @@ class Histogram:
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = [0] * len(self.buckets) + [0, 0, value]
-            index = bisect_right(self.buckets, value)
+            # A value equal to a bound belongs to that bound's ``le`` bucket.
+            index = bisect_left(self.buckets, value)
             for i in range(index, len(self.buckets)):
                 series[i] += 1
             series[-3] += 1

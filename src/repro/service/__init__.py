@@ -1,4 +1,4 @@
-"""Async generation service: concurrent sessions over batched LLM dispatch.
+"""Async generation service: concurrent sessions over one LLM dispatcher.
 
 See :mod:`repro.service.service` for the architecture overview, README
 "Generation service" for the quickstart, and EXPERIMENTS.md for the

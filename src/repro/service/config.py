@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import settings
-from repro.llm.dispatch import RetryPolicy
+from repro.retry import RetryPolicy
 
 
 @dataclass
@@ -19,8 +19,8 @@ class ServiceConfig:
 
     ``max_in_flight`` bounds concurrently executing sessions (the worker
     count); ``queue_limit`` bounds the job queue — ``submit`` awaits when it
-    is full, which is the service's backpressure.  ``batch_window`` /
-    ``max_batch`` / ``rate_limit`` / ``per_profile_limit`` parameterize the
+    is full, which is the service's backpressure.  ``rate_limit`` (LLM
+    requests per second, ``None`` for no limit) and ``retry`` parameterize the
     :class:`~repro.llm.dispatch.BatchingDispatcher`; ``tool_workers`` sizes
     the bounded executor that compile/simulate steps are offloaded to.
     ``store_path`` points the result cache at a persistent
@@ -52,10 +52,7 @@ class ServiceConfig:
 
     max_in_flight: int = 32
     queue_limit: int = 128
-    batch_window: float = 0.0
-    max_batch: int = 16
     rate_limit: float | None = None
-    per_profile_limit: int | None = None
     tool_workers: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     store_path: str | None = None
@@ -86,10 +83,8 @@ class ServiceConfig:
         return replace(
             cls(),
             **settings.overrides(
-                batch_window="REPRO_SERVICE_BATCH_WINDOW",
                 max_in_flight="REPRO_SERVICE_MAX_INFLIGHT",
                 rate_limit="REPRO_SERVICE_RATE_LIMIT",
-                max_batch="REPRO_SERVICE_MAX_BATCH",
                 queue_limit="REPRO_SERVICE_QUEUE_LIMIT",
                 tool_workers="REPRO_SERVICE_TOOL_WORKERS",
                 request_timeout="REPRO_SERVICE_REQUEST_TIMEOUT",

@@ -5,12 +5,12 @@ jobs (the same unit type the sweep engine executes) and runs each as a
 step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
 
 * **LLM steps** go through the :class:`~repro.llm.dispatch.BatchingDispatcher`
-  — concurrent sessions' requests coalesce into micro-batches under a token
-  bucket, per-profile caps and jittered retry;
+  on the session's own task, under a shared budget, token bucket, circuit
+  breaker and jittered retry;
 * **tool steps** (compile / simulate / parse) are offloaded to a bounded
-  thread executor so the loop stays responsive for dispatch timers; simulate
-  steps additionally micro-batch through a :class:`_SimulationBatcher`
-  (``sim_batch_window`` / ``sim_max_batch``), one executor call per batch;
+  thread executor so the loop stays responsive; simulate steps additionally
+  micro-batch through a :class:`_SimulationBatcher` (``sim_batch_window`` /
+  ``sim_max_batch``), one executor call per batch;
 * **scheduling** is fair FIFO: a bounded job queue feeds ``max_in_flight``
   worker tasks, and ``submit`` awaits whenever the queue is full
   (backpressure);
@@ -23,7 +23,7 @@ step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
   :class:`~repro.obs.MetricsRegistry` (``metrics``: job states, cache tiers,
   session steps, in-flight sessions, simulate batch sizes) and the
   dispatcher's (``dispatcher.metrics``: requests, retries, failures,
-  timeouts, rejections, LLM batch sizes).  :meth:`GenerationService.snapshot`
+  timeouts, cancellations, rejections).  :meth:`GenerationService.snapshot`
   and the ``service.snapshot`` event are both built from them.
 
 Every session owns its deterministically seeded client, so results are
@@ -164,7 +164,7 @@ class _SimulationBatcher:
 
 
 class GenerationService:
-    """Concurrent ReChisel/zero-shot/AutoChip serving with batched LLM dispatch.
+    """Concurrent ReChisel/zero-shot/AutoChip serving on one event loop.
 
     Use as an async context manager (or call :meth:`start` / :meth:`close`)::
 
@@ -243,10 +243,7 @@ class GenerationService:
         loop = asyncio.get_running_loop()
         config = self.config
         self.dispatcher = self._dispatcher_override or BatchingDispatcher(
-            batch_window=config.batch_window,
-            max_batch=config.max_batch,
             rate_limiter=TokenBucket(config.rate_limit) if config.rate_limit else None,
-            per_profile_limit=config.per_profile_limit,
             retry=config.retry,
             retry_seed=0,
             request_timeout=config.request_timeout,
@@ -508,7 +505,7 @@ class GenerationService:
             ):
                 client = self._client_factory(unit)
                 session = strategy_from_unit(unit).session(self.context, unit, client)
-                payload = await self._drive(session, client, unit.model)
+                payload = await self._drive(session, client)
         except BaseException as exc:
             if not barrier.done():
                 barrier.set_exception(exc)
@@ -524,7 +521,7 @@ class GenerationService:
             barrier.set_result(payload)
         return payload
 
-    async def _drive(self, session: Session, client, profile: str) -> dict:
+    async def _drive(self, session: Session, client) -> dict:
         """Answer a session's steps: LLM via the dispatcher, tools via the executor.
 
         Each step runs inside a child span of the session span (``llm.<purpose>``
@@ -539,9 +536,7 @@ class GenerationService:
                 self._steps.inc(kind="llm" if isinstance(step, LLMCall) else "tool")
                 if isinstance(step, LLMCall):
                     with span("llm." + step.purpose, bus=bus):
-                        value = await self.dispatcher.complete(
-                            step.messages, client=client, profile=profile
-                        )
+                        value = await self.dispatcher.complete(step.messages, client=client)
                 elif self._sim_batcher is not None and isinstance(
                     getattr(step, "batch", None), SimulateRequest
                 ):

@@ -93,11 +93,8 @@ class ServiceSnapshot:
         if self.dispatcher:
             lines.append(
                 "dispatch         "
-                f"{self.dispatcher.get('requests', 0)} requests in "
-                f"{self.dispatcher.get('batches', 0)} batches "
-                f"(mean {self.dispatcher.get('mean_batch_size', 0.0)}, "
-                f"max {self.dispatcher.get('max_batch_size', 0)}; "
-                f"retries {self.dispatcher.get('retries', 0)}, "
+                f"{self.dispatcher.get('requests', 0)} requests "
+                f"(retries {self.dispatcher.get('retries', 0)}, "
                 f"timeouts {self.dispatcher.get('timeouts', 0)})"
             )
         if self.caches:

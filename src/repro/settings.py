@@ -129,10 +129,8 @@ _ROWS = (
     Setting("REPRO_STORE_SEGMENT_BYTES", int, 8 * 1024 * 1024, low=1),
     Setting("REPRO_STORE_FSYNC", bool, False),
     # Generation service (repro.service.config)
-    Setting("REPRO_SERVICE_BATCH_WINDOW", float, 0.0, low=0),
     Setting("REPRO_SERVICE_MAX_INFLIGHT", int, 32, low=1),
     Setting("REPRO_SERVICE_RATE_LIMIT", float, low=0, zero_off=True),
-    Setting("REPRO_SERVICE_MAX_BATCH", int, 16, low=1),
     Setting("REPRO_SERVICE_QUEUE_LIMIT", int, 128, low=1),
     Setting("REPRO_SERVICE_TOOL_WORKERS", int, 1, low=1),
     Setting("REPRO_SERVICE_REQUEST_TIMEOUT", float, low=0, zero_off=True),

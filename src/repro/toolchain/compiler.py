@@ -2,7 +2,7 @@
 
 Bundles the whole frontend (parse → elaborate → FIRRTL passes → emit) behind
 one call, the way the paper's Compiler step wraps ``sbt``/firtool.  Every
-failure mode is reported as a list of :class:`~repro.chisel.diagnostics.Diagnostic`
+failure mode is reported as a list of :class:`~repro.diagnostics.Diagnostic`
 so the Reviewer can consume a uniform error list regardless of which stage
 failed.
 

@@ -122,7 +122,7 @@ if HAVE_NUMPY:
 
     def _b2u(c):
         """Bool predicate -> 0/1 as uint64."""
-        return np.where(c, _ONE, _Z)
+        return np.asarray(c, dtype=_U64)
 
     def _shl(v, amt):
         a = _u(amt)
@@ -493,18 +493,18 @@ def _point_lanes(
     n_observed = len(schedule.observed)
     observed_slots = [template.slots[name].slot for name in schedule.observed]
 
-    gathers: list[tuple[int, "np.ndarray", "np.ndarray"]] = []
+    gathers: list[tuple[int, "np.ndarray"]] = []
     for name, (p_indices, offs) in driven.items():
         # marker[p] = 1 + rank of the latest drive at or before point p
-        # (0 = never driven yet -> the prepended all-zeros column).
+        # (0 = never driven yet -> the all-zeros column 0 of the padded
+        # stimulus, whose column c + 1 is stimulus column c).
         marker = np.zeros(n_points, dtype=np.int64)
         marker[np.array(p_indices, dtype=np.int64)] = np.arange(
             1, len(p_indices) + 1, dtype=np.int64
         )
         marker = np.maximum.accumulate(marker)
-        gathers.append(
-            (template.slots[name].slot, np.array(offs, dtype=np.int64), marker)
-        )
+        columns = np.concatenate([[0], np.array(offs, dtype=np.int64) + 1])[marker]
+        gathers.append((template.slots[name].slot, columns))
 
     comb = template.comb
     new_state = template.new_state
@@ -513,11 +513,9 @@ def _point_lanes(
         n_rows = stim.shape[0]
         lanes = n_rows * n_points
         state = new_state(lanes)
-        for slot, offs, marker in gathers:
-            cols = np.concatenate(
-                [np.zeros((n_rows, 1), dtype=np.uint64), stim[:, offs]], axis=1
-            )
-            state[slot] = cols[:, marker].reshape(lanes)
+        padded = np.concatenate([np.zeros((n_rows, 1), dtype=np.uint64), stim], axis=1)
+        for slot, columns in gathers:
+            state[slot] = padded[:, columns].reshape(lanes)
         comb(state)
         out = np.empty((n_rows, n_samples), dtype=np.uint64)
         for w_index, slot in enumerate(observed_slots):

@@ -18,7 +18,6 @@ import json
 import os
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import KEYWORDS, Token, TokenKind
 from repro.chisel.parser import (
     _NAMED_INFIX,
@@ -26,6 +25,7 @@ from repro.chisel.parser import (
     _count_placeholders,
     _replace_placeholders,
 )
+from repro.diagnostics import ChiselError, SourceLocation
 
 _OPERATORS = [
     "<->", "<>", "===", "=/=", ":=", "=>", "<-", "->", "+&", "-&", "+%", "-%",

@@ -5,9 +5,9 @@ import pickle
 import pytest
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import Token, TokenKind, tokenize
 from repro.chisel.parser import parse_source
+from repro.diagnostics import ChiselError, SourceLocation
 
 SIMPLE_MODULE = """
 import chisel3._

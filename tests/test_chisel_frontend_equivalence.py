@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisel_reference import ReferenceParser, frontend_corpus, reference_tokenize
-from repro.chisel.diagnostics import ChiselError
 from repro.chisel.lexer import tokenize
 from repro.chisel.parser import Parser
+from repro.diagnostics import ChiselError
 from repro.toolchain.compiler import STAGE_OK, STAGE_PARSE, ChiselCompiler
 
 CORPUS = frontend_corpus()

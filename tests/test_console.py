@@ -100,12 +100,6 @@ class TestConsoleModel:
         assert "done=8" in model.headline()
         assert "failed=0" in model.headline()
 
-    def test_batch_sparkline_tracks_llm_batches(self):
-        units = make_units()
-        model, _, _ = serve_watched(units, ServiceConfig(max_in_flight=8))
-        assert len(model.llm_batches) > 0
-        assert sparkline(model.llm_batches) != ""
-
     def test_sparkline_rendering(self):
         assert sparkline([]) == ""
         assert sparkline([0, 0]) == "▁▁"

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.chisel.diagnostics import ChiselError
 from repro.chisel.elaborator import elaborate
 from repro.chisel.parser import parse_source
+from repro.diagnostics import ChiselError
 from repro.firrtl import ir
 
 HEADER = "import chisel3._\nimport chisel3.util._\n\n"

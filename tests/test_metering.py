@@ -5,7 +5,9 @@ completions a run spends.  This module checks that the bound holds exactly at
 each entry point — the campaign CLI, the campaign orchestrator and the
 generation service — and that store hits spend nothing.  It also pins that the
 supervised worker fleet, whose workers bypassed the budget, is gone from the
-knob table, the constructors, the CLI and the event topics.
+knob table, the constructors, the CLI and the event topics, and that the
+deleted knobs and arguments of other removed paths (vector lanes, the
+campaign priority gate, LLM micro-batching) are rejected.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from repro.console.model import TOPICS as CONSOLE_TOPICS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executors import SerialExecutor
 from repro.experiments.work import WorkUnit
+from repro.llm.dispatch import BatchingDispatcher
 from repro.obs import EventBus
 from repro.obs.metrics import MetricsSink
 from repro.service import ServiceConfig, serve_units
@@ -53,7 +56,12 @@ FLEET_KNOBS = (
 #: Knobs whose code is gone: the fleet's, the vector lane budget of the
 #: deleted cross-candidate batching, and the campaign's wait for the deleted
 #: priority gate.
-DELETED_KNOBS = FLEET_KNOBS + ("REPRO_SIM_MAX_LANES", "REPRO_CAMPAIGN_PREEMPT_WAIT")
+DELETED_KNOBS = FLEET_KNOBS + (
+    "REPRO_SIM_MAX_LANES",
+    "REPRO_CAMPAIGN_PREEMPT_WAIT",
+    "REPRO_SERVICE_BATCH_WINDOW",
+    "REPRO_SERVICE_MAX_BATCH",
+)
 
 
 def rechisel_units(samples=6):
@@ -180,10 +188,16 @@ class TestNoFleetSurface:
             lambda: CampaignOrchestrator(quick_spec(), CampaignConfig(), executor=None),
             lambda: CampaignConfig(preempt_wait=1.0),
             lambda: CampaignOrchestrator(quick_spec(), CampaignConfig(), gate=None),
+            lambda: ServiceConfig(batch_window=0.01),
+            lambda: ServiceConfig(max_batch=4),
+            lambda: ServiceConfig(per_profile_limit=2),
+            lambda: BatchingDispatcher(max_batch=4),
         ],
         ids=["ExperimentConfig.fleet", "ServiceConfig.fleet_workers", "CampaignConfig.fleet",
              "CampaignOrchestrator.executor", "CampaignConfig.preempt_wait",
-             "CampaignOrchestrator.gate"],
+             "CampaignOrchestrator.gate", "ServiceConfig.batch_window",
+             "ServiceConfig.max_batch", "ServiceConfig.per_profile_limit",
+             "BatchingDispatcher.max_batch"],
     )
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):

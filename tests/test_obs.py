@@ -228,16 +228,17 @@ class TestMetrics:
         histogram = registry.histogram("repro_latency_seconds", "lat", buckets=(0.1, 1.0))
         histogram.observe(0.05)
         histogram.observe(0.5)
+        histogram.observe(1.0)  # on a bound: counts in that bound's bucket
         histogram.observe(5.0)
         text = registry.render()
         assert '# TYPE repro_jobs_total counter' in text
         assert 'repro_jobs_total{state="done"} 2' in text
         assert 'repro_queue_depth 7' in text
         assert 'repro_latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_latency_seconds_bucket{le="1"} 2' in text
-        assert 'repro_latency_seconds_bucket{le="+Inf"} 3' in text
-        assert 'repro_latency_seconds_count 3' in text
-        assert registry.histogram("repro_latency_seconds").count() == 3
+        assert 'repro_latency_seconds_bucket{le="1"} 3' in text
+        assert 'repro_latency_seconds_bucket{le="+Inf"} 4' in text
+        assert 'repro_latency_seconds_count 4' in text
+        assert registry.histogram("repro_latency_seconds").count() == 4
 
     def test_metric_name_type_conflict_raises(self):
         registry = MetricsRegistry()
@@ -266,7 +267,6 @@ class TestMetrics:
         bus.publish("service.job", "completed")
         bus.publish("service.job", "cache-hit", tier="memo")
         bus.publish("service.snapshot", "update", queue_depth=3, in_flight=2)
-        bus.publish("llm.batch", "flush", size=4)
         bus.publish("llm.retry", "exhausted", reason="timeout")
         bus.publish("sim.batch", "flush", size=2)
         assert sink.pump() == 0
@@ -337,11 +337,11 @@ class TestAtSourceCounts:
         assert dispatch.counter("repro_llm_dispatch_total").value(kind="requests") == (
             snapshot.llm_calls
         )
-        assert dispatch.histogram("repro_llm_batch_size").sum() == snapshot.llm_calls
 
     def test_one_transient_failure_is_one_retry_event_and_one_count(self):
         from repro.llm.client import ChatMessage
-        from repro.llm.dispatch import BatchingDispatcher, RetryPolicy
+        from repro.llm.dispatch import BatchingDispatcher
+        from repro.retry import RetryPolicy
 
         class FlakyOnce:
             def __init__(self):

@@ -1,4 +1,4 @@
-"""Tests for the async generation service and the batching LLM dispatcher."""
+"""Tests for the async generation service and its LLM dispatcher."""
 
 import asyncio
 import threading
@@ -12,10 +12,10 @@ from repro.llm.client import ChatMessage, EchoClient, RecordingClient
 from repro.llm.dispatch import (
     BatchingDispatcher,
     LatencyClient,
-    RetryPolicy,
     SyncClientAdapter,
     TokenBucket,
 )
+from repro.retry import RetryPolicy
 from repro.service import GenerationService, ServiceConfig, serve_units
 from repro.service.telemetry import percentile
 
@@ -77,15 +77,12 @@ class TestServiceEquivalence:
         )
         assert payloads == expected
 
-    def test_batch_window_and_rate_limit_do_not_change_results(self):
+    def test_rate_limit_does_not_change_results(self):
         units = make_units(samples=1)
         expected = direct_payloads(units)
-        config = ServiceConfig(
-            max_in_flight=8, batch_window=0.002, max_batch=4, rate_limit=5000.0
-        )
-        payloads, snapshot = serve_units(units, config)
+        config = ServiceConfig(max_in_flight=8, rate_limit=5000.0)
+        payloads, _ = serve_units(units, config)
         assert payloads == expected
-        assert snapshot.dispatcher["max_batch_size"] <= 4
 
 
 class TestServiceCaching:
@@ -256,81 +253,18 @@ class TestDispatcher:
     def run(self, coro):
         return asyncio.run(coro)
 
-    def test_microbatching_coalesces_concurrent_requests(self):
-        client = EchoClient("ok")
-
-        async def main():
-            dispatcher = BatchingDispatcher(client, max_batch=32)
-            results = await asyncio.gather(
-                *(
-                    dispatcher.complete([ChatMessage("user", f"q{i}")])
-                    for i in range(16)
-                )
-            )
-            return results, dispatcher.snapshot()
-
-        results, stats = self.run(main())
-        assert results == ["ok"] * 16
-        assert stats["requests"] == 16
-        # All 16 requests were enqueued in one event-loop tick, so they
-        # coalesce into far fewer batches than requests.
-        assert stats["batches"] < 16
-        assert stats["max_batch_size"] > 1
-
-    def test_max_batch_is_respected(self):
-        client = EchoClient("ok")
-
-        async def main():
-            dispatcher = BatchingDispatcher(client, max_batch=4)
-            await asyncio.gather(
-                *(dispatcher.complete([ChatMessage("user", str(i))]) for i in range(10))
-            )
-            return dispatcher.snapshot()
-
-        stats = self.run(main())
-        assert stats["requests"] == 10
-        assert stats["max_batch_size"] <= 4
-
-    def test_native_batch_client_gets_grouped_call(self):
-        class BatchClient:
-            def __init__(self):
-                self.batch_calls = []
-
-            def complete(self, messages):
-                return "single"
-
-            def complete_batch(self, batches):
-                self.batch_calls.append(len(batches))
-                return [f"b{i}" for i in range(len(batches))]
-
-        client = BatchClient()
-
-        async def main():
-            dispatcher = BatchingDispatcher(client, max_batch=8)
-            return await asyncio.gather(
-                *(dispatcher.complete([ChatMessage("user", str(i))]) for i in range(6))
-            )
-
-        results = self.run(main())
-        assert sorted(results) == [f"b{i}" for i in range(6)]
-        assert client.batch_calls and max(client.batch_calls) > 1
-
     def test_batch_failure_isolates_to_poisoned_request(self):
-        """A failing complete_batch degrades to singles; batch-mates survive."""
+        """A failing request fails alone; concurrent requests survive."""
 
-        class PoisonBatchClient:
+        class PoisonClient:
             def complete(self, messages):
                 if messages[-1].content == "poison":
                     raise ValueError("bad request")
                 return "ok"
 
-            def complete_batch(self, batches):
-                raise ValueError("bad request in batch")
-
         async def main():
             dispatcher = BatchingDispatcher(
-                PoisonBatchClient(),
-                max_batch=8,
+                PoisonClient(),
                 retry=RetryPolicy(attempts=1, base_delay=0.001),
                 retry_seed=0,
             )
@@ -470,7 +404,7 @@ class TestDispatcher:
         assert stats["cancelled"] == 1
 
     def test_abandoned_request_is_not_attempted(self):
-        """A request whose caller cancelled before its batch ran costs nothing."""
+        """A request cancelled while it waits on the rate limiter costs nothing."""
 
         class CountingClient:
             def __init__(self):
@@ -481,50 +415,25 @@ class TestDispatcher:
                 return "ok"
 
         async def main():
-            dispatcher = BatchingDispatcher(batch_window=0.05, max_batch=16)
+            # One token, refilled once a second: the second request must wait.
+            bucket = TokenBucket(rate=1.0, capacity=1.0)
+            dispatcher = BatchingDispatcher(rate_limiter=bucket)
             client = CountingClient()
+            survivor = await dispatcher.complete([ChatMessage("user", "live")], client=client)
             doomed = asyncio.create_task(
                 dispatcher.complete([ChatMessage("user", "dead")], client=client)
             )
-            await asyncio.sleep(0)  # enqueue it, batch window still open
+            await asyncio.sleep(0.01)  # the doomed request is paying off its token
             doomed.cancel()
-            survivor = await dispatcher.complete([ChatMessage("user", "live")], client=client)
             with pytest.raises(asyncio.CancelledError):
                 await doomed
-            await dispatcher.drain()
             return survivor, client.calls, dispatcher.snapshot()
 
         survivor, calls, stats = self.run(main())
         assert survivor == "ok"
         assert calls == 1
+        assert stats["requests"] == 2
         assert stats["cancelled"] == 1
-
-    def test_per_profile_concurrency_cap(self):
-        class GaugeClient:
-            def __init__(self):
-                self.active = 0
-                self.peak = 0
-
-            async def complete(self, messages):
-                self.active += 1
-                self.peak = max(self.peak, self.active)
-                await asyncio.sleep(0.002)
-                self.active -= 1
-                return "ok"
-
-        client = GaugeClient()
-
-        async def main():
-            dispatcher = BatchingDispatcher(client, max_batch=1, per_profile_limit=2)
-            await asyncio.gather(
-                *(
-                    dispatcher.complete([ChatMessage("user", str(i))], profile="m")
-                    for i in range(8)
-                )
-            )
-            return client.peak
-
-        assert self.run(main()) <= 2
 
     def test_token_bucket_oversized_acquire_keeps_configured_rate(self):
         """Acquiring more than the bucket's capacity must not strand tokens
@@ -620,11 +529,9 @@ class TestConcurrentRecording:
 
 class TestServiceConfig:
     def test_from_environment_reads_service_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_BATCH_WINDOW", "0.25")
         monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "64")
         monkeypatch.setenv("REPRO_SERVICE_RATE_LIMIT", "12.5")
         config = ServiceConfig.from_environment()
-        assert config.batch_window == 0.25
         assert config.max_in_flight == 64
         assert config.rate_limit == 12.5
 

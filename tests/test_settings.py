@@ -9,6 +9,8 @@ its consumer uses when the variable is unset.
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,21 @@ class TestFormerlySilentValues:
         assert CampaignConfig.from_environment().store_path == "/tmp/shared"
         monkeypatch.setenv("REPRO_CAMPAIGN_STORE", "off")
         assert CampaignConfig.from_environment().store_path is None
+
+    @pytest.mark.parametrize(
+        "flag, raw",
+        [("--concurrency", "-5"), ("--concurrency", "0"), ("--rate-limit", "-3"), ("--jobs", "0")],
+    )
+    def test_serve_example_rejects_bad_flags(self, flag, raw):
+        # These once ran at concurrency 1 or with the rate limit off.
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "serve.py"), flag, raw],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert f"{flag} must be" in result.stderr and repr(raw) in result.stderr
 
 
 class TestDocsInSync:

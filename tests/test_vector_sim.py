@@ -155,6 +155,50 @@ class TestVectorLaneEdgeCases:
         assert stepwise == vector
         assert vector.checked_points == 3
 
+    def test_carried_over_inputs_reach_the_dut_lanes(self):
+        """Every mismatch reports the carried-over (or never-driven 0) input."""
+        header = "module m(input en, input [3:0] d, output [3:0] q);\n"
+        dut = parse_verilog(header + "  assign q = en ? d : 4'd15;\nendmodule\n")[0]
+        ref = parse_verilog(header + "  assign q = 4'd14;\nendmodule\n")[0]
+        testbench = Testbench(
+            points=[
+                FunctionalPoint(inputs={}),  # en and d never driven: both 0
+                FunctionalPoint(inputs={"d": 5}),
+                FunctionalPoint(inputs={"en": 1}),  # d carries over as 5
+                FunctionalPoint(inputs={}, check=False),
+                FunctionalPoint(inputs={"d": 9}),  # en carries over as 1
+                FunctionalPoint(inputs={"en": 0, "d": 2}),
+            ],
+            observed_outputs=["q"],
+            reset_cycles=0,
+        )
+        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
+        vector = run_testbench(dut, ref, testbench, backend="vector")
+        assert stepwise == vector
+        assert [m.actual for m in vector.mismatches] == [15, 15, 5, 9, 15]
+
+    def test_predicates_are_zero_or_one_lanes(self):
+        """Comparisons, reductions and logical ops yield 0/1 in every lane."""
+        header = "module m(input [3:0] a, input [3:0] b, output [7:0] q);\n"
+        dut = parse_verilog(
+            header
+            + "  assign q = {a < b, a == b, !a, &a, |b, ^b, a != 0 && b != 0, a >= b || b == 3};\n"
+            + "endmodule\n"
+        )[0]
+        ref = parse_verilog(header + "  assign q = 8'd0;\nendmodule\n")[0]
+        testbench = Testbench(
+            points=[
+                FunctionalPoint(inputs={"a": a, "b": b}) for a in range(16) for b in range(16)
+            ],
+            observed_outputs=["q"],
+            reset_cycles=0,
+            max_mismatches=256,
+        )
+        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
+        vector = run_testbench(dut, ref, testbench, backend="vector")
+        assert stepwise == vector
+        assert [vector.mismatches[i].actual for i in (0, 255)] == [0b01100001, 0b01011011]
+
     def test_mismatch_cap_and_ordering(self):
         dut = parse_verilog("module m(input [3:0] d, output [3:0] q);\n  assign q = d + 1;\nendmodule\n")[0]
         ref = parse_verilog("module m(input [3:0] d, output [3:0] q);\n  assign q = d;\nendmodule\n")[0]
