@@ -10,8 +10,6 @@ Chisel frontend (lex + parse of registry candidates, asserted ≥1.5x the
 character-at-a-time reference frontend), the batched verification engine
 (cold candidate, warm iteration-k+1 and trace vs step-wise testbench
 backends, with asserted minimum speedups), the
-vectorized simulation backend (deep-verify speedup over the scalar trace
-kernels), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
 executors, cold vs warm result store, O(1) result-store lookups), the
 generation-service throughput
@@ -105,7 +103,6 @@ def main(argv: list[str]) -> int:
             os.path.join(root, "benchmarks", "test_toolchain_throughput.py"),
             os.path.join(root, "benchmarks", "test_chisel_frontend_throughput.py"),
             os.path.join(root, "benchmarks", "test_verify_throughput.py"),
-            os.path.join(root, "benchmarks", "test_vector_throughput.py"),
             os.path.join(root, "benchmarks", "test_sweep_throughput.py"),
             os.path.join(root, "benchmarks", "test_service_throughput.py"),
             os.path.join(root, "benchmarks", "test_fuzz_throughput.py"),

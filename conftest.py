@@ -33,17 +33,14 @@ def _cache_isolation(request):
         restore_registered_caches,
         snapshot_registered_caches,
     )
-    from repro.verilog import compile_sim, compile_vec
+    from repro.verilog import compile_sim
 
     snapshot = snapshot_registered_caches()
-    counters = (compile_sim._fallbacks, compile_vec._vec_fallbacks)
-    fallbacks = [counter[0] for counter in counters]
+    fallbacks = compile_sim._fallbacks[0]
     clear_registered_caches()
-    for counter in counters:
-        counter[0] = 0
+    compile_sim._fallbacks[0] = 0
     try:
         yield
     finally:
         restore_registered_caches(snapshot)
-        for counter, value in zip(counters, fallbacks):
-            counter[0] = value
+        compile_sim._fallbacks[0] = fallbacks

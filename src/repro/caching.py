@@ -1,9 +1,8 @@
 """Bounded LRU caches, the cache registry and content fingerprints.
 
 Every memoization layer in the toolchain — whole Chisel compile results,
-Verilog parsing, compiled simulation kernels, trace-compiled testbenches and
-vectorized NumPy kernels (``sim_vec`` / ``sim_vec_kernel``) — shares
-:class:`LruCache` so the eviction policy and hit/miss accounting live in one
+Verilog parsing, compiled simulation kernels and trace-compiled testbenches
+— shares :class:`LruCache` so the eviction policy and hit/miss accounting live in one
 place.  Caches constructed with a ``name`` self-register in a process-wide
 registry; :func:`cache_stats` aggregates hits/misses/size per name (summing
 across instances) and is what ``GenerationService.snapshot()`` surfaces as
@@ -97,8 +96,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Hit/miss/size counters for every registered cache, aggregated by name.
 
     Covers the whole verification engine: ``chisel_compile`` (whole compile
-    results by source text), ``verilog_parse``, ``sim_kernel``, ``sim_trace``
-    and the vector kernel caches.
+    results by source text), ``verilog_parse``, ``sim_kernel`` and
+    ``sim_trace``.
     """
     stats: dict[str, dict[str, int]] = {}
     for name, instances in sorted(_live_caches().items()):
@@ -119,10 +118,9 @@ def clear_registered_caches() -> None:
     :mod:`repro.sim.testbench` live on the ``Testbench`` object and stay valid:
     ``_trace_plans`` (the run-length schedule and flat stimulus per
     observed-output tuple), ``_checked_points`` (indices of the checked
-    points, read off the schedule's runs), ``_vec_packs`` (packed vector
-    stimulus per kernel) and ``_reference_outputs`` (the reference kernel's
-    sampled outputs per kernel kind, fingerprint and schedule digest).  A
-    truly cold run needs a freshly built testbench.
+    points, read off the schedule's runs) and ``_reference_outputs`` (the
+    reference kernel's sampled outputs per fingerprint and schedule digest).
+    A truly cold run needs a freshly built testbench.
     """
     for instances in _live_caches().values():
         for cache in instances:

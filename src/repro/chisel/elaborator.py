@@ -476,7 +476,7 @@ class Elaborator:
             items = list(iterable)
         elif isinstance(iterable, v.HwValue) and isinstance(iterable.tpe, v.VecT):
             items = [
-                self._vec_element(iterable, index, stmt.location) for index in range(iterable.tpe.size)
+                self._element_of(iterable, index, stmt.location) for index in range(iterable.tpe.size)
             ]
         else:
             raise ChiselError.at(
@@ -581,7 +581,7 @@ class Elaborator:
             message = f"{message}. {suggestion}"
         return ChiselError.at(message, location, code="A1")
 
-    def _vec_element(self, vec: v.HwValue, index: int, location: SourceLocation) -> v.HwValue:
+    def _element_of(self, vec: v.HwValue, index: int, location: SourceLocation) -> v.HwValue:
         assert isinstance(vec.tpe, v.VecT)
         if index < 0 or index >= vec.tpe.size:
             raise ChiselError.at(

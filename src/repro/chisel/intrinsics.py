@@ -1035,7 +1035,7 @@ def _hw_member(elab, target: v.HwValue, name: str, args, type_args, location, ct
         )
     if name == "asUInt":
         if isinstance(tpe, v.VecT):
-            return _vec_as_uint(target, location)
+            return _uint_of_vec(target, location)
         width = _type_width(tpe)
         return v.HwValue(ir.DoPrim("asUInt", (target.expr,)), v.UIntT(width), v.BINDING_OP)
     if name == "asSInt":
@@ -1137,7 +1137,7 @@ def _hw_member(elab, target: v.HwValue, name: str, args, type_args, location, ct
     )
 
 
-def _vec_as_uint(target: v.HwValue, location: SourceLocation) -> v.HwValue:
+def _uint_of_vec(target: v.HwValue, location: SourceLocation) -> v.HwValue:
     tpe = target.tpe
     assert isinstance(tpe, v.VecT)
     element_width = _type_width(tpe.element)

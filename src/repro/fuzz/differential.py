@@ -13,13 +13,10 @@ toolchain:
   as a functional mismatch report);
 * the trace-compiled testbench backend must reproduce the step-wise report
   exactly;
-* the vectorized NumPy backend (``backend="vector"``) must also reproduce it
-  bit for bit on vector-eligible designs;
-* those reports compare the module with itself, so the reference's outputs
+* that report compares the module with itself, so the reference's outputs
   are simulated once and reused for the DUT; a deterministic kernel codegen
-  bug would pass them.  The trace and vector kernels' flat sampled outputs
-  must therefore also equal those of a step-wise interpreter run over the
-  same schedule;
+  bug would pass it.  The trace kernel's flat sampled outputs must therefore
+  also equal those of a step-wise interpreter run over the same schedule;
 * a warm run (caches populated by every previously checked program — the
   state in which cache-key collisions bite) must equal a cold run from
   cleared caches on a freshly built testbench, both for the emitted Verilog
@@ -50,9 +47,8 @@ from repro.sim.testbench import (
     run_testbench,
 )
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog import compile_sim, compile_vec
+from repro.verilog import compile_sim
 from repro.verilog.compile_sim import clear_kernel_cache, get_kernel, get_trace_kernel
-from repro.verilog.compile_vec import get_vec_kernel
 from repro.verilog.parser import VerilogParseError, parse_verilog
 from repro.verilog.simulator import Simulation, SimulationError
 from repro.verilog.vast import VModule
@@ -93,7 +89,6 @@ class ConformanceReport:
     checks: int = 0
     trace_eligible: bool = True
     compiled_eligible: bool = True
-    vector_eligible: bool = True
 
     @property
     def ok(self) -> bool:
@@ -144,8 +139,7 @@ def _stepwise_samples(
 
     Replays the step-wise testbench sequence (reset pulse, then drive, tick
     and, at checked points, read every observed output) on an interpreter
-    device, so the result lines up with ``TraceKernel.run`` and each row of
-    ``VecTraceKernel.run``.
+    device, so the result lines up with ``TraceKernel.run``.
     """
     device = _ForcedBackendDevice(module, "interpreter")
     device.reset_pulse(testbench.reset, testbench.clock, testbench.reset_cycles)
@@ -239,53 +233,26 @@ def _run_backends(
     trace_kernel = get_trace_kernel(module, schedule)
     if trace_kernel is None:
         report.trace_eligible = False
-
-    vec_kernel = get_vec_kernel(module, schedule)
-    samples: dict[str, list[int]] = {}
-    if trace_kernel is not None:
-        samples["trace-values"] = trace_kernel.run(stimulus)
-    if vec_kernel is not None:
-        samples["vector-values"] = vec_kernel.run([stimulus])[0].tolist()
-    if samples:
-        try:
-            expected = _stepwise_samples(module, testbench, observed)
-        except SimulationError as exc:
-            report.failures.append(
-                ConformanceFailure(
-                    "backend", "interpreter-samples", top, f"runtime error: {exc}"
-                )
+        return runs
+    actual = trace_kernel.run(stimulus)
+    try:
+        expected = _stepwise_samples(module, testbench, observed)
+    except SimulationError as exc:
+        report.failures.append(
+            ConformanceFailure("backend", "interpreter-samples", top, f"runtime error: {exc}")
+        )
+        return runs
+    report.checks += 1
+    if actual != expected:
+        report.failures.append(
+            ConformanceFailure(
+                "backend",
+                "trace-values",
+                top,
+                f"{_first_divergence(testbench, observed, expected, actual)} "
+                "(kernel sampled outputs vs step-wise interpreter)",
             )
-            samples = {}
-        for stage, actual in samples.items():
-            report.checks += 1
-            if actual != expected:
-                report.failures.append(
-                    ConformanceFailure(
-                        "backend",
-                        stage,
-                        top,
-                        f"{_first_divergence(testbench, observed, expected, actual)} "
-                        "(kernel sampled outputs vs step-wise interpreter)",
-                    )
-                )
-
-    if vec_kernel is None:
-        # Wide-context designs (>64-bit lanes) and NumPy-less environments
-        # fall back by design; eligibility is reported, not a failure.
-        report.vector_eligible = False
-    else:
-        vector = run_testbench(module, module, testbench, backend="vector")
-        runs["vector"] = vector
-        report.checks += 1
-        if vector != stepwise:
-            report.failures.append(
-                ConformanceFailure(
-                    "backend",
-                    "vector",
-                    top,
-                    f"vector report diverges from step-wise: {vector.render()}",
-                )
-            )
+        )
     return runs
 
 
@@ -355,9 +322,9 @@ def check_source(
     # state the next program's warm pass must run against (cross-program
     # cache-key collisions are only observable there) — snapshot it now and
     # restore it once the cold comparisons are done.  The kernel fallback
-    # counters live outside the cache registry, so they are saved explicitly.
+    # counter lives outside the cache registry, so it is saved explicitly.
     warm_snapshot = snapshot_registered_caches()
-    warm_fallbacks = (compile_sim._fallbacks[0], compile_vec._vec_fallbacks[0])
+    warm_fallbacks = compile_sim._fallbacks[0]
     try:
         cold_compiler = ChiselCompiler(cached=False)
         for top in tops:
@@ -393,8 +360,8 @@ def check_source(
                     continue
                 module = parse_verilog(cold.verilog)[-1]
                 # A fresh testbench from the same seed: the warm one carries
-                # the per-testbench memos (trace plans, vector packs,
-                # reference outputs) that would make this run warm.
+                # the per-testbench memos (trace plans, reference outputs)
+                # that would make this run warm.
                 cold_tb = build_testbench(module, f"{tb_seed}:{top}", points, sequential)
                 cold_report = ConformanceReport()
                 cold_runs = _run_backends(module, cold_tb, top, cold_report)
@@ -418,7 +385,7 @@ def check_source(
                 )
     finally:
         restore_registered_caches(warm_snapshot)
-        compile_sim._fallbacks[0], compile_vec._vec_fallbacks[0] = warm_fallbacks
+        compile_sim._fallbacks[0] = warm_fallbacks
     return report
 
 

@@ -382,7 +382,7 @@ class _ModuleGen:
             )
         self.uints.append(_Num(name, value.width))
 
-    def _stmt_vec_table(self, depth: int) -> None:
+    def _stmt_lookup_table(self, depth: int) -> None:
         self._use("vec")
         name = self._fresh("t")
         size = self.rng.choice((2, 4))
@@ -396,7 +396,7 @@ class _ModuleGen:
         self.uints.append(_Num(f"{name}({index.expr})", width))
         self.uints.append(_Num(f"{name}({self.rng.randrange(size)})", width))
 
-    def _stmt_vec_pipeline(self, depth: int) -> None:
+    def _stmt_reg_pipeline(self, depth: int) -> None:
         self._use("vec")
         self._use("reg")
         self.sequential = True
@@ -542,9 +542,9 @@ class _ModuleGen:
             elif kind == "regnext":
                 self._stmt_regnext(depth)
             elif kind == "vec_table":
-                self._stmt_vec_table(depth)
+                self._stmt_lookup_table(depth)
             elif kind == "vec_pipeline":
-                self._stmt_vec_pipeline(depth)
+                self._stmt_reg_pipeline(depth)
             elif kind == "fsm":
                 self._stmt_fsm(depth)
             elif kind == "sint_val":

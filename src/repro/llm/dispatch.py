@@ -129,7 +129,14 @@ class TokenBucket:
             # losing the tokens earned while sleeping.
             self._tokens -= tokens
             if self._tokens < 0:
-                await asyncio.sleep(-self._tokens / self.rate)
+                try:
+                    await asyncio.sleep(-self._tokens / self.rate)
+                except asyncio.CancelledError:
+                    # A cancelled waiter spends nothing: refund its tokens so
+                    # the next waiter does not pay off a debt nobody used.
+                    self._refill(loop.time())
+                    self._tokens = min(self.capacity, self._tokens + tokens)
+                    raise
                 self._refill(loop.time())
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 def percentile(samples: list[float], q: float) -> float:
     """The ``q``-quantile (0..1) of ``samples``, linearly interpolated.
 
-    Matches numpy's default (``method='linear'``): the quantile position is
+    Matches NumPy's default (``method='linear'``): the quantile position is
     ``q * (n - 1)`` and values between ranks are interpolated, so small
     reservoirs give smooth, deterministic estimates instead of the coarse
     stair-steps of nearest-rank (with 4 samples, nearest-rank p50 and p75

@@ -122,7 +122,7 @@ _ROWS = (
     Setting("REPRO_RESULT_STORE", PATH),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
     Setting("REPRO_SIM_BACKEND", ("auto", "compiled", "interpreter"), "auto"),
-    Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise", "vector"), "auto"),
+    Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise"), "auto"),
     Setting("REPRO_SIM_HEALTH_THRESHOLD", int, 3, low=0, zero_off=True),
     # Result store (repro.experiments.store)
     Setting("REPRO_STORE_SEGMENT_RECORDS", int, 4096, low=1),

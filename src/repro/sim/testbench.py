@@ -1,6 +1,6 @@
 """Testbench execution: drive stimuli into DUT and reference, compare outputs.
 
-Three backends produce bit-identical :class:`SimulationReport`s:
+Two backends produce bit-identical :class:`SimulationReport`s:
 
 * the **trace** backend compiles the whole stimulus schedule into one
   generated closure per (module, testbench shape) pair
@@ -8,54 +8,44 @@ Three backends produce bit-identical :class:`SimulationReport`s:
   preprocessed once into a flat array, the reset/drive/settle/tick sequence is
   unrolled, and all sampled outputs come back in a single call — no per-point
   dict or attribute dispatch;
-* the **vector** backend
-  (:func:`repro.verilog.compile_vec.get_vec_kernel`) goes one step further:
-  NumPy structure-of-arrays kernels with one ``uint64`` lane per execution,
-  evaluating every stimulus point of a combinational testbench in one kernel
-  call (a sequential testbench steps its points in time on one lane).
-  Ineligible pairings (>64-bit contexts, missing NumPy) fall back to
-  trace/step-wise;
 * the **step-wise** backend drives both devices point by point through the
   :class:`DeviceUnderTest` interface.  It is the semantic oracle, the only
   path for behavioural references and interpreter-fallback modules, and the
   path that reproduces runtime :class:`SimulationError` reports exactly.
 
 **Backend rules.**  One plan (:func:`_backend_plan`) decides every run: the
-tiers to try in order, vector → trace → step-wise or a suffix of it.
+tiers to try in order, trace → step-wise or step-wise alone.
 
-* ``backend=`` names the first tier (``"vector"``, ``"trace"``,
-  ``"stepwise"``); ``"auto"``, the default, starts at trace.  ``None`` reads
+* ``backend=`` names the first tier (``"trace"`` or ``"stepwise"``);
+  ``"auto"``, the default, starts at trace.  ``None`` reads
   ``REPRO_TB_BACKEND``.  Any other name raises :class:`SimulationError`.
 * A tier named by the *argument* falls back silently when the pairing is
   ineligible (behavioural reference, interpreter-only module, port mismatch,
-  oversized schedule, >64-bit signals for vector).  A tier forced through
-  the *environment* (``REPRO_TB_BACKEND=trace`` or ``=vector``) is strict: it
-  answers or raises, and its kernel crashes propagate, because a forcing
-  knob that degrades quietly would invalidate what the caller forced it for.
+  oversized schedule).  A tier forced through the *environment*
+  (``REPRO_TB_BACKEND=trace``) is strict: it answers or raises, and its
+  kernel crashes propagate, because a forcing knob that degrades quietly
+  would invalidate what the caller forced it for.
 * ``REPRO_SIM_BACKEND=interpreter`` makes ``"auto"`` step-wise only, since
-  the trace and vector tiers run compiled kernels.  It changes no named
-  tier: under ``backend="vector"`` an ineligible run still falls back to
-  trace, then step-wise.
-* **Breaker degradation**: kernel-path crashes (exceptions escaping a
+  the trace tier runs compiled kernels.  It changes no named tier:
+  ``backend="trace"`` still tries trace first.
+* **Breaker degradation**: trace-kernel crashes (exceptions escaping a
   compiled kernel — never mismatch reports or :class:`SimulationError`) feed
-  per-tier circuit breakers.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
-  consecutive crashes, default 3) skips its tier until the cooldown
+  a circuit breaker.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
+  consecutive crashes, default 3) skips the trace tier until the cooldown
   expires, so one poisoned kernel path cannot fail a whole campaign.  A
-  half-open breaker admits one probe: a tier that answers closes it, one
-  that answers nothing hands the probe back.  Strict tiers bypass their
-  breaker.  ``backend_health()`` snapshots the breakers;
-  ``reset_backend_health()`` re-arms them (tests).
+  half-open breaker admits one probe: a run that answers closes it, one
+  that answers nothing hands the probe back.  A strict tier bypasses the
+  breaker.  ``backend_health()`` snapshots it; ``reset_backend_health()``
+  re-arms it (tests).
 
 :func:`run_testbenches` runs many jobs under one plan, each through its own
-tiers, so its reports equal per-job :func:`run_testbench` calls.  Candidates
-are not batched across jobs: at the batch sizes the service sees, lockstep
-vector lanes ran slower than per-job trace kernels.
+tiers, so its reports equal per-job :func:`run_testbench` calls.
 
-**Reference reuse**: both kernel tiers simulate a reference once per
-stimulus program.  Its sampled outputs are memoized on the
-:class:`Testbench` (:func:`_reference_outputs`), and a DUT whose cached kernel
-is the reference's reuses them instead of running.  Reports are then built
-by one comparison pass (:func:`_compare_outputs`).
+**Reference reuse**: the trace tier simulates a reference once per stimulus
+program.  Its sampled outputs are memoized on the :class:`Testbench`
+(:func:`_reference_outputs`), and a DUT whose cached kernel is the
+reference's reuses them instead of running.  Reports are then built by one
+comparison pass (:func:`_compare_outputs`).
 """
 
 from __future__ import annotations
@@ -67,42 +57,38 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, checked_indices, get_trace_kernel
-from repro.verilog.compile_vec import VecTraceKernel, get_vec_kernel
 from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
 
-_TB_BACKENDS = ("auto", "trace", "stepwise", "vector")
-_TIERS = ("vector", "trace", "stepwise")
+_TB_BACKENDS = ("auto", "trace", "stepwise")
 _HEALTH_COOLDOWN = 5.0
+_UNBUILT = object()
 
-#: Per-backend health breakers (lazily built; ``None`` entries = disabled).
-_health: dict[str, CircuitBreaker | None] | None = None
+#: The trace tier's health breaker (lazily built; ``None`` = disabled).
+_health: CircuitBreaker | None | object = _UNBUILT
 
 
-def _health_breakers() -> dict[str, CircuitBreaker | None]:
+def _breaker() -> CircuitBreaker | None:
     global _health
-    if _health is None:
+    if _health is _UNBUILT:
         threshold = read_setting("REPRO_SIM_HEALTH_THRESHOLD")
-        _health = {
-            name: (
-                CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim." + name)
-                if threshold is not None
-                else None
-            )
-            for name in ("vector", "trace")
-        }
+        _health = (
+            CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim.trace")
+            if threshold is not None
+            else None
+        )
     return _health
 
 
-def _admit(tier: str, forced: bool) -> bool:
-    """Whether kernel tier ``tier`` may run now: a forced tier always may;
-    otherwise its breaker decides (claiming the probe slot when half-open)."""
-    breaker = _health_breakers()[tier]
+def _admit(forced: bool) -> bool:
+    """Whether the trace tier may run now: a forced tier always may;
+    otherwise the breaker decides (claiming the probe slot when half-open)."""
+    breaker = _breaker()
     return forced or breaker is None or breaker.allow()
 
 
-def _settle(tier: str, forced: bool, answered: bool, crash: Exception | None = None) -> None:
-    """Report an admitted attempt at ``tier`` to its breaker.
+def _settle(forced: bool, answered: bool, crash: Exception | None = None) -> None:
+    """Report an admitted trace attempt to the breaker.
 
     A ``crash`` re-raises when the tier is forced or the crash is a
     :class:`SimulationError` (a semantic error, not health evidence); any
@@ -110,7 +96,7 @@ def _settle(tier: str, forced: bool, answered: bool, crash: Exception | None = N
     attempt that answered nothing hands its probe slot back, so a half-open
     breaker never waits on a probe that ran no kernel.
     """
-    breaker = _health_breakers()[tier]
+    breaker = _breaker()
     propagate = crash is not None and (forced or isinstance(crash, SimulationError))
     if breaker is not None:
         if crash is not None and not propagate:
@@ -124,17 +110,15 @@ def _settle(tier: str, forced: bool, answered: bool, crash: Exception | None = N
 
 
 def backend_health() -> dict:
-    """Snapshot of the vector/trace health breakers (state, failures, opens)."""
-    return {
-        name: (breaker.snapshot() if breaker is not None else {"state": "disabled"})
-        for name, breaker in _health_breakers().items()
-    }
+    """Snapshot of the trace health breaker (state, failures, opens)."""
+    breaker = _breaker()
+    return {"trace": breaker.snapshot() if breaker is not None else {"state": "disabled"}}
 
 
 def reset_backend_health() -> None:
-    """Re-arm the health breakers (re-reading ``REPRO_SIM_HEALTH_THRESHOLD``)."""
+    """Re-arm the health breaker (re-reading ``REPRO_SIM_HEALTH_THRESHOLD``)."""
     global _health
-    _health = None
+    _health = _UNBUILT
 
 
 @dataclass(frozen=True)
@@ -362,12 +346,11 @@ def _reference_outputs(testbench: Testbench, kernel, run: Callable[[], object] |
     Every candidate of a sweep, sample or repair iteration is checked against
     the same golden on the same stimulus program, so the golden's outputs are
     simulated once per ``(fingerprint, digest)`` — the key of the kernel
-    caches — and the kernel kind (trace lists and vector arrays are kept
-    apart).  On a miss, ``run()`` computes and memoizes them; without ``run``
+    caches.  On a miss, ``run()`` computes and memoizes them; without ``run``
     a miss returns ``None``.  A raising ``run`` memoizes nothing.
     """
     memo = testbench.__dict__.setdefault("_reference_outputs", {})
-    key = (type(kernel).__name__, kernel.fingerprint, kernel.digest)
+    key = (kernel.fingerprint, kernel.digest)
     outputs = memo.get(key)
     if outputs is None and run is not None:
         outputs = memo[key] = run()
@@ -385,8 +368,7 @@ def _compare_outputs(
     Samples cover the checked points only, ``len(observed)`` per point.  Equal
     arrays return at once; otherwise one pass finds the mismatching flat
     indices, in point-major order, and only those are mapped back to
-    ``(point, signal)``.  Shared by the trace and vector backends so mismatch
-    ordering and ``max_mismatches`` capping are identical by construction.
+    ``(point, signal)``.
     """
     checked = _checked_points(testbench, observed)
     report = SimulationReport(total_points=len(testbench.points), checked_points=len(checked))
@@ -429,66 +411,11 @@ def _run_testbench_trace(
     return _compare_outputs(testbench, observed, dut_out, ref_out)
 
 
-def _compare_vec_outputs(
-    testbench: Testbench,
-    observed: Sequence[str],
-    dut_out,
-    ref_out,
-) -> SimulationReport:
-    """:func:`_compare_outputs` over uint64 sample arrays.
-
-    Matching arrays (a passing candidate, or a DUT reusing the reference's
-    outputs) are decided by one array comparison; divergent ones are
-    compared as lists.
-    """
-    if dut_out is ref_out or bool((dut_out == ref_out).all()):
-        return _compare_outputs(testbench, observed, ref_out, ref_out)
-    return _compare_outputs(testbench, observed, dut_out.tolist(), ref_out.tolist())
-
-
-def _packed_stimulus(testbench: Testbench, kernel: VecTraceKernel, stimulus: tuple):
-    """The kernel-ready stimulus matrix, memoized on the testbench.
-
-    Keyed by (fingerprint, digest) — repair iterations re-verify revised
-    candidates against the same testbench, so the masked uint64 packing of an
-    unchanged stimulus program is reused across calls.
-    """
-    packs = testbench.__dict__.setdefault("_vec_packs", {})
-    key = (kernel.fingerprint, kernel.digest)
-    packed = packs.get(key)
-    if packed is None:
-        packed = packs[key] = kernel.pack([stimulus])
-    return packed
-
-
-def _run_testbench_vector(
-    dut: VModule, reference: VModule, testbench: Testbench
-) -> SimulationReport | None:
-    """Vector-kernel run; ``None`` when the pairing needs a scalar backend."""
-    observed, schedule, stimulus = _trace_plan_for(testbench, reference)
-    dut_kernel = get_vec_kernel(dut, schedule)
-    if dut_kernel is None:
-        return None
-    ref_kernel = get_vec_kernel(reference, schedule)
-    if ref_kernel is None:
-        return None
-    ref_out = _reference_outputs(
-        testbench,
-        ref_kernel,
-        lambda: ref_kernel.run(_packed_stimulus(testbench, ref_kernel, stimulus))[0],
-    )
-    if dut_kernel is ref_kernel:  # a structurally identical DUT reuses the outputs
-        dut_out = ref_out
-    else:
-        dut_out = dut_kernel.run(_packed_stimulus(testbench, dut_kernel, stimulus))[0]
-    return _compare_vec_outputs(testbench, observed, dut_out, ref_out)
-
-
 class _BackendPlan(NamedTuple):
     """Which backend tiers a testbench run tries (see the module docstring)."""
 
-    tiers: tuple[str, ...]  # tried in order for every job; a suffix of _TIERS
-    strict: bool  # tiers[0] was forced through REPRO_TB_BACKEND: it answers or raises
+    trace: bool  # try the trace tier before step-wise
+    strict: bool  # REPRO_TB_BACKEND=trace forced it: trace answers or raises
 
 
 def _backend_plan(backend: str | None) -> _BackendPlan:
@@ -499,33 +426,24 @@ def _backend_plan(backend: str | None) -> _BackendPlan:
         raise SimulationError(
             f"unknown testbench backend {name!r}; expected one of {_TB_BACKENDS}"
         )
-    strict = backend is None and name in ("trace", "vector")
     if name == "auto":
-        interpreter = read_setting("REPRO_SIM_BACKEND") == "interpreter"
-        return _BackendPlan(_TIERS[2:] if interpreter else _TIERS[1:], False)
-    return _BackendPlan(_TIERS[_TIERS.index(name) :], strict)
+        return _BackendPlan(read_setting("REPRO_SIM_BACKEND") != "interpreter", False)
+    return _BackendPlan(name == "trace", backend is None and name == "trace")
 
 
-#: Why a forced kernel tier refuses a pairing, and the fallback it skips.
-_INELIGIBLE = {
-    "vector": ("NumPy unavailable, >64-bit signals, interpreter-only module", "scalar fallbacks"),
-    "trace": ("interpreter-only module", "step-wise fallback"),
-}
-
-
-def _forced_ineligible(tier: str, dut, reference) -> SimulationError:
-    """The error a strict tier raises for a pairing it cannot run."""
-    prefix = f"REPRO_TB_BACKEND={tier} was forced, but the "
+def _forced_ineligible(dut, reference) -> SimulationError:
+    """The error a strict trace tier raises for a pairing it cannot run."""
+    prefix = "REPRO_TB_BACKEND=trace was forced, but the "
     if isinstance(dut, VModule) and isinstance(reference, VModule):
-        causes, fallback = _INELIGIBLE[tier]
         return SimulationError(
             f"{prefix}pairing of modules {dut.name!r} and {reference.name!r} is not "
-            f"{tier}-eligible ({causes}, port mismatch, or oversized schedule); unset "
-            f"the variable or use backend='auto' to allow the {fallback}"
+            "trace-eligible (interpreter-only module, port mismatch, or oversized "
+            "schedule); unset the variable or use backend='auto' to allow the "
+            "step-wise fallback"
         )
     devices = ", ".join(type(device).__name__ for device in (dut, reference))
     return SimulationError(
-        f"{prefix}{tier} backend requires parsed Verilog modules on both sides "
+        f"{prefix}trace backend requires parsed Verilog modules on both sides "
         f"(got {devices}); behavioural references always run step-wise"
     )
 
@@ -534,25 +452,21 @@ def _run_tiers(
     dut: DeviceUnderTest | VModule,
     reference: DeviceUnderTest | VModule,
     testbench: Testbench,
-    tiers: tuple[str, ...],
-    strict: bool,
+    plan: _BackendPlan,
 ) -> SimulationReport:
-    """Try ``tiers`` in order until one answers; every plan ends step-wise."""
+    """Try the trace tier when the plan has it; every plan ends step-wise."""
     modules = isinstance(dut, VModule) and isinstance(reference, VModule)
-    for tier in tiers[:-1]:
-        forced = strict and tier == tiers[0]
-        if modules and _admit(tier, forced):
-            run = _run_testbench_vector if tier == "vector" else _run_testbench_trace
-            try:
-                report = run(dut, reference, testbench)
-            except Exception as crash:
-                _settle(tier, forced, False, crash)
-                continue
-            _settle(tier, forced, report is not None)
-            if report is not None:
-                return report
-        if forced:
-            raise _forced_ineligible(tier, dut, reference)
+    if plan.trace and modules and _admit(plan.strict):
+        try:
+            report = _run_testbench_trace(dut, reference, testbench)
+        except Exception as crash:
+            _settle(plan.strict, False, crash)  # re-raises unless health evidence
+            return _run_testbench_stepwise(dut, reference, testbench)
+        _settle(plan.strict, report is not None)
+        if report is not None:
+            return report
+    if plan.strict:
+        raise _forced_ineligible(dut, reference)
     return _run_testbench_stepwise(dut, reference, testbench)
 
 
@@ -568,7 +482,7 @@ def run_testbenches(
     """
     plan = _backend_plan(backend)
     return [
-        _run_tiers(dut, reference, testbench, plan.tiers, plan.strict)
+        _run_tiers(dut, reference, testbench, plan)
         for dut, reference, testbench in jobs
     ]
 
@@ -583,8 +497,7 @@ def run_testbench(
 
     ``backend`` picks the tiers to try; see the module docstring.
     """
-    plan = _backend_plan(backend)
-    return _run_tiers(dut, reference, testbench, plan.tiers, plan.strict)
+    return _run_tiers(dut, reference, testbench, _backend_plan(backend))
 
 
 def _run_testbench_stepwise(

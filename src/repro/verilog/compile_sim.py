@@ -27,7 +27,6 @@ caller falls back to the interpreter, which stays the semantic oracle.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -95,11 +94,7 @@ class KernelTemplate:
 
 
 def _sx(code: str, width: int) -> str:
-    """Sign-extend a ``width``-bit masked value to a Python int.
-
-    The formula is valid in both dialects: on ``uint64`` lanes it wraps to
-    the 64-bit two's-complement pattern.
-    """
+    """Sign-extend a ``width``-bit masked value to a Python int."""
     if width <= 0:
         return code
     sign_bit = 1 << (width - 1)
@@ -119,17 +114,12 @@ _Store = Callable[[SignalMeta], str]
 class _Codegen:
     """One lowering of a module's expressions and statements to Python source.
 
-    The tree walk is shared by both simulators: widths, masks, sign
-    extension and assignment-target resolution live here.  The op dialect is
-    the leaf templates (the upper-case class attributes, formatted with the
-    operand code) plus the ``emit_*`` write and branch hooks.  This class
-    speaks the scalar dialect: Python ints in a flat ``list[int]`` and real
-    ``if``/``elif`` control flow.  :class:`repro.verilog.compile_vec._VecCodegen`
-    speaks the ``uint64`` lane dialect over the same walk.
+    Widths, masks, sign extension and assignment-target resolution live in
+    the tree walk; each operator's code comes from a leaf template (the
+    upper-case class attributes, formatted with the operand code).  Values
+    are Python ints in a flat ``list[int]``, control flow is real
+    ``if``/``elif``.
     """
-
-    #: Widest value the dialect holds; Python ints are unbounded.
-    lane_width: float = math.inf
 
     TERNARY = "(({t}) if ({c}) != 0 else ({f}))"
     CONCAT_PART = "(({x}) << {offset})"
@@ -199,10 +189,6 @@ class _Codegen:
         invariant the produced value matches ``Simulation._eval_sized``'s
         ``.value`` field bit for bit.
         """
-        if w > self.lane_width:
-            raise AnalysisError(
-                f"context width {w} exceeds the {self.lane_width}-bit vector lanes"
-            )
         a = self.a
         if isinstance(expr, vast.VIdent):
             meta = a.meta(expr.name)
@@ -234,8 +220,6 @@ class _Codegen:
                 pw = a.width(part)
                 offset -= pw
                 code = self.gen(part, pw, read)
-                if offset >= self.lane_width:
-                    raise AnalysisError(f"concat offset {offset} exceeds the vector lanes")
                 parts.append(
                     self.CONCAT_PART.format(x=code, offset=offset) if offset else f"({code})"
                 )
@@ -268,8 +252,6 @@ class _Codegen:
         if isinstance(expr, vast.VRange):
             t = self.gen(expr.target, a.width(expr.target), read)
             fw = expr.msb - expr.lsb + 1
-            if expr.lsb >= self.lane_width:
-                return "0"
             return self.FIELD.format(x=t, lsb=expr.lsb, m=_mask(fw))
         raise AnalysisError(f"unsupported expression {expr!r}")
 
@@ -338,10 +320,8 @@ class _Codegen:
         indent: int,
         read: Callable[[str], str],
         store: _Store,
-        pred: str | None = None,
     ) -> None:
-        """Write ``value`` to ``target``; ``pred`` (lane dialect only) names
-        the lanes the write applies to, ``None`` meaning all of them."""
+        """Write ``value`` to ``target``."""
         a = self.a
         if isinstance(target, vast.VIdent):
             meta = a.meta(target.name)
@@ -350,7 +330,7 @@ class _Codegen:
                     f"whole-memory assignment to {target.name!r} in module "
                     f"{self.a.module.name}"
                 )
-            self.emit_write(indent, store(meta), self._fit(value, meta, read), pred)
+            self.emit(indent, f"{store(meta)} = {self._fit(value, meta, read)}")
             return
         if not isinstance(target, (vast.VIndex, vast.VRange)) or not isinstance(
             target.target, vast.VIdent
@@ -359,14 +339,14 @@ class _Codegen:
         meta = a.meta(target.target.name)
         if isinstance(target, vast.VRange):
             fw = target.msb - target.lsb + 1
-            if target.lsb >= self.lane_width:
-                raise AnalysisError(
-                    f"range assignment lsb {target.lsb} exceeds the vector lanes"
-                )
+            lsb = target.lsb
             code = self.gen(value, max(a.width(value), fw), read)
             lv = store(meta)
-            merged = self.field_merge(lv, code, target.lsb, fw, meta.mask)
-            self.emit_write(indent, lv, merged, pred)
+            self.emit(
+                indent,
+                f"{lv} = (({lv} & ~{_mask(fw) << lsb}) | ((({code}) & {_mask(fw)}) << {lsb}))"
+                f" & {meta.mask}",
+            )
             return
         if meta.is_memory:
             code = self._fit(value, meta, read)
@@ -376,32 +356,18 @@ class _Codegen:
         index = self.fresh()
         self.emit(indent, f"{index} = {self.gen(target.index, a.width(target.index), read)}")
         if meta.is_memory:
-            self.emit_mem_write(indent, lv, index, code, meta.depth, pred)
+            # Memory element scatter; out-of-range writes are dropped.
+            self.emit(indent, f"if {index} < {meta.depth}:")
+            self.emit(indent + 1, f"{lv}[{index}] = {code}")
         else:
-            self.emit_bit_write(indent, lv, index, code, meta.width, pred)
+            self.emit(indent, f"if {index} < {meta.width}:")
+            self.emit(indent + 1, f"{lv} = ({lv} & ~(1 << {index})) | (({code}) << {index})")
 
     def _fit(self, value: vast.VExpr, meta: SignalMeta, read) -> str:
         """``value`` evaluated for a ``meta``-wide target and truncated to it."""
         cw = max(self.a.width(value), meta.width)
         code = self.gen(value, cw, read)
         return f"({code}) & {meta.mask}" if cw > meta.width else code
-
-    def emit_write(self, indent: int, lv: str, code: str, pred: str | None) -> None:
-        self.emit(indent, f"{lv} = {code}")
-
-    def emit_mem_write(self, indent, lv, index, code, depth, pred) -> None:
-        # Memory element scatter; out-of-range writes are dropped.
-        self.emit(indent, f"if {index} < {depth}:")
-        self.emit(indent + 1, f"{lv}[{index}] = {code}")
-
-    def emit_bit_write(self, indent, lv, index, bit, width, pred) -> None:
-        self.emit(indent, f"if {index} < {width}:")
-        self.emit(indent + 1, f"{lv} = ({lv} & ~(1 << {index})) | (({bit}) << {index})")
-
-    @staticmethod
-    def field_merge(lv: str, code: str, lsb: int, fw: int, mask: int) -> str:
-        """``lv`` with bits ``[lsb + fw - 1 : lsb]`` replaced by ``code``."""
-        return f"(({lv} & ~{_mask(fw) << lsb}) | ((({code}) & {_mask(fw)}) << {lsb})) & {mask}"
 
     def emit_stmts(
         self,
@@ -410,30 +376,26 @@ class _Codegen:
         read: Callable[[str], str],
         blocking: _Store,
         nonblocking: _Store,
-        pred: str | None = None,
     ) -> None:
         emitted = False
         for stmt in stmts:
             if isinstance(stmt, vast.VBlockingAssign):
                 if isinstance(stmt.target, vast.VIdent) and stmt.target.name == "_":
                     continue  # null statement placeholder
-                self.emit_assign(stmt.target, stmt.value, indent, read, blocking, pred)
+                self.emit_assign(stmt.target, stmt.value, indent, read, blocking)
             elif isinstance(stmt, vast.VNonBlockingAssign):
-                self.emit_assign(stmt.target, stmt.value, indent, read, nonblocking, pred)
+                self.emit_assign(stmt.target, stmt.value, indent, read, nonblocking)
             elif isinstance(stmt, vast.VIf):
-                self.emit_if(stmt, indent, read, blocking, nonblocking, pred)
+                self.emit_if(stmt, indent, read, blocking, nonblocking)
             elif isinstance(stmt, vast.VCase):
-                self.emit_case(stmt, indent, read, blocking, nonblocking, pred)
+                self.emit_case(stmt, indent, read, blocking, nonblocking)
             else:
                 raise AnalysisError(f"unsupported statement {stmt!r}")
             emitted = True
         if not emitted:
-            self.emit_empty(indent)
+            self.emit(indent, "pass")
 
-    def emit_empty(self, indent: int) -> None:
-        self.emit(indent, "pass")
-
-    def emit_if(self, stmt: vast.VIf, indent, read, blocking, nonblocking, pred) -> None:
+    def emit_if(self, stmt: vast.VIf, indent, read, blocking, nonblocking) -> None:
         cond = self.gen(stmt.condition, self.a.width(stmt.condition), read)
         self.emit(indent, f"if ({cond}) != 0:")
         self.emit_stmts(stmt.then_body, indent + 1, read, blocking, nonblocking)
@@ -441,7 +403,7 @@ class _Codegen:
             self.emit(indent, "else:")
             self.emit_stmts(stmt.else_body, indent + 1, read, blocking, nonblocking)
 
-    def emit_case(self, stmt: vast.VCase, indent, read, blocking, nonblocking, pred) -> None:
+    def emit_case(self, stmt: vast.VCase, indent, read, blocking, nonblocking) -> None:
         subject = self.fresh()
         self.emit(indent, f"{subject} = {self.gen(stmt.subject, self.a.width(stmt.subject), read)}")
         default_item = None
@@ -498,23 +460,14 @@ def _blocking_targets(stmts: list[vast.VStmt], blocking: set[str], nonblocking: 
             raise AnalysisError(f"unsupported statement {stmt!r}")
 
 
-def _compile_module(
-    module: vast.VModule,
-    analysis: ModuleAnalysis | None,
-    codegen: type[_Codegen],
-    namespace: dict[str, object],
-    template: type[KernelTemplate],
-    tag: str,
-) -> KernelTemplate:
-    """Lower ``module`` to a ``comb`` pass plus one step per clock and exec it.
+def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None) -> KernelTemplate:
+    """Translate ``module`` to native closures; raises AnalysisError if unsupported.
 
-    ``codegen`` picks the dialect, ``namespace`` holds the runtime helpers its
-    code calls and ``template`` wraps the closures; ``tag`` names the
-    generated code in tracebacks.  Raises AnalysisError if unsupported.
+    The kernel is a ``comb`` pass plus one step per clock.
     """
     analysis = analysis if analysis is not None else ModuleAnalysis(module)
     schedule = analysis.schedule()  # raises CombLoopError on true cycles
-    gen = codegen(analysis)
+    gen = _Codegen(analysis)
 
     def comb_read(name: str) -> str:
         return f"s[{analysis.meta(name).slot}]"
@@ -596,9 +549,10 @@ def _compile_module(
         gen.emit(0, "")
 
     source = "\n".join(gen.lines)
-    exec(compile(source, f"<{tag}:{module.name}>", "exec"), namespace)
+    namespace: dict[str, object] = {"_vdiv": _vdiv, "_vrem": _vrem}
+    exec(compile(source, f"<kernel:{module.name}>", "exec"), namespace)
 
-    return template(
+    return KernelTemplate(
         module_name=module.name,
         fingerprint=module_fingerprint(module),
         slots=dict(analysis.signals),
@@ -608,12 +562,6 @@ def _compile_module(
         source=source,
         memory_slots=memory_slots,
     )
-
-
-def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None) -> KernelTemplate:
-    """Translate ``module`` to native closures; raises AnalysisError if unsupported."""
-    namespace: dict[str, object] = {"_vdiv": _vdiv, "_vrem": _vrem}
-    return _compile_module(module, analysis, _Codegen, namespace, KernelTemplate, "kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +637,6 @@ class _TraceGen:
             )
         self.lines.append("    " * indent + text)
 
-    def drive_code(self, meta: SignalMeta, index_code: str) -> str:
-        """One stimulus drive; the vector backend overrides the array layout."""
-        return f"s[{meta.slot}] = stim[{index_code}] & {meta.mask}"
-
     def point_body(
         self,
         names: tuple[str, ...],
@@ -717,7 +661,8 @@ class _TraceGen:
         slots = self.kernel.slots
         lines: list[str] = []
         for position, name in enumerate(names):
-            lines.append(self.drive_code(slots[name], stim_index(position)))
+            meta = slots[name]
+            lines.append(f"s[{meta.slot}] = stim[{stim_index(position)}] & {meta.mask}")
         if names:
             needs_settle = True
         for _ in range(cycles):
@@ -748,7 +693,7 @@ def check_schedule_ports(module: vast.VModule, schedule: TraceSchedule) -> set[s
     Raises :class:`AnalysisError` when the step-wise path could raise a
     runtime :class:`SimulationError` for this pairing (missing input/clock/
     observed port): those runs must keep their exact step-wise error report,
-    so the caller falls back.  Shared by the scalar and vector trace codegens.
+    so the caller falls back.
     """
     ports = {port.name for port in module.ports}
     for names, cycles, _check, _length in schedule.runs:
@@ -780,13 +725,10 @@ def checked_indices(schedule: TraceSchedule) -> list[int]:
     return indices
 
 
-def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Callable]:
+def emit_trace_body(gen: _TraceGen, ports: set[str]) -> tuple[str, Callable]:
     """Emit and exec ``def trace(s, stim, ap)`` for ``gen``'s schedule.
 
-    The reset preamble and the run loop are backend-independent; the stimulus
-    drive layout is supplied by ``gen.drive_code``, so the vector backend reuses
-    this emitter with array-shaped drives.  Returns ``(source, trace)``; ``tag``
-    names the generated code in tracebacks.
+    Returns ``(source, trace)``.
     """
     schedule = gen.schedule
     kernel = gen.kernel
@@ -851,7 +793,7 @@ def emit_trace_body(gen: _TraceGen, ports: set[str], tag: str) -> tuple[str, Cal
     namespace: dict[str, object] = {"comb": kernel.comb}
     if gen.has_edge:
         namespace["step"] = kernel.steps[schedule.clock]
-    exec(compile(source, f"<{tag}:{kernel.module_name}>", "exec"), namespace)
+    exec(compile(source, f"<trace:{kernel.module_name}>", "exec"), namespace)
     return source, namespace["trace"]
 
 
@@ -866,7 +808,7 @@ def compile_trace(
     kernel = kernel if kernel is not None else compile_kernel(module)
     ports = check_schedule_ports(module, schedule)
     gen = _TraceGen(kernel, schedule, has_edge=schedule.clock in kernel.steps)
-    source, trace_fn = emit_trace_body(gen, ports, "trace")
+    source, trace_fn = emit_trace_body(gen, ports)
     new_state = kernel.new_state
 
     def run(stim: Sequence[int]) -> list[int]:
@@ -967,9 +909,7 @@ def get_trace_kernel(module: vast.VModule, schedule: TraceSchedule) -> TraceKern
 
 
 def kernel_cache_stats() -> dict[str, int]:
-    """Counters for the per-module kernel, trace-kernel and vector caches."""
-    from repro.verilog import compile_vec
-
+    """Counters for the per-module kernel and trace-kernel caches."""
     return dict(
         _cache.stats,
         fallbacks=_fallbacks[0],
@@ -977,15 +917,11 @@ def kernel_cache_stats() -> dict[str, int]:
         trace_hits=_trace_cache.stats["hits"],
         trace_misses=_trace_cache.stats["misses"],
         trace_size=len(_trace_cache),
-        **compile_vec.vec_cache_stats(),
     )
 
 
 def clear_kernel_cache() -> None:
-    """Empty the kernel, trace *and* vector caches (benchmarks force cold runs)."""
-    from repro.verilog import compile_vec
-
+    """Empty the kernel and trace caches (benchmarks force cold runs)."""
     _cache.clear()
     _trace_cache.clear()
     _fallbacks[0] = 0
-    compile_vec.clear_vec_cache()

@@ -1,11 +1,10 @@
 """Health-based simulation backend degradation.
 
-A crash in a compiled backend (vector or trace kernels) must never take a
-job down when a slower tier can still answer: ``run_testbench`` feeds a
-per-backend circuit breaker and degrades vector → trace → stepwise.  Strict
-env forcing (``REPRO_TB_BACKEND=vector|trace``) opts out — a forced backend
-propagates its crash and ignores the breaker, because silently answering
-from another tier would invalidate the forcing.
+A crash in a trace kernel must never take a job down when the step-wise
+tier can still answer: ``run_testbench`` feeds a circuit breaker and
+degrades trace → stepwise.  Strict env forcing (``REPRO_TB_BACKEND=trace``)
+opts out — a forced backend propagates its crash and ignores the breaker,
+because silently answering from another tier would invalidate the forcing.
 """
 
 import pytest
@@ -103,20 +102,11 @@ class TestStrictForcingBypassesHealth:
         assert len(calls) == 3  # strict forcing attempted the tier anyway
 
 
-class TestVectorDegradation:
-    def test_vector_crash_degrades_to_trace(self, monkeypatch):
-        def boom(dut, reference, testbench):
-            raise RuntimeError("chaos: vector kernel crash")
-
-        monkeypatch.setattr(tb, "_run_testbench_vector", boom)
-        report = run_testbench(MODULE, MODULE, BENCH, backend="vector")
-        assert report.passed  # answered by the trace tier
-        assert backend_health()["vector"]["state"] == "closed"
-        assert run_testbench(MODULE, MODULE, BENCH, backend="vector").passed
-        assert backend_health()["vector"]["state"] == "open"
-
-
 class TestHealthKnobs:
+    def test_only_the_trace_tier_has_a_breaker(self):
+        assert list(backend_health()) == ["trace"]
+        assert backend_health()["trace"]["state"] == "closed"
+
     def test_zero_threshold_disables_health_tracking(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "0")
         reset_backend_health()
@@ -155,25 +145,6 @@ endmodule
 """
 )[0]
 
-REGISTER = """
-module top(input wire clock, input wire reset, input wire [7:0] d, output reg [7:0] q);
-  always @(posedge clock) begin
-    if (reset) q <= 8'd0;
-    else q <= d{suffix};
-  end
-endmodule
-"""
-SEQ_REF = parse_verilog(REGISTER.format(suffix=""))[0]
-SEQ_DUT = parse_verilog(REGISTER.format(suffix=" + 8'd1"))[0]
-
-
-def _seq_bench() -> Testbench:
-    return Testbench(
-        points=[FunctionalPoint(inputs={"d": value}, clock_cycles=1) for value in range(4)],
-        observed_outputs=["q"],
-    )
-
-
 class TestHalfOpenProbeIsHandedBack:
     """A tier that runs no kernel must not keep the half-open probe slot.
 
@@ -207,24 +178,3 @@ class TestHalfOpenProbeIsHandedBack:
             assert run_testbench(MODULE, MODULE, BENCH).passed
         assert len(calls) == 5  # every later eligible job reached the trace tier
         assert backend_health()["trace"]["state"] == "closed"
-
-    def test_ineligible_vector_pairing_keeps_the_vector_tier_alive(self, monkeypatch):
-        real = tb._run_testbench_vector
-        calls = []
-
-        def crash_once(dut, reference, testbench):
-            calls.append(dut.name)
-            if len(calls) == 1:
-                raise RuntimeError("chaos: vector kernel crash")
-            return real(dut, reference, testbench)
-
-        monkeypatch.setattr(tb, "_run_testbench_vector", crash_once)
-        crashed = run_testbench(SEQ_DUT, SEQ_REF, _seq_bench(), backend="vector")
-        assert crashed.failed_points == 4  # answered by the trace tier
-        assert backend_health()["vector"]["opens"] == 1
-        # A DUT missing the observed port: the vector tier returns None.
-        assert run_testbench(PORTLESS, MODULE, BENCH, backend="vector").runtime_error is not None
-        for _ in range(3):
-            assert not run_testbench(SEQ_DUT, SEQ_REF, _seq_bench(), backend="vector").passed
-        assert len(calls) == 5  # every later eligible run reached the vector tier
-        assert backend_health()["vector"]["state"] == "closed"

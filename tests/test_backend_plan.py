@@ -10,9 +10,8 @@ backend selection, strictness or fallback cannot change which tier runs.
 
 Each outcome reads ``<tiers> <reports>``:
 
-* ``<tiers>`` lists, in call order, the tier runners that returned a report
-  (``trace``, ``vector``), joined by ``+``; ``-`` means none did, so every
-  job ran step-wise;
+* ``<tiers>`` lists, in call order, the trace runs that returned a report,
+  joined by ``+``; ``-`` means none did, so every job ran step-wise;
 * ``<reports>`` has one letter per job: ``P`` passed, ``F`` mismatched,
   ``E`` runtime error.
 
@@ -42,8 +41,8 @@ from repro.verilog.parser import parse_verilog
 
 TABLE = Path(__file__).parent / "data" / "backend_plan.json"
 
-BACKENDS = (None, "auto", "trace", "vector", "stepwise", "warp")
-TB_ENVS = ("auto", "trace", "vector", "stepwise")
+BACKENDS = (None, "auto", "trace", "stepwise", "warp")
+TB_ENVS = ("auto", "trace", "stepwise")
 SIM_ENVS = ("auto", "interpreter")
 ENTRIES = ("run_testbench", "run_testbenches[1]", "run_testbenches[2]")
 
@@ -174,11 +173,7 @@ def _outcome(entry: str, backend: str | None, pairing: str) -> str:
 
     dut, reference, testbench = PAIRINGS[pairing]()
     with pytest.MonkeyPatch.context() as patch:
-        for name, runner in (
-            ("trace", "_run_testbench_trace"),
-            ("vector", "_run_testbench_vector"),
-        ):
-            patch.setattr(tb, runner, answering(name, getattr(tb, runner)))
+        patch.setattr(tb, "_run_testbench_trace", answering("trace", tb._run_testbench_trace))
         try:
             if entry == "run_testbench":
                 reports = [run_testbench(dut, reference, testbench, backend)]

@@ -1,11 +1,9 @@
-"""Pin the generated kernel source of both simulator codegens.
+"""Pin the generated kernel source of the simulator codegen.
 
-The scalar (``compile_sim``) and NumPy-lane (``compile_vec``) kernels are
-generated Python source; the simulators run exactly that text.  This suite
-hashes every generated ``.source`` string over a fixed design set into four
-sha256 digests — scalar comb/step kernel, scalar trace, vector template and
-vector trace — so a codegen refactor that claims to keep behaviour has to
-keep these bytes.  A build that raises :class:`AnalysisError` contributes the
+The ``compile_sim`` kernels are generated Python source; the simulators run
+exactly that text.  This suite hashes every generated ``.source`` string over
+a fixed design set into two sha256 digests — comb/step kernel and trace — so
+a codegen refactor that claims to keep behaviour has to keep these bytes.  A build that raises :class:`AnalysisError` contributes the
 exception type and message instead, so the fallback decisions are pinned too.
 
 Design set: every registry golden and every applicable, compilable functional
@@ -32,7 +30,6 @@ from repro.fuzz.differential import build_testbench
 from repro.problems.registry import build_default_registry
 from repro.sim.testbench import _trace_plan
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog import compile_vec
 from repro.verilog.analysis import AnalysisError
 from repro.verilog.compile_sim import compile_kernel, compile_trace
 from repro.verilog.parser import parse_verilog
@@ -43,8 +40,6 @@ CORPUS_PATH = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus.jsonl
 EXPECTED = {
     "kernel": "cab11c4e7e52e3cd18c5c826f163f5b193f69f3689f7bcb47e1d753be2cf32e2",
     "trace": "d18a6f2151b153c2a57471894ee37eb616571ed4406d60141036defc72106222",
-    "vec_kernel": "d85541fb16793ab834b1e8b93deb7793e3b1258dac52d6910ce3588ffaa3dfc9",
-    "vec_trace": "5903346925a6833de125f16c4ec02427dedf81a8faa633cfeb4e483be5369685",
 }
 
 
@@ -92,27 +87,19 @@ def _record(digest, build):
     return built
 
 
-def _digests(vector: bool) -> tuple[dict[str, str], int]:
+def _digests() -> tuple[dict[str, str], int]:
     digests = {name: hashlib.sha256() for name in EXPECTED}
     modules = 0
     for module, schedule in _cases():
         modules += 1
         kernel = _record(digests["kernel"], lambda: compile_kernel(module))
         _record(digests["trace"], lambda: compile_trace(module, schedule, kernel))
-        if vector:
-            template = _record(
-                digests["vec_kernel"], lambda: compile_vec.compile_vec_kernel(module)
-            )
-            _record(
-                digests["vec_trace"],
-                lambda: compile_vec.compile_vec_trace(module, schedule, template),
-            )
     return {name: digest.hexdigest() for name, digest in digests.items()}, modules
 
 
 @pytest.fixture(scope="module")
 def computed():
-    return _digests(vector=compile_vec.HAVE_NUMPY)
+    return _digests()
 
 
 def test_design_set_size(computed):
@@ -122,12 +109,6 @@ def test_design_set_size(computed):
 
 @pytest.mark.parametrize("name", ["kernel", "trace"])
 def test_scalar_source_digest(computed, name):
-    assert computed[0][name] == EXPECTED[name]
-
-
-@pytest.mark.skipif(not compile_vec.HAVE_NUMPY, reason="NumPy is unavailable")
-@pytest.mark.parametrize("name", ["vec_kernel", "vec_trace"])
-def test_vector_source_digest(computed, name):
     assert computed[0][name] == EXPECTED[name]
 
 
@@ -149,14 +130,10 @@ endmodule
 
 _SOURCE_SCRIPT = """
 import json, sys
-from repro.verilog import compile_vec
 from repro.verilog.compile_sim import compile_kernel
 from repro.verilog.parser import parse_verilog
 module = parse_verilog(sys.stdin.read())[0]
-sources = [compile_kernel(module).source]
-if compile_vec.HAVE_NUMPY:
-    sources.append(compile_vec.compile_vec_kernel(module).source)
-print(json.dumps(sources))
+print(json.dumps([compile_kernel(module).source]))
 """
 
 

@@ -2,11 +2,10 @@
 
 Covers the full pipeline added for the memory language surface — frontend
 elaboration and diagnostics, Verilog emission and re-parse of memory arrays,
-bit-identical semantics across the interpreter, scalar trace kernels and
-vectorized SoA kernels (including the batched ``run_testbenches`` path and
-warm/cold caches), read-during-write pinning for ``SyncReadMem``, the
-width-63/64 lane-boundary seams of the vector backend, and the ``memory``
-problem family riding the standard sweep path.
+bit-identical semantics across the interpreter and the trace kernels
+(including the batched ``run_testbenches`` path and warm/cold caches),
+read-during-write pinning for ``SyncReadMem``, the 63/64/65-bit width
+seams, and the ``memory`` problem family riding the standard sweep path.
 """
 
 from __future__ import annotations
@@ -298,12 +297,11 @@ class TestMemoryBackends:
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("source", [REGFILE, SYNC_REGFILE], ids=["mem", "sync"])
     def test_full_conformance(self, source):
-        """Interpreter, trace, vector (single + batched), warm + cold caches."""
+        """Interpreter, compiled and trace, warm + cold caches."""
         report = check_source(source, points=48, sequential=True)
         assert report.ok, report.render()
         assert report.compiled_eligible
         assert report.trace_eligible
-        assert report.vector_eligible
 
     def test_mem_interpreter_semantics(self):
         """Direct interpreter checks: comb read, sync write, reset-immunity."""
@@ -391,14 +389,14 @@ class TestMemoryBackends:
         assert sim.peek_signed("io_rdata") == -1
         assert sim.peek("io_neg") == 1
 
-    def test_batched_vector_runs_match(self):
+    def test_batched_trace_runs_match(self):
         module = _module(REGFILE)
         from repro.fuzz.differential import build_testbench
 
         tb = build_testbench(module, "mem-batch", 32, sequential=True)
         stepwise = run_testbench(module, module, tb, backend="stepwise")
         batched = run_testbenches(
-            [(module, module, tb), (module, module, tb)], backend="vector"
+            [(module, module, tb), (module, module, tb)], backend="trace"
         )
         assert batched[0] == stepwise
         assert batched[1] == stepwise
@@ -448,9 +446,9 @@ class TestSyncReadMemReadDuringWrite:
             ).replace("mem.read(io.addr)", "mem.read(io.addr, io.ren)")
         report = check_source(source, points=64, sequential=True)
         assert report.ok, report.render()
-        assert report.vector_eligible and report.trace_eligible
+        assert report.trace_eligible
 
-    @pytest.mark.parametrize("backend", ["stepwise", "trace", "vector"])
+    @pytest.mark.parametrize("backend", ["stepwise", "trace"])
     def test_rdw_sequence_per_backend(self, backend):
         """The same directed RDW sequence observed identically per backend."""
         from repro.sim.testbench import FunctionalPoint, Testbench
@@ -467,13 +465,13 @@ class TestSyncReadMemReadDuringWrite:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: width-63/64 lane-boundary semantics of the vector backend
+# Width seams: 63, 64 and 65-bit signals
 # ---------------------------------------------------------------------------
 
 
 class TestLaneBoundaryWidths:
-    """Signals exactly at LANE_WIDTH exercise the shift-by-64 guard and the
-    full-lane mask path; every op must match the interpreter bit for bit."""
+    """Signals at and around 64 bits exercise shifts past the width and the
+    full-width masks; every op must match the interpreter bit for bit."""
 
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("width", [63, 64])
@@ -491,7 +489,7 @@ class TestLaneBoundaryWidths:
 """
         report = check_source(source, points=48, sequential=False)
         assert report.ok, report.render()
-        assert report.vector_eligible
+        assert report.trace_eligible
 
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("width", [63, 64])
@@ -510,7 +508,7 @@ class TestLaneBoundaryWidths:
 """
         report = check_source(source, points=48, sequential=False)
         assert report.ok, report.render()
-        assert report.vector_eligible
+        assert report.trace_eligible
 
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("width", [63, 64])
@@ -530,7 +528,7 @@ class TestLaneBoundaryWidths:
 """
         report = check_source(source, points=48, sequential=False)
         assert report.ok, report.render()
-        assert report.vector_eligible
+        assert report.trace_eligible
 
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("wa,wb", [(32, 32), (31, 32)])
@@ -547,10 +545,10 @@ class TestLaneBoundaryWidths:
 """
         report = check_source(source, points=48, sequential=False)
         assert report.ok, report.render()
-        assert report.vector_eligible
+        assert report.trace_eligible
 
-    def test_width_65_is_vector_ineligible_not_wrong(self):
-        """One past the boundary falls back by design — reported, not broken."""
+    def test_width_65_runs_on_the_trace_tier(self):
+        """Python-int kernels have no lane width: 65 bits needs no fallback."""
         source = HEADER + """class TopModule extends Module {
   val io = IO(new Bundle {
     val a = Input(UInt(65.W))
@@ -561,7 +559,7 @@ class TestLaneBoundaryWidths:
 """
         report = check_source(source, points=8, sequential=False, check_cold=False)
         assert report.ok, report.render()
-        assert not report.vector_eligible
+        assert report.trace_eligible
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +620,8 @@ class TestMemoryProblemFamily:
             testbench = problem.build_testbench(seed=3)
             stepwise = run_testbench(module, module, testbench, backend="stepwise")
             trace = run_testbench(module, module, testbench, backend="trace")
-            vector = run_testbench(module, module, testbench, backend="vector")
             assert stepwise.passed, f"{problem.problem_id}: {stepwise.render()}"
-            assert stepwise == trace == vector, problem.problem_id
+            assert stepwise == trace, problem.problem_id
 
     def test_functional_faults_compile_and_fail(self):
         for problem in build_memory_family():

@@ -51,7 +51,7 @@ def declared_packages() -> set[str]:
 
 def test_every_import_is_stdlib_repro_or_declared():
     declared = declared_packages()
-    assert len(SOURCES) > 50 and {"numpy", "textual"} <= declared  # both were parsed
+    assert len(SOURCES) > 50 and "textual" in declared  # the extras were parsed
     allowed = set(sys.stdlib_module_names) | {"repro"} | declared
     undeclared = {
         f"{path.relative_to(ROOT)}: {name}"
@@ -60,6 +60,17 @@ def test_every_import_is_stdlib_repro_or_declared():
         if name not in allowed
     }
     assert not undeclared, sorted(undeclared)
+
+
+def test_the_runtime_needs_no_third_party_package():
+    """Only the console's optional TUI imports a package outside the stdlib."""
+    assert declared_packages() == {"textual"}
+    outside = {
+        str(path.relative_to(ROOT / "src"))
+        for path in SOURCES
+        if imported_packages(path) - set(sys.stdlib_module_names) - {"repro"}
+    }
+    assert outside and all(path.startswith("repro/console/") for path in outside), outside
 
 
 def test_every_declared_package_is_imported():

@@ -2,7 +2,7 @@
 
 Every candidate is checked against the same golden on the same stimulus
 program, so the golden's sampled outputs are memoized on the
-:class:`Testbench` (keyed by kernel kind, fingerprint and schedule digest)
+:class:`Testbench` (keyed by kernel fingerprint and schedule digest)
 and a DUT whose kernel *is* the reference's reuses them instead of running.
 Reports must not depend on whether the memo hit, and a crashing kernel must
 leave nothing memoized.
@@ -29,11 +29,7 @@ from repro.sim.testbench import (
     run_testbenches,
 )
 from repro.verilog.compile_sim import get_trace_kernel
-from repro.verilog.compile_vec import HAVE_NUMPY, get_vec_kernel
 from repro.verilog.parser import parse_verilog
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 def _oracle_compare(testbench, observed, dut_out, ref_out) -> SimulationReport:
@@ -120,24 +116,10 @@ class TestCompareOutputs:
             (2, "x"),
         ]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
-    def test_uint64_arrays_and_their_lists(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            testbench, observed, dut_out, ref_out = _random_case(rng)
-            dut_arr = np.array(dut_out, dtype=np.uint64)
-            ref_arr = np.array(ref_out, dtype=np.uint64)
-            expected = _oracle_compare(testbench, observed, dut_out, ref_out)
-            assert tb._compare_vec_outputs(testbench, observed, dut_arr, ref_arr) == expected
-            assert (
-                tb._compare_outputs(testbench, observed, dut_arr.tolist(), ref_arr.tolist())
-                == expected
-            )
-
 
 # Two references with different output sets, so the default observed list
 # (the reference's outputs) differs between them, and a DUT that disagrees
-# with both.  Sequential, so the vector kernels run in lockstep mode.
+# with both.
 REF_A = parse_verilog(
     """
 module ref_a(input clock, input reset, input [7:0] d, output reg [7:0] q, output [7:0] r);
@@ -182,7 +164,7 @@ def _bench_observing(*names: str) -> Testbench:
 
 
 PAIRS = [(DUT, REF_A), (DUT, REF_B), (REF_A, REF_A), (REF_B, REF_B), (REF_B, REF_A)]
-BACKENDS = ["trace", "vector"] if HAVE_NUMPY else ["trace"]
+BACKENDS = ["trace"]
 
 
 def _memo(testbench: Testbench) -> dict:
@@ -207,13 +189,11 @@ class TestReferenceMemo:
         misses = [run_testbench(d, r, testbench, backend=backend) for d, r in PAIRS]
         hits = [run_testbench(d, r, testbench, backend=backend) for d, r in PAIRS]
         assert misses == oracle and hits == oracle
-        kind = "TraceKernel" if backend == "trace" else "VecTraceKernel"
         # One entry per reference: the two observed lists give two digests.
-        entries = [key for key in _memo(testbench) if key[0] == kind]
-        assert len(entries) == 2 and len({key[2] for key in entries}) == 2
+        entries = list(_memo(testbench))
+        assert len(entries) == 2 and len({key[1] for key in entries}) == 2
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
-    @pytest.mark.parametrize("backend", [None, "vector"])
+    @pytest.mark.parametrize("backend", [None, "trace"])
     def test_run_testbenches_equal_on_miss_and_hit(self, backend):
         testbench = _bench()
         oracle = [run_testbench(d, r, _bench(), backend="stepwise") for d, r in PAIRS]
@@ -261,33 +241,25 @@ class TestCrashesMemoizeNothing:
         assert _memo(testbench) == {}
         assert backend_health()["trace"]["failures"] == 1
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
-    def test_vector_crash_degrades_without_memoizing(self, monkeypatch):
+    def test_batched_trace_crash_records_one_failure_per_job(self, monkeypatch):
         testbench = _bench()
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
-        _crash(monkeypatch, get_vec_kernel(REF_A, schedule))
-        oracle = run_testbench(DUT, REF_A, _bench(), backend="stepwise")
-        assert run_testbench(DUT, REF_A, testbench, backend="vector") == oracle
-        assert [key[0] for key in _memo(testbench)] == ["TraceKernel"]  # the trace tier's
-        assert backend_health()["vector"]["failures"] == 1
-
-        testbench = _bench()
+        _crash(monkeypatch, get_trace_kernel(REF_A, schedule))
         jobs = [(DUT, REF_A, testbench), (REF_A, REF_A, testbench)]
-        expected = [oracle, run_testbench(REF_A, REF_A, _bench(), backend="stepwise")]
-        assert run_testbenches(jobs, backend="vector") == expected
-        assert "VecTraceKernel" not in [key[0] for key in _memo(testbench)]
-        assert backend_health()["vector"]["failures"] == 3  # one record per crashed job
+        expected = [run_testbench(d, r, _bench(), backend="stepwise") for d, r, _ in jobs]
+        assert run_testbenches(jobs, backend="trace") == expected
+        assert _memo(testbench) == {}
+        assert backend_health()["trace"]["failures"] == 2
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
-    def test_memo_hit_still_heals_the_vector_breaker(self, monkeypatch):
+    def test_memo_hit_still_heals_the_trace_breaker(self, monkeypatch):
         testbench = _bench()
-        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="vector")[0].passed
+        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="trace")[0].passed
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
         with monkeypatch.context() as patch:
-            _crash(patch, get_vec_kernel(REF_A, schedule))
-            run_testbenches([(REF_A, REF_A, _bench())] * 2, backend="vector")
-        assert backend_health()["vector"]["failures"] == 2  # one record per crashed job
+            _crash(patch, get_trace_kernel(REF_A, schedule))
+            run_testbenches([(REF_A, REF_A, _bench())] * 2, backend="trace")
+        assert backend_health()["trace"]["failures"] == 2  # one record per crashed job
         # The reference is memoized: no kernel runs, yet each job still counts
-        # as a vector success, exactly as when its kernel ran.
-        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="vector")[0].passed
-        assert backend_health()["vector"]["failures"] == 0
+        # as a trace success, exactly as when its kernel ran.
+        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="trace")[0].passed
+        assert backend_health()["trace"]["failures"] == 0

@@ -448,6 +448,42 @@ class TestDispatcher:
         balance = self.run(main())
         assert balance > -1.0  # the pre-fix debt model left it at ~-4
 
+    def test_cancelled_waiter_refunds_its_tokens(self):
+        """A waiter cancelled while paying off its debt spends no token, so
+        the next acquisition waits only for its own."""
+
+        async def main():
+            bucket = TokenBucket(rate=2.0, capacity=1.0)
+            await bucket.acquire(1)
+            doomed = asyncio.create_task(bucket.acquire(1))
+            await asyncio.sleep(0.01)
+            doomed.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await bucket.acquire(1)
+            return loop.time() - start
+
+        waited = self.run(main())
+        # Its own token takes ~0.49 s at 2/s; paying the cancelled waiter's
+        # debt as well took ~0.99 s.
+        assert 0.4 < waited < 0.7
+
+    def test_refund_never_overfills_the_bucket(self):
+        """An oversized waiter cancelled late refunds no more than capacity."""
+
+        async def main():
+            bucket = TokenBucket(rate=100.0, capacity=1.0)
+            doomed = asyncio.create_task(bucket.acquire(5.0))
+            await asyncio.sleep(0.03)
+            doomed.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            return bucket._tokens
+
+        assert self.run(main()) <= 1.0
+
     def test_token_bucket_paces_requests(self):
         async def main():
             bucket = TokenBucket(rate=200.0, capacity=1.0)

@@ -245,7 +245,7 @@ class TestSimulateMany:
         whole = SIMULATOR.simulate_many(items)
         assert [SIMULATOR.simulate_many([item])[0] for item in items] == whole
 
-    @pytest.mark.parametrize("tb_backend", ["trace", "stepwise", "vector"])
+    @pytest.mark.parametrize("tb_backend", ["trace", "stepwise"])
     def test_env_forced_backend_equals_per_item_simulate(self, monkeypatch, tb_backend):
         mux = mux2(4, "verilogeval_s2r")
         golden = golden_verilog(mux)

@@ -19,7 +19,6 @@ from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
 from repro.verilog import compile_sim
 from repro.verilog.analysis import AnalysisError
 from repro.verilog.compile_sim import TraceSchedule, compile_trace, get_trace_kernel
-from repro.verilog.compile_vec import HAVE_NUMPY, compile_vec_trace
 from repro.verilog.parser import parse_verilog
 
 ADDER = parse_verilog(
@@ -223,10 +222,12 @@ class TestCodegen:
             compile_trace(ACCUMULATOR, _schedule(points, (), reset_cycles=0))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy unavailable")
-class TestVectorRuns:
+class TestTraceRuns:
     @pytest.mark.parametrize("module, observed", [(ADDER, ("y", "x")), (ACCUMULATOR, ("q",))])
-    def test_vector_samples_equal_trace_samples(self, module, observed):
+    def test_trace_samples_equal_interpreter_samples(self, module, observed):
+        """Runs of mixed shapes sample what a step-wise interpreter run reads."""
+        from repro.fuzz.differential import _stepwise_samples
+
         rng = random.Random(12)
         points = _random_points(rng, 90)
         if module is ACCUMULATOR:
@@ -235,9 +236,8 @@ class TestVectorRuns:
                 for point in points
                 for value in [sum(point.inputs.values()) % 16]
             ]
-        schedule, stimulus = tb._trace_plan(Testbench(points=points), observed)
-        vector = compile_vec_trace(module, schedule)
-        trace = compile_trace(module, schedule)
-        samples = trace.run(stimulus)
-        assert vector.n_samples == len(samples)
-        assert vector.run([stimulus])[0].tolist() == samples
+        testbench = Testbench(points=points)
+        schedule, stimulus = tb._trace_plan(testbench, observed)
+        assert len(schedule.runs) > 1
+        samples = compile_trace(module, schedule).run(stimulus)
+        assert samples == _stepwise_samples(module, testbench, observed)
