@@ -1,9 +1,11 @@
 """Benchmark: Chisel frontend throughput (lex + parse, no parse cache).
 
-Every ReChisel revision is a new source text, so the frontend runs on every
-iteration and the parse cache rarely helps.  This parses a fixed third of the
-registry's goldens, functional mutants and syntax mutants with
-:func:`~repro.chisel.parser.parse_source` (which bypasses the parse cache),
+Every ReChisel revision is a new source text, so the lexer runs on every
+iteration; the parser runs on every revision whose token stream the
+compiler's ``chisel_tokens`` tier has not seen, which is any revision that
+moves a token.  This lexes and parses a fixed third of the registry's
+goldens, functional mutants and syntax mutants with
+:func:`~repro.chisel.parser.parse_source` (which bypasses every cache),
 recording one pass into ``BENCH_toolchain.json`` via
 ``python benchmarks/run_benchmarks.py``.  It then times the same sources
 through the character-at-a-time reference frontend kept in

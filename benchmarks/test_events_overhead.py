@@ -13,8 +13,10 @@ blocking I/O, no serialization.  Two regimes quantify that:
   Interleaved A/B rounds against the uninstrumented loop; the median
   per-pair overhead is asserted below 5% (each pair runs back to back, so
   a change of host speed cancels out of its ratio).  Every round verifies its own fresh
-  revision text (a marker no other benchmark uses), so both loops pay one
-  compile miss against warm parse and kernel caches whatever ran before.
+  revision (a marker no other benchmark uses) whose token stream is new too,
+  since a comment-only revision would hit the compiler's token tier, so both
+  loops pay one compile miss against warm parse and kernel caches whatever
+  ran before.
 * ``test_publish_throughput`` — raw emission cost: events published per
   second into one subscriber, recorded for the trend history.
 """
@@ -54,7 +56,10 @@ TESTBENCH = Testbench(
 
 
 def _revision(index: int) -> str:
-    return f"// events-overhead round {index}: feedback applied\n" + PROBLEM.golden_chisel
+    """A revision with its own tokens (an unused constant) and the golden's Verilog."""
+    source = PROBLEM.golden_chisel
+    brace = source.rfind("}")
+    return source[:brace] + f"  val eventsOverheadRound = {index}\n" + source[brace:]
 
 
 def _verify(compiler: ChiselCompiler, index: int) -> None:

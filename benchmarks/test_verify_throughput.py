@@ -14,9 +14,10 @@ the golden ALU over a deep (8192-point) stimulus program:
   unseen candidate pays parse→elaborate→passes→emit→kernel→trace compilation,
   and the schedule runs as one trace call.  Asserted ≥3x the baseline;
 * ``test_verify_warm_iteration`` — iteration k+1 of a repair loop: the
-  revision differs only cosmetically, so the frontend re-runs, emits the
-  same Verilog and hits the Verilog-parse and kernel caches.  Asserted ≥5x
-  the baseline.
+  revision differs only in its leading comment, so the compiler lexes it
+  and, once a comment of that length has been seen, answers from its token
+  tier without parsing; the Verilog-parse and kernel caches hit.  Asserted
+  ≥5x the baseline.
 
 ``test_verify_trace_vs_stepwise`` isolates the testbench backends with a warm
 compiler on both sides (trace asserted ≥2x step-wise).

@@ -96,8 +96,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Hit/miss/size counters for every registered cache, aggregated by name.
 
     Covers the whole verification engine: ``chisel_compile`` (whole compile
-    results by source text), ``verilog_parse``, ``sim_kernel`` and
-    ``sim_trace``.
+    results by source text), ``chisel_tokens`` (the same by token stream),
+    ``verilog_parse``, ``sim_kernel`` and ``sim_trace``.
     """
     stats: dict[str, dict[str, int]] = {}
     for name, instances in sorted(_live_caches().items()):

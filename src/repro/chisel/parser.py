@@ -772,10 +772,9 @@ def _replace_placeholders(expr: ast.Expr, names) -> ast.Expr:
 
 def parse_source(source: str, file: str = "Main.scala") -> ast.Program:
     """Tokenise and parse Chisel source text into a :class:`Program`."""
-    tokens = tokenize(source, file)
+    return parse_source_cached(tokenize(source, file))
+
+
+def parse_source_cached(tokens: list[Token]) -> ast.Program:
+    """Parse a token stream; uncached, kept as the benchmark's layer boundary."""
     return Parser(tokens).parse_program()
-
-
-def parse_source_cached(source: str, file: str = "Main.scala") -> ast.Program:
-    """Uncached :func:`parse_source`, kept as the benchmark's layer boundary."""
-    return parse_source(source, file)

@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro import settings
 
@@ -37,15 +37,17 @@ from repro import settings
 #: from several buses still have a total order.
 _sequence = itertools.count(1)
 
+_new_event = tuple.__new__
 
-@dataclass(frozen=True)
-class Event:
+
+class Event(NamedTuple):
     """One structured occurrence: a topic, a name, a timestamp and attributes.
 
     ``ts`` is wall-clock (``time.time()``) for cross-process correlation;
     ``seq`` is a process-wide monotonic sequence number that orders events
     published in the same clock tick.  ``attrs`` is a flat JSON-serializable
-    mapping; treat it as immutable.
+    mapping; treat it as immutable.  A named tuple, so publishing one is a
+    single allocation.
     """
 
     topic: str
@@ -53,7 +55,7 @@ class Event:
     ts: float
     seq: int
     pid: int
-    attrs: dict = field(default_factory=dict)
+    attrs: dict
 
     def to_json(self) -> str:
         return json.dumps(
@@ -126,14 +128,21 @@ class Subscription:
         return len(self._queue)
 
     def _offer(self, event: Event) -> None:
+        queue = self._queue
         with self._lock:
             if self.closed:
                 return
-            if len(self._queue) >= self.maxsize:
-                self._queue.popleft()
+            if len(queue) >= self.maxsize:
+                queue.popleft()
                 self._dropped += 1
-            self._queue.append(event)
-        self._ready.set()
+            queue.append(event)
+            # Setting ``_ready`` takes a condition lock and notifies, which
+            # would dominate an offer, so only an offer into an empty queue
+            # sets it.  Consumers clear it only under ``_lock`` when the queue
+            # is empty, so a nonempty queue always has it set.
+            wake = len(queue) == 1
+        if wake:
+            self._ready.set()
 
     def pop_all(self) -> list[Event]:
         """Drain everything queued right now (non-blocking)."""
@@ -218,6 +227,12 @@ class EventBus:
         """Publish one event; returns it, or ``None`` when nobody listens."""
         if not self._subscriptions:
             return None
+        return self.publish_attrs(topic, name, attrs)
+
+    def publish_attrs(self, topic: str, name: str, attrs: dict) -> Event | None:
+        """:meth:`publish` with the attributes as one dict, which becomes the event's."""
+        if not self._subscriptions:
+            return None
         targets = self._routes.get(topic)
         if targets is None:
             with self._lock:
@@ -227,14 +242,7 @@ class EventBus:
                 self._routes[topic] = targets
         if not targets:
             return None
-        event = Event(
-            topic=topic,
-            name=name,
-            ts=time.time(),
-            seq=next(_sequence),
-            pid=self._pid,
-            attrs=attrs,
-        )
+        event = _new_event(Event, (topic, name, time.time(), next(_sequence), self._pid, attrs))
         self.published += 1
         for subscription in targets:
             subscription._offer(event)

@@ -55,7 +55,7 @@ class span:
     end event carries ``error`` when the scope raised.
     """
 
-    __slots__ = ("name", "topic", "attrs", "_bus", "_active", "_token", "_started",
+    __slots__ = ("name", "topic", "attrs", "_bus", "_token", "_started",
                  "span_id", "parent_id", "trace_id")
 
     def __init__(self, name: str, bus: EventBus | None = None, topic: str = "trace", **attrs):
@@ -63,12 +63,8 @@ class span:
         self.topic = topic
         self.attrs = attrs
         self._bus = bus
-        self._active = False
-        self._token = None
-        self._started = 0.0
-        self.span_id = ""
-        self.parent_id = ""
-        self.trace_id = ""
+        self._token = None  # set while the span is active
+        self.span_id = self.parent_id = self.trace_id = ""
 
     def annotate(self, **attrs) -> "span":
         """Attach attributes to the end event (e.g. an outcome computed late)."""
@@ -76,46 +72,53 @@ class span:
         return self
 
     def __enter__(self) -> "span":
-        bus = self._bus if self._bus is not None else get_bus()
-        self._bus = bus
+        bus = self._bus
+        if bus is None:
+            bus = self._bus = get_bus()
         if not bus.active:
             return self
-        self._active = True
         parent = _current.get()
-        self.trace_id = parent[0] if parent is not None else _new_id()
-        self.parent_id = parent[1] if parent is not None else ""
+        if parent is None:
+            self.trace_id = _new_id()
+        else:
+            self.trace_id, self.parent_id = parent
         self.span_id = _new_id()
         self._token = _current.set((self.trace_id, self.span_id))
         self._started = time.perf_counter()
-        bus.publish(
+        bus.publish_attrs(
             self.topic,
             "span.start",
-            span=self.span_id,
-            parent=self.parent_id,
-            trace=self.trace_id,
-            op=self.name,
-            **self.attrs,
+            {
+                "span": self.span_id,
+                "parent": self.parent_id,
+                "trace": self.trace_id,
+                "op": self.name,
+                **self.attrs,
+            },
         )
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> None:
-        if not self._active:
+        token = self._token
+        if token is None:
             return
         duration = time.perf_counter() - self._started
-        _current.reset(self._token)
-        self._active = False
+        _current.reset(token)
+        self._token = None
         attrs = self.attrs
         if exc_type is not None:
             attrs = {**attrs, "error": exc_type.__name__}
-        self._bus.publish(
+        self._bus.publish_attrs(
             self.topic,
             "span.end",
-            span=self.span_id,
-            parent=self.parent_id,
-            trace=self.trace_id,
-            op=self.name,
-            duration=round(duration, 9),
-            **attrs,
+            {
+                "span": self.span_id,
+                "parent": self.parent_id,
+                "trace": self.trace_id,
+                "op": self.name,
+                "duration": round(duration, 9),
+                **attrs,
+            },
         )
 
 

@@ -1,18 +1,25 @@
 """ChiselCompiler: Chisel source text → Verilog text + diagnostics.
 
-Bundles the whole frontend (parse → elaborate → FIRRTL passes → emit) behind
-one call, the way the paper's Compiler step wraps ``sbt``/firtool.  Every
-failure mode is reported as a list of :class:`~repro.diagnostics.Diagnostic`
-so the Reviewer can consume a uniform error list regardless of which stage
-failed.
+Bundles the whole frontend (lex → parse → elaborate → FIRRTL passes → emit)
+behind one call, the way the paper's Compiler step wraps ``sbt``/firtool.
+Every failure mode is reported as a list of
+:class:`~repro.diagnostics.Diagnostic` so the Reviewer can consume a uniform
+error list regardless of which stage failed.
 
-Each distinct source is compiled once: the whole :class:`CompileResult` is
-memoized in one process-wide ``chisel_compile`` cache keyed by the exact
-source text (and top), shared by every compiler instance and inherited by
-forked workers.  The stages themselves are uncached, so diagnostics always
-carry the candidate's own source coordinates.  A cosmetic revision (a moved
-comment, shifted lines) re-runs the frontend and then hits the Verilog-parse
-and kernel caches downstream.
+Each distinct source is compiled once, in two process-wide tiers shared by
+every compiler instance and inherited by forked workers:
+
+* ``chisel_compile`` holds the whole :class:`CompileResult` by exact source
+  text (and top); a compile makes exactly one lookup here.
+* On a miss the source is lexed once.  A LEX failure is cached by text only.
+  Otherwise ``chisel_tokens`` is looked up by the source with every comment
+  blanked plus the comment spans, a key that determines the token stream,
+  EOF coordinates included.  Comments reach neither a diagnostic nor the
+  Verilog, so a revision that only rewrites a comment in place (the
+  reflection loop's ``// revision N`` marker) shares the result without
+  running the parser.  A revision that moves any token misses and runs the
+  stages, which are uncached, so diagnostics always carry the candidate's
+  own source coordinates.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.caching import LruCache, text_key
 from repro.diagnostics import ChiselError, Diagnostic, Severity
 from repro.chisel.elaborator import elaborate
+from repro.chisel.lexer import Token, blank_comments, tokenize
 from repro.chisel.parser import parse_source_cached
 from repro.firrtl import ir
 from repro.firrtl.pass_manager import PassManager
@@ -47,7 +55,6 @@ class CompileResult:
 
     success: bool
     verilog: str | None = None
-    circuit: ir.Circuit | None = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
     stage: str = STAGE_OK
 
@@ -66,6 +73,8 @@ class CompileResult:
 
 #: Compile results by exact (top, source) text, shared by every compiler.
 _compile_cache: LruCache[CompileResult] = LruCache(1024, name="chisel_compile")
+#: The same results by (top, comment-blanked source, comment spans).
+_token_cache: LruCache[CompileResult] = LruCache(1024, name="chisel_tokens")
 
 
 class ChiselCompiler:
@@ -78,7 +87,7 @@ class ChiselCompiler:
         ``Module`` in the source is elaborated (matching how the benchmark
         specs name a single ``TopModule``).
     cached:
-        Whether to go through the process-wide compile cache (``False``
+        Whether to go through the process-wide compile caches (``False``
         compiles every call from scratch).  Compilation is a pure function of
         the source text, and identical candidate Chisel recurs constantly
         across samples and iterations in the paper-scale sweeps, so hits are
@@ -94,26 +103,33 @@ class ChiselCompiler:
     def compile(self, source: str, top: str | None = None) -> CompileResult:
         top = top if top is not None else self.top
         if not self.cached:
-            return self._compile(source, top)
+            try:
+                tokens = tokenize(source)
+            except ChiselError as exc:
+                return _parse_failure(exc.diagnostic)
+            return self._compile(tokens, top)
         key = text_key(top, source)
         result = _compile_cache.get(key)
         if result is not None:
             return result
-        return _compile_cache.put(key, self._compile(source, top))
-
-    def _compile(self, source: str, top: str | None) -> CompileResult:
+        comments: list[tuple[int, int]] = []
         try:
-            program = parse_source_cached(source)
+            tokens = tokenize(source, comments=comments)
         except ChiselError as exc:
-            return CompileResult(False, diagnostics=[exc.diagnostic], stage=STAGE_PARSE)
+            return _compile_cache.put(key, _parse_failure(exc.diagnostic))
+        token_key = text_key(top, blank_comments(source, comments), repr(comments))
+        result = _token_cache.get(token_key)
+        if result is None:
+            result = _token_cache.put(token_key, self._compile(tokens, top))
+        return _compile_cache.put(key, result)
+
+    def _compile(self, tokens: list[Token], top: str | None) -> CompileResult:
+        try:
+            program = parse_source_cached(tokens)
+        except ChiselError as exc:
+            return _parse_failure(exc.diagnostic)
         except RecursionError:
-            return CompileResult(
-                False,
-                diagnostics=[
-                    Diagnostic("source is too deeply nested to parse", code="PARSE")
-                ],
-                stage=STAGE_PARSE,
-            )
+            return _parse_failure(Diagnostic("source is too deeply nested to parse", code="PARSE"))
 
         try:
             circuit = elaborate(program, top)
@@ -122,24 +138,18 @@ class ChiselCompiler:
 
         result = self.pass_manager.run_cached(circuit)
         if not result.ok:
-            return CompileResult(
-                False,
-                circuit=result.circuit,
-                diagnostics=list(result.diagnostics),
-                stage=STAGE_FIRRTL,
-            )
+            return CompileResult(False, diagnostics=list(result.diagnostics), stage=STAGE_FIRRTL)
 
         try:
             verilog = _emit_cached(result.circuit)
         except EmitterError as exc:
             return CompileResult(
-                False,
-                circuit=result.circuit,
-                diagnostics=[Diagnostic(str(exc), code="EMIT")],
-                stage=STAGE_EMIT,
+                False, diagnostics=[Diagnostic(str(exc), code="EMIT")], stage=STAGE_EMIT
             )
 
         warnings = [d for d in result.diagnostics if d.severity is not Severity.ERROR]
-        return CompileResult(
-            True, verilog=verilog, circuit=result.circuit, diagnostics=warnings, stage=STAGE_OK
-        )
+        return CompileResult(True, verilog=verilog, diagnostics=warnings, stage=STAGE_OK)
+
+
+def _parse_failure(diagnostic: Diagnostic) -> CompileResult:
+    return CompileResult(False, diagnostics=[diagnostic], stage=STAGE_PARSE)

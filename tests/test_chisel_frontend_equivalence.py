@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisel_reference import ReferenceParser, frontend_corpus, reference_tokenize
-from repro.chisel.lexer import tokenize
+from repro.chisel.lexer import blank_comments, tokenize
 from repro.chisel.parser import Parser
 from repro.diagnostics import ChiselError
 from repro.toolchain.compiler import STAGE_OK, STAGE_PARSE, ChiselCompiler
@@ -79,6 +79,61 @@ def test_frontend_matches_reference_on_random_text(source):
 def test_frontend_matches_reference_inside_a_module(head, tail):
     source = f"class T extends Module {{\n  val x = {head}\n  {tail}\n}}\n"
     assert_frontends_agree(source)
+
+
+# Edges of the one-match-per-token lexer, which folds leading blanks into the
+# following token's match: blanks at EOF and before an error, comment markers
+# inside strings, comments that end the source or span lines, and ``:`` next
+# to ``:=``.
+_LEXER_EDGES = [
+    "val x = 1   ",
+    "val x = 1 \t\r ",
+    "val x = 1\n  \n\t",
+    "   ",
+    "",
+    "val x = 1  #",
+    "val x =\t\t`",
+    "  \n  \t#",
+    'val s = "a // not a comment"',
+    'val s = "/* nor this */" // but this is',
+    'val s = "a\\"// comment" + 1',
+    "val x = /* never closed",
+    "val x = 1 /* never closed\n still open",
+    "val x = 1 /* one */ /* two",
+    "/* a\nb\n\nc */ val x = 1\n/*\n*/val y = 2",
+    "val x = 1 /* spans\n lines */ + 2\nval y = 3",
+    "a := b\nc : d\ne :: f\ng :== h\ni:=j:k",
+    "val x: UInt = 1.U\nx:=y",
+]
+
+
+@pytest.mark.parametrize("source", _LEXER_EDGES)
+def test_lexer_edges_match_reference(source):
+    assert_frontends_agree(source)
+
+
+@pytest.mark.parametrize(
+    "source, message, column",
+    [
+        ("val x = 1  #", "illegal character '#' in source", 12),
+        ("  \t #", "illegal character '#' in source", 5),
+        ("val x = /* never closed", "unterminated block comment", 9),
+        ('val s =  "open', "unterminated string literal", 10),
+    ],
+)
+def test_lex_errors_point_past_the_blanks(source, message, column):
+    with pytest.raises(ChiselError) as info:
+        tokenize(source)
+    assert info.value.diagnostic.message == message
+    assert info.value.diagnostic.location.column == column
+
+
+def test_comment_spans_are_recorded_in_source_order():
+    source = 'val s = "// no" // one\n/* two\n */ x'
+    comments = []
+    tokenize(source, comments=comments)
+    assert [source[start:end] for start, end in comments] == ["// one", "/* two\n */"]
+    assert blank_comments(source, comments) == 'val s = "// no"       \n      \n    x'
 
 
 @pytest.mark.parametrize("source", ["val x = 2²", "val x = 1²", "val y = ٣"])

@@ -15,6 +15,12 @@ every registered cache.  The warm digest compiles the same sequence through
 the process-wide compile cache, hashing the cache hit of each case's second
 compile, and must not differ: a hit replays the result of the very same
 source text, coordinates included.
+
+The token-twin digest compiles two twins of each case, each with a different
+line comment on the case's first blank line.  That leaves the token stream
+unchanged, so the second twin is a text-tier miss answered by the
+``chisel_tokens`` tier with the first twin's result, and hashing it must give
+the same digest: comments reach neither a diagnostic nor the Verilog.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import os
 
 import pytest
 
-from repro.caching import clear_registered_caches
+from repro.caching import cache_stats, clear_registered_caches
+from repro.chisel.lexer import tokenize
 from repro.fuzz import load_corpus_entries
 from repro.problems.mutations import applicable_syntax_faults
 from repro.problems.registry import build_default_registry
@@ -88,4 +95,30 @@ def test_warm_compile_digest(cases):
         again = compiler.compile(source, top=top)
         assert again is first
         _update(digest, again)
+    assert digest.hexdigest() == EXPECTED
+
+
+def _twin(source: str, mark: str) -> str:
+    """``source`` with a line comment on its first blank line."""
+    blank = source.index("\n\n") + 1
+    return source[:blank] + f"// token twin {mark}" + source[blank:]
+
+
+@pytest.mark.cache_mutating
+def test_token_twin_compile_digest(cases):
+    clear_registered_caches()
+    compiler = ChiselCompiler()
+    digest = hashlib.sha256()
+    seen = set()
+    for top, source in cases:
+        first, second = _twin(source, "a"), _twin(source, "b")
+        assert tokenize(second) == tokenize(source)
+        before = cache_stats()["chisel_tokens"]["hits"]
+        result = compiler.compile(first, top=top)
+        twin = compiler.compile(second, top=top)
+        if (top, source) not in seen:  # a repeated case replays its own text
+            assert cache_stats()["chisel_tokens"]["hits"] == before + 1
+            seen.add((top, source))
+        assert twin is result
+        _update(digest, twin)
     assert digest.hexdigest() == EXPECTED

@@ -5,7 +5,8 @@ The trace backend must produce bit-identical :class:`SimulationReport`s to the
 step-wise oracle — same mismatch ordering, same unchecked-point flush
 semantics — for every golden design and for injected-fault mutants.  The
 compile cache must replay identical results (including failures), and
-diagnostics must carry the compiled candidate's own source coordinates.
+diagnostics must carry the compiled candidate's own source coordinates: the
+token tier answers a comment-only revision and nothing that moves a token.
 """
 
 from __future__ import annotations
@@ -355,12 +356,106 @@ class TestIncrementalCompile:
         )
 
 
+def _tier_lookups() -> dict[str, int]:
+    stats = cache_stats()
+    return {
+        f"{name}.{counter}": stats.get(name, {}).get(counter, 0)
+        for name in ("chisel_compile", "chisel_tokens")
+        for counter in ("hits", "misses")
+    }
+
+
+def _lookups_during(action) -> dict[str, int]:
+    """Change of each compile-tier counter while ``action`` runs."""
+    before = _tier_lookups()
+    action()
+    after = _tier_lookups()
+    return {key: after[key] - before[key] for key in after}
+
+
+_FAILING = REGISTRY.by_id("alu_w8").golden_chisel.replace(" := ", " == ", 1)
+
+
+class TestTokenTier:
+    """``chisel_tokens``: one result per token stream, whatever the comments say."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("// token tier revision 1\n", "// token tier revision 2\n"),
+            ("/* token tier revision 1 */\n", "/* token tier revision 2 */\n"),
+            ("/* token tier\n revision 1 */\n", "/* token tier\n revision 2 */\n"),
+        ],
+    )
+    def test_comment_only_revision_hits_the_token_tier(self, first, second):
+        compiler = ChiselCompiler(top="TopModule")
+        results = []
+        lookups = [
+            _lookups_during(lambda: results.append(compiler.compile(prefix + _FAILING)))
+            for prefix in (first, second)
+        ]
+        assert lookups == [
+            {
+                "chisel_compile.hits": 0,
+                "chisel_compile.misses": 1,
+                "chisel_tokens.hits": hits,
+                "chisel_tokens.misses": 1 - hits,
+            }
+            for hits in (0, 1)
+        ]
+        assert results[1] is results[0]
+        uncached = ChiselCompiler(top="TopModule", cached=False).compile(second + _FAILING)
+        assert results[1].render_feedback() == uncached.render_feedback()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("// token tier shift\n", "// token tier shift\n\n"),
+            ("/* token tier\n shift */", "/* token tier shift\n */"),
+            ("/* token tier shift */ ", "/* token tier shift */  "),
+            ("import tokenTier /*\n*/", "import tokenTier   \n  "),
+        ],
+    )
+    def test_revision_that_moves_tokens_misses(self, first, second):
+        compiler = ChiselCompiler(top="TopModule")
+        compiler.compile(first + _FAILING)
+        results = []
+        lookups = _lookups_during(lambda: results.append(compiler.compile(second + _FAILING)))
+        assert lookups["chisel_tokens.misses"] == 1 and lookups["chisel_tokens.hits"] == 0
+        uncached = ChiselCompiler(top="TopModule", cached=False).compile(second + _FAILING)
+        assert results[0].render_feedback() == uncached.render_feedback()
+
+    def test_lex_failure_never_reaches_the_token_tier(self):
+        compiler = ChiselCompiler(top="TopModule")
+        bad = "// token tier lex failure\n" + _FAILING.replace(" == ", " == # ", 1)
+        results = []
+        lookups = _lookups_during(lambda: results.extend(compiler.compile(bad) for _ in range(2)))
+        assert lookups == {
+            "chisel_compile.hits": 1,
+            "chisel_compile.misses": 1,
+            "chisel_tokens.hits": 0,
+            "chisel_tokens.misses": 0,
+        }
+        assert results[0] is results[1]
+        assert results[0].diagnostics[0].code == "LEX"
+
+    def test_uncached_compiler_bypasses_both_tiers(self):
+        compiler = ChiselCompiler(top="TopModule", cached=False)
+        source = "// token tier bypass\n" + _FAILING
+        results = []
+        lookups = _lookups_during(lambda: results.extend(compiler.compile(source) for _ in range(2)))
+        assert set(lookups.values()) == {0}
+        assert results[0] is not results[1]
+        assert results[0].render_feedback() == results[1].render_feedback()
+
+
 class TestCacheRegistry:
     def test_registry_covers_every_stage(self):
         COMPILER.compile(REGISTRY.by_id("alu_w8").golden_chisel)
         stats = cache_stats()
         for name in (
             "chisel_compile",
+            "chisel_tokens",
             "verilog_parse",
             "sim_kernel",
             "sim_trace",
