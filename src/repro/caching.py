@@ -181,11 +181,11 @@ class LruCache(Generic[V]):
     misses and :meth:`put` is a no-op.  A ``name`` registers the instance for
     :func:`cache_stats` aggregation.
 
-    Thread-safe: the async generation service shares these caches between the
-    event loop (synthetic-client completions) and its bounded tool executor
-    (compile/simulate offload), so lookups and insertions are lock-guarded.
-    The caches memoize pure functions, so contention only ever costs time —
-    but the guard keeps eviction bookkeeping consistent under interleaving.
+    Thread-safe: lookups and insertions are lock-guarded, so a blocking
+    client run on a :class:`~repro.llm.dispatch.SyncClientAdapter`'s executor
+    may share these caches with the event loop.  The caches memoize pure
+    functions, so contention only ever costs time — but the guard keeps
+    eviction bookkeeping consistent under interleaving.
     """
 
     def __init__(self, max_size: int | None, name: str | None = None):

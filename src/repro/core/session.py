@@ -13,10 +13,10 @@ The driver answers each step by sending the result back into the generator
 (``generator.send(value)``); the generator's return value is the workflow
 result.  This inversion is what lets one event loop interleave hundreds of
 sessions: the async service answers :class:`LLMCall` steps through the
-batching dispatcher and offloads :class:`ToolCall` steps to a bounded
-executor, while the classic blocking entry points (``ReChisel.run`` and
-friends) answer them inline via :func:`drive` — same generator, same step
-sequence, bit-identical results.
+batching dispatcher and queues :class:`ToolCall` steps to run on the loop
+thread, one per loop pass, while the classic blocking entry points
+(``ReChisel.run`` and friends) answer them inline via :func:`drive` — same
+generator, same step sequence, bit-identical results.
 
 Sessions are resumable by construction: a generator suspended at a step
 carries its full loop state (trace, current code, iteration counter), so the

@@ -28,6 +28,7 @@ error mixes shift per iteration) emerge from the reflection loop itself.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 GPT4_TURBO = "GPT-4 Turbo"
 GPT4O = "GPT-4o"
@@ -64,11 +65,16 @@ class ModelProfile:
         return self.chisel_fix_prob
 
     def fingerprint(self) -> dict[str, float | str]:
-        """Stable field dump for work-unit fingerprints.
+        """Stable field dump for work-unit fingerprints (a fresh copy per call).
 
         Sweep results depend on every calibrated parameter, so recalibrating a
         profile must invalidate the persistent result store for that model.
+        The dump is taken once per profile: the fields are frozen.
         """
+        return dict(self._fields)
+
+    @cached_property
+    def _fields(self) -> dict[str, float | str]:
         return asdict(self)
 
 

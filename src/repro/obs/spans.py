@@ -8,7 +8,7 @@ session) gets its own lineage.  The taxonomy the service emits::
 
     session                     one served work unit
     ├── llm.generate            chat completion (purpose-labelled)
-    ├── tool.compile            toolchain step on the tool executor
+    ├── tool.compile            toolchain step on the loop's tool queue
     ├── tool.simulate           simulate step (possibly micro-batched)
     └── llm.review / tool.parse / ...
 

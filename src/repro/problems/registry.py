@@ -29,16 +29,20 @@ class ProblemRegistry:
 
     problems: list[Problem] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        problems, self.problems = self.problems, []
+        self._by_id: dict[str, Problem] = {}
+        for problem in problems:
+            self.add(problem)
+
     def add(self, problem: Problem) -> None:
-        if any(p.problem_id == problem.problem_id for p in self.problems):
+        if problem.problem_id in self._by_id:
             raise ValueError(f"duplicate problem id {problem.problem_id!r}")
+        self._by_id[problem.problem_id] = problem
         self.problems.append(problem)
 
     def by_id(self, problem_id: str) -> Problem:
-        for problem in self.problems:
-            if problem.problem_id == problem_id:
-                return problem
-        raise KeyError(problem_id)
+        return self._by_id[problem_id]
 
     def by_suite(self, suite: str) -> list[Problem]:
         return [p for p in self.problems if p.suite == suite]

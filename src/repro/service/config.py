@@ -21,9 +21,9 @@ class ServiceConfig:
     count); ``queue_limit`` bounds the job queue — ``submit`` awaits when it
     is full, which is the service's backpressure.  ``rate_limit`` (LLM
     requests per second, ``None`` for no limit) and ``retry`` parameterize the
-    :class:`~repro.llm.dispatch.BatchingDispatcher`; ``tool_workers`` sizes
-    the bounded executor that compile/simulate steps are offloaded to.
-    ``store_path`` points the result cache at a persistent
+    :class:`~repro.llm.dispatch.BatchingDispatcher`.  Compile/simulate steps
+    run on the event loop's thread in FIFO order, so there is no tool pool to
+    size.  ``store_path`` points the result cache at a persistent
     :class:`~repro.experiments.store.ResultStore` shared with the sweep
     engine, so specs already swept are served without any LLM traffic;
     ``memo_size`` bounds the in-process payload memo in front of it.
@@ -37,7 +37,7 @@ class ServiceConfig:
     micro-batching: simulate tool steps from concurrent sessions collect for
     up to ``sim_batch_window`` seconds (or until ``sim_max_batch`` are
     pending) and run as one :meth:`Simulator.simulate_many` call on the tool
-    executor.  ``sim_max_batch <= 1`` disables batching (each simulate runs alone).
+    queue.  ``sim_max_batch <= 1`` disables batching (each simulate runs alone).
 
     ``drain_timeout`` bounds how long ``close(drain=True)`` waits for
     in-flight and queued jobs to finish before tearing the service down
@@ -53,7 +53,6 @@ class ServiceConfig:
     max_in_flight: int = 32
     queue_limit: int = 128
     rate_limit: float | None = None
-    tool_workers: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     store_path: str | None = None
     memo_size: int = 8192
@@ -69,8 +68,6 @@ class ServiceConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.tool_workers < 1:
-            raise ValueError("tool_workers must be >= 1")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError("request_timeout must be > 0 or None")
         if self.sim_batch_window < 0:
@@ -80,13 +77,18 @@ class ServiceConfig:
 
     @classmethod
     def from_environment(cls) -> "ServiceConfig":
+        """The defaults with every set ``REPRO_SERVICE_*`` knob applied.
+
+        A set ``REPRO_SERVICE_*`` variable that no row of the settings table
+        declares (a deleted knob) raises :class:`~repro.settings.SettingError`.
+        """
+        settings.reject_undeclared("REPRO_SERVICE_")
         return replace(
             cls(),
             **settings.overrides(
                 max_in_flight="REPRO_SERVICE_MAX_INFLIGHT",
                 rate_limit="REPRO_SERVICE_RATE_LIMIT",
                 queue_limit="REPRO_SERVICE_QUEUE_LIMIT",
-                tool_workers="REPRO_SERVICE_TOOL_WORKERS",
                 request_timeout="REPRO_SERVICE_REQUEST_TIMEOUT",
                 sim_batch_window="REPRO_SERVICE_SIM_BATCH_WINDOW",
                 sim_max_batch="REPRO_SERVICE_SIM_MAX_BATCH",

@@ -7,10 +7,13 @@ step-wise session (see :mod:`repro.core.session`) on one asyncio event loop:
 * **LLM steps** go through the :class:`~repro.llm.dispatch.BatchingDispatcher`
   on the session's own task, under a shared budget, token bucket, circuit
   breaker and jittered retry;
-* **tool steps** (compile / simulate / parse) are offloaded to a bounded
-  thread executor so the loop stays responsive; simulate steps additionally
-  micro-batch through a :class:`_SimulationBatcher` (``sim_batch_window`` /
-  ``sim_max_batch``), one executor call per batch;
+* **tool steps** (compile / simulate / parse) queue in FIFO order on the
+  loop thread itself, one step per event-loop pass, so timers and LLM
+  completions run between them; the toolchain is pure Python and holds the
+  GIL, so a tool thread would add handoffs without adding parallelism.
+  Simulate steps additionally micro-batch through a
+  :class:`_SimulationBatcher` (``sim_batch_window`` / ``sim_max_batch``),
+  one queued call per batch;
 * **scheduling** is fair FIFO: a bounded job queue feeds ``max_in_flight``
   worker tasks, and ``submit`` awaits whenever the queue is full
   (backpressure);
@@ -37,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from typing import Callable, Iterable, Sequence
 
 from repro.caching import LruCache, cache_stats
@@ -60,12 +63,68 @@ def _consume_exception(future: asyncio.Future) -> None:
         future.exception()
 
 
+class _LoopToolQueue(Executor):
+    """Run tool steps on the event loop's own thread, one per loop pass, FIFO.
+
+    ``loop.run_in_executor(queue, fn)`` appends ``fn`` to a deque; a runner
+    scheduled with ``call_soon`` pops and runs one callable per pass and
+    reschedules itself while work remains, so ready callbacks (timers, LLM
+    completions, other sessions' steps) interleave between tool steps.  A
+    step whose future was cancelled while queued is skipped.  :meth:`shutdown`
+    cancels whatever is still queued instead of running it.  Submit only from
+    the loop's thread.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        self._queue: deque[tuple[Future, Callable, tuple, dict]] = deque()
+        self._scheduled = False
+        self._closed = False
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        if self._closed:
+            raise RuntimeError("cannot queue a tool step after the service closed")
+        future: Future = Future()
+        self._queue.append((future, fn, args, kwargs))
+        if not self._scheduled:
+            self._scheduled = True
+            self._loop.call_soon(self._run_one)
+        return future
+
+    def _run_one(self) -> None:
+        self._scheduled = False
+        while self._queue:
+            future, fn, args, kwargs = self._queue.popleft()
+            if future.set_running_or_notify_cancel():
+                break
+        else:
+            return
+        if self._queue:
+            self._scheduled = True
+            self._loop.call_soon(self._run_one)
+        try:
+            result = fn(*args, **kwargs)
+        except BaseException as exc:
+            # The submitter sees every failure; an interrupt or exit also
+            # keeps propagating, out of the loop.
+            future.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise
+        else:
+            future.set_result(result)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        self._closed = True
+        while self._queue:
+            self._queue.popleft()[0].cancel()
+
+
 class _SimulationBatcher:
     """Micro-batch simulate tool calls from concurrent sessions.
 
     Requests collect for up to ``window`` seconds (or until ``max_batch`` are
     pending) and run as one :meth:`Simulator.simulate_many` call on the tool
-    executor, which simulates them one after another; outcomes equal
+    queue, which simulates them one after another; outcomes equal
     per-call ``simulate``.  If a batch fails wholesale, each request is
     retried individually so one poisoned DUT can't fail its batch-mates.
     Each batch's size is observed in ``sizes``, the service's
@@ -175,6 +234,10 @@ class GenerationService:
     worker context's seeded synthetic client and is the hook for plugging in
     real API clients (wrap blocking ones in
     :class:`~repro.llm.dispatch.SyncClientAdapter` with an executor).
+
+    Tool steps run on the loop's thread through a FIFO :class:`_LoopToolQueue`
+    (``_tools``), one step per loop pass; :meth:`close` cancels steps still
+    queued there.
     """
 
     def __init__(
@@ -220,7 +283,7 @@ class GenerationService:
         self.dispatcher: BatchingDispatcher | None = None
         self._queue: asyncio.Queue | None = None
         self._workers: list[asyncio.Task] = []
-        self._tools: ThreadPoolExecutor | None = None
+        self._tools: _LoopToolQueue | None = None
         # Bounded: a long-lived service streaming mostly-unique specs must not
         # accumulate payloads forever; the persistent store is the durable tier.
         self._memo: LruCache[dict] = LruCache(self.config.memo_size)
@@ -252,9 +315,7 @@ class GenerationService:
             bus=self.bus,
         )
         self._queue = asyncio.Queue(maxsize=config.queue_limit)
-        self._tools = ThreadPoolExecutor(
-            max_workers=config.tool_workers, thread_name_prefix="repro-svc-tool"
-        )
+        self._tools = _LoopToolQueue(loop)
         if config.sim_max_batch > 1:
             self._sim_batcher = _SimulationBatcher(
                 loop,
@@ -310,7 +371,7 @@ class GenerationService:
             self._sim_batcher.close()
             self._sim_batcher = None
         if self._tools is not None:
-            self._tools.shutdown(wait=True)
+            self._tools.shutdown()
             self._tools = None
         self._queue = None
         self._draining = False
@@ -522,7 +583,7 @@ class GenerationService:
         return payload
 
     async def _drive(self, session: Session, client) -> dict:
-        """Answer a session's steps: LLM via the dispatcher, tools via the executor.
+        """Answer a session's steps: LLM via the dispatcher, tools via the tool queue.
 
         Each step runs inside a child span of the session span (``llm.<purpose>``
         or ``tool.<purpose>``), so one session's timeline reconstructs into a

@@ -20,6 +20,9 @@ Kinds and the values they accept:
 * :data:`ENDPOINT` — ``host:port`` / ``:port`` / ``port``, or one of :data:`OFF`;
 * ``str`` — free text the consumer parses itself.
 
+:func:`reject_undeclared` fails a run that still sets a knob of a family
+(``REPRO_SERVICE_``) that the table no longer declares.
+
 :func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
 and its knob accept the same values and fail the same way.
 
@@ -132,7 +135,6 @@ _ROWS = (
     Setting("REPRO_SERVICE_MAX_INFLIGHT", int, 32, low=1),
     Setting("REPRO_SERVICE_RATE_LIMIT", float, low=0, zero_off=True),
     Setting("REPRO_SERVICE_QUEUE_LIMIT", int, 128, low=1),
-    Setting("REPRO_SERVICE_TOOL_WORKERS", int, 1, low=1),
     Setting("REPRO_SERVICE_REQUEST_TIMEOUT", float, low=0, zero_off=True),
     Setting("REPRO_SERVICE_SIM_BATCH_WINDOW", float, 0.0, low=0),
     Setting("REPRO_SERVICE_SIM_MAX_BATCH", int, 16, low=0),
@@ -191,6 +193,18 @@ def overrides(**fields: str) -> dict[str, object]:
     """
     values = {field: read(name, _UNSET) for field, name in fields.items()}
     return {field: value for field, value in values.items() if value is not _UNSET}
+
+
+def reject_undeclared(prefix: str) -> None:
+    """Raise :class:`SettingError` for a set ``prefix*`` variable with no row.
+
+    A knob whose code is gone must fail the run that still exports it, not
+    be ignored: the run would otherwise measure something other than what its
+    environment says.
+    """
+    for name, raw in os.environ.items():
+        if name.startswith(prefix) and name not in SETTINGS and raw.strip():
+            raise SettingError(name, "unset (no such setting)", raw.strip())
 
 
 def arg_type(flag: str, knob: str | None = None, **rule) -> Callable[[str], object]:

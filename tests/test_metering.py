@@ -7,7 +7,8 @@ generation service — and that store hits spend nothing.  It also pins that the
 supervised worker fleet, whose workers bypassed the budget, is gone from the
 knob table, the constructors, the CLI and the event topics, and that the
 deleted knobs and arguments of other removed paths (vector lanes, the
-campaign priority gate, LLM micro-batching) are rejected.
+campaign priority gate, LLM micro-batching, the service's tool pool) are
+rejected.
 """
 
 import dataclasses
@@ -54,13 +55,14 @@ FLEET_KNOBS = (
 )
 
 #: Knobs whose code is gone: the fleet's, the vector lane budget of the
-#: deleted cross-candidate batching, and the campaign's wait for the deleted
-#: priority gate.
+#: deleted cross-candidate batching, the campaign's wait for the deleted
+#: priority gate, the LLM micro-batching's and the service's tool pool size.
 DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SIM_MAX_LANES",
     "REPRO_CAMPAIGN_PREEMPT_WAIT",
     "REPRO_SERVICE_BATCH_WINDOW",
     "REPRO_SERVICE_MAX_BATCH",
+    "REPRO_SERVICE_TOOL_WORKERS",
 )
 
 
@@ -192,12 +194,13 @@ class TestNoFleetSurface:
             lambda: ServiceConfig(max_batch=4),
             lambda: ServiceConfig(per_profile_limit=2),
             lambda: BatchingDispatcher(max_batch=4),
+            lambda: ServiceConfig(tool_workers=1),
         ],
         ids=["ExperimentConfig.fleet", "ServiceConfig.fleet_workers", "CampaignConfig.fleet",
              "CampaignOrchestrator.executor", "CampaignConfig.preempt_wait",
              "CampaignOrchestrator.gate", "ServiceConfig.batch_window",
              "ServiceConfig.max_batch", "ServiceConfig.per_profile_limit",
-             "BatchingDispatcher.max_batch"],
+             "BatchingDispatcher.max_batch", "ServiceConfig.tool_workers"],
     )
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -247,6 +248,154 @@ class TestServiceSnapshot:
         assert percentile(samples, 0.0) == 0.1
         assert percentile(samples, 1.0) == 0.4
         assert percentile([7.0], 0.99) == 7.0
+
+
+class ScriptedStrategy:
+    """Stands in for the strategy of every unit: ``scripts[unit.sample]()``
+    is the session the unit runs."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+
+    def session(self, _context, unit, _client):
+        return self.scripts[unit.sample]()
+
+
+def scripted_units(count):
+    return [
+        WorkUnit("rechisel", "GPT-4o mini", "alu_w4", 0, sample, 0, 4, RECHISEL_KNOBS)
+        for sample in range(count)
+    ]
+
+
+class TestLoopToolQueue:
+    """Tool steps run on the loop thread, one per loop pass, in FIFO order."""
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        def install(*scripts):
+            strategy = ScriptedStrategy(scripts)
+            monkeypatch.setattr(
+                "repro.service.service.strategy_from_unit", lambda unit: strategy
+            )
+            return scripted_units(len(scripts))
+
+        return install
+
+    def test_tool_step_runs_on_the_loop_thread(self, scripted):
+        def session():
+            return (yield ToolCall(threading.get_ident, "compile"))
+
+        units = scripted(session)
+
+        async def main():
+            async with GenerationService(ServiceConfig()) as service:
+                return threading.get_ident(), await service.submit(units[0])
+
+        loop_thread, step_thread = asyncio.run(main())
+        assert step_thread == loop_thread
+
+    def test_steps_of_two_sessions_run_in_the_order_they_were_queued(self, scripted):
+        queued, ran = [], []
+
+        def script(name):
+            def session():
+                for index in range(3):
+                    queued.append((name, index))
+                    yield ToolCall(lambda index=index: ran.append((name, index)), "compile")
+                return name
+
+            return session
+
+        units = scripted(script("a"), script("b"))
+        payloads, snapshot = serve_units(units, ServiceConfig(max_in_flight=2))
+        assert payloads == ["a", "b"]
+        assert ran == queued
+        # One queue serves both sessions: their steps interleave.
+        assert ran[:2] == [("a", 0), ("b", 0)]
+        assert snapshot.tool_calls == 6
+
+    def test_callback_scheduled_after_two_steps_runs_between_them(self):
+        done, seen = [], []
+
+        def step(name):
+            time.sleep(0.01)
+            done.append(name)
+
+        async def main():
+            async with GenerationService(ServiceConfig()) as service:
+                loop = asyncio.get_running_loop()
+                first = loop.run_in_executor(service._tools, step, "first")
+                second = loop.run_in_executor(service._tools, step, "second")
+                loop.call_soon(lambda: seen.append(list(done)))
+                await asyncio.gather(first, second)
+
+        asyncio.run(main())
+        assert done == ["first", "second"]
+        assert seen == [["first"]]
+
+    def test_cancelled_session_never_runs_its_queued_step(self):
+        ran = []
+
+        def session():
+            yield ToolCall(lambda: ran.append("step"), "compile")
+            return "finished"
+
+        async def main():
+            async with GenerationService(ServiceConfig()) as service:
+                loop = asyncio.get_running_loop()
+                driving = asyncio.create_task(service._drive(session(), client=None))
+                # Two steps ahead of the session's: the cancellation reaches
+                # the queue while its step still waits there.
+                ahead = [loop.run_in_executor(service._tools, ran.append, i) for i in (0, 1)]
+                await asyncio.sleep(0)  # the session queues its step
+                driving.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await driving
+                await asyncio.gather(*ahead)
+                await asyncio.sleep(0.01)
+
+        asyncio.run(main())
+        assert ran == [0, 1]
+
+    def test_raising_step_fails_only_its_own_job(self, scripted):
+        def broken():
+            yield ToolCall(lambda: 1 // 0, "compile")
+
+        def healthy():
+            return (yield ToolCall(lambda: "ok", "compile"))
+
+        units = scripted(broken, healthy)
+
+        async def main():
+            async with GenerationService(ServiceConfig(max_in_flight=2)) as service:
+                results = await asyncio.gather(
+                    *(service.submit(unit) for unit in units), return_exceptions=True
+                )
+            return results, service.snapshot()
+
+        (error, payload), snapshot = asyncio.run(main())
+        assert isinstance(error, ZeroDivisionError)
+        assert payload == "ok"
+        assert (snapshot.failed, snapshot.completed) == (1, 1)
+
+    def test_close_cancels_queued_steps_and_strands_no_submitter(self):
+        ran = []
+
+        async def main():
+            service = GenerationService(ServiceConfig(max_in_flight=1))
+            await service.start()
+            loop = asyncio.get_running_loop()
+            steps = [loop.run_in_executor(service._tools, ran.append, index) for index in range(50)]
+            await service.close()
+            finished, pending = await asyncio.wait(steps, timeout=5)
+            assert not pending, "a submitter is still waiting on its tool step"
+            return [step.cancelled() for step in steps]
+
+        cancelled = asyncio.run(main())
+        assert any(cancelled)
+        assert ran == list(range(len(ran)))
+        assert len(ran) + sum(cancelled) == 50
 
 
 class TestDispatcher:
@@ -586,7 +735,6 @@ class TestServiceConfig:
         [
             ("max_in_flight", 0),
             ("queue_limit", 0),
-            ("tool_workers", 0),
             ("request_timeout", 0),
             ("sim_batch_window", -0.1),
             ("drain_timeout", -1),
@@ -595,6 +743,11 @@ class TestServiceConfig:
     def test_each_out_of_range_field_is_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
+
+    def test_tool_pool_size_is_not_an_argument(self):
+        # Tool steps run on the loop thread; there is no pool to size.
+        with pytest.raises(TypeError):
+            ServiceConfig(tool_workers=1)
 
     def test_submit_requires_started_service(self):
         service = GenerationService(ServiceConfig())

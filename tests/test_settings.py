@@ -8,6 +8,7 @@ its consumer uses when the variable is unset.
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -242,6 +243,24 @@ class TestFormerlySilentValues:
         )
         assert result.returncode == 2
         assert f"{flag} must be" in result.stderr and repr(raw) in result.stderr
+
+    @pytest.mark.parametrize("name", ["REPRO_SERVICE_TOOL_WORKERS", "REPRO_SERVICE_BATCH_WINDOW"])
+    def test_leftover_service_variable_fails_by_name(self, monkeypatch, name):
+        # Deleted knobs: a stale export once was silently ignored.
+        monkeypatch.setenv(name, "4")
+        with pytest.raises(SettingError, match=f"{name} must be unset.*'4'"):
+            ServiceConfig.from_environment()
+
+    def test_serve_example_rejects_a_leftover_service_variable(self):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "serve.py"), "--jobs", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "REPRO_SERVICE_TOOL_WORKERS": "4"},
+        )
+        assert result.returncode != 0
+        assert "REPRO_SERVICE_TOOL_WORKERS must be unset" in result.stderr
 
 
 class TestDocsInSync:
