@@ -10,12 +10,13 @@ into ``BENCH_toolchain.json`` by ``python benchmarks/run_benchmarks.py``:
   pool overhead rather than a speedup — the wall-clock delta is the point);
 * ``test_sweep_warm_store`` — a rerun against the persisted store, asserted
   to execute zero new work units;
-* ``test_store_lookup_is_o1`` — ``get`` latency on the segmented result
+* ``test_store_lookup_is_o1`` — ``get`` latency on the append-only result
   store measured at two store sizes an order of magnitude apart; the
   per-lookup cost must not scale with store size (the in-memory fingerprint
-  index maps straight to one seek + read).  The gate is the median ratio of
-  ``STORE_PAIRS`` interleaved small/large pairs, alternating which size goes
-  first, so a slow stretch on a shared host lands on both sides of a pair.
+  index maps straight to one seek + read on a shared handle).  The gate is
+  the median ratio of ``STORE_PAIRS`` interleaved small/large pairs,
+  alternating which size goes first, so a slow stretch on a shared host lands
+  on both sides of a pair.
 """
 
 import dataclasses
@@ -103,7 +104,7 @@ def _unit(index: int) -> WorkUnit:
 
 
 def _fill_store(path, count: int) -> ResultStore:
-    store = ResultStore(path, segment_records=1024)
+    store = ResultStore(path)
     for index in range(count):
         store.put(f"fp{index:08d}", _unit(index), {"index": index})
     return store

@@ -14,11 +14,16 @@ seconds to a couple of minutes.
 Every sweep runs through the sweep execution engine (work units → executor →
 result store, see EXPERIMENTS.md): ``--jobs N`` fans work units out over N
 worker processes, and completed units are persisted to ``--store`` (a
-JSON-lines file, default ``.repro-cache/results.jsonl``) so reruns and
-overlapping experiments — Table III, Table IV, Fig. 6 and Fig. 7 share their
-ReChisel sweeps — reuse results instead of recomputing, and interrupted runs
-resume.  ``--no-store`` keeps everything in memory, and ``--progress`` prints
-live ``done/total`` work-unit counts as each sweep advances.
+directory holding one JSON-lines log, default
+``.repro-cache/results.jsonl``) so reruns and overlapping experiments —
+Table III, Table IV, Fig. 6 and Fig. 7 share their ReChisel sweeps — reuse
+results instead of recomputing, and interrupted runs resume.  ``--no-store``
+keeps everything in memory, and ``--progress`` prints live ``done/total``
+work-unit counts as each sweep advances.
+
+A malformed flag, a bad or leftover ``REPRO_*`` variable, or a store in a
+layout this release no longer reads exits with status 2 and a one-line
+error that names it.
 """
 
 import argparse
@@ -29,6 +34,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import settings
 from repro.experiments import fig1, fig6, fig7, fig8_case_study, table1, table2, table3, table4
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EvaluationHarness
@@ -53,7 +59,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=settings.arg_type("--jobs", "REPRO_JOBS"),
         default=None,
         help="worker processes for the sweep engine (default: REPRO_JOBS or 1)",
     )
@@ -75,9 +81,12 @@ def main() -> None:
     args = parser.parse_args()
     selected = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
 
-    config = ExperimentConfig.from_environment()
+    try:
+        config = ExperimentConfig.from_environment()
+    except settings.SettingError as error:
+        parser.error(str(error))
     if args.jobs is not None:
-        config = dataclasses.replace(config, jobs=max(1, args.jobs))
+        config = dataclasses.replace(config, jobs=args.jobs)
     if args.no_store:
         config = dataclasses.replace(config, store_path=None)
     elif args.store is not None:
@@ -87,7 +96,10 @@ def main() -> None:
         # REPRO_RESULT_STORE=off/0/none stays disabled.
         config = dataclasses.replace(config, store_path=DEFAULT_STORE)
 
-    harness = EvaluationHarness(config)
+    try:
+        harness = EvaluationHarness(config)
+    except ValueError as error:  # a leftover REPRO_STORE_* knob or an old store layout
+        parser.error(str(error))
     if args.progress:
         harness.engine.progress = _print_progress
     scale = "paper-scale" if config.max_cases is None else "quick-scale"

@@ -14,8 +14,8 @@ show the fingerprint result cache serving repeats with zero LLM calls.
 
 The ``REPRO_SERVICE_*`` environment knobs (see EXPERIMENTS.md) provide the
 defaults; command-line flags override them and accept the same values as
-their knobs.  A malformed or out-of-range flag exits with status 2 and names
-the flag.
+their knobs.  A malformed or out-of-range flag, or a bad or leftover
+``REPRO_SERVICE_*`` variable, exits with status 2 and names it.
 """
 
 import argparse
@@ -63,8 +63,11 @@ def synth_workload(context: WorkerContext, jobs: int) -> list[WorkUnit]:
 
 
 async def main() -> None:
-    config = ServiceConfig.from_environment()
     parser = argparse.ArgumentParser(description=__doc__)
+    try:
+        config = ServiceConfig.from_environment()
+    except settings.SettingError as error:
+        parser.error(str(error))
     parser.add_argument(
         "--jobs",
         type=settings.arg_type("--jobs", kind=int, low=1),

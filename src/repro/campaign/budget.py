@@ -108,28 +108,37 @@ class CancelToken:
     """
 
     def __init__(self):
-        self._event = threading.Event()
+        # Reentrant, unlike threading.Event's lock: a signal handler's set()
+        # runs on the thread it interrupts, which may hold the lock inside
+        # wait(); a plain Lock deadlocks the process there.
+        self._cond = threading.Condition(threading.RLock())
+        self._set = False
         self._reason = ""
 
     def set(self, reason: str = "cancelled") -> None:
-        if not self._event.is_set():
-            self._reason = reason
-            self._event.set()
+        with self._cond:
+            if not self._set:
+                self._reason = reason
+                self._set = True
+                self._cond.notify_all()
 
     @property
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self._set
 
     @property
     def reason(self) -> str:
         return self._reason
 
     def check(self) -> None:
-        if self._event.is_set():
+        if self._set:
             raise CampaignCancelled(self._reason or "cancelled")
 
     def wait(self, timeout: float) -> bool:
-        return self._event.wait(timeout)
+        with self._cond:
+            if not self._set:
+                self._cond.wait(timeout)
+            return self._set
 
 
 class MeteredClient:

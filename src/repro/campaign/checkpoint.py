@@ -1,4 +1,4 @@
-"""Crash-safe campaign checkpoints on top of the segmented result store.
+"""Crash-safe campaign checkpoints on top of the append-only result store.
 
 A campaign's durable state has two tiers, both living in the *same*
 :class:`~repro.experiments.store.ResultStore` directory as the unit payloads
@@ -113,7 +113,7 @@ def store_unit_digest(path: str) -> str:
     a torn line, which is exactly the committed-record semantics we want) and
     hashes ``fingerprint -> payload`` in fingerprint order.  Two stores with
     the same committed unit results produce the same digest regardless of
-    segment layout, write order, or how many manifest versions they hold —
+    write order, skipped lines, or how many manifest versions they hold —
     this is the cross-run bit-identity oracle the chaos tests assert with.
     """
     store = ResultStore(path)

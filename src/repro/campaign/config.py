@@ -19,7 +19,7 @@ from repro.retry import BackoffPolicy
 class CampaignConfig:
     """Knobs of one :class:`~repro.campaign.orchestrator.CampaignOrchestrator`.
 
-    ``store_path`` locates the campaign's segmented
+    ``store_path`` locates the campaign's append-only
     :class:`~repro.experiments.store.ResultStore` — unit results, stage
     frontiers and manifest checkpoints all persist there, which is what makes
     a SIGKILLed campaign resumable.  ``chunk_size`` is the checkpoint

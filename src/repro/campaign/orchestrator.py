@@ -2,7 +2,7 @@
 
 A campaign runs its stages (generate → fuzz by default) over the existing
 sweep machinery **crash-only**: every completed work unit is durable in the
-segmented result store the moment it finishes, the campaign manifest
+append-only result store the moment it finishes, the campaign manifest
 checkpoints as versioned meta records in the same store, and the
 orchestrator may be SIGKILLed at any instant — ``--resume`` (or simply
 re-running the same spec against the same store) replays zero completed

@@ -22,7 +22,7 @@ class ExperimentConfig:
     ``jobs`` selects the sweep executor: 1 runs every work unit in-process,
     >1 fans units out over a process pool (``REPRO_JOBS``); results are
     bit-identical either way.  ``store_path`` points the engine at a persistent
-    segmented result store (``REPRO_RESULT_STORE``) so repeated and
+    append-only result store (``REPRO_RESULT_STORE``) so repeated and
     overlapping sweeps reuse completed work units and interrupted runs
     resume; ``None`` disables persistence (in-process memoization across
     sweeps still applies).  See EXPERIMENTS.md for the store format.

@@ -21,7 +21,7 @@ Kinds and the values they accept:
 * ``str`` — free text the consumer parses itself.
 
 :func:`reject_undeclared` fails a run that still sets a knob of a family
-(``REPRO_SERVICE_``) that the table no longer declares.
+(``REPRO_SERVICE_``, ``REPRO_STORE_``) that the table no longer declares.
 
 :func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
 and its knob accept the same values and fail the same way.
@@ -128,8 +128,6 @@ _ROWS = (
     Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise"), "auto"),
     Setting("REPRO_SIM_HEALTH_THRESHOLD", int, 3, low=0, zero_off=True),
     # Result store (repro.experiments.store)
-    Setting("REPRO_STORE_SEGMENT_RECORDS", int, 4096, low=1),
-    Setting("REPRO_STORE_SEGMENT_BYTES", int, 8 * 1024 * 1024, low=1),
     Setting("REPRO_STORE_FSYNC", bool, False),
     # Generation service (repro.service.config)
     Setting("REPRO_SERVICE_MAX_INFLIGHT", int, 32, low=1),

@@ -9,6 +9,13 @@ Crash (SIGKILL) resumes live in
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +195,64 @@ class TestDeadlineAndCancel:
         assert token.is_set
         with pytest.raises(CampaignCancelled, match="drain please"):
             token.check()
+
+    def test_cancel_token_wait_times_out_while_unset(self):
+        token = CancelToken()
+        started = time.monotonic()
+        assert token.wait(0.05) is False
+        assert time.monotonic() - started >= 0.04
+        assert not token.is_set
+
+    def test_cancel_token_wait_returns_at_once_when_already_set(self):
+        token = CancelToken()
+        token.set("drain")
+        started = time.monotonic()
+        assert token.wait(30.0) is True
+        assert time.monotonic() - started < 5.0
+
+    def test_cancel_token_wait_wakes_when_another_thread_sets_it(self):
+        token = CancelToken()
+        setter = threading.Timer(0.05, token.set, args=("from a thread",))
+        setter.start()
+        started = time.monotonic()
+        try:
+            assert token.wait(30.0) is True
+        finally:
+            setter.join()
+        assert time.monotonic() - started < 10.0
+        assert token.reason == "from a thread"
+
+    def test_cancel_token_set_by_a_signal_inside_wait_does_not_deadlock(self):
+        # A SIGTERM drain handler runs on the thread it interrupts, which may
+        # be inside the token's own wait() (the campaign's throttle); a
+        # non-reentrant lock there hangs the process.  Fire the signal at
+        # many points of short waits; faulthandler exits a hung child.
+        script = textwrap.dedent(
+            """
+            import faulthandler, signal
+            from repro.campaign.budget import CancelToken
+            faulthandler.dump_traceback_later(30, exit=True)
+            for trial in range(1500):
+                token = CancelToken()
+                signal.signal(signal.SIGALRM, lambda s, f: token.set("alarm"))
+                signal.setitimer(signal.ITIMER_REAL, 0.001 + (trial % 7) * 0.0003)
+                while not token.is_set:
+                    token.wait(0.00001)
+                assert token.reason == "alarm"
+            print("done")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=90,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "done"
 
     def test_metered_client_refuses_before_touching_inner(self):
         inner = _StubClient()

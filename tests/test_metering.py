@@ -7,8 +7,8 @@ generation service — and that store hits spend nothing.  It also pins that the
 supervised worker fleet, whose workers bypassed the budget, is gone from the
 knob table, the constructors, the CLI and the event topics, and that the
 deleted knobs and arguments of other removed paths (vector lanes, the
-campaign priority gate, LLM micro-batching, the service's tool pool) are
-rejected.
+campaign priority gate, LLM micro-batching, the service's tool pool, the
+result store's segment rotation) are rejected.
 """
 
 import dataclasses
@@ -25,6 +25,7 @@ from repro.campaign.spec import default_campaign
 from repro.console.model import TOPICS as CONSOLE_TOPICS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executors import SerialExecutor
+from repro.experiments.store import ResultStore
 from repro.experiments.work import WorkUnit
 from repro.llm.dispatch import BatchingDispatcher
 from repro.obs import EventBus
@@ -56,13 +57,16 @@ FLEET_KNOBS = (
 
 #: Knobs whose code is gone: the fleet's, the vector lane budget of the
 #: deleted cross-candidate batching, the campaign's wait for the deleted
-#: priority gate, the LLM micro-batching's and the service's tool pool size.
+#: priority gate, the LLM micro-batching's, the service's tool pool size and
+#: the result store's segment rotation thresholds.
 DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SIM_MAX_LANES",
     "REPRO_CAMPAIGN_PREEMPT_WAIT",
     "REPRO_SERVICE_BATCH_WINDOW",
     "REPRO_SERVICE_MAX_BATCH",
     "REPRO_SERVICE_TOOL_WORKERS",
+    "REPRO_STORE_SEGMENT_RECORDS",
+    "REPRO_STORE_SEGMENT_BYTES",
 )
 
 
@@ -195,12 +199,14 @@ class TestNoFleetSurface:
             lambda: ServiceConfig(per_profile_limit=2),
             lambda: BatchingDispatcher(max_batch=4),
             lambda: ServiceConfig(tool_workers=1),
+            lambda: ResultStore("unopened-store", segment_records=2),
         ],
         ids=["ExperimentConfig.fleet", "ServiceConfig.fleet_workers", "CampaignConfig.fleet",
              "CampaignOrchestrator.executor", "CampaignConfig.preempt_wait",
              "CampaignOrchestrator.gate", "ServiceConfig.batch_window",
              "ServiceConfig.max_batch", "ServiceConfig.per_profile_limit",
-             "BatchingDispatcher.max_batch", "ServiceConfig.tool_workers"],
+             "BatchingDispatcher.max_batch", "ServiceConfig.tool_workers",
+             "ResultStore.segment_records"],
     )
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):

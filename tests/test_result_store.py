@@ -1,9 +1,10 @@
-"""Crash-safety and concurrency tests for the segmented result store.
+"""Crash-safety and concurrency tests for the append-only result store.
 
 The store's contract under fault: any ``put`` that returned is durable across
 a crash of the writing process (modulo the final torn line, which recovery
-truncates), readers never observe torn records, and two processes appending
-to one store directory lose nothing.
+truncates), an undecodable line costs only itself, readers never observe torn
+records, and two processes appending to one store directory lose nothing.
+Layouts of earlier releases and leftover store knobs fail loudly.
 """
 
 import json
@@ -14,8 +15,10 @@ import time
 
 import pytest
 
+from repro.experiments import store as store_module
 from repro.experiments.store import ResultStore
 from repro.experiments.work import PAYLOAD_VERSION, WorkUnit
+from repro.settings import SettingError
 
 _FORK = multiprocessing.get_context("fork")
 
@@ -40,46 +43,28 @@ def _fill(store: ResultStore, count: int, prefix: str = "fp") -> None:
         store.put(f"{prefix}{index}", _unit(), {"index": index})
 
 
-class TestSegmentation:
-    def test_rotation_seals_segments(self, tmp_path):
-        store = ResultStore(tmp_path / "store", segment_records=3)
-        _fill(store, 10)
-        stats = store.stats()
-        assert stats["records"] == 10
-        assert stats["segments"] == 3
-        assert stats["rotations"] == 3
-        assert sorted(p.name for p in (tmp_path / "store").glob("seg-*.jsonl")) == [
-            "seg-000001.jsonl",
-            "seg-000002.jsonl",
-            "seg-000003.jsonl",
-        ]
-        store.close()
+def _record_line(fingerprint: str, index: int) -> str:
+    record = {
+        "v": PAYLOAD_VERSION,
+        "fp": fingerprint,
+        "strategy": "zero_shot",
+        "model": "m",
+        "problem_id": "p",
+        "sample": 0,
+        "payload": {"index": index},
+    }
+    return json.dumps(record, sort_keys=True) + "\n"
 
-    def test_sealed_segments_have_index_sidecars(self, tmp_path):
-        store = ResultStore(tmp_path / "store", segment_records=2)
-        _fill(store, 5)
-        store.close()
-        for segment in (tmp_path / "store").glob("seg-*.jsonl"):
-            sidecar = segment.with_name(segment.name + ".idx")
-            assert sidecar.exists()
-            index = json.loads(sidecar.read_text())
-            assert index["v"] == PAYLOAD_VERSION
-            assert index["records"]
 
-    def test_reload_reads_every_segment(self, tmp_path):
-        with ResultStore(tmp_path / "store", segment_records=3) as store:
+class TestLog:
+    def test_store_is_one_log_and_a_lock(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
             _fill(store, 10)
-        reloaded = ResultStore(tmp_path / "store")
-        assert len(reloaded) == 10
-        for index in range(10):
-            assert reloaded.get(f"fp{index}") == {"index": index}
-        reloaded.close()
-
-    def test_byte_threshold_rotates(self, tmp_path):
-        store = ResultStore(tmp_path / "store", segment_bytes=1)
-        _fill(store, 3)
-        assert store.stats()["rotations"] == 3
-        store.close()
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["lock", "tail.jsonl"]
+        with ResultStore(tmp_path / "store") as reloaded:
+            assert len(reloaded) == 10
+            assert all(reloaded.get(f"fp{i}") == {"index": i} for i in range(10))
+            assert reloaded.stats() == {"records": 10, "truncated_bytes": 0, "reads": 10}
 
     def test_duplicate_put_is_ignored(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -89,44 +74,84 @@ class TestSegmentation:
         assert len(store) == 1
         store.close()
 
-    def test_environment_knobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SEGMENT_RECORDS", "2")
-        monkeypatch.setenv("REPRO_STORE_SEGMENT_BYTES", str(64 * 1024 * 1024))
-        store = ResultStore(tmp_path / "store")
-        _fill(store, 4)
-        assert store.stats()["segments"] == 2
-        store.close()
+    def test_close_fsyncs_once_only_after_an_append(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(store_module.os, "fsync", lambda fd: calls.append(fd))
+        with ResultStore(tmp_path / "store") as store:
+            _fill(store, 3)
+            assert calls == []
+        assert len(calls) == 1
+        with ResultStore(tmp_path / "store") as reader:
+            assert reader.get("fp1") == {"index": 1}
+        assert len(calls) == 1
+
+    def test_fsync_setting_syncs_every_put(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(store_module.os, "fsync", lambda fd: calls.append(fd))
+        with ResultStore(tmp_path / "store", fsync=True) as store:
+            _fill(store, 3)
+            assert len(calls) == 3
+
+    def test_two_handles_share_one_log(self, tmp_path):
+        path = tmp_path / "store"
+        first = ResultStore(path)
+        second = ResultStore(path)
+        first.put("a", _unit(), {"n": 1})
+        second.put("b", _unit(), {"n": 2})
+        first.put("c", _unit(), {"n": 3})
+        assert first.get("c") == {"n": 3} and second.get("b") == {"n": 2}
+        first.close()
+        second.close()
+        with ResultStore(path) as reloaded:
+            assert {fp: reloaded.get(fp)["n"] for fp in ("a", "b", "c")} == {
+                "a": 1,
+                "b": 2,
+                "c": 3,
+            }
+
+    def test_peer_appends_show_after_a_reopen(self, tmp_path):
+        path = tmp_path / "store"
+        with ResultStore(path) as reader, ResultStore(path) as writer:
+            writer.put("late", _unit(), {"n": 1})
+            assert "late" not in reader and reader.get("late") is None
+        with ResultStore(path) as reopened:
+            assert reopened.get("late") == {"n": 1}
+
+    def test_missing_fingerprint_reads_nothing(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            _fill(store, 2)
+            assert store.get("absent") is None
+            assert "absent" not in store
+            assert store.stats()["reads"] == 0
+
+
+class TestOldLayouts:
+    def test_sealed_segments_are_refused_by_path(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "seg-000001.jsonl").write_text(_record_line("fp0", 0))
+        with pytest.raises(ValueError, match=f"{path}.*seg-.*delete"):
+            ResultStore(path)
+        assert sorted(p.name for p in path.iterdir()) == ["seg-000001.jsonl"]
+
+    def test_single_file_store_is_refused_by_path(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(_record_line("fp0", 0))
+        with pytest.raises(ValueError, match=f"{path}.*single JSON-lines file.*delete"):
+            ResultStore(path)
+        assert path.read_text() == _record_line("fp0", 0)
 
     @pytest.mark.parametrize(
-        "sizes", [{"segment_records": -1}, {"segment_records": 0}, {"segment_bytes": 0}]
+        "name", ["REPRO_STORE_SEGMENT_RECORDS", "REPRO_STORE_SEGMENT_BYTES"]
     )
-    def test_segment_sizes_below_one_are_rejected(self, tmp_path, sizes):
-        # A store opened with segment_records=-1 used to compact() to zero
-        # records: range(0, n, -1) wrote no segment, then every old one went.
-        with ResultStore(tmp_path / "store", segment_records=2) as store:
-            _fill(store, 3)
-        with pytest.raises(ValueError, match="must be >= 1"):
-            ResultStore(tmp_path / "store", **sizes)
-        with ResultStore(tmp_path / "store") as reopened:
-            assert len(reopened) == 3
-
-    @pytest.mark.parametrize("raw", ["0", "-1"])
-    def test_environment_segment_records_below_one_raises(self, tmp_path, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_STORE_SEGMENT_RECORDS", raw)
-        with pytest.raises(ValueError, match=f"REPRO_STORE_SEGMENT_RECORDS.*'{raw}'"):
+    def test_leftover_store_variable_fails_by_name(self, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(name, "4096")
+        with pytest.raises(SettingError, match=f"{name} must be unset.*'4096'"):
             ResultStore(tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
 
 class TestRecovery:
-    def test_corrupt_index_sidecar_is_rebuilt(self, tmp_path):
-        with ResultStore(tmp_path / "store", segment_records=2) as store:
-            _fill(store, 4)
-        sidecar = sorted((tmp_path / "store").glob("seg-*.idx"))[0]
-        sidecar.write_text("not json at all")
-        reloaded = ResultStore(tmp_path / "store")
-        assert all(reloaded.get(f"fp{i}") == {"index": i} for i in range(4))
-        reloaded.close()
-
     def test_torn_tail_truncated_but_committed_records_survive(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             _fill(store, 3)
@@ -141,28 +166,64 @@ class TestRecovery:
         reloaded.close()
         assert ResultStore(tmp_path / "store").get("after") == {"ok": True}
 
-    def test_legacy_single_file_store_is_migrated(self, tmp_path):
-        legacy = tmp_path / "results.jsonl"
-        lines = [
-            json.dumps(
-                {
-                    "v": PAYLOAD_VERSION,
-                    "fp": f"fp{i}",
-                    "strategy": "zero_shot",
-                    "model": "m",
-                    "problem_id": "p",
-                    "sample": 0,
-                    "payload": {"index": i},
-                }
-            )
-            for i in range(3)
-        ]
-        legacy.write_text("\n".join(lines) + "\n" + '{"torn')
-        store = ResultStore(legacy)
-        assert legacy.is_dir()
-        assert all(store.get(f"fp{i}") == {"index": i} for i in range(3))
-        assert not (tmp_path / "results.jsonl.migrating").exists()
-        store.close()
+    def test_undecodable_line_mid_log_costs_only_itself(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        lines = [_record_line(f"fp{i}", i) for i in range(6)]
+        lines[2] = '{"v": 1, "fp": "fp2", "payl\n'  # torn, then more commits
+        lines.insert(4, "\n")  # and a blank line
+        (path / "tail.jsonl").write_text("".join(lines))
+        size = (path / "tail.jsonl").stat().st_size
+        with ResultStore(path) as store:
+            assert sorted(store.fingerprints()) == ["fp0", "fp1", "fp3", "fp4", "fp5"]
+            assert store.stats()["truncated_bytes"] == 0
+            store.put("fp6", _unit(), {"index": 6})
+        assert (path / "tail.jsonl").stat().st_size > size
+        with ResultStore(path) as reloaded:
+            assert len(reloaded) == 6
+            assert all(reloaded.get(f"fp{i}") == {"index": i} for i in (0, 1, 3, 4, 5, 6))
+
+    def test_empty_log_opens_empty_and_accepts_puts(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "tail.jsonl").write_bytes(b"")
+        with ResultStore(path) as store:
+            assert len(store) == 0 and store.stats()["truncated_bytes"] == 0
+            store.put("fp0", _unit(), {"index": 0})
+        with ResultStore(path) as reloaded:
+            assert reloaded.get("fp0") == {"index": 0}
+
+    def test_raw_utf8_line_keeps_the_offsets_of_later_records(self, tmp_path):
+        # A line written without ASCII escapes holds multi-byte characters;
+        # every later record must still be found at its byte offset.
+        path = tmp_path / "store"
+        path.mkdir()
+        record = json.loads(_record_line("wide", 0))
+        record["payload"] = {"text": "Ünïcödé — ✓ 🦀"}
+        wide = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        lines = [_record_line("fp0", 0), wide, _record_line("fp1", 1)]
+        (path / "tail.jsonl").write_bytes("".join(lines).encode("utf-8"))
+        with ResultStore(path) as store:
+            assert store.get("wide") == {"text": "Ünïcödé — ✓ 🦀"}
+            assert store.get("fp1") == {"index": 1}
+            store.put("fp2", _unit(), {"index": 2})
+        with ResultStore(path) as reloaded:
+            assert [reloaded.get(f"fp{i}") for i in range(3)] == [{"index": i} for i in range(3)]
+
+    def test_peer_torn_write_does_not_swallow_the_next_record(self, tmp_path):
+        # A writer that opened before a peer died mid-append must not glue
+        # its record onto the peer's torn chunk.
+        path = tmp_path / "store"
+        with ResultStore(path) as store:
+            store.put("before", _unit(), {"n": 0})
+            with (path / "tail.jsonl").open("ab") as handle:
+                handle.write(b'{"v": 1, "fp": "torn-by-a-dead-pe')
+            store.put("after", _unit(), {"n": 1})
+            assert store.get("after") == {"n": 1}
+        with ResultStore(path) as reloaded:
+            assert reloaded.get("before") == {"n": 0}
+            assert reloaded.get("after") == {"n": 1}
+            assert len(reloaded) == 2
 
     def test_writer_killed_mid_append_loses_no_acked_record(self, tmp_path):
         """SIGKILL the store writer mid-append; every acked put must survive."""
@@ -170,7 +231,7 @@ class TestRecovery:
         ack = tmp_path / "acked.txt"
 
         def writer() -> None:
-            store = ResultStore(path, segment_records=5)
+            store = ResultStore(path)
             with ack.open("a") as acks:
                 for index in range(10_000):
                     store.put(f"fp{index}", _unit(), {"index": index})
@@ -198,56 +259,8 @@ class TestRecovery:
         recovered.close()
 
 
-class TestCompaction:
-    def test_compaction_drops_superseded_records(self, tmp_path):
-        store = ResultStore(tmp_path / "store", segment_records=4)
-        _fill(store, 8)
-        # Simulate a superseding duplicate (e.g. a racing writer): append a
-        # second line for fp0 directly; journal semantics are last-wins.
-        duplicate = {
-            "v": PAYLOAD_VERSION,
-            "fp": "fp0",
-            "strategy": "zero_shot",
-            "model": "m",
-            "problem_id": "p",
-            "sample": 0,
-            "payload": {"newer": True},
-        }
-        with (tmp_path / "store" / "tail.jsonl").open("a") as handle:
-            handle.write(json.dumps(duplicate) + "\n")
-        store.close()
-
-        store = ResultStore(tmp_path / "store", segment_records=4)
-        report = store.compact()
-        assert report["records"] == 8
-        assert store.get("fp0") == {"newer": True}
-        assert store.stats()["compactions"] == 1
-        store.close()
-        reloaded = ResultStore(tmp_path / "store")
-        assert len(reloaded) == 8
-        assert reloaded.get("fp0") == {"newer": True}
-        assert all(reloaded.get(f"fp{i}") == {"index": i} for i in range(1, 8))
-        # The compacted store holds exactly one line per fingerprint.
-        fp0_lines = [
-            line
-            for file in (tmp_path / "store").glob("*.jsonl")
-            for line in file.read_bytes().splitlines()
-            if json.loads(line)["fp"] == "fp0"
-        ]
-        assert len(fp0_lines) == 1
-        reloaded.close()
-
-    def test_store_usable_after_compaction(self, tmp_path):
-        store = ResultStore(tmp_path / "store", segment_records=2)
-        _fill(store, 6)
-        store.compact()
-        store.put("new", _unit(), {"fresh": True})
-        store.close()
-        assert ResultStore(tmp_path / "store").get("new") == {"fresh": True}
-
-
 def _concurrent_writer(path, which: int, count: int) -> None:
-    store = ResultStore(path, segment_records=7)
+    store = ResultStore(path)
     for index in range(count):
         store.put(f"w{which}-{index}", _unit(), {"writer": which, "index": index})
     store.close()
@@ -277,20 +290,3 @@ class TestConcurrency:
             for line in file.read_bytes().splitlines():
                 json.loads(line)
         store.close()
-
-    def test_writer_sees_peer_rotation(self, tmp_path):
-        path = tmp_path / "store"
-        first = ResultStore(path, segment_records=2)
-        second = ResultStore(path, segment_records=2)
-        first.put("a", _unit(), {"n": 1})
-        first.put("b", _unit(), {"n": 2})  # rotates under first
-        second.put("c", _unit(), {"n": 3})  # must land in the fresh tail
-        first.close()
-        second.close()
-        reloaded = ResultStore(path)
-        assert {fp: reloaded.get(fp)["n"] for fp in ("a", "b", "c")} == {
-            "a": 1,
-            "b": 2,
-            "c": 3,
-        }
-        reloaded.close()

@@ -86,7 +86,7 @@ def consume(name: str, tmp_path: Path):
         return breaker and breaker.snapshot()
     if name.startswith("REPRO_STORE_"):
         with ResultStore(tmp_path / "store") as store:
-            return (store.segment_records, store.segment_bytes, store.fsync)
+            return store.fsync
     if name.startswith("REPRO_EVENTS_"):
         return install_from_environment(EventBus())
     if name.startswith("REPRO_CONSOLE_"):
@@ -131,6 +131,18 @@ def spelled_default(row: settings.Setting) -> str | None:
     if row.default is False:
         return "off"
     return str(row.default)
+
+
+def run_experiments(store: Path, *args: str, env: dict | None = None):
+    """Run ``examples/run_experiments.py table1`` against ``store``."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "examples" / "run_experiments.py"), "table1",
+         "--store", str(store), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, **(env or {})},
+    )
 
 
 MALFORMED = [
@@ -259,8 +271,37 @@ class TestFormerlySilentValues:
             timeout=120,
             env={**os.environ, "REPRO_SERVICE_TOOL_WORKERS": "4"},
         )
-        assert result.returncode != 0
+        assert result.returncode == 2
         assert "REPRO_SERVICE_TOOL_WORKERS must be unset" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, env, message",
+        [
+            (["--jobs", "0"], {}, "--jobs must be an integer >= 1, got '0'"),
+            (["--jobs", "-3"], {}, "--jobs must be an integer >= 1, got '-3'"),
+            ([], {"REPRO_STORE_SEGMENT_RECORDS": "1"}, "REPRO_STORE_SEGMENT_RECORDS must be unset"),
+            ([], {"REPRO_JOBS": "0"}, "REPRO_JOBS must be an integer >= 1, got '0'"),
+        ],
+        ids=["jobs-0", "jobs-negative", "leftover-store-variable", "bad-jobs-variable"],
+    )
+    def test_run_experiments_fails_in_one_line(self, tmp_path, args, env, message):
+        # --jobs 0 and --jobs -3 once ran serially; the variables raised a
+        # traceback.
+        result = run_experiments(tmp_path / "store", *args, env=env)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "store").exists()
+
+    def test_run_experiments_refuses_a_segmented_store(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "seg-000001.jsonl").write_text("")
+        result = run_experiments(store)
+        assert result.returncode == 2
+        assert f"result store {store} holds sealed seg-*.jsonl segments" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestDocsInSync:

@@ -87,7 +87,7 @@ class TestResultStore:
             store.put("fp1", _unit(), {"outcome": "success"})
             store.put("fp2", _unit(sample=0), {"outcome": "syntax"})
         # Simulate a run killed mid-write: a torn, undecodable trailing line
-        # in the active tail segment.
+        # in the log.
         with (path / "tail.jsonl").open("a") as handle:
             handle.write('{"v": 1, "fp": "tor')
         reloaded = ResultStore(path)
@@ -97,12 +97,18 @@ class TestResultStore:
         assert reloaded.stats()["truncated_bytes"] > 0
 
     def test_incompatible_version_is_ignored(self, tmp_path):
-        # A legacy single-file store is migrated on open; stale-version
-        # records are dropped during the migration.
+        # A stale-version line in the log is skipped; a fresh put of the same
+        # fingerprint is then appended and persists across a reopen.
         path = tmp_path / "results.jsonl"
-        record = {"v": PAYLOAD_VERSION + 1, "fp": "fp1", "payload": {"outcome": "success"}}
-        path.write_text(json.dumps(record) + "\n")
-        assert ResultStore(path).get("fp1") is None
+        path.mkdir()
+        record = {"v": PAYLOAD_VERSION + 1, "fp": "fp1", "payload": {"outcome": "stale"}}
+        (path / "tail.jsonl").write_text(json.dumps(record) + "\n")
+        with ResultStore(path) as store:
+            assert store.get("fp1") is None
+            store.put("fp1", _unit(), {"outcome": "success"})
+        with ResultStore(path) as reloaded:
+            assert reloaded.get("fp1") == {"outcome": "success"}
+            assert len(reloaded) == 1
 
 
 def _zero_shot_units(config, harness, language="chisel", model=CLAUDE_SONNET):
