@@ -8,7 +8,10 @@ the golden ALU over a deep (8192-point) stimulus program:
 
 * ``test_verify_cold_stepwise_full_recompile`` — the baseline: every cache
   cleared each round, candidate and reference recompiled from scratch, the
-  testbench driven point by point;
+  testbench driven point by point through both modules' compiled kernels
+  (``tests/sim_tiers.py``'s ``KernelDevice``, a test-side replay of the
+  kernel's ``comb``/``steps``; the library's own step-wise tier is the
+  slower interpreter, which would loosen every gate);
 * ``test_verify_cold_candidate_trace`` — the engine on a *new* candidate: the
   golden/testbench side is warm (the steady state of any running sweep), the
   unseen candidate pays parse→elaborate→passes→emit→kernel→trace compilation,
@@ -19,8 +22,8 @@ the golden ALU over a deep (8192-point) stimulus program:
   tier without parsing; the Verilog-parse and kernel caches hit.  Asserted
   ≥5x the baseline.
 
-``test_verify_trace_vs_stepwise`` isolates the testbench backends with a warm
-compiler on both sides (trace asserted ≥2x step-wise).
+``test_verify_trace_vs_stepwise`` isolates trace from that point-by-point
+kernel drive with a warm compiler on both sides (trace asserted ≥2x).
 
 Each gate times ``ROUNDS`` interleaved pairs, one baseline round and one
 engine round each, and asserts the median of the per-pair ratios, so a slow
@@ -44,6 +47,7 @@ from __future__ import annotations
 import os
 import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -56,10 +60,13 @@ from repro.caching import (
     snapshot_registered_caches,
 )
 from repro.problems.registry import build_default_registry
-from repro.sim.testbench import FunctionalPoint, Testbench
+from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
 from repro.toolchain.compiler import ChiselCompiler
-from repro.toolchain.simulator import Simulator
+from repro.toolchain.simulator import Simulator, parse_verilog_cached
 from repro.verilog.compile_sim import clear_kernel_cache
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+from sim_tiers import KernelDevice, sim_backend  # noqa: E402
 
 POINTS = 8192
 FRESH_POINTS = 4096
@@ -104,14 +111,25 @@ def _revision(index: int) -> str:
 
 
 def _verify(compiler: ChiselCompiler, source: str, backend: str) -> None:
+    """Verify through the simulator with ``REPRO_SIM_BACKEND=backend``."""
     golden = compiler.compile(PROBLEM.golden_chisel)
     candidate = compiler.compile(source)
-    os.environ["REPRO_TB_BACKEND"] = backend
-    try:
+    with sim_backend(backend):
         outcome = SIMULATOR.simulate(candidate.verilog, golden.verilog, TESTBENCH)
-    finally:
-        del os.environ["REPRO_TB_BACKEND"]
     assert outcome.success, outcome.error
+
+
+def _verify_stepwise(compiler: ChiselCompiler, source: str) -> None:
+    """The baseline verify: both modules' compiled kernels driven point by point."""
+    golden = compiler.compile(PROBLEM.golden_chisel)
+    candidate = compiler.compile(source)
+    dut, reference = (KernelDevice(_top(result.verilog)) for result in (candidate, golden))
+    report = run_testbench(dut, reference, TESTBENCH)
+    assert report.passed, report.render()
+
+
+def _top(verilog: str):
+    return next(module for module in parse_verilog_cached(verilog) if module.name == "TopModule")
 
 
 def _timed(round_fn, index: int) -> float:
@@ -130,7 +148,7 @@ _COLD_COMPILER = ChiselCompiler(top="TopModule", cached=False)
 def _baseline_round(index: int) -> None:
     clear_registered_caches()
     clear_kernel_cache()
-    _verify(_COLD_COMPILER, _candidate(1000 + index), "stepwise")
+    _verify_stepwise(_COLD_COMPILER, _candidate(1000 + index))
 
 
 def _isolated_baseline(index: int) -> float:
@@ -202,7 +220,7 @@ def test_verify_trace_vs_stepwise(benchmark):
     _verify(compiler, _candidate(3000), "auto")
 
     def stepwise(_index: int) -> None:
-        _verify(compiler, _candidate(3000), "stepwise")
+        _verify_stepwise(compiler, _candidate(3000))
 
     def trace(_index: int) -> None:
         _verify(compiler, _candidate(3000), "trace")

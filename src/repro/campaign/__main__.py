@@ -230,4 +230,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    # The result is printed and final, so a signal from here on has nothing
+    # to drain; interpreter shutdown resets Python handlers to the default
+    # (terminate), so a SIGTERM during the exit would turn a finished run
+    # into status -15.  Ignored handlers survive shutdown.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise SystemExit(code)

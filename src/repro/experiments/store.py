@@ -149,9 +149,10 @@ class ResultStore:
                 record, stop = decode(text, offset)
             except ValueError:
                 record, stop = None, -1
-            # A line that is not one JSON record is skipped on its own.
+            # A line that is not one JSON record is skipped on its own; a
+            # fingerprint seen twice keeps its first line, as ``put`` does.
             if stop == newline and _valid(record):
-                self._index[record["fp"]] = (offset, newline + 1 - offset)
+                self._index.setdefault(record["fp"], (offset, newline + 1 - offset))
             offset = newline + 1
         self._end = end
 

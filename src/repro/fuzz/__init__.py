@@ -2,8 +2,8 @@
 
 ``python -m repro.fuzz --seed 0 --n 500`` generates 500 random-but-well-typed
 Chisel programs and pushes each through every seam of the toolchain —
-compile, Verilog re-parse, interpreter vs compiled vs trace simulation
-backends, warm vs cold caches — shrinking and persisting anything that
+compile, Verilog re-parse, step-wise interpreter vs trace-compiled
+simulation, warm vs cold caches — shrinking and persisting anything that
 diverges.  See README.md "Fuzzing & conformance" and the ``REPRO_FUZZ_*``
 knobs in EXPERIMENTS.md.
 """

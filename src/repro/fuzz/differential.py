@@ -7,16 +7,14 @@ toolchain:
   pipeline and emit (the generator only produces well-typed programs, so any
   compile failure is a frontend or generator bug);
 * the emitted Verilog must re-parse through :mod:`repro.verilog.parser`;
-* the interpreter and compiled simulation backends must be bit-identical over
-  generated stimulus (they are run as DUT/reference of one
-  :func:`~repro.sim.testbench.run_testbench` call, so any divergence surfaces
-  as a functional mismatch report);
-* the trace-compiled testbench backend must reproduce the step-wise report
-  exactly;
+* the module's self-comparison on the step-wise (interpreter) tier must pass;
+* the trace tier, called directly so a kernel crash is a finding rather than
+  a silent fallback, must reproduce the step-wise report exactly;
 * that report compares the module with itself, so the reference's outputs
   are simulated once and reused for the DUT; a deterministic kernel codegen
   bug would pass it.  The trace kernel's flat sampled outputs must therefore
-  also equal those of a step-wise interpreter run over the same schedule;
+  also equal those of a step-wise interpreter run over the same schedule,
+  which checks the compiled ``comb``/``step`` closures value by value;
 * a warm run (caches populated by every previously checked program — the
   state in which cache-key collisions bite) must equal a cold run from
   cleared caches on a freshly built testbench, both for the emitted Verilog
@@ -43,14 +41,15 @@ from repro.sim.testbench import (
     SimulationReport,
     Testbench,
     VerilogDevice,
+    _run_testbench_stepwise,
+    _run_testbench_trace,
     _trace_plan,
-    run_testbench,
 )
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog import compile_sim
-from repro.verilog.compile_sim import clear_kernel_cache, get_kernel, get_trace_kernel
+from repro.verilog.compile_sim import clear_kernel_cache, get_trace_kernel
 from repro.verilog.parser import VerilogParseError, parse_verilog
-from repro.verilog.simulator import Simulation, SimulationError
+from repro.verilog.simulator import SimulationError
 from repro.verilog.vast import VModule
 
 _IMPLICIT_PORTS = ("clock", "reset")
@@ -88,7 +87,6 @@ class ConformanceReport:
     failures: list[ConformanceFailure] = field(default_factory=list)
     checks: int = 0
     trace_eligible: bool = True
-    compiled_eligible: bool = True
 
     @property
     def ok(self) -> bool:
@@ -98,14 +96,6 @@ class ConformanceReport:
         if self.ok:
             return f"all {self.checks} conformance checks passed"
         return "\n".join(failure.render() for failure in self.failures)
-
-
-class _ForcedBackendDevice(VerilogDevice):
-    """A VerilogDevice whose Simulation backend is pinned, not auto-selected."""
-
-    def __init__(self, module: VModule, backend: str):
-        self.module = module
-        self.simulation = Simulation(module, backend=backend)
 
 
 def build_testbench(module: VModule, tb_seed: str, points: int, sequential: bool) -> Testbench:
@@ -141,7 +131,7 @@ def _stepwise_samples(
     and, at checked points, read every observed output) on an interpreter
     device, so the result lines up with ``TraceKernel.run``.
     """
-    device = _ForcedBackendDevice(module, "interpreter")
+    device = VerilogDevice(module)
     device.reset_pulse(testbench.reset, testbench.clock, testbench.reset_cycles)
     samples: list[int] = []
     for point in testbench.points:
@@ -171,10 +161,10 @@ def _first_divergence(
 def _run_backends(
     module: VModule, testbench: Testbench, top: str, report: ConformanceReport
 ) -> dict[str, SimulationReport]:
-    """Run every backend pairing; records divergences on ``report``."""
+    """Run both testbench tiers and the value check; records divergences on ``report``."""
     runs: dict[str, SimulationReport] = {}
 
-    stepwise = run_testbench(module, module, testbench, backend="stepwise")
+    stepwise = _run_testbench_stepwise(module, module, testbench)
     runs["stepwise"] = stepwise
     report.checks += 1
     if stepwise.runtime_error is not None:
@@ -194,7 +184,10 @@ def _run_backends(
         )
         return runs
 
-    trace = run_testbench(module, module, testbench, backend="trace")
+    trace = _run_testbench_trace(module, module, testbench)
+    if trace is None:
+        report.trace_eligible = False
+        return runs
     runs["trace"] = trace
     report.checks += 1
     if trace != stepwise:
@@ -207,34 +200,9 @@ def _run_backends(
             )
         )
 
-    if get_kernel(module) is None:
-        report.compiled_eligible = False
-    else:
-        cross = run_testbench(
-            _ForcedBackendDevice(module, "interpreter"),
-            _ForcedBackendDevice(module, "compiled"),
-            testbench,
-            backend="stepwise",
-        )
-        runs["interp_vs_compiled"] = cross
-        report.checks += 1
-        if not cross.passed:
-            detail = (
-                f"runtime error: {cross.runtime_error}"
-                if cross.runtime_error is not None
-                else cross.render()
-            )
-            report.failures.append(
-                ConformanceFailure("backend", "interpreter-vs-compiled", top, detail)
-            )
-
     observed = tuple(port.name for port in module.outputs())
     schedule, stimulus = _trace_plan(testbench, observed)
-    trace_kernel = get_trace_kernel(module, schedule)
-    if trace_kernel is None:
-        report.trace_eligible = False
-        return runs
-    actual = trace_kernel.run(stimulus)
+    actual = get_trace_kernel(module, schedule).run(stimulus)
     try:
         expected = _stepwise_samples(module, testbench, observed)
     except SimulationError as exc:

@@ -21,7 +21,8 @@ Kinds and the values they accept:
 * ``str`` — free text the consumer parses itself.
 
 :func:`reject_undeclared` fails a run that still sets a knob of a family
-(``REPRO_SERVICE_``, ``REPRO_STORE_``) that the table no longer declares.
+(``REPRO_SERVICE_``, ``REPRO_STORE_``, ``REPRO_TB_``) that the table no
+longer declares.
 
 :func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
 and its knob accept the same values and fail the same way.
@@ -124,8 +125,7 @@ _ROWS = (
     Setting("REPRO_JOBS", int, 1, low=1),
     Setting("REPRO_RESULT_STORE", PATH),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
-    Setting("REPRO_SIM_BACKEND", ("auto", "compiled", "interpreter"), "auto"),
-    Setting("REPRO_TB_BACKEND", ("auto", "trace", "stepwise"), "auto"),
+    Setting("REPRO_SIM_BACKEND", ("auto", "trace", "interpreter"), "auto"),
     Setting("REPRO_SIM_HEALTH_THRESHOLD", int, 3, low=0, zero_off=True),
     # Result store (repro.experiments.store)
     Setting("REPRO_STORE_FSYNC", bool, False),

@@ -1,33 +1,35 @@
 """Testbench execution: drive stimuli into DUT and reference, compare outputs.
 
-Two backends produce bit-identical :class:`SimulationReport`s:
+Two tiers produce bit-identical :class:`SimulationReport`s:
 
-* the **trace** backend compiles the whole stimulus schedule into one
+* the **trace** tier compiles the whole stimulus schedule into one
   generated closure per (module, testbench shape) pair
   (:func:`repro.verilog.compile_sim.get_trace_kernel`): stimulus values are
   preprocessed once into a flat array, the reset/drive/settle/tick sequence is
   unrolled, and all sampled outputs come back in a single call — no per-point
   dict or attribute dispatch;
-* the **step-wise** backend drives both devices point by point through the
-  :class:`DeviceUnderTest` interface.  It is the semantic oracle, the only
-  path for behavioural references and interpreter-fallback modules, and the
-  path that reproduces runtime :class:`SimulationError` reports exactly.
+* the **step-wise** tier drives both devices point by point through the
+  :class:`DeviceUnderTest` interface, Verilog modules on the interpreter
+  (:class:`~repro.verilog.simulator.Simulation`).  It is the semantic oracle,
+  the only path for behavioural references and modules outside the compiled
+  subset, and the path that reproduces runtime :class:`SimulationError`
+  reports exactly.  It runs none of the trace tier's compiled code.
 
-**Backend rules.**  One plan (:func:`_backend_plan`) decides every run: the
-tiers to try in order, trace → step-wise or step-wise alone.
+**Backend rules.**  One knob, ``REPRO_SIM_BACKEND``, resolved by one plan
+(:func:`_backend_plan`), decides every run:
 
-* ``backend=`` names the first tier (``"trace"`` or ``"stepwise"``);
-  ``"auto"``, the default, starts at trace.  ``None`` reads
-  ``REPRO_TB_BACKEND``.  Any other name raises :class:`SimulationError`.
-* A tier named by the *argument* falls back silently when the pairing is
-  ineligible (behavioural reference, interpreter-only module, port mismatch,
-  oversized schedule).  A tier forced through the *environment*
-  (``REPRO_TB_BACKEND=trace``) is strict: it answers or raises, and its
-  kernel crashes propagate, because a forcing knob that degrades quietly
-  would invalidate what the caller forced it for.
-* ``REPRO_SIM_BACKEND=interpreter`` makes ``"auto"`` step-wise only, since
-  the trace tier runs compiled kernels.  It changes no named tier:
-  ``backend="trace"`` still tries trace first.
+* ``auto`` (the default) tries trace, then step-wise.  The trace tier falls
+  back silently when the pairing is ineligible (behavioural reference,
+  module outside the compiled subset, port mismatch, oversized schedule) or
+  its kernel crashes.
+* ``trace`` is strict: trace answers or raises, and its kernel crashes
+  propagate, because a forcing knob that degrades quietly would invalidate
+  what the caller forced it for.
+* ``interpreter`` runs step-wise only.
+* Any other value raises :class:`SimulationError` with the settings row's
+  rule.  The deleted ``REPRO_TB_`` knobs raise
+  :class:`~repro.settings.SettingError` when the health breaker is built,
+  once per process.
 * **Breaker degradation**: trace-kernel crashes (exceptions escaping a
   compiled kernel — never mismatch reports or :class:`SimulationError`) feed
   a circuit breaker.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
@@ -55,12 +57,12 @@ from itertools import compress, count
 from operator import ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from repro import settings
 from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, checked_indices, get_trace_kernel
 from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
 
-_TB_BACKENDS = ("auto", "trace", "stepwise")
 _HEALTH_COOLDOWN = 5.0
 _UNBUILT = object()
 
@@ -71,6 +73,7 @@ _health: CircuitBreaker | None | object = _UNBUILT
 def _breaker() -> CircuitBreaker | None:
     global _health
     if _health is _UNBUILT:
+        settings.reject_undeclared("REPRO_TB_")  # the deleted tier knob
         threshold = read_setting("REPRO_SIM_HEALTH_THRESHOLD")
         _health = (
             CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim.trace")
@@ -415,31 +418,24 @@ class _BackendPlan(NamedTuple):
     """Which backend tiers a testbench run tries (see the module docstring)."""
 
     trace: bool  # try the trace tier before step-wise
-    strict: bool  # REPRO_TB_BACKEND=trace forced it: trace answers or raises
+    strict: bool  # REPRO_SIM_BACKEND=trace: trace answers or raises
 
 
-def _backend_plan(backend: str | None) -> _BackendPlan:
-    """Resolve ``backend`` (``None``: ``REPRO_TB_BACKEND``) into a plan."""
-    env = read_setting("REPRO_TB_BACKEND")
-    name = env if backend is None else backend
-    if name not in _TB_BACKENDS:
-        raise SimulationError(
-            f"unknown testbench backend {name!r}; expected one of {_TB_BACKENDS}"
-        )
-    if name == "auto":
-        return _BackendPlan(read_setting("REPRO_SIM_BACKEND") != "interpreter", False)
-    return _BackendPlan(name == "trace", backend is None and name == "trace")
+def _backend_plan() -> _BackendPlan:
+    """Resolve ``REPRO_SIM_BACKEND`` into a plan."""
+    _breaker()  # built once per process, where it rejects the deleted knob
+    name = read_setting("REPRO_SIM_BACKEND")
+    return _BackendPlan(name != "interpreter", name == "trace")
 
 
 def _forced_ineligible(dut, reference) -> SimulationError:
     """The error a strict trace tier raises for a pairing it cannot run."""
-    prefix = "REPRO_TB_BACKEND=trace was forced, but the "
+    prefix = "REPRO_SIM_BACKEND=trace was forced, but the "
     if isinstance(dut, VModule) and isinstance(reference, VModule):
         return SimulationError(
             f"{prefix}pairing of modules {dut.name!r} and {reference.name!r} is not "
             "trace-eligible (interpreter-only module, port mismatch, or oversized "
-            "schedule); unset the variable or use backend='auto' to allow the "
-            "step-wise fallback"
+            "schedule); unset the variable to allow the step-wise fallback"
         )
     devices = ", ".join(type(device).__name__ for device in (dut, reference))
     return SimulationError(
@@ -472,15 +468,14 @@ def _run_tiers(
 
 def run_testbenches(
     jobs: Iterable[tuple[DeviceUnderTest | VModule, DeviceUnderTest | VModule, Testbench]],
-    backend: str | None = None,
 ) -> list[SimulationReport]:
     """Run many ``(dut, reference, testbench)`` jobs; reports in job order.
 
-    Equal to :func:`run_testbench` per job: ``backend`` is resolved once and
-    every job tries the plan's tiers on its own.  Jobs on one testbench share
-    its memoized reference outputs.
+    Equal to :func:`run_testbench` per job: the plan is resolved once and
+    every job tries its tiers on its own.  Jobs on one testbench share its
+    memoized reference outputs.
     """
-    plan = _backend_plan(backend)
+    plan = _backend_plan()
     return [
         _run_tiers(dut, reference, testbench, plan)
         for dut, reference, testbench in jobs
@@ -491,13 +486,12 @@ def run_testbench(
     dut: DeviceUnderTest | VModule,
     reference: DeviceUnderTest | VModule,
     testbench: Testbench,
-    backend: str | None = None,
 ) -> SimulationReport:
     """Run ``testbench`` on both devices and compare outputs point by point.
 
-    ``backend`` picks the tiers to try; see the module docstring.
+    ``REPRO_SIM_BACKEND`` picks the tiers to try; see the module docstring.
     """
-    return _run_tiers(dut, reference, testbench, _backend_plan(backend))
+    return _run_tiers(dut, reference, testbench, _backend_plan())
 
 
 def _run_testbench_stepwise(

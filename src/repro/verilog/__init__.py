@@ -6,10 +6,11 @@ Verilog-2001; the parser and cycle-based simulator then execute that Verilog
 so the testbench can compare DUT and reference outputs per functional point,
 exactly as the paper's simulation step does.
 
-Simulation has two backends behind one API: compiled kernels (modules
-translated once to native Python closures, cached by content hash — see
-:mod:`repro.verilog.compile_sim`) and the tree-walking interpreter, which
-remains the fallback and differential-test oracle.
+Simulation runs on two engines: compiled kernels (modules translated once to
+native Python closures, cached by content hash — see
+:mod:`repro.verilog.compile_sim`), which the testbench's trace tier runs, and
+the tree-walking interpreter :class:`Simulation`, which is the step-wise tier,
+the fallback and the differential-test oracle.
 """
 
 from repro.verilog.compile_sim import (

@@ -2,22 +2,14 @@
 
 The simulator executes a single module (no hierarchy): inputs are poked by
 the testbench, combinational logic settles, and :meth:`Simulation.step`
-advances registered logic by one clock edge.  Two backends share the same
-poke/peek/step API:
-
-* the **compiled** backend (:mod:`repro.verilog.compile_sim`) translates the
-  module once into native Python closures over a flat slot array, with all
-  widths and masks resolved at compile time and combinational logic settled in
-  one topologically-ordered pass;
-* the **interpreter** walks the AST and settles with a bounded fixed-point
-  loop.  It is the fallback for modules the compiler rejects (combinational
-  cycles, latch-like self reads, multiple drivers) and the differential-test
-  oracle for the compiled backend.
-
-Backend selection: ``Simulation(module, backend=...)`` accepts ``"auto"``
-(compiled with interpreter fallback — the default), ``"compiled"`` (raise if
-the module cannot be compiled) and ``"interpreter"``.  The environment
-variable ``REPRO_SIM_BACKEND`` overrides the default for ``"auto"`` callers.
+advances registered logic by one clock edge.  :class:`Simulation` is the
+tree-walking interpreter: it walks the AST and settles with a bounded
+fixed-point loop, so it also runs modules the kernel compiler rejects
+(combinational cycles, latch-like self reads, multiple drivers).  It is the
+testbench's step-wise tier and the oracle the trace tier's compiled kernels
+(:mod:`repro.verilog.compile_sim`) are checked against.  It shares only the
+static analysis with those kernels, so a run that falls back to it after a
+kernel crash runs independent code.
 
 Expression evaluation follows Verilog's context-determined sizing rules in a
 simplified form that is sufficient for the emitted and hand-written designs:
@@ -36,7 +28,6 @@ from repro import settings
 from repro.hdl.bits import Bits, mask, to_signed
 from repro.verilog import vast
 from repro.verilog.analysis import AnalysisError, ModuleAnalysis
-from repro.verilog.compile_sim import KernelTemplate, get_kernel
 
 
 class SimulationError(Exception):
@@ -54,8 +45,6 @@ def read_setting(name: str):
 
 _MAX_SETTLE_ITERATIONS = 256
 
-_BACKENDS = ("auto", "compiled", "interpreter")
-
 
 @dataclass
 class _SignalInfo:
@@ -68,15 +57,14 @@ class _SignalInfo:
 class Simulation:
     """Simulate one Verilog module instance.
 
-    ``values`` is the interpreter backend's state and stays empty when the
-    compiled backend is active (state lives in a flat slot list instead);
-    always read signals through :meth:`peek`/:meth:`peek_signed`.
+    ``values`` holds every non-memory signal; memories live element-wise in
+    ``memories``.  Read signals through :meth:`peek`/:meth:`peek_signed`,
+    which settle deferred pokes first.
     """
 
     module: vast.VModule
     signals: dict[str, _SignalInfo] = field(default_factory=dict)
     values: dict[str, Bits] = field(default_factory=dict)
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         self.memory_depths: dict[str, int] = {}
@@ -95,42 +83,16 @@ class Simulation:
             if net.depth is not None:
                 self.memory_depths[net.name] = net.depth
 
-        resolved = self.backend
-        if resolved == "auto":
-            resolved = read_setting("REPRO_SIM_BACKEND")
-        if resolved not in _BACKENDS:
-            raise SimulationError(
-                f"unknown simulation backend {resolved!r}; expected one of {_BACKENDS}"
-            )
-        self._kernel: KernelTemplate | None = None
-        self._state: list[int] | None = None
         self._needs_settle = False
-        # Lazily-built memoized static analysis for the interpreter path.
+        # Lazily-built memoized static analysis.
         self._analysis: ModuleAnalysis | None = None
-        if resolved in ("auto", "compiled"):
-            kernel = get_kernel(self.module)
-            if kernel is None and resolved == "compiled":
-                raise SimulationError(
-                    f"module {self.module.name} is outside the compiled backend's "
-                    "subset (combinational cycle, multiple drivers, or an "
-                    "unsupported construct); use backend='auto' to fall back"
-                )
-            if kernel is not None:
-                self._kernel = kernel
-                self._state = kernel.new_state()
-        if self._kernel is None:
-            for name, info in self.signals.items():
-                if name in self.memory_depths:
-                    continue  # memory state lives element-wise in self.memories
-                self.values[name] = Bits(0, info.width, info.signed)
-            for name, depth in self.memory_depths.items():
-                self.memories[name] = [0] * depth
+        for name, info in self.signals.items():
+            if name in self.memory_depths:
+                continue  # memory state lives element-wise in self.memories
+            self.values[name] = Bits(0, info.width, info.signed)
+        for name, depth in self.memory_depths.items():
+            self.memories[name] = [0] * depth
         self.settle()
-
-    @property
-    def backend_in_use(self) -> str:
-        """Which backend actually runs this instance."""
-        return "compiled" if self._kernel is not None else "interpreter"
 
     # ------------------------------------------------------------------ access
 
@@ -143,11 +105,7 @@ class Simulation:
         settle pass.
         """
         info = self._info(name)
-        if self._kernel is not None:
-            meta = self._kernel.slots[name]
-            self._state[meta.slot] = value & meta.mask
-        else:
-            self.values[name] = Bits(value, info.width, info.signed)
+        self.values[name] = Bits(value, info.width, info.signed)
         if settle:
             self.settle()
         else:
@@ -163,17 +121,11 @@ class Simulation:
         """Read the current (unsigned) value of a signal."""
         self._settle_if_needed()
         self._check_name(name)
-        if self._kernel is not None:
-            return self._state[self._kernel.slots[name].slot]
         return self.values[name].value
 
     def peek_signed(self, name: str) -> int:
         self._settle_if_needed()
         self._check_name(name)
-        if self._kernel is not None:
-            meta = self._kernel.slots[name]
-            value = self._state[meta.slot]
-            return to_signed(value, meta.width) if meta.signed else value
         return self.values[name].as_int
 
     def _check_name(self, name: str) -> str:
@@ -203,11 +155,8 @@ class Simulation:
         self._settle_if_needed()
 
     def settle(self) -> None:
-        """Propagate combinational logic (one ordered pass, or a fixed point)."""
+        """Propagate combinational logic to a fixed point."""
         self._needs_settle = False
-        if self._kernel is not None:
-            self._kernel.comb(self._state)
-            return
         for _ in range(_MAX_SETTLE_ITERATIONS):
             changed = False
             for assign in self.module.assigns:
@@ -228,14 +177,6 @@ class Simulation:
         Combinational state is settled before each edge; the settle after the
         final edge is deferred until the next read.
         """
-        if self._kernel is not None:
-            edge = self._kernel.steps.get(clock)
-            for _ in range(cycles):
-                self._settle_if_needed()
-                if edge is not None:
-                    edge(self._state)
-                self._needs_settle = True
-            return
         for _ in range(cycles):
             self._settle_if_needed()
             pending: dict[str, Bits] = {}
@@ -396,9 +337,9 @@ class Simulation:
         raise SimulationError(f"unsupported assignment target {target!r}")
 
     def _static_analysis(self) -> ModuleAnalysis:
-        # The same (memoized) static analysis drives both backends: the
-        # compiled codegen and the interpreter must agree on widths and
-        # signedness by construction, not by keeping two copies in sync.
+        # The same (memoized) static analysis drives the kernel codegen: the
+        # compiled kernels and the interpreter agree on widths and signedness
+        # by construction, not by keeping two copies in sync.
         if self._analysis is None:
             self._analysis = ModuleAnalysis(self.module)
         return self._analysis

@@ -2,9 +2,11 @@
 
 A crash in a trace kernel must never take a job down when the step-wise
 tier can still answer: ``run_testbench`` feeds a circuit breaker and
-degrades trace → stepwise.  Strict env forcing (``REPRO_TB_BACKEND=trace``)
-opts out — a forced backend propagates its crash and ignores the breaker,
-because silently answering from another tier would invalidate the forcing.
+degrades trace → step-wise, which runs on the interpreter and so shares no
+compiled closure with the crashed kernel.  Strict forcing
+(``REPRO_SIM_BACKEND=trace``) opts out — a forced tier propagates its crash
+and ignores the breaker, because silently answering from another tier would
+invalidate the forcing.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.sim.testbench import (
     reset_backend_health,
     run_testbench,
 )
+from repro.verilog.compile_sim import get_kernel
 from repro.verilog.parser import parse_verilog
 
 PASSTHROUGH = """
@@ -36,7 +39,7 @@ BENCH = Testbench(
 @pytest.fixture(autouse=True)
 def _fresh_health(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "2")
-    monkeypatch.delenv("REPRO_TB_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
     reset_backend_health()
     yield
     reset_backend_health()
@@ -82,11 +85,41 @@ class TestTraceDegradation:
         assert backend_health()["trace"]["state"] == "closed"
 
 
+def _fresh_bench() -> Testbench:
+    """A testbench with no memoized reference outputs, so kernels really run."""
+    return Testbench(points=list(BENCH.points), observed_outputs=["q"], reset_cycles=0)
+
+
+@pytest.mark.cache_mutating
+class TestKernelClosureCrash:
+    """A crash inside the compiled kernel's own ``comb``, which the trace
+    kernels call: the step-wise fallback must not run the same closure."""
+
+    @pytest.fixture(autouse=True)
+    def _poisoned_comb(self, monkeypatch):
+        def boom(state):
+            raise IndexError("chaos: comb crash")
+
+        monkeypatch.setattr(get_kernel(MODULE), "comb", boom)
+
+    def test_auto_answers_every_run_from_the_interpreter(self):
+        reports = [run_testbench(MODULE, MODULE, _fresh_bench()) for _ in range(4)]
+        assert [report.passed for report in reports] == [True] * 4
+        health = backend_health()["trace"]
+        assert health["state"] == "open" and health["failures"] == 2
+        assert health["opens"] == 1
+
+    def test_forced_trace_propagates_the_crash(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
+        with pytest.raises(IndexError, match="comb crash"):
+            run_testbench(MODULE, MODULE, _fresh_bench())
+
+
 class TestStrictForcingBypassesHealth:
     def test_forced_trace_propagates_the_crash(self, monkeypatch):
         calls = []
         _crash_trace(monkeypatch, calls)
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         with pytest.raises(RuntimeError, match="trace kernel crash"):
             run_testbench(MODULE, MODULE, BENCH)
 
@@ -96,7 +129,7 @@ class TestStrictForcingBypassesHealth:
         for _ in range(2):
             run_testbench(MODULE, MODULE, BENCH)
         assert backend_health()["trace"]["state"] == "open"
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         with pytest.raises(RuntimeError):
             run_testbench(MODULE, MODULE, BENCH)
         assert len(calls) == 3  # strict forcing attempted the tier anyway

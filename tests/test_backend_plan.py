@@ -1,12 +1,12 @@
 """Pinned backend resolution for ``run_testbench`` and ``run_testbenches``.
 
-Every combination of backend argument, ``REPRO_TB_BACKEND``,
-``REPRO_SIM_BACKEND`` and pairing is run through both entry points (the
-batched one with one job and with two identical jobs).  The tier runners are
-wrapped to record which tier answered; a run that raises records the
-exception type and message instead.  The outcomes must
-equal the committed table ``tests/data/backend_plan.json``, so a refactor of
-backend selection, strictness or fallback cannot change which tier runs.
+Every value of ``REPRO_SIM_BACKEND`` and every pairing is run through both
+entry points (the batched one with one job and with two identical jobs).
+The trace runner is wrapped to record when it answered; a run that raises
+records the exception type and message instead.  Each outcome must equal its
+row of the committed table ``tests/data/backend_plan.json`` (one test per
+row, so a drift names the row), so a refactor of backend selection,
+strictness or fallback cannot change which tier runs.
 
 Each outcome reads ``<tiers> <reports>``:
 
@@ -41,9 +41,7 @@ from repro.verilog.parser import parse_verilog
 
 TABLE = Path(__file__).parent / "data" / "backend_plan.json"
 
-BACKENDS = (None, "auto", "trace", "stepwise", "warp")
-TB_ENVS = ("auto", "trace", "stepwise")
-SIM_ENVS = ("auto", "interpreter")
+SIM_ENVS = ("auto", "trace", "interpreter")
 ENTRIES = ("run_testbench", "run_testbenches[1]", "run_testbenches[2]")
 
 
@@ -159,7 +157,7 @@ def _letter(report) -> str:
     return "P" if report.passed else "F"
 
 
-def _outcome(entry: str, backend: str | None, pairing: str) -> str:
+def _outcome(entry: str, pairing: str) -> str:
     tiers: list[str] = []
 
     def answering(name, runner):
@@ -176,28 +174,25 @@ def _outcome(entry: str, backend: str | None, pairing: str) -> str:
         patch.setattr(tb, "_run_testbench_trace", answering("trace", tb._run_testbench_trace))
         try:
             if entry == "run_testbench":
-                reports = [run_testbench(dut, reference, testbench, backend)]
+                reports = [run_testbench(dut, reference, testbench)]
             else:
                 copies = int(entry[-2])
-                reports = run_testbenches([(dut, reference, testbench)] * copies, backend)
+                reports = run_testbenches([(dut, reference, testbench)] * copies)
         except Exception as exc:  # noqa: BLE001 - the exception is the outcome
             return f"raise {type(exc).__name__}: {exc}"
     return f"{'+'.join(tiers) or '-'} {''.join(map(_letter, reports))}"
 
 
-def _key(entry, backend, tb_env, sim_env, pairing) -> str:
-    return f"{entry} backend={backend} REPRO_TB_BACKEND={tb_env} REPRO_SIM_BACKEND={sim_env} {pairing}"
+def _key(entry, sim_env, pairing) -> str:
+    return f"{entry} REPRO_SIM_BACKEND={sim_env} {pairing}"
 
 
-def _outcomes(monkeypatch, backend, tb_env, sim_env) -> dict[str, str]:
+def _outcomes(monkeypatch, sim_env) -> dict[str, str]:
     outcomes = {}
     for entry, pairing in itertools.product(ENTRIES, PAIRINGS):
-        monkeypatch.setenv("REPRO_TB_BACKEND", tb_env)
         monkeypatch.setenv("REPRO_SIM_BACKEND", sim_env)
         reset_backend_health()
-        outcomes[_key(entry, backend, tb_env, sim_env, pairing)] = _outcome(
-            entry, backend, pairing
-        )
+        outcomes[_key(entry, sim_env, pairing)] = _outcome(entry, pairing)
     reset_backend_health()
     return outcomes
 
@@ -207,21 +202,24 @@ def expected() -> dict[str, str]:
     return json.loads(TABLE.read_text())
 
 
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("sim_env", SIM_ENVS)
-@pytest.mark.parametrize("tb_env", TB_ENVS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_resolution_matches_pinned_table(monkeypatch, expected, backend, tb_env, sim_env):
+def test_backend_resolution_matches_pinned_table(monkeypatch, expected, sim_env, entry, pairing):
     monkeypatch.delenv("REPRO_SIM_HEALTH_THRESHOLD", raising=False)
-    actual = _outcomes(monkeypatch, backend, tb_env, sim_env)
-    assert actual == {key: expected[key] for key in actual}
+    monkeypatch.setenv("REPRO_SIM_BACKEND", sim_env)
+    reset_backend_health()
+    try:
+        actual = _outcome(entry, pairing)
+    finally:
+        reset_backend_health()
+    assert actual == expected[_key(entry, sim_env, pairing)]
 
 
 def test_table_covers_every_combination(expected):
     keys = {
-        _key(entry, backend, tb_env, sim_env, pairing)
-        for entry, backend, tb_env, sim_env, pairing in itertools.product(
-            ENTRIES, BACKENDS, TB_ENVS, SIM_ENVS, PAIRINGS
-        )
+        _key(entry, sim_env, pairing)
+        for entry, sim_env, pairing in itertools.product(ENTRIES, SIM_ENVS, PAIRINGS)
     }
     assert set(expected) == keys
 
@@ -239,6 +237,6 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     table = {}
     with pytest.MonkeyPatch.context() as patch:
-        for backend, tb_env, sim_env in itertools.product(BACKENDS, TB_ENVS, SIM_ENVS):
-            table.update(_outcomes(patch, backend, tb_env, sim_env))
+        for sim_env in SIM_ENVS:
+            table.update(_outcomes(patch, sim_env))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

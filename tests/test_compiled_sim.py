@@ -1,9 +1,11 @@
-"""Compiled simulation backend: differential tests and unit coverage.
+"""Compiled simulation kernels: differential tests and unit coverage.
 
-The compiled backend must be bit-identical to the tree-walking interpreter,
-which stays the semantic oracle.  The heavyweight test here sweeps the *full*
-problem registry: every golden design is simulated point by point on both
-backends and every declared signal (outputs and internal nets) is compared.
+The compiled kernels the trace tier runs must be bit-identical to the
+tree-walking interpreter, which stays the semantic oracle.  The heavyweight
+test here sweeps the *full* problem registry: every golden design is driven
+point by point on the interpreter and on its kernel (replayed step-wise by
+``sim_tiers.KernelReplay``) and every declared signal (outputs and internal
+nets) is compared.
 """
 
 from __future__ import annotations
@@ -26,15 +28,22 @@ from repro.verilog.compile_sim import (
 )
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import Simulation, SimulationError
+from sim_tiers import KernelReplay
 
 REGISTRY = build_default_registry()
 COMPILER = ChiselCompiler(top="TopModule")
 
 
+def _replay(module) -> KernelReplay:
+    kernel = get_kernel(module)
+    assert kernel is not None, f"module {module.name} is outside the compiled subset"
+    return KernelReplay(kernel)
+
+
 def _differential_run(module, testbench) -> None:
-    """Drive both backends through the testbench; compare every signal."""
-    interp = Simulation(module, backend="interpreter")
-    compiled = Simulation(module, backend="compiled")
+    """Drive the interpreter and the kernel through the testbench; compare every signal."""
+    interp = Simulation(module)
+    compiled = _replay(module)
     names = list(interp.signals)
     for sim in (interp, compiled):
         if module.port_named(testbench.reset) and testbench.reset_cycles > 0:
@@ -125,8 +134,8 @@ class TestDifferentialHandwritten:
         import random
 
         module = parse_verilog(HANDWRITTEN[name])[0]
-        interp = Simulation(module, backend="interpreter")
-        compiled = Simulation(module, backend="compiled")
+        interp = Simulation(module)
+        compiled = _replay(module)
         inputs = [p for p in module.inputs()]
         rng = random.Random(name)
         for _ in range(100):
@@ -166,32 +175,33 @@ class TestCombCycleDetection:
         with pytest.raises(CombLoopError):
             compile_kernel(module)
 
-    def test_auto_backend_falls_back_to_interpreter(self):
+    def test_interpreter_runs_what_the_compiler_rejects(self):
         module = parse_verilog(
             "module m(input a, output x, y);\n"
             "  assign x = y | a;\n"
             "  assign y = x & a;\n"
             "endmodule\n"
         )[0]
-        sim = Simulation(module, backend="auto")
-        assert sim.backend_in_use == "interpreter"
+        assert get_kernel(module) is None
+        sim = Simulation(module)
         # The cycle is value-stable at zero, so the bounded interpreter settles.
         sim.poke("a", 0)
         assert sim.peek("x") == 0
 
-    def test_forced_compiled_backend_raises(self):
+    def test_forced_compile_of_a_module_outside_the_subset_raises(self):
         module = parse_verilog(
             "module m(input a, output x);\n  assign x = x ^ a;\nendmodule\n"
         )[0]
-        with pytest.raises(SimulationError):
-            Simulation(module, backend="compiled")
+        with pytest.raises(CombLoopError):
+            compile_kernel(module)
+        assert get_kernel(module) is None
 
-    def test_oscillating_loop_still_raises_through_fallback(self):
+    def test_oscillating_loop_still_raises_in_the_interpreter(self):
         module = parse_verilog(
             "module m(input a, output x);\n  assign x = ~x;\nendmodule\n"
         )[0]
         with pytest.raises(SimulationError):
-            Simulation(module)  # auto -> interpreter -> non-convergence
+            Simulation(module)  # non-convergence
 
 
 class TestKernelCache:
@@ -229,7 +239,7 @@ class TestDeferredSettle:
             "  assign y = a + b;\n"
             "endmodule\n"
         )[0]
-        sim = Simulation(module, backend="interpreter")
+        sim = Simulation(module)
         sim.poke("a", 3, settle=False)
         sim.poke("b", 4, settle=False)
         assert sim._needs_settle
@@ -244,11 +254,10 @@ class TestDeferredSettle:
             "  always @(posedge clock) q <= n;\n"
             "endmodule\n"
         )[0]
-        for backend in ("interpreter", "compiled"):
-            sim = Simulation(module, backend=backend)
+        for sim in (Simulation(module), _replay(module)):
             sim.poke("d", 6, settle=False)
             sim.step("clock")  # must settle n = 7 before the edge
-            assert sim.peek("q") == 7, backend
+            assert sim.peek("q") == 7, type(sim).__name__
 
 
 class _EagerLatchModel(DeviceUnderTest):

@@ -35,7 +35,26 @@ from repro.fuzz import differential
 from repro.problems.mutations import SYNTAX_FAULTS_BY_ID
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog import compile_sim
-from repro.verilog.simulator import Simulation
+
+
+def _corrupt_compiled_kernels(monkeypatch) -> None:
+    """A simulated compiled-kernel bug: ``comb`` flips bit 0 of every
+    ``io_out*`` output, in every kernel the trace tier builds."""
+    original = compile_sim.compile_kernel
+
+    def corrupted(module, analysis=None):
+        kernel = original(module, analysis)
+        slots = [meta.slot for name, meta in kernel.slots.items() if name.startswith("io_out")]
+        comb = kernel.comb
+
+        def flipped(state):
+            comb(state)
+            for slot in slots:
+                state[slot] ^= 1
+
+        return dataclasses.replace(kernel, comb=flipped)
+
+    monkeypatch.setattr(compile_sim, "compile_kernel", corrupted)
 
 
 class TestFuzzConfig:
@@ -130,16 +149,8 @@ class TestConformance:
         assert report.failures[0].code == "C2"
 
     def test_injected_backend_bug_is_caught(self, monkeypatch):
-        """A simulated compiled-backend bug must surface as a divergence."""
-        original = Simulation.peek
-
-        def corrupted_peek(self, name):
-            value = original(self, name)
-            if self._kernel is not None and name.startswith("io_out"):
-                return value ^ 1
-            return value
-
-        monkeypatch.setattr(Simulation, "peek", corrupted_peek)
+        """A simulated compiled-kernel bug must surface as a divergence."""
+        _corrupt_compiled_kernels(monkeypatch)
         config = FuzzConfig(seed=1, points=8)
         program = generate_program(config, 0)
         report = check_program(program, config, check_cold=False)
@@ -226,15 +237,7 @@ class TestShrinker:
             }
 
     def test_shrunk_backend_bug_keeps_diverging(self, monkeypatch):
-        original = Simulation.peek
-
-        def corrupted_peek(self, name):
-            value = original(self, name)
-            if self._kernel is not None and name.startswith("io_out"):
-                return value ^ 1
-            return value
-
-        monkeypatch.setattr(Simulation, "peek", corrupted_peek)
+        _corrupt_compiled_kernels(monkeypatch)
         config = FuzzConfig(seed=1, points=6)
         program = generate_program(config, 0)
         report = check_program(program, config, check_cold=False)
@@ -307,15 +310,7 @@ class TestSession:
         assert "feature coverage" in result.render()
 
     def test_session_shrinks_and_stores_findings(self, tmp_path, monkeypatch):
-        original = Simulation.peek
-
-        def corrupted_peek(self, name):
-            value = original(self, name)
-            if self._kernel is not None and name.startswith("io_out"):
-                return value ^ 1
-            return value
-
-        monkeypatch.setattr(Simulation, "peek", corrupted_peek)
+        _corrupt_compiled_kernels(monkeypatch)
         corpus = tmp_path / "corpus.jsonl"
         config = FuzzConfig(
             seed=1, iterations=1, points=6, corpus_path=str(corpus)

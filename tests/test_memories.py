@@ -23,7 +23,7 @@ from repro.problems.registry import (
     build_extended_registry,
     build_memory_family,
 )
-from repro.sim.testbench import run_testbench, run_testbenches
+from sim_tiers import run_many_on, run_on
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog.parser import VerilogParseError, parse_verilog
 from repro.verilog.simulator import Simulation
@@ -297,11 +297,10 @@ class TestMemoryBackends:
     @pytest.mark.cache_mutating
     @pytest.mark.parametrize("source", [REGFILE, SYNC_REGFILE], ids=["mem", "sync"])
     def test_full_conformance(self, source):
-        """Interpreter, compiled and trace, warm + cold caches."""
+        """Interpreter and trace kernels, warm + cold caches."""
         report = check_source(source, points=48, sequential=True)
         assert report.ok, report.render()
-        assert report.compiled_eligible
-        assert report.trace_eligible
+        assert report.trace_eligible  # so the module has a compiled kernel
 
     def test_mem_interpreter_semantics(self):
         """Direct interpreter checks: comb read, sync write, reset-immunity."""
@@ -394,10 +393,8 @@ class TestMemoryBackends:
         from repro.fuzz.differential import build_testbench
 
         tb = build_testbench(module, "mem-batch", 32, sequential=True)
-        stepwise = run_testbench(module, module, tb, backend="stepwise")
-        batched = run_testbenches(
-            [(module, module, tb), (module, module, tb)], backend="trace"
-        )
+        stepwise = run_on("interpreter", module, module, tb)
+        batched = run_many_on("trace", [(module, module, tb), (module, module, tb)])
         assert batched[0] == stepwise
         assert batched[1] == stepwise
 
@@ -448,7 +445,7 @@ class TestSyncReadMemReadDuringWrite:
         assert report.ok, report.render()
         assert report.trace_eligible
 
-    @pytest.mark.parametrize("backend", ["stepwise", "trace"])
+    @pytest.mark.parametrize("backend", ["interpreter", "trace"])
     def test_rdw_sequence_per_backend(self, backend):
         """The same directed RDW sequence observed identically per backend."""
         from repro.sim.testbench import FunctionalPoint, Testbench
@@ -460,7 +457,7 @@ class TestSyncReadMemReadDuringWrite:
             FunctionalPoint({"io_wen": 0, "io_addr": 2, "io_wdata": 0}, clock_cycles=1),
         ]
         tb = Testbench(points=points, reset_cycles=2)
-        report = run_testbench(module, module, tb, backend=backend)
+        report = run_on(backend, module, module, tb)
         assert report.passed and report.runtime_error is None
 
 
@@ -618,8 +615,8 @@ class TestMemoryProblemFamily:
             assert result.success, f"{problem.problem_id}: {result.render_feedback()}"
             module = parse_verilog(result.verilog)[-1]
             testbench = problem.build_testbench(seed=3)
-            stepwise = run_testbench(module, module, testbench, backend="stepwise")
-            trace = run_testbench(module, module, testbench, backend="trace")
+            stepwise = run_on("interpreter", module, module, testbench)
+            trace = run_on("trace", module, module, testbench)
             assert stepwise.passed, f"{problem.problem_id}: {stepwise.render()}"
             assert stepwise == trace, problem.problem_id
 
@@ -636,7 +633,7 @@ class TestMemoryProblemFamily:
                 caught = False
                 for seed in (1, 3, 5, 7):
                     testbench = problem.build_testbench(seed=seed)
-                    report = run_testbench(faulty, golden, testbench, backend="stepwise")
+                    report = run_on("interpreter", faulty, golden, testbench)
                     if not report.passed:
                         caught = True
                         break

@@ -8,7 +8,8 @@ supervised worker fleet, whose workers bypassed the budget, is gone from the
 knob table, the constructors, the CLI and the event topics, and that the
 deleted knobs and arguments of other removed paths (vector lanes, the
 campaign priority gate, LLM micro-batching, the service's tool pool, the
-result store's segment rotation) are rejected.
+result store's segment rotation, the testbench tier knob and the compiled
+simulation mode) are rejected.
 """
 
 import dataclasses
@@ -31,6 +32,8 @@ from repro.llm.dispatch import BatchingDispatcher
 from repro.obs import EventBus
 from repro.obs.metrics import MetricsSink
 from repro.service import ServiceConfig, serve_units
+from repro.sim.testbench import run_testbench, run_testbenches
+from repro.verilog.simulator import Simulation
 
 EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -57,8 +60,9 @@ FLEET_KNOBS = (
 
 #: Knobs whose code is gone: the fleet's, the vector lane budget of the
 #: deleted cross-candidate batching, the campaign's wait for the deleted
-#: priority gate, the LLM micro-batching's, the service's tool pool size and
-#: the result store's segment rotation thresholds.
+#: priority gate, the LLM micro-batching's, the service's tool pool size, the
+#: result store's segment rotation thresholds and the testbench tier knob
+#: (``REPRO_SIM_BACKEND`` picks the tier).
 DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SIM_MAX_LANES",
     "REPRO_CAMPAIGN_PREEMPT_WAIT",
@@ -67,6 +71,7 @@ DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SERVICE_TOOL_WORKERS",
     "REPRO_STORE_SEGMENT_RECORDS",
     "REPRO_STORE_SEGMENT_BYTES",
+    "REPRO_TB_BACKEND",
 )
 
 
@@ -200,13 +205,17 @@ class TestNoFleetSurface:
             lambda: BatchingDispatcher(max_batch=4),
             lambda: ServiceConfig(tool_workers=1),
             lambda: ResultStore("unopened-store", segment_records=2),
+            lambda: run_testbench(None, None, None, backend="trace"),
+            lambda: run_testbenches([], backend="trace"),
+            lambda: Simulation(None, backend="compiled"),
         ],
         ids=["ExperimentConfig.fleet", "ServiceConfig.fleet_workers", "CampaignConfig.fleet",
              "CampaignOrchestrator.executor", "CampaignConfig.preempt_wait",
              "CampaignOrchestrator.gate", "ServiceConfig.batch_window",
              "ServiceConfig.max_batch", "ServiceConfig.per_profile_limit",
              "BatchingDispatcher.max_batch", "ServiceConfig.tool_workers",
-             "ResultStore.segment_records"],
+             "ResultStore.segment_records", "run_testbench.backend",
+             "run_testbenches.backend", "Simulation.backend"],
     )
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):

@@ -25,11 +25,10 @@ from repro.sim.testbench import (
     Testbench,
     backend_health,
     reset_backend_health,
-    run_testbench,
-    run_testbenches,
 )
 from repro.verilog.compile_sim import get_trace_kernel
 from repro.verilog.parser import parse_verilog
+from sim_tiers import run_many_on, run_on
 
 
 def _oracle_compare(testbench, observed, dut_out, ref_out) -> SimulationReport:
@@ -164,7 +163,6 @@ def _bench_observing(*names: str) -> Testbench:
 
 
 PAIRS = [(DUT, REF_A), (DUT, REF_B), (REF_A, REF_A), (REF_B, REF_B), (REF_B, REF_A)]
-BACKENDS = ["trace"]
 
 
 def _memo(testbench: Testbench) -> dict:
@@ -174,45 +172,43 @@ def _memo(testbench: Testbench) -> dict:
 @pytest.fixture(autouse=True)
 def _fresh_health(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_HEALTH_THRESHOLD", "3")
-    monkeypatch.delenv("REPRO_TB_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
     reset_backend_health()
     yield
     reset_backend_health()
 
 
 class TestReferenceMemo:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reports_equal_on_miss_and_hit(self, backend):
+    def test_reports_equal_on_miss_and_hit(self):
         testbench = _bench()
-        oracle = [run_testbench(d, r, _bench(), backend="stepwise") for d, r in PAIRS]
+        oracle = [run_on("interpreter", d, r, _bench()) for d, r in PAIRS]
         assert not oracle[0].passed and not oracle[1].passed and oracle[2].passed
-        misses = [run_testbench(d, r, testbench, backend=backend) for d, r in PAIRS]
-        hits = [run_testbench(d, r, testbench, backend=backend) for d, r in PAIRS]
+        misses = [run_on("auto", d, r, testbench) for d, r in PAIRS]
+        hits = [run_on("auto", d, r, testbench) for d, r in PAIRS]
         assert misses == oracle and hits == oracle
         # One entry per reference: the two observed lists give two digests.
         entries = list(_memo(testbench))
         assert len(entries) == 2 and len({key[1] for key in entries}) == 2
 
-    @pytest.mark.parametrize("backend", [None, "trace"])
-    def test_run_testbenches_equal_on_miss_and_hit(self, backend):
+    def test_run_testbenches_equal_on_miss_and_hit(self):
         testbench = _bench()
-        oracle = [run_testbench(d, r, _bench(), backend="stepwise") for d, r in PAIRS]
+        oracle = [run_on("interpreter", d, r, _bench()) for d, r in PAIRS]
         jobs = [(d, r, testbench) for d, r in PAIRS] * 2
-        assert run_testbenches(jobs, backend=backend) == oracle * 2  # miss, then hit
-        assert run_testbenches(jobs, backend=backend) == oracle * 2  # hit
+        assert run_many_on("auto", jobs) == oracle * 2  # miss, then hit
+        assert run_many_on("auto", jobs) == oracle * 2  # hit
 
     def test_memo_is_keyed_by_the_observed_list(self):
         testbench = _bench()
-        full = run_testbench(DUT, REF_A, testbench, backend="trace")
+        full = run_on("trace", DUT, REF_A, testbench)
         testbench.observed_outputs = ["q"]
-        only_q = run_testbench(DUT, REF_A, testbench, backend="trace")
-        assert only_q == run_testbench(DUT, REF_A, _bench_observing("q"), backend="stepwise")
+        only_q = run_on("trace", DUT, REF_A, testbench)
+        assert only_q == run_on("interpreter", DUT, REF_A, _bench_observing("q"))
         assert only_q != full
         assert len(_memo(testbench)) == 2
 
     def test_a_dut_sharing_the_reference_kernel_runs_nothing(self, monkeypatch):
         testbench = _bench()
-        assert run_testbench(REF_A, REF_A, testbench, backend="trace").passed
+        assert run_on("trace", REF_A, REF_A, testbench).passed
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
         kernel = get_trace_kernel(REF_A, schedule)
 
@@ -220,7 +216,7 @@ class TestReferenceMemo:
             raise AssertionError("the memoized reference must not run again")
 
         monkeypatch.setattr(kernel, "run", boom)
-        assert run_testbench(REF_A, REF_A, testbench, backend="trace").passed
+        assert run_on("trace", REF_A, REF_A, testbench).passed
         assert backend_health()["trace"]["failures"] == 0
 
 
@@ -236,8 +232,8 @@ class TestCrashesMemoizeNothing:
         testbench = _bench()
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
         _crash(monkeypatch, get_trace_kernel(REF_A, schedule))
-        report = run_testbench(DUT, REF_A, testbench, backend="trace")
-        assert report == run_testbench(DUT, REF_A, _bench(), backend="stepwise")
+        report = run_on("auto", DUT, REF_A, testbench)
+        assert report == run_on("interpreter", DUT, REF_A, _bench())
         assert _memo(testbench) == {}
         assert backend_health()["trace"]["failures"] == 1
 
@@ -246,20 +242,20 @@ class TestCrashesMemoizeNothing:
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
         _crash(monkeypatch, get_trace_kernel(REF_A, schedule))
         jobs = [(DUT, REF_A, testbench), (REF_A, REF_A, testbench)]
-        expected = [run_testbench(d, r, _bench(), backend="stepwise") for d, r, _ in jobs]
-        assert run_testbenches(jobs, backend="trace") == expected
+        expected = [run_on("interpreter", d, r, _bench()) for d, r, _ in jobs]
+        assert run_many_on("auto", jobs) == expected
         assert _memo(testbench) == {}
         assert backend_health()["trace"]["failures"] == 2
 
     def test_memo_hit_still_heals_the_trace_breaker(self, monkeypatch):
         testbench = _bench()
-        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="trace")[0].passed
+        assert run_many_on("auto", [(REF_A, REF_A, testbench)] * 2)[0].passed
         schedule, _ = tb._trace_plan(testbench, ("q", "r"))
         with monkeypatch.context() as patch:
             _crash(patch, get_trace_kernel(REF_A, schedule))
-            run_testbenches([(REF_A, REF_A, _bench())] * 2, backend="trace")
+            run_many_on("auto", [(REF_A, REF_A, _bench())] * 2)
         assert backend_health()["trace"]["failures"] == 2  # one record per crashed job
         # The reference is memoized: no kernel runs, yet each job still counts
         # as a trace success, exactly as when its kernel ran.
-        assert run_testbenches([(REF_A, REF_A, testbench)] * 2, backend="trace")[0].passed
+        assert run_many_on("auto", [(REF_A, REF_A, testbench)] * 2)[0].passed
         assert backend_health()["trace"]["failures"] == 0

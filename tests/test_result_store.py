@@ -117,6 +117,15 @@ class TestLog:
         with ResultStore(path) as reopened:
             assert reopened.get("late") == {"n": 1}
 
+    def test_a_key_written_by_two_handles_reads_first_after_a_reopen(self, tmp_path):
+        """``put_meta`` is first-wins on a live handle, so the reload is too."""
+        path = tmp_path / "store"
+        with ResultStore(path) as first, ResultStore(path) as second:
+            first.put_meta("k", {"v": 1})
+            second.put_meta("k", {"v": 2})  # missed the peer's append
+        with ResultStore(path) as reopened:
+            assert reopened.get_meta("k") == {"v": 1}
+
     def test_missing_fingerprint_reads_nothing(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             _fill(store, 2)

@@ -19,6 +19,7 @@ from repro.sim.testbench import (
 )
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import SimulationError
+from sim_tiers import run_many_on, sim_backend
 
 PASSTHROUGH = """
 module m(input en, input [3:0] d, output [3:0] q);
@@ -76,7 +77,7 @@ class TestRunTestbenches:
         ]
         expected = [run_testbench(*job) for job in jobs]
         assert run_testbenches(jobs) == expected
-        assert run_testbenches(jobs, backend="trace") == expected
+        assert run_many_on("interpreter", jobs) == expected
 
     def test_sixteen_lockstep_candidates(self):
         """16 sequential candidates over one kernel equal per-job runs."""
@@ -108,13 +109,14 @@ class TestRunTestbenches:
         )
         jobs = [(module, module, testbench)] * 8
         expected = run_testbench(module, module, testbench)
-        assert run_testbenches(jobs, backend="trace") == [expected] * 8
+        assert run_many_on("trace", jobs) == [expected] * 8
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(SimulationError, match="unknown testbench backend"):
-            run_testbenches([], backend="warp")
+        rule = "REPRO_SIM_BACKEND must be one of auto, trace, interpreter, got 'warp'"
+        with sim_backend("warp"), pytest.raises(SimulationError, match=rule):
+            run_testbenches([])
 
-    @pytest.mark.parametrize("backend", [None, "auto", "trace", "stepwise"])
+    @pytest.mark.parametrize("backend", ["auto", "trace", "interpreter"])
     def test_batch_equals_per_job_runs_for_every_backend(self, backend):
         """Passing, failing, sequential and ineligible jobs under one argument."""
         narrow = parse_verilog(PASSTHROUGH)[0]
@@ -139,8 +141,9 @@ class TestRunTestbenches:
             (wide, wide, wide_tb),
             (seq, seq, seq_tb),
         ]
-        expected = [run_testbench(*job, backend=backend) for job in jobs]
-        assert run_testbenches(jobs, backend=backend) == expected
+        with sim_backend(backend):
+            expected = [run_testbench(*job) for job in jobs]
+            assert run_testbenches(jobs) == expected
         assert [report.passed for report in expected] == [True, False, False, True, True]
 
     def test_jobs_may_be_any_iterable(self):

@@ -27,33 +27,14 @@ from repro.obs.transport import install_from_environment
 from repro.retry import CircuitBreaker
 from repro.service.config import ServiceConfig
 from repro.settings import SETTINGS, SettingError
-from repro.sim.testbench import (
-    FunctionalPoint,
-    Testbench,
-    backend_health,
-    reset_backend_health,
-    run_testbench,
-)
-from repro.verilog.parser import parse_verilog
-from repro.verilog.simulator import Simulation, SimulationError
+from repro.sim.testbench import _backend_plan, backend_health, reset_backend_health
+from repro.verilog.simulator import SimulationError
 
 ROOT = Path(__file__).resolve().parents[1]
-
-SEQ = """
-module m(input clock, input [3:0] d, output reg [3:0] q);
-  always @(posedge clock) q <= d;
-endmodule
-"""
-BENCH = Testbench(
-    points=[FunctionalPoint(inputs={"d": value}) for value in range(4)],
-    observed_outputs=["q"],
-    reset_cycles=0,
-)
 
 #: Knobs read inside the simulator, whose callers handle SimulationError.
 SIMULATOR_KNOBS = {
     "REPRO_SIM_BACKEND",
-    "REPRO_TB_BACKEND",
     "REPRO_SIM_HEALTH_THRESHOLD",
 }
 
@@ -91,11 +72,8 @@ def consume(name: str, tmp_path: Path):
         return install_from_environment(EventBus())
     if name.startswith("REPRO_CONSOLE_"):
         return vars(build_parser().parse_args([]))
-    module = parse_verilog(SEQ)[0]
     if name == "REPRO_SIM_BACKEND":
-        return Simulation(module).backend_in_use
-    if name == "REPRO_TB_BACKEND":
-        return run_testbench(module, module, BENCH)
+        return _backend_plan()
     if name == "REPRO_SIM_HEALTH_THRESHOLD":
         reset_backend_health()
         return backend_health()

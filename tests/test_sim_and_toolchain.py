@@ -245,13 +245,13 @@ class TestSimulateMany:
         whole = SIMULATOR.simulate_many(items)
         assert [SIMULATOR.simulate_many([item])[0] for item in items] == whole
 
-    @pytest.mark.parametrize("tb_backend", ["trace", "stepwise"])
-    def test_env_forced_backend_equals_per_item_simulate(self, monkeypatch, tb_backend):
+    @pytest.mark.parametrize("sim_backend", ["trace", "interpreter"])
+    def test_env_forced_backend_equals_per_item_simulate(self, monkeypatch, sim_backend):
         mux = mux2(4, "verilogeval_s2r")
         golden = golden_verilog(mux)
         broken = COMPILER.compile(mux.functional_faults[0].apply(mux.golden_chisel)).verilog
         items = [(golden, golden, mux.build_testbench()), (broken, golden, mux.build_testbench())]
-        monkeypatch.setenv("REPRO_TB_BACKEND", tb_backend)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", sim_backend)
         expected = [SIMULATOR.simulate(*item) for item in items]
         assert SIMULATOR.simulate_many(items) == expected
         assert [outcome.success for outcome in expected] == [True, False]

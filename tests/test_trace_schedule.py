@@ -15,11 +15,12 @@ from itertools import groupby
 import pytest
 
 from repro.sim import testbench as tb
-from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
+from repro.sim.testbench import FunctionalPoint, Testbench
 from repro.verilog import compile_sim
 from repro.verilog.analysis import AnalysisError
 from repro.verilog.compile_sim import TraceSchedule, compile_trace, get_trace_kernel
 from repro.verilog.parser import parse_verilog
+from sim_tiers import run_on
 
 ADDER = parse_verilog(
     """
@@ -160,9 +161,9 @@ class TestPortCheck:
         with pytest.raises(AnalysisError, match="no port named 'zz'"):
             compile_trace(ADDER, schedule)
         assert get_trace_kernel(ADDER, schedule) is None
-        report = run_testbench(ADDER, ADDER, Testbench(points=points), backend="trace")
+        report = run_on("auto", ADDER, ADDER, Testbench(points=points))
         assert report.runtime_error is not None and "'zz'" in report.runtime_error
-        assert report == run_testbench(ADDER, ADDER, Testbench(points=points), backend="stepwise")
+        assert report == run_on("interpreter", ADDER, ADDER, Testbench(points=points))
 
     def test_missing_clock_in_a_later_run_is_rejected(self):
         points = [FunctionalPoint({"a": 1, "b": 2})] * 3 + [FunctionalPoint({"a": 2}, clock_cycles=1)]
@@ -200,8 +201,8 @@ class TestCodegen:
             for _ in range(10)
             for _ in range(rng.randint(1, 5))
         ]
-        expected = run_testbench(ACCUMULATOR, ACCUMULATOR, Testbench(points=points), backend="stepwise")
-        assert run_testbench(ACCUMULATOR, ACCUMULATOR, Testbench(points=points), backend="trace") == expected
+        expected = run_on("interpreter", ACCUMULATOR, ACCUMULATOR, Testbench(points=points))
+        assert run_on("trace", ACCUMULATOR, ACCUMULATOR, Testbench(points=points)) == expected
 
     def test_a_point_with_too_many_cycles_is_rejected(self):
         points = [FunctionalPoint({"d": 1}, clock_cycles=compile_sim._TRACE_LINE_BUDGET + 1)]

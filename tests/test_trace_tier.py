@@ -16,12 +16,14 @@ import sys
 
 import pytest
 
+from repro import settings
 from repro.caching import cache_stats
 from repro.problems.registry import build_default_registry
 from repro.sim.reference import BehavioralDevice
 from repro.sim.testbench import (
     FunctionalPoint,
     Testbench,
+    reset_backend_health,
     run_testbench,
     run_testbenches,
 )
@@ -29,6 +31,7 @@ from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog.compile_sim import clear_kernel_cache, kernel_cache_stats
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import SimulationError
+from sim_tiers import run_on
 
 REGISTRY = {problem.problem_id: problem for problem in build_default_registry()}
 COMPILER = ChiselCompiler(top="TopModule")
@@ -44,20 +47,19 @@ def _golden_module(problem):
 
 
 @pytest.mark.parametrize("problem_id", STRIDE)
-def test_interpreter_oracle_agrees_with_trace(monkeypatch, problem_id):
+def test_interpreter_oracle_agrees_with_trace(problem_id):
     """Trace matches the step-wise run on the pure interpreter."""
     problem = REGISTRY[problem_id]
     module = _golden_module(problem)
     testbench = problem.build_testbench()
-    trace = run_testbench(module, module, testbench, backend="trace")
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreter")
-    interp = run_testbench(module, module, testbench, backend="stepwise")
+    trace = run_on("trace", module, module, testbench)
+    interp = run_on("interpreter", module, module, testbench)
     assert interp == trace
     assert trace.passed
 
 
 @pytest.mark.parametrize("problem_id", STRIDE)
-def test_interpreter_oracle_agrees_with_trace_on_mutants(monkeypatch, problem_id):
+def test_interpreter_oracle_agrees_with_trace_on_mutants(problem_id):
     """Failing reports too: a mutant's mismatches, as the trace kernels see
     them, equal what the pure interpreter reads point by point."""
     problem = REGISTRY[problem_id]
@@ -70,9 +72,8 @@ def test_interpreter_oracle_agrees_with_trace_on_mutants(monkeypatch, problem_id
             if result.success:
                 mutants.append(parse_verilog(result.verilog)[-1])
     assert mutants
-    traced = [run_testbench(mutant, golden, testbench, backend="trace") for mutant in mutants]
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreter")
-    interp = [run_testbench(mutant, golden, testbench, backend="stepwise") for mutant in mutants]
+    traced = [run_on("trace", mutant, golden, testbench) for mutant in mutants]
+    interp = [run_on("interpreter", mutant, golden, testbench) for mutant in mutants]
     assert interp == traced
 
 
@@ -107,15 +108,15 @@ class TestTraceEdgeCases:
     def test_single_point(self):
         module = parse_verilog(PASSTHROUGH)[0]
         testbench = _tb([9])
-        stepwise = run_testbench(module, module, testbench, backend="stepwise")
-        trace = run_testbench(module, module, testbench, backend="trace")
+        stepwise = run_on("interpreter", module, module, testbench)
+        trace = run_on("trace", module, module, testbench)
         assert stepwise == trace and trace.checked_points == 1
 
     def test_empty_testbench(self):
         module = parse_verilog(PASSTHROUGH)[0]
         testbench = Testbench(points=[], observed_outputs=["q"], reset_cycles=0)
-        stepwise = run_testbench(module, module, testbench, backend="stepwise")
-        trace = run_testbench(module, module, testbench, backend="trace")
+        stepwise = run_on("interpreter", module, module, testbench)
+        trace = run_on("trace", module, module, testbench)
         assert stepwise == trace and trace.total_points == 0
 
     def test_unchecked_points_and_input_carryover(self):
@@ -131,8 +132,8 @@ class TestTraceEdgeCases:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(module, module, testbench, backend="stepwise")
-        trace = run_testbench(module, module, testbench, backend="trace")
+        stepwise = run_on("interpreter", module, module, testbench)
+        trace = run_on("trace", module, module, testbench)
         assert stepwise == trace
         assert trace.checked_points == 3
 
@@ -153,8 +154,8 @@ class TestTraceEdgeCases:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
-        trace = run_testbench(dut, ref, testbench, backend="trace")
+        stepwise = run_on("interpreter", dut, ref, testbench)
+        trace = run_on("trace", dut, ref, testbench)
         assert stepwise == trace
         assert [m.actual for m in trace.mismatches] == [15, 15, 5, 9, 15]
 
@@ -175,8 +176,8 @@ class TestTraceEdgeCases:
             reset_cycles=0,
             max_mismatches=256,
         )
-        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
-        trace = run_testbench(dut, ref, testbench, backend="trace")
+        stepwise = run_on("interpreter", dut, ref, testbench)
+        trace = run_on("trace", dut, ref, testbench)
         assert stepwise == trace
         assert [trace.mismatches[i].actual for i in (0, 255)] == [0b01100001, 0b01011011]
 
@@ -189,8 +190,8 @@ class TestTraceEdgeCases:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
-        trace = run_testbench(dut, ref, testbench, backend="trace")
+        stepwise = run_on("interpreter", dut, ref, testbench)
+        trace = run_on("trace", dut, ref, testbench)
         assert stepwise == trace
         assert trace.mismatches[0].actual == (1 << 70) | 1
 
@@ -203,39 +204,32 @@ class TestTraceStrictness:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         report = run_testbench(module, module, testbench)
-        assert report == run_testbench(module, module, testbench, backend="stepwise")
+        assert report == run_on("interpreter", module, module, testbench)
         assert report.passed
 
     def test_strictness_propagates_through_run_testbenches(self, monkeypatch):
-        """Batched jobs under REPRO_TB_BACKEND=trace keep strict semantics."""
+        """Batched jobs under REPRO_SIM_BACKEND=trace keep strict semantics."""
         module = parse_verilog(PASSTHROUGH)[0]
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         with pytest.raises(SimulationError, match="behavioural references"):
             run_testbenches([(module, _behavioural_passthrough(), _tb([9]))])
 
 
 class TestRetiredVectorBackend:
-    def test_vector_argument_is_an_unknown_backend(self):
-        module = parse_verilog(PASSTHROUGH)[0]
-        with pytest.raises(SimulationError, match="unknown testbench backend 'vector'"):
-            run_testbench(module, module, _tb([1]), backend="vector")
-        with pytest.raises(SimulationError, match="unknown testbench backend 'vector'"):
-            run_testbenches([(module, module, _tb([1]))], backend="vector")
-
     def test_vector_environment_value_is_rejected(self, monkeypatch):
         """The settings table refuses the value; the simulator surfaces that
         message as the :class:`SimulationError` its callers handle."""
-        from repro import settings
-
         module = parse_verilog(PASSTHROUGH)[0]
-        monkeypatch.setenv("REPRO_TB_BACKEND", "vector")
-        message = "REPRO_TB_BACKEND must be one of auto, trace, stepwise, got 'vector'"
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "vector")
+        message = "REPRO_SIM_BACKEND must be one of auto, trace, interpreter, got 'vector'"
         with pytest.raises(settings.SettingError, match=message):
-            settings.read("REPRO_TB_BACKEND")
+            settings.read("REPRO_SIM_BACKEND")
         with pytest.raises(SimulationError, match=message):
-            run_testbench(module, module, _tb([1]), backend="trace")
+            run_testbench(module, module, _tb([1]))
+        with pytest.raises(SimulationError, match=message):
+            run_testbenches([(module, module, _tb([1]))])
 
     def test_compile_vec_names_only_raise(self):
         from repro.verilog import compile_vec
@@ -248,11 +242,23 @@ class TestRetiredVectorBackend:
             compile_vec.compile_vec_trace(module, None)
 
 
+class TestRetiredTierKnob:
+    @pytest.mark.parametrize("sim_backend", ["auto", "trace", "interpreter"])
+    def test_leftover_tier_knob_fails_by_name(self, monkeypatch, sim_backend):
+        """The deleted REPRO_TB_BACKEND fails every plan, not just the trace one."""
+        module = parse_verilog(PASSTHROUGH)[0]
+        monkeypatch.setenv("REPRO_SIM_BACKEND", sim_backend)
+        monkeypatch.setenv("REPRO_TB_BACKEND", "stepwise")
+        reset_backend_health()  # the check runs where the breaker is built
+        with pytest.raises(settings.SettingError, match="REPRO_TB_BACKEND must be unset"):
+            run_testbench(module, module, _tb([1]))
+
+
 class TestTraceCaches:
     @pytest.mark.cache_mutating
     def test_cache_registry_and_snapshot_cover_kernel_caches(self):
         module = parse_verilog(PASSTHROUGH)[0]
-        run_testbench(module, module, _tb([1]), backend="trace")
+        run_on("trace", module, module, _tb([1]))
         stats = cache_stats()
         assert "sim_trace" in stats and "sim_kernel" in stats
         assert not any(name.startswith("sim_vec") for name in stats)
@@ -260,8 +266,8 @@ class TestTraceCaches:
         assert kernel_cache_stats()["fallbacks"] == 0
         loop = parse_verilog(LOOP)[0]
         loop_tb = Testbench(points=[FunctionalPoint(inputs={"a": 0})], reset_cycles=0)
-        run_testbench(loop, loop, loop_tb, backend="trace")
-        run_testbench(loop, loop, loop_tb, backend="trace")  # negatively cached
+        run_on("auto", loop, loop, loop_tb)
+        run_on("auto", loop, loop, loop_tb)  # negatively cached
         assert kernel_cache_stats()["fallbacks"] == 1
 
         from repro.service import GenerationService

@@ -25,6 +25,7 @@ from repro.verilog.compile_sim import (
 )
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import SimulationError
+from sim_tiers import run_on
 
 REGISTRY = build_default_registry()
 COMPILER = ChiselCompiler(top="TopModule")
@@ -42,8 +43,8 @@ class TestTraceDifferentialGoldens:
         for problem in REGISTRY:
             module = _golden_module(problem)
             testbench = problem.build_testbench()
-            stepwise = run_testbench(module, module, testbench, backend="stepwise")
-            trace = run_testbench(module, module, testbench, backend="trace")
+            stepwise = run_on("interpreter", module, module, testbench)
+            trace = run_on("trace", module, module, testbench)
             assert stepwise == trace, problem.problem_id
             assert trace.passed, problem.problem_id
 
@@ -81,8 +82,8 @@ class TestTraceDifferentialMutants:
                 if not result.success:
                     continue
                 mutant = parse_verilog(result.verilog)[-1]
-                stepwise = run_testbench(mutant, golden, testbench, backend="stepwise")
-                trace = run_testbench(mutant, golden, testbench, backend="trace")
+                stepwise = run_on("interpreter", mutant, golden, testbench)
+                trace = run_on("trace", mutant, golden, testbench)
                 assert stepwise == trace, (problem.problem_id, fault.fault_id)
                 compared += 1
                 failing += 0 if stepwise.passed else 1
@@ -136,8 +137,8 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(latch, latch, testbench, backend="stepwise")
-        trace = run_testbench(latch, latch, testbench, backend="trace")
+        stepwise = run_on("interpreter", latch, latch, testbench)
+        trace = run_on("trace", latch, latch, testbench)
         assert stepwise == trace
         assert trace.passed
 
@@ -150,8 +151,8 @@ class TestTraceSemantics:
             reset_cycles=0,
             max_mismatches=5,
         )
-        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
-        trace = run_testbench(dut, ref, testbench, backend="trace")
+        stepwise = run_on("interpreter", dut, ref, testbench)
+        trace = run_on("trace", dut, ref, testbench)
         assert stepwise == trace
         assert trace.failed_points == 16 and len(trace.mismatches) == 5
         assert [m.point_index for m in trace.mismatches] == list(range(5))
@@ -163,7 +164,7 @@ class TestTraceSemantics:
             "  assign x = y | a;\n  assign y = x & a;\nendmodule\n"
         )[0]
         testbench = Testbench(points=[FunctionalPoint(inputs={"a": 0})], reset_cycles=0)
-        report = run_testbench(loop, loop, testbench, backend="trace")
+        report = run_on("auto", loop, loop, testbench)
         assert report.passed  # value-stable cycle settles in the interpreter
 
     def test_trace_falls_back_on_port_mismatch_error(self):
@@ -173,8 +174,8 @@ class TestTraceSemantics:
         testbench = Testbench(
             points=[FunctionalPoint(inputs={"a": 1, "b": 1})], reset_cycles=0
         )
-        stepwise = run_testbench(dut, ref, testbench, backend="stepwise")
-        trace = run_testbench(dut, ref, testbench, backend="trace")
+        stepwise = run_on("interpreter", dut, ref, testbench)
+        trace = run_on("auto", dut, ref, testbench)
         assert stepwise == trace
         assert trace.runtime_error is not None and "no port named 'b'" in trace.runtime_error
 
@@ -185,24 +186,11 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        monkeypatch.setenv("REPRO_TB_BACKEND", "stepwise")
-        before = kernel_cache_stats()
-        assert run_testbench(module, module, testbench).passed
-        after = kernel_cache_stats()
-        assert after["trace_hits"] == before["trace_hits"]
-        assert after["trace_misses"] == before["trace_misses"]
-
-    def test_forced_interpreter_disables_trace_under_auto(self, monkeypatch):
-        module = parse_verilog(PASSTHROUGH)[0]
-        testbench = Testbench(
-            points=[FunctionalPoint(inputs={"en": 0, "d": 3})],
-            observed_outputs=["q"],
-            reset_cycles=0,
-        )
         monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreter")
         before = kernel_cache_stats()
         assert run_testbench(module, module, testbench).passed
         after = kernel_cache_stats()
+        assert after["trace_hits"] == before["trace_hits"]
         assert after["trace_misses"] == before["trace_misses"]
 
     def test_behavioural_reference_falls_back_to_stepwise(self):
@@ -226,7 +214,7 @@ class TestTraceSemantics:
         assert after["trace_misses"] == before["trace_misses"]
 
     def test_env_forced_trace_raises_for_behavioural_reference(self, monkeypatch):
-        """REPRO_TB_BACKEND=trace must fail loudly, not silently degrade."""
+        """REPRO_SIM_BACKEND=trace must fail loudly, not silently degrade."""
         from repro.sim.reference import BehavioralDevice
 
         module = parse_verilog(PASSTHROUGH)[0]
@@ -238,7 +226,7 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         with pytest.raises(SimulationError, match="behavioural references"):
             run_testbench(module, reference, testbench)
 
@@ -249,11 +237,11 @@ class TestTraceSemantics:
             "  assign x = y | a;\n  assign y = x & a;\nendmodule\n"
         )[0]
         testbench = Testbench(points=[FunctionalPoint(inputs={"a": 0})], reset_cycles=0)
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         with pytest.raises(SimulationError, match="not trace-eligible"):
             run_testbench(loop, loop, testbench)
-        # The explicit argument keeps the documented prefer-trace fallback.
-        assert run_testbench(loop, loop, testbench, backend="trace").passed
+        # auto keeps the documented prefer-trace fallback.
+        assert run_on("auto", loop, loop, testbench).passed
 
     def test_env_forced_trace_runs_eligible_pairings(self, monkeypatch):
         module = parse_verilog(PASSTHROUGH)[0]
@@ -262,9 +250,9 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        monkeypatch.setenv("REPRO_TB_BACKEND", "trace")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "trace")
         report = run_testbench(module, module, testbench)
-        assert report == run_testbench(module, module, testbench, backend="stepwise")
+        assert report == run_on("interpreter", module, module, testbench)
 
     def test_consecutive_empty_points_do_not_break_codegen(self):
         """Runs of points that compile to no code must not emit empty loops."""
@@ -279,8 +267,8 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(module, module, testbench, backend="stepwise")
-        trace = run_testbench(module, module, testbench, backend="trace")
+        stepwise = run_on("interpreter", module, module, testbench)
+        trace = run_on("trace", module, module, testbench)
         assert stepwise == trace
         assert trace.checked_points == 2
 
@@ -295,16 +283,20 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        stepwise = run_testbench(module, module, testbench, backend="stepwise")
-        trace = run_testbench(module, module, testbench, backend="trace")
+        stepwise = run_on("interpreter", module, module, testbench)
+        trace = run_on("auto", module, module, testbench)
         assert stepwise == trace
         assert trace.passed
 
-    def test_unknown_backend_raises(self):
+    @pytest.mark.parametrize("value", ["warp", "compiled", "stepwise"])
+    def test_unknown_backend_raises(self, monkeypatch, value):
+        """Values of the deleted compiled mode and tier knob fail by the row's rule."""
         module = parse_verilog(PASSTHROUGH)[0]
         testbench = Testbench(points=[], reset_cycles=0)
-        with pytest.raises(SimulationError):
-            run_testbench(module, module, testbench, backend="warp")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", value)
+        rule = f"REPRO_SIM_BACKEND must be one of auto, trace, interpreter, got '{value}'"
+        with pytest.raises(SimulationError, match=rule):
+            run_testbench(module, module, testbench)
 
     @pytest.mark.cache_mutating
     def test_trace_kernels_are_cached_per_module_and_shape(self):
@@ -315,8 +307,8 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        first = run_testbench(module, module, testbench, backend="trace")
-        second = run_testbench(module, module, testbench, backend="trace")
+        first = run_on("trace", module, module, testbench)
+        second = run_on("trace", module, module, testbench)
         assert first == second
         stats = kernel_cache_stats()
         # dut and reference share the module: one compile, three cache hits.
