@@ -26,7 +26,8 @@ def config() -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def harness(config) -> EvaluationHarness:
-    return EvaluationHarness(config)
+    with EvaluationHarness(config) as harness:
+        yield harness
 
 
 def run_once(benchmark, function, *args, **kwargs):

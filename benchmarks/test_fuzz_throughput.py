@@ -1,9 +1,9 @@
 """Fuzz-session throughput: generated programs conformance-checked per second.
 
-Each program compiles cold and warm, re-parses its Verilog and runs three
-backend pairings, so this benchmark tracks the end-to-end cost of the
-differential engine — regressions here make the CI fuzz smoke job (and any
-long adversarial session) proportionally slower.
+Each program compiles cold and warm, re-parses its Verilog and, per top and
+pass, runs the interpreter once and the trace tier, so this benchmark tracks
+the end-to-end cost of the differential engine — regressions here make the
+CI fuzz smoke job (and any long adversarial session) proportionally slower.
 """
 
 from __future__ import annotations

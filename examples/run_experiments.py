@@ -3,7 +3,7 @@
 
 Usage:
     python examples/run_experiments.py table1 table3
-    python examples/run_experiments.py all --jobs 4
+    python examples/run_experiments.py all --jobs 1   # in-process, no worker pool
     python examples/run_experiments.py all --no-store
     REPRO_FULL_EVAL=1 python examples/run_experiments.py all   # paper-scale sweep
 
@@ -12,8 +12,10 @@ subset of cases, 2 samples per case) is used so every experiment finishes in
 seconds to a couple of minutes.
 
 Every sweep runs through the sweep execution engine (work units → executor →
-result store, see EXPERIMENTS.md): ``--jobs N`` fans work units out over N
-worker processes, and completed units are persisted to ``--store`` (a
+result store, see EXPERIMENTS.md): work units fan out over one worker process
+per usable CPU by default, ``--jobs N`` picks N workers and ``--jobs 1`` runs
+them in-process (memory is the parent plus one worker per job, each with its
+own caches), and completed units are persisted to ``--store`` (a
 directory holding one JSON-lines log, default
 ``.repro-cache/results.jsonl``) so reruns and overlapping experiments —
 Table III, Table IV, Fig. 6 and Fig. 7 share their ReChisel sweeps — reuse
@@ -61,7 +63,8 @@ def main() -> None:
         "--jobs",
         type=settings.arg_type("--jobs", "REPRO_JOBS"),
         default=None,
-        help="worker processes for the sweep engine (default: REPRO_JOBS or 1)",
+        help="worker processes for the sweep engine; 1 runs in-process "
+        "(default: REPRO_JOBS or the number of usable CPUs)",
     )
     parser.add_argument(
         "--store",
@@ -139,7 +142,7 @@ def main() -> None:
         f"Sweep engine: {stats.executed} work units executed, "
         f"{stats.memo_hits} in-memory hits, {stats.store_hits} store hits"
     )
-    harness.engine.close()
+    harness.close()
 
 
 if __name__ == "__main__":

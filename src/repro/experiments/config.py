@@ -19,13 +19,16 @@ class ExperimentConfig:
     environment variable (or call :meth:`paper_scale`) to reproduce the full
     runs, as recorded in EXPERIMENTS.md.
 
-    ``jobs`` selects the sweep executor: 1 runs every work unit in-process,
-    >1 fans units out over a process pool (``REPRO_JOBS``); results are
-    bit-identical either way.  ``store_path`` points the engine at a persistent
-    append-only result store (``REPRO_RESULT_STORE``) so repeated and
-    overlapping sweeps reuse completed work units and interrupted runs
-    resume; ``None`` disables persistence (in-process memoization across
-    sweeps still applies).  See EXPERIMENTS.md for the store format.
+    ``jobs`` selects the sweep executor (``REPRO_JOBS``).  It defaults to the
+    number of CPUs this process may run on, and >1 fans units out over a
+    process pool of that many workers: memory is then the parent plus one
+    worker per CPU, each with its own caches.  ``jobs=1`` runs every work unit
+    in-process; results are bit-identical either way.  ``store_path`` points
+    the engine at a persistent append-only result store
+    (``REPRO_RESULT_STORE``) so repeated and overlapping sweeps reuse
+    completed work units and interrupted runs resume; ``None`` disables
+    persistence (in-process memoization across sweeps still applies).  See
+    EXPERIMENTS.md for the store format.
     """
 
     samples_per_case: int = 10
@@ -34,7 +37,7 @@ class ExperimentConfig:
     models: tuple[str, ...] = PAPER_MODELS
     autochip_models: tuple[str, ...] = AUTOCHIP_MODELS
     seed: int = 0
-    jobs: int = 1
+    jobs: int = settings.SETTINGS["REPRO_JOBS"].default
     store_path: str | None = None
 
     @classmethod

@@ -11,8 +11,8 @@ each batch of :class:`~repro.experiments.work.WorkUnit`\\ s it
 3. executes only the remaining units through the configured executor
    (:class:`~repro.experiments.executors.SerialExecutor`, or the process-pool
    :class:`~repro.experiments.executors.ParallelExecutor` when
-   ``config.jobs > 1``), streaming each result into the memo and store the
-   moment it completes.
+   ``config.jobs > 1``, the default on a multi-CPU host), streaming each
+   result into the memo and store the moment it completes.
 
 ``stats`` counts executed units and memo/store hits cumulatively, which is
 what the warm-store and resume tests assert against.

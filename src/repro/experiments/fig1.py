@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import EvaluationHarness
+from repro.experiments.runner import EvaluationHarness, harness_for
 from repro.llm.profiles import CLAUDE_HAIKU, CLAUDE_SONNET, GPT4_TURBO, GPT4O, GPT4O_MINI
 from repro.metrics.errors import ErrorBreakdown, error_breakdown
 
@@ -45,10 +45,10 @@ class Fig1Result:
 
 def run(config: ExperimentConfig | None = None, harness: EvaluationHarness | None = None) -> Fig1Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    result = Fig1Result()
-    for model in config.models:
-        cases = harness.run_zero_shot(model, "chisel")
-        outcomes = [outcome for case in cases for outcome in case.outcomes]
-        result.breakdowns[model] = error_breakdown(outcomes)
-    return result
+    with harness_for(config, harness) as harness:
+        result = Fig1Result()
+        for model in config.models:
+            cases = harness.run_zero_shot(model, "chisel")
+            outcomes = [outcome for case in cases for outcome in case.outcomes]
+            result.breakdowns[model] = error_breakdown(outcomes)
+        return result

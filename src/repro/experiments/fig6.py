@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import EvaluationHarness, ReflectionCase
+from repro.experiments.runner import EvaluationHarness, ReflectionCase, harness_for
 from repro.experiments.table3 import PASS_KS, pass_rate
 
 
@@ -32,19 +32,19 @@ def run(
     rechisel_cases: dict[str, list[ReflectionCase]] | None = None,
 ) -> Fig6Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    result = Fig6Result(max_iterations=config.max_iterations)
-    for model in config.models:
-        cases = (
-            rechisel_cases[model]
-            if rechisel_cases is not None and model in rechisel_cases
-            else harness.run_rechisel(model)
-        )
-        result.series[model] = {
-            k: [
-                pass_rate(cases, config.samples_per_case, k, cap)
-                for cap in range(config.max_iterations + 1)
-            ]
-            for k in PASS_KS
-        }
-    return result
+    with harness_for(config, harness) as harness:
+        result = Fig6Result(max_iterations=config.max_iterations)
+        for model in config.models:
+            cases = (
+                rechisel_cases[model]
+                if rechisel_cases is not None and model in rechisel_cases
+                else harness.run_rechisel(model)
+            )
+            result.series[model] = {
+                k: [
+                    pass_rate(cases, config.samples_per_case, k, cap)
+                    for cap in range(config.max_iterations + 1)
+                ]
+                for k in PASS_KS
+            }
+        return result

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import EvaluationHarness, ReflectionCase
+from repro.experiments.runner import EvaluationHarness, ReflectionCase, harness_for
 from repro.llm.profiles import GPT4O
 from repro.metrics.errors import ErrorBreakdown, per_iteration_error_mix
 
@@ -58,12 +58,12 @@ def run(
     model: str = GPT4O,
 ) -> Fig7Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    cases = rechisel_cases if rechisel_cases is not None else harness.run_rechisel(model)
-    outcome_lists = [
-        [result.outcome_at(i) for i in range(config.max_iterations + 1)]
-        for case in cases
-        for result in case.results
-    ]
-    mixes = per_iteration_error_mix(outcome_lists, config.max_iterations)
-    return Fig7Result(model=model, mixes=mixes)
+    with harness_for(config, harness) as harness:
+        cases = rechisel_cases if rechisel_cases is not None else harness.run_rechisel(model)
+        outcome_lists = [
+            [result.outcome_at(i) for i in range(config.max_iterations + 1)]
+            for case in cases
+            for result in case.results
+        ]
+        mixes = per_iteration_error_mix(outcome_lists, config.max_iterations)
+        return Fig7Result(model=model, mixes=mixes)

@@ -12,7 +12,9 @@ ReChisel runs — therefore share work automatically.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.baselines.autochip import AutoChipResult
 from repro.core.rechisel import ReChiselResult
@@ -129,6 +131,16 @@ class EvaluationHarness:
         self.engine = engine or SweepEngine(config, registry=registry)
         self.registry = self.engine.registry
 
+    def close(self) -> None:
+        """Shut the engine's worker processes down and release its store."""
+        self.engine.close()
+
+    def __enter__(self) -> "EvaluationHarness":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     @property
     def compiler(self) -> ChiselCompiler:
         """The serial worker context's compiler (shared caches, back-compat)."""
@@ -204,3 +216,20 @@ class EvaluationHarness:
             AutoChipCase(problem.problem_id, results=list(results))
             for problem, results in self._sweep(AutoChipStrategy(), model)
         ]
+
+
+@contextmanager
+def harness_for(
+    config: ExperimentConfig, harness: EvaluationHarness | None = None
+) -> Iterator[EvaluationHarness]:
+    """``harness`` as given, or a new one for ``config`` that closes on exit.
+
+    An experiment's ``run()`` takes its caller's harness, whose warm process
+    pool serves the caller's next experiment too; a harness it builds itself
+    is closed when the experiment returns, so no pool outlives its owner.
+    """
+    if harness is not None:
+        yield harness
+        return
+    with EvaluationHarness(config) as owned:
+        yield owned

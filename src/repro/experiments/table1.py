@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import fmt_pair, render_table
-from repro.experiments.runner import EvaluationHarness, ZeroShotCase
+from repro.experiments.runner import EvaluationHarness, ZeroShotCase, harness_for
 from repro.llm.profiles import CLAUDE_HAIKU, CLAUDE_SONNET, GPT4_TURBO, GPT4O, GPT4O_MINI
 from repro.metrics.passk import aggregate_pass_at_k
 
@@ -60,17 +60,17 @@ def _pass_rates(cases: list[ZeroShotCase], samples: int) -> dict[int, float]:
 
 def run(config: ExperimentConfig | None = None, harness: EvaluationHarness | None = None) -> Table1Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    result = Table1Result()
-    for model in config.models:
-        chisel_cases = harness.run_zero_shot(model, "chisel")
-        verilog_cases = harness.run_zero_shot(model, "verilog")
-        result.raw[model] = {"chisel": chisel_cases, "verilog": verilog_cases}
-        result.rows.append(
-            Table1Row(
-                model,
-                _pass_rates(chisel_cases, config.samples_per_case),
-                _pass_rates(verilog_cases, config.samples_per_case),
+    with harness_for(config, harness) as harness:
+        result = Table1Result()
+        for model in config.models:
+            chisel_cases = harness.run_zero_shot(model, "chisel")
+            verilog_cases = harness.run_zero_shot(model, "verilog")
+            result.raw[model] = {"chisel": chisel_cases, "verilog": verilog_cases}
+            result.rows.append(
+                Table1Row(
+                    model,
+                    _pass_rates(chisel_cases, config.samples_per_case),
+                    _pass_rates(verilog_cases, config.samples_per_case),
+                )
             )
-        )
-    return result
+        return result

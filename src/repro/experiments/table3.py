@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import fmt_pair, render_table
-from repro.experiments.runner import EvaluationHarness, ReflectionCase
+from repro.experiments.runner import EvaluationHarness, ReflectionCase, harness_for
 from repro.llm.profiles import CLAUDE_HAIKU, CLAUDE_SONNET, GPT4_TURBO, GPT4O, GPT4O_MINI
 from repro.metrics.passk import aggregate_pass_at_k
 
@@ -72,16 +72,16 @@ class Table3Result:
 
 def run(config: ExperimentConfig | None = None, harness: EvaluationHarness | None = None) -> Table3Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    result = Table3Result(samples_per_case=config.samples_per_case)
-    for model in config.models:
-        cases = harness.run_rechisel(model)
-        result.raw[model] = cases
-        result.rates[model] = {
-            k: {
-                cap: pass_rate(cases, config.samples_per_case, k, cap)
-                for cap in ITERATION_CAPS
+    with harness_for(config, harness) as harness:
+        result = Table3Result(samples_per_case=config.samples_per_case)
+        for model in config.models:
+            cases = harness.run_rechisel(model)
+            result.raw[model] = cases
+            result.rates[model] = {
+                k: {
+                    cap: pass_rate(cases, config.samples_per_case, k, cap)
+                    for cap in ITERATION_CAPS
+                }
+                for k in PASS_KS
             }
-            for k in PASS_KS
-        }
-    return result
+        return result

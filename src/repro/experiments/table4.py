@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import fmt_pair, render_table
-from repro.experiments.runner import AutoChipCase, EvaluationHarness, ReflectionCase
+from repro.experiments.runner import AutoChipCase, EvaluationHarness, ReflectionCase, harness_for
 from repro.llm.profiles import CLAUDE_SONNET, GPT4_TURBO, GPT4O
 from repro.metrics.passk import aggregate_pass_at_k
 
@@ -53,25 +53,25 @@ def run(
     rechisel_cases: dict[str, list[ReflectionCase]] | None = None,
 ) -> Table4Result:
     config = config or ExperimentConfig.from_environment()
-    harness = harness or EvaluationHarness(config)
-    result = Table4Result()
-    samples = config.samples_per_case
-    cap = config.max_iterations
-    for model in config.autochip_models:
-        reflection = (
-            rechisel_cases[model]
-            if rechisel_cases is not None and model in rechisel_cases
-            else harness.run_rechisel(model)
-        )
-        autochip = harness.run_autochip(model)
-        result.raw_rechisel[model] = reflection
-        result.raw_autochip[model] = autochip
-        result.rechisel[model] = {
-            k: aggregate_pass_at_k([(samples, c.pass_count_at(cap)) for c in reflection], k)
-            for k in PASS_KS
-        }
-        result.autochip[model] = {
-            k: aggregate_pass_at_k([(samples, c.pass_count_at(cap)) for c in autochip], k)
-            for k in PASS_KS
-        }
-    return result
+    with harness_for(config, harness) as harness:
+        result = Table4Result()
+        samples = config.samples_per_case
+        cap = config.max_iterations
+        for model in config.autochip_models:
+            reflection = (
+                rechisel_cases[model]
+                if rechisel_cases is not None and model in rechisel_cases
+                else harness.run_rechisel(model)
+            )
+            autochip = harness.run_autochip(model)
+            result.raw_rechisel[model] = reflection
+            result.raw_autochip[model] = autochip
+            result.rechisel[model] = {
+                k: aggregate_pass_at_k([(samples, c.pass_count_at(cap)) for c in reflection], k)
+                for k in PASS_KS
+            }
+            result.autochip[model] = {
+                k: aggregate_pass_at_k([(samples, c.pass_count_at(cap)) for c in autochip], k)
+                for k in PASS_KS
+            }
+        return result

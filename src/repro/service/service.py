@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from typing import Callable, Iterable, Sequence
 
 from repro.caching import LruCache, cache_stats
@@ -69,22 +69,24 @@ class _LoopToolQueue(Executor):
     ``loop.run_in_executor(queue, fn)`` appends ``fn`` to a deque; a runner
     scheduled with ``call_soon`` pops and runs one callable per pass and
     reschedules itself while work remains, so ready callbacks (timers, LLM
-    completions, other sessions' steps) interleave between tool steps.  A
-    step whose future was cancelled while queued is skipped.  :meth:`shutdown`
-    cancels whatever is still queued instead of running it.  Submit only from
-    the loop's thread.
+    completions, other sessions' steps) interleave between tool steps.
+    ``submit`` returns a loop future, which ``run_in_executor`` hands to the
+    awaiting task unwrapped, so cancelling that task cancels the step's future
+    at once; a cancelled step is skipped, at the head of the queue too.
+    :meth:`shutdown` cancels whatever is still queued instead of running it.
+    Submit only from the loop's thread.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
-        self._queue: deque[tuple[Future, Callable, tuple, dict]] = deque()
+        self._queue: deque[tuple[asyncio.Future, Callable, tuple, dict]] = deque()
         self._scheduled = False
         self._closed = False
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
+    def submit(self, fn, /, *args, **kwargs) -> asyncio.Future:
         if self._closed:
             raise RuntimeError("cannot queue a tool step after the service closed")
-        future: Future = Future()
+        future = self._loop.create_future()
         self._queue.append((future, fn, args, kwargs))
         if not self._scheduled:
             self._scheduled = True
@@ -95,7 +97,7 @@ class _LoopToolQueue(Executor):
         self._scheduled = False
         while self._queue:
             future, fn, args, kwargs = self._queue.popleft()
-            if future.set_running_or_notify_cancel():
+            if not future.cancelled():
                 break
         else:
             return

@@ -119,10 +119,17 @@ class Setting:
         return self.low is None or (value > self.low if self.low_open else value >= self.low)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _ROWS = (
     # Sweeps (repro.experiments.config)
     Setting("REPRO_FULL_EVAL", bool, False),
-    Setting("REPRO_JOBS", int, 1, low=1),
+    Setting("REPRO_JOBS", int, _usable_cpus(), low=1),
     Setting("REPRO_RESULT_STORE", PATH),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
     Setting("REPRO_SIM_BACKEND", ("auto", "trace", "interpreter"), "auto"),

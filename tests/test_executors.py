@@ -16,6 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments import table1
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import SweepEngine
 from repro.experiments.executors import ParallelExecutor, SerialExecutor
@@ -163,6 +164,26 @@ class TestEngineExecutorSelection:
             assert engine._parallel is None
         finally:
             engine.close()
+
+    def test_default_jobs_is_the_usable_cpu_count(self):
+        assert ExperimentConfig().jobs == len(os.sched_getaffinity(0))
+
+    def test_jobs_env_knob_one_runs_in_process(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        engine = SweepEngine(ExperimentConfig.from_environment())
+        try:
+            assert isinstance(engine._select_executor(pending_count=10), SerialExecutor)
+            engine.run(make_units(samples=1))
+            assert engine._parallel is None
+        finally:
+            engine.close()
+
+    def test_experiment_without_a_harness_leaves_no_worker_behind(self):
+        before = set(multiprocessing.active_children())
+        config = dataclasses.replace(CONFIG, max_cases=2, models=("GPT-4o mini",), jobs=2)
+        result = table1.run(config)
+        assert [row.model for row in result.rows] == ["GPT-4o mini"]
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_jobs_env_knob_selects_the_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")

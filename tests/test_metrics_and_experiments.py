@@ -22,6 +22,10 @@ TINY = ExperimentConfig(
 HARNESS = EvaluationHarness(TINY)
 
 
+def teardown_module():
+    HARNESS.close()
+
+
 class TestPassAtK:
     def test_known_values(self):
         assert pass_at_k(10, 10, 1) == pytest.approx(1.0)

@@ -8,9 +8,10 @@ a change to the compiler, the simulator, the backend plan or the executors
 that moves any number fails here.
 
 The digest must not depend on how the simulation is executed: CI reruns this
-test under ``REPRO_SIM_BACKEND=trace`` (strict trace tier) and
-``REPRO_SIM_BACKEND=interpreter`` (step-wise tier only) and expects the same
-value.
+test under ``REPRO_SIM_BACKEND=trace`` (strict trace tier),
+``REPRO_SIM_BACKEND=interpreter`` (step-wise tier only) and ``REPRO_JOBS=1``
+(in-process executor instead of the default process pool) and expects the
+same value.
 """
 
 from __future__ import annotations

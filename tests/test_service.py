@@ -358,6 +358,26 @@ class TestLoopToolQueue:
         asyncio.run(main())
         assert ran == [0, 1]
 
+    def test_cancelled_session_never_runs_the_step_at_the_queue_head(self):
+        ran = []
+
+        def session():
+            yield ToolCall(lambda: ran.append("step"), "compile")
+            return "finished"
+
+        async def main():
+            async with GenerationService(ServiceConfig()) as service:
+                driving = asyncio.create_task(service._drive(session(), client=None))
+                await asyncio.sleep(0)  # the session queues its step, alone
+                assert len(service._tools._queue) == 1
+                driving.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await driving
+                await asyncio.sleep(0.01)
+
+        asyncio.run(main())
+        assert ran == []
+
     def test_raising_step_fails_only_its_own_job(self, scripted):
         def broken():
             yield ToolCall(lambda: 1 // 0, "compile")

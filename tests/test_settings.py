@@ -158,7 +158,7 @@ class TestEveryRow:
 
     def test_blank_is_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "  ")
-        assert settings.read("REPRO_JOBS") == 1
+        assert settings.read("REPRO_JOBS") == len(os.sched_getaffinity(0))
         assert settings.read("REPRO_JOBS", 7) == 7
 
     def test_unknown_name_is_a_key_error(self):
@@ -294,11 +294,15 @@ class TestDocsInSync:
         # ``REPRO_SERVICE_*``-style mentions name a family, not a knob.
         assert {name for name in used if not name.endswith("_")} == set(SETTINGS)
 
+    #: Rows whose default depends on the host, documented by what it counts.
+    HOST_DEFAULTS = {"REPRO_JOBS": "usable CPUs"}
+
     def test_every_row_is_documented_with_its_default(self):
         documented = dict(self.DOC_ROW.findall((ROOT / "EXPERIMENTS.md").read_text()))
         assert set(documented) == set(SETTINGS)
         for name, row in SETTINGS.items():
-            assert documented[name] == self.shown(row.default), name
+            expected = self.HOST_DEFAULTS.get(name) or self.shown(row.default)
+            assert documented[name] == expected, name
 
     @staticmethod
     def shown(default) -> str:

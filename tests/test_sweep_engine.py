@@ -26,6 +26,7 @@ SMALL = ExperimentConfig(
     models=(CLAUDE_SONNET,),
     autochip_models=(CLAUDE_SONNET,),
     seed=0,
+    jobs=1,
 )
 
 
