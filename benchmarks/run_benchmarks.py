@@ -7,7 +7,8 @@ Usage::
 
 Covers the raw toolchain throughput (compile + simulate one case), the
 Chisel frontend (lex + parse of registry candidates, asserted ≥1.5x the
-character-at-a-time reference frontend), the batched verification engine
+character-at-a-time reference frontend), Verilog parsing (the Verilog
+parse digest's corpus, no gate), the batched verification engine
 (cold candidate, warm iteration-k+1 and trace vs step-wise testbench
 backends, with asserted minimum speedups), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
@@ -44,6 +45,7 @@ def main(argv: list[str]) -> int:
         [
             os.path.join(root, "benchmarks", "test_toolchain_throughput.py"),
             os.path.join(root, "benchmarks", "test_chisel_frontend_throughput.py"),
+            os.path.join(root, "benchmarks", "test_verilog_parse_throughput.py"),
             os.path.join(root, "benchmarks", "test_verify_throughput.py"),
             os.path.join(root, "benchmarks", "test_sweep_throughput.py"),
             os.path.join(root, "benchmarks", "test_service_throughput.py"),

@@ -11,7 +11,9 @@ recording one pass into ``BENCH_toolchain.json`` via
 through the character-at-a-time reference frontend kept in
 ``tests/chisel_reference.py``, interleaving the rounds so a change of host
 speed hits both sides, and asserts the frontend stays ≥1.5x faster (about
-2.5x when it was written).
+2.5x when it was written; on a 2-CPU host with Python 3.11, 3.1x before the
+parser dispatched on token tags and 5.1x after: 149 ms against 765 ms for
+the 811 sources, best of 5).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 
-from repro.chisel import ast
+from repro.chisel import ast, intrinsics
 from repro.chisel import values as v
 from repro.chisel.naming import Namer
 from repro.diagnostics import ChiselError, SourceLocation
@@ -600,34 +600,39 @@ class Elaborator:
         ctx: ModuleContext,
         name_hint: str | None = None,
     ) -> object:
-        if isinstance(expr, ast.IntLit):
-            return expr.value
-        if isinstance(expr, ast.StringLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            if not scope.contains(expr.name):
-                raise self._not_found_error(expr.name, scope, expr.location)
-            return scope.lookup(expr.name)
-        if isinstance(expr, ast.BinaryOp):
-            return self._eval_binary(expr, scope, ctx)
-        if isinstance(expr, ast.UnaryOp):
-            return self._eval_unary(expr, scope, ctx)
-        if isinstance(expr, ast.FieldSelect):
-            target = self._eval(expr.target, scope, ctx)
-            return self._member(target, expr.name, [], [], [], expr.location, scope, ctx, name_hint)
-        if isinstance(expr, ast.MethodCall):
+        # Dispatch on the exact node type (the AST has no subclasses of its
+        # concrete nodes), most frequent first.
+        kind = type(expr)
+        if kind is ast.MethodCall:
             return self._eval_call(expr, scope, ctx, name_hint)
-        if isinstance(expr, ast.Apply):
+        if kind is ast.Ident:
+            try:
+                return scope.lookup(expr.name)
+            except KeyError:
+                raise self._not_found_error(expr.name, scope, expr.location) from None
+        if kind is ast.IntLit or kind is ast.BoolLit or kind is ast.StringLit:
+            return expr.value
+        if kind is ast.FieldSelect:
+            target = self._eval(expr.target, scope, ctx)
+            return intrinsics.call_member(
+                self, target, expr.name, [], [], [], expr.location, scope, ctx, name_hint
+            )
+        if kind is ast.BinaryOp:
+            left = self._eval(expr.left, scope, ctx)
+            right = self._eval(expr.right, scope, ctx)
+            return intrinsics.binary_op(self, expr.op, left, right, expr.location)
+        if kind is ast.UnaryOp:
+            operand = self._eval(expr.operand, scope, ctx)
+            return intrinsics.unary_op(self, expr.op, operand, expr.location)
+        if kind is ast.Apply:
             target = self._eval(expr.target, scope, ctx)
             args = [self._eval(a, scope, ctx) for a in expr.args]
-            return self._apply(target, args, expr.location)
-        if isinstance(expr, ast.BundleLiteral):
+            return intrinsics.apply_value(self, target, args, expr.location)
+        if kind is ast.BundleLiteral:
             return self._eval_bundle_literal(expr, scope, ctx)
-        if isinstance(expr, ast.NewInstance):
+        if kind is ast.NewInstance:
             return self._eval_new_instance(expr, scope, ctx)
-        if isinstance(expr, ast.IfExpr):
+        if kind is ast.IfExpr:
             condition = self._eval(expr.condition, scope, ctx)
             if isinstance(condition, v.HwValue):
                 raise ChiselError.at(
@@ -640,11 +645,11 @@ class Elaborator:
             if expr.else_value is None:
                 return None
             return self._eval(expr.else_value, scope, ctx, name_hint)
-        if isinstance(expr, ast.WithClockExpr):
+        if kind is ast.WithClockExpr:
             return self._exec_with_clock(expr.clock, expr.reset, expr.body, scope, ctx)
-        if isinstance(expr, ast.Lambda):
+        if kind is ast.Lambda:
             return ("lambda", expr, scope)
-        if isinstance(expr, ast.Placeholder):
+        if kind is ast.Placeholder:
             raise ChiselError.at(
                 "unexpected placeholder '_' outside a lambda argument",
                 expr.location,
@@ -666,16 +671,14 @@ class Elaborator:
         args_ast = expr.args
         if expr.target is None:
             # Bare call: a builtin constructor/function, or a call of a local value.
-            if scope.contains(expr.name) and not self._is_builtin(expr.name):
+            if expr.name not in intrinsics.BUILTIN_NAMES and scope.contains(expr.name):
                 target_value = scope.lookup(expr.name)
                 args = [self._eval(a, scope, ctx) for a in args_ast]
-                return self._apply(target_value, args, expr.location)
-            return self._call_builtin(expr, scope, ctx, name_hint)
-        from repro.chisel.intrinsics import COMPANION_OBJECTS
-
+                return intrinsics.apply_value(self, target_value, args, expr.location)
+            return intrinsics.call_builtin(self, expr, scope, ctx, name_hint)
         if (
             isinstance(expr.target, ast.Ident)
-            and expr.target.name in COMPANION_OBJECTS
+            and expr.target.name in intrinsics.COMPANION_OBJECTS
             and not scope.contains(expr.target.name)
         ):
             target_value: object = ("companion", expr.target.name)
@@ -683,64 +686,9 @@ class Elaborator:
             target_value = self._eval(expr.target, scope, ctx)
         args = [self._eval(a, scope, ctx) for a in args_ast]
         extra = [[self._eval(a, scope, ctx) for a in arg_list] for arg_list in expr.extra_arg_lists]
-        return self._member(
-            target_value, expr.name, args, expr.type_args, extra, expr.location, scope, ctx, name_hint
+        return intrinsics.call_member(
+            self, target_value, expr.name, args, expr.type_args, extra, expr.location, scope, ctx, name_hint
         )
-
-    # The builtin dispatch tables live in intrinsics.py to keep this file focused
-    # on evaluation flow; they are bound at import time below.
-
-    def _is_builtin(self, name: str) -> bool:
-        from repro.chisel.intrinsics import BUILTIN_NAMES
-
-        return name in BUILTIN_NAMES
-
-    def _call_builtin(
-        self,
-        expr: ast.MethodCall,
-        scope: Scope,
-        ctx: ModuleContext,
-        name_hint: str | None,
-    ) -> object:
-        from repro.chisel.intrinsics import call_builtin
-
-        return call_builtin(self, expr, scope, ctx, name_hint)
-
-    def _member(
-        self,
-        target: object,
-        name: str,
-        args: list[object],
-        type_args: list[str],
-        extra_arg_lists: list[list[object]],
-        location: SourceLocation,
-        scope: Scope,
-        ctx: ModuleContext,
-        name_hint: str | None = None,
-    ) -> object:
-        from repro.chisel.intrinsics import call_member
-
-        return call_member(
-            self, target, name, args, type_args, extra_arg_lists, location, scope, ctx, name_hint
-        )
-
-    def _apply(self, target: object, args: list[object], location: SourceLocation) -> object:
-        from repro.chisel.intrinsics import apply_value
-
-        return apply_value(self, target, args, location)
-
-    def _eval_binary(self, expr: ast.BinaryOp, scope: Scope, ctx: ModuleContext) -> object:
-        from repro.chisel.intrinsics import binary_op
-
-        left = self._eval(expr.left, scope, ctx)
-        right = self._eval(expr.right, scope, ctx)
-        return binary_op(self, expr.op, left, right, expr.location)
-
-    def _eval_unary(self, expr: ast.UnaryOp, scope: Scope, ctx: ModuleContext) -> object:
-        from repro.chisel.intrinsics import unary_op
-
-        operand = self._eval(expr.operand, scope, ctx)
-        return unary_op(self, expr.op, operand, expr.location)
 
     # -- bundles / classes ----------------------------------------------------------
 

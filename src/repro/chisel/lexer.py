@@ -159,20 +159,6 @@ class Token(NamedTuple):
     text: str
     location: SourceLocation
 
-    def is_op(self, *ops: str) -> bool:
-        return self.kind is TokenKind.OPERATOR and self.text in ops
-
-    def is_punct(self, *puncts: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text in puncts
-
-    def is_keyword(self, *words: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text in words
-
-    def is_ident(self, *names: str) -> bool:
-        if self.kind is not TokenKind.IDENT:
-            return False
-        return not names or self.text in names
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.value}, {self.text!r}, {self.location})"
 

@@ -10,7 +10,7 @@ output is one of the syntax-error classes the reflection loop must handle.
 from __future__ import annotations
 
 from repro.chisel import ast
-from repro.chisel.lexer import Token, TokenKind, tokenize
+from repro.chisel.lexer import KEYWORDS, Token, TokenKind, tokenize
 from repro.diagnostics import ChiselError, SourceLocation
 
 # Infix identifiers treated as binary operators (Scala method infix notation).
@@ -19,6 +19,27 @@ _NAMED_INFIX = {"until", "to", "min", "max"}
 _UNARY_OPS = {"!", "~", "-"}
 
 _WITH_CLOCK = {"withClock", "withReset", "withClockAndReset"}
+
+_PARAM_MODIFIERS = {"val", "var", "implicit", "override"}
+
+_COMPOUND_ASSIGN = {"+=", "-=", "*=", "/=", "&=", "|=", "^="}
+
+# The tags of the token kinds that are not tagged with their text (see
+# :class:`Parser`).  No token text is spelled like one of them.
+IDENT = "<ident>"
+INTEGER = "<integer>"
+STRING = "<string>"
+NEWLINE = "<newline>"
+EOF = "<eof>"
+_TAG_OF_KIND = {
+    TokenKind.INTEGER: INTEGER,
+    TokenKind.STRING: STRING,
+    TokenKind.NEWLINE: NEWLINE,
+    TokenKind.EOF: EOF,
+}
+# Enum member lookups are slow enough to show per token (see the lexer).
+_IDENT_KIND, _KEYWORD_KIND = TokenKind.IDENT, TokenKind.KEYWORD
+_OPERATOR_KIND, _PUNCT_KIND = TokenKind.OPERATOR, TokenKind.PUNCT
 
 # Binary operator -> precedence level; a higher level binds tighter.  Every
 # level is left-associative, and the named infix operators bind looser still.
@@ -45,33 +66,39 @@ _BINARY_PRECEDENCE = {
 
 
 class Parser:
-    """Parse a token stream into a :class:`repro.chisel.ast.Program`."""
+    """Parse a token stream into a :class:`repro.chisel.ast.Program`.
+
+    The parser dispatches on ``tags``, one string per token: the text of a
+    punctuation, operator or keyword token, and a fixed tag for every other
+    kind (:data:`IDENT`, :data:`INTEGER`, :data:`STRING`, :data:`NEWLINE`,
+    :data:`EOF`).  The three text kinds spell disjoint sets of strings, so
+    ``tags[pos] == "("`` holds exactly for the punctuation ``(`` and
+    ``tags[pos] == "val"`` for the keyword.  The stream ends with its EOF
+    token, where the position stays.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.tags = [
+            text
+            if kind is _PUNCT_KIND or kind is _OPERATOR_KIND or kind is _KEYWORD_KIND
+            else IDENT if kind is _IDENT_KIND else _TAG_OF_KIND[kind]
+            for kind, text, _location in tokens
+        ]
         self._last = len(tokens) - 1
         self.pos = 0
-        self._placeholder_counter = 0
 
     # ------------------------------------------------------------------ utils
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = self.pos + offset
-        return self.tokens[index] if index < self._last else self.tokens[-1]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def _peek_skipping_newlines(self, offset: int = 0) -> Token:
+    def _tag_skipping_newlines(self) -> str:
+        tags = self.tags
         index = self.pos
-        skipped = 0
-        while index < len(self.tokens):
-            token = self.tokens[index]
-            if token.kind is TokenKind.NEWLINE:
-                index += 1
-                continue
-            if skipped == offset:
-                return token
-            skipped += 1
+        while tags[index] is NEWLINE:
             index += 1
-        return self.tokens[-1]
+        return tags[index]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -81,37 +108,35 @@ class Parser:
 
     def _advance_before_eof(self, context: str) -> Token:
         """:meth:`_advance` for bracket-skipping loops, which must stop at EOF."""
-        if self._peek().kind is TokenKind.EOF:
+        if self.tags[self.pos] is EOF:
             raise self._error(f"unexpected end of file in {context}")
         return self._advance()
 
     def _skip_newlines(self) -> None:
-        token = self._peek()
-        while token.kind is TokenKind.NEWLINE or token.is_punct(";"):
-            self._advance()
-            token = self._peek()
+        tags = self.tags
+        pos = self.pos
+        while tags[pos] is NEWLINE or tags[pos] == ";":
+            pos += 1
+        self.pos = pos
 
     def _error(self, message: str, token: Token | None = None) -> ChiselError:
         token = token or self._peek()
         return ChiselError.at(message, token.location, code="PARSE")
 
-    def _expect_punct(self, punct: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(punct):
-            raise self._error(f"expected {punct!r} but found {token.text!r}")
-        return self._advance()
-
-    def _expect_op(self, op: str) -> Token:
-        token = self._peek()
-        if not token.is_op(op):
-            raise self._error(f"expected {op!r} but found {token.text!r}")
-        return self._advance()
+    def _expect(self, text: str) -> Token:
+        """Consume the punctuation or operator ``text``."""
+        pos = self.pos
+        if self.tags[pos] != text:
+            raise self._error(f"expected {text!r} but found {self.tokens[pos].text!r}")
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def _expect_ident(self) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENT:
-            raise self._error(f"expected identifier but found {token.text!r}")
-        return self._advance()
+        pos = self.pos
+        if self.tags[pos] is not IDENT:
+            raise self._error(f"expected identifier but found {self.tokens[pos].text!r}")
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     # ------------------------------------------------------------- top level
 
@@ -120,50 +145,49 @@ class Parser:
         classes: list[ast.ClassDef] = []
         start = self._peek().location
         self._skip_newlines()
-        while self._peek().kind is not TokenKind.EOF:
-            token = self._peek()
-            if token.is_keyword("import"):
+        while (tag := self.tags[self.pos]) is not EOF:
+            if tag == "import":
                 imports.append(self._parse_import())
-            elif token.is_keyword("package"):
+            elif tag == "package":
                 self._skip_line()
-            elif token.is_keyword("class"):
+            elif tag == "class":
                 classes.append(self._parse_class())
-            elif token.is_keyword("object"):
+            elif tag == "object":
                 classes.append(self._parse_object())
             else:
                 raise self._error(
-                    f"expected class or import at top level but found {token.text!r}"
+                    f"expected class or import at top level but found {self._peek().text!r}"
                 )
             self._skip_newlines()
         return ast.Program(start, imports, classes)
 
     def _skip_line(self) -> None:
-        while self._peek().kind not in (TokenKind.NEWLINE, TokenKind.EOF):
-            self._advance()
+        tags = self.tags
+        while tags[self.pos] is not NEWLINE and tags[self.pos] is not EOF:
+            self.pos += 1
 
     def _parse_import(self) -> str:
-        self._advance()  # import
-        parts: list[str] = []
-        while self._peek().kind not in (TokenKind.NEWLINE, TokenKind.EOF):
-            parts.append(self._advance().text)
-        return "".join(parts)
+        start = self.pos + 1  # after ``import``
+        self.pos = start
+        self._skip_line()
+        return "".join(token.text for token in self.tokens[start : self.pos])
 
     def _parse_class(self) -> ast.ClassDef:
         loc = self._advance().location  # class
         name = self._expect_ident().text
         params: list[ast.Param] = []
-        if self._peek().is_punct("("):
+        if self.tags[self.pos] == "(":
             params = self._parse_param_list()
         parents: list[str] = []
-        if self._peek().is_keyword("extends"):
-            self._advance()
+        if self.tags[self.pos] == "extends":
+            self.pos += 1
             parents.append(self._parse_type_name())
-            while self._peek().is_keyword("with"):
-                self._advance()
+            while self.tags[self.pos] == "with":
+                self.pos += 1
                 parents.append(self._parse_type_name())
         body: list[ast.Stmt] = []
         self._skip_newlines()
-        if self._peek().is_punct("{"):
+        if self.tags[self.pos] == "{":
             body = self._parse_block()
         return ast.ClassDef(loc, name, params, parents, body)
 
@@ -171,12 +195,12 @@ class Parser:
         loc = self._advance().location  # object
         name = self._expect_ident().text
         parents: list[str] = []
-        if self._peek().is_keyword("extends"):
-            self._advance()
+        if self.tags[self.pos] == "extends":
+            self.pos += 1
             parents.append(self._parse_type_name())
         self._skip_newlines()
         body: list[ast.Stmt] = []
-        if self._peek().is_punct("{"):
+        if self.tags[self.pos] == "{":
             body = self._parse_block()
         return ast.ClassDef(loc, name, [], parents, body)
 
@@ -184,51 +208,53 @@ class Parser:
         name = self._expect_ident().text
         # Constructor arguments on the parent (``extends Module``) and type
         # parameters are accepted and discarded.
-        if self._peek().is_punct("("):
+        if self.tags[self.pos] == "(":
             depth = 0
             while True:
-                token = self._advance_before_eof("parent arguments")
-                if token.is_punct("("):
+                tag = self.tags[self.pos]
+                self._advance_before_eof("parent arguments")
+                if tag == "(":
                     depth += 1
-                elif token.is_punct(")"):
+                elif tag == ")":
                     depth -= 1
                     if depth == 0:
                         break
         return name
 
     def _parse_param_list(self) -> list[ast.Param]:
-        self._expect_punct("(")
+        self._expect("(")
         params: list[ast.Param] = []
         self._skip_newlines()
-        while not self._peek().is_punct(")"):
-            while self._peek().is_keyword("val", "var", "implicit", "override"):
-                self._advance()
+        tags = self.tags
+        while tags[self.pos] != ")":
+            while tags[self.pos] in _PARAM_MODIFIERS:
+                self.pos += 1
             name = self._expect_ident().text
             type_annotation = None
             default = None
-            if self._peek().is_punct(":"):
-                self._advance()
+            if tags[self.pos] == ":":
+                self.pos += 1
                 type_annotation = self._parse_type_annotation()
-            if self._peek().is_op("="):
-                self._advance()
+            if tags[self.pos] == "=":
+                self.pos += 1
                 default = self.parse_expression()
             params.append(ast.Param(name, type_annotation, default))
-            if self._peek().is_punct(","):
-                self._advance()
+            if tags[self.pos] == ",":
+                self.pos += 1
                 self._skip_newlines()
-        self._expect_punct(")")
+        self._expect(")")
         return params
 
     def _parse_type_annotation(self) -> str:
         parts: list[str] = [self._expect_ident().text]
-        if self._peek().is_punct("["):
+        if self.tags[self.pos] == "[":
             depth = 0
             while True:
-                token = self._advance_before_eof("type arguments")
-                parts.append(token.text)
-                if token.is_punct("["):
+                tag = self.tags[self.pos]
+                parts.append(self._advance_before_eof("type arguments").text)
+                if tag == "[":
                     depth += 1
-                elif token.is_punct("]"):
+                elif tag == "]":
                     depth -= 1
                     if depth == 0:
                         break
@@ -237,53 +263,57 @@ class Parser:
     # ------------------------------------------------------------ statements
 
     def _parse_block(self) -> list[ast.Stmt]:
-        self._expect_punct("{")
+        self._expect("{")
         stmts: list[ast.Stmt] = []
         self._skip_newlines()
-        while not self._peek().is_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
+        tags = self.tags
+        while (tag := tags[self.pos]) != "}":
+            if tag is EOF:
                 raise self._error("unexpected end of file inside block (missing '}')")
             stmts.append(self.parse_statement())
             self._skip_newlines()
-        self._expect_punct("}")
+        self.pos += 1  # '}'
         return stmts
 
     def parse_statement(self) -> ast.Stmt:
         self._skip_newlines()
-        token = self._peek()
-        if token.is_keyword("val", "var", "lazy"):
+        tag = self.tags[self.pos]
+        if tag is IDENT:
+            text = self.tokens[self.pos].text
+            if text == "when":
+                return self._parse_when()
+            if text == "switch":
+                return self._parse_switch()
+            if text in _WITH_CLOCK:
+                return self._parse_with_clock()
+        elif tag == "val" or tag == "var" or tag == "lazy":
             return self._parse_val_def()
-        if token.is_keyword("for"):
+        elif tag == "for":
             return self._parse_for()
-        if token.is_keyword("if"):
+        elif tag == "if":
             return self._parse_if_statement()
-        if token.is_keyword("import"):
+        elif tag == "import":
+            location = self._peek().location
             self._parse_import()
-            return ast.ExprStmt(token.location, ast.BoolLit(token.location, True))
-        if token.is_keyword("def"):
+            return ast.ExprStmt(location, ast.BoolLit(location, True))
+        elif tag == "def":
             raise ChiselError.at(
                 "method definitions (def) are not supported inside modules in this "
                 "Chisel subset; inline the logic instead",
-                token.location,
+                self._peek().location,
                 code="PARSE",
             )
-        if token.is_ident("when"):
-            return self._parse_when()
-        if token.is_ident("switch"):
-            return self._parse_switch()
-        if token.is_ident(*_WITH_CLOCK):
-            return self._parse_with_clock()
         return self._parse_expression_statement()
 
     def _parse_with_clock(self) -> ast.Stmt:
         token = self._advance()
-        self._expect_punct("(")
+        self._expect("(")
         first = self.parse_expression()
         second = None
-        if self._peek().is_punct(","):
-            self._advance()
+        if self.tags[self.pos] == ",":
+            self.pos += 1
             second = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
         body = self._parse_block_or_single()
         if token.text == "withClock":
@@ -299,154 +329,148 @@ class Parser:
             self._advance()  # val
         name_token = self._expect_ident()
         type_annotation = None
-        if self._peek().is_punct(":"):
-            self._advance()
+        if self.tags[self.pos] == ":":
+            self.pos += 1
             type_annotation = self._parse_type_annotation()
-        self._expect_op("=")
+        self._expect("=")
         value = self.parse_expression()
         return ast.ValDef(first.location, name_token.text, value, mutable, type_annotation)
 
     def _parse_for(self) -> ast.Stmt:
         loc = self._advance().location  # for
-        self._expect_punct("(")
+        self._expect("(")
         variable = self._expect_ident().text
-        self._expect_op("<-")
+        self._expect("<-")
         iterable = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
         body = self._parse_block_or_single()
         return ast.ForStmt(loc, variable, iterable, body)
 
     def _parse_if_statement(self) -> ast.Stmt:
         loc = self._advance().location  # if
-        self._expect_punct("(")
+        self._expect("(")
         condition = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
         then_body = self._parse_block_or_single()
         else_body: list[ast.Stmt] = []
-        if self._peek_skipping_newlines().is_keyword("else"):
+        if self._tag_skipping_newlines() == "else":
             self._skip_newlines()
-            self._advance()
+            self.pos += 1  # else
             self._skip_newlines()
-            if self._peek().is_keyword("if"):
+            if self.tags[self.pos] == "if":
                 else_body = [self._parse_if_statement()]
             else:
                 else_body = self._parse_block_or_single()
         return ast.IfStmt(loc, condition, then_body, else_body)
 
     def _parse_block_or_single(self) -> list[ast.Stmt]:
-        if self._peek().is_punct("{"):
+        if self.tags[self.pos] == "{":
             return self._parse_block()
         return [self.parse_statement()]
 
     def _parse_when(self) -> ast.Stmt:
-        loc = self._peek().location
+        loc = self._advance().location  # when
         branches: list[ast.WhenBranch] = []
-        self._advance()  # when
-        self._expect_punct("(")
+        self._expect("(")
         condition = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
         body = self._parse_block()
         branches.append(ast.WhenBranch(condition, body))
         while True:
-            next_token = self._peek_skipping_newlines()
-            if not next_token.is_punct("."):
-                break
-            follow = self._peek_after_dot()
-            if follow not in ("elsewhen", "otherwise"):
+            keyword = self._peek_after_dot()
+            if keyword != "elsewhen" and keyword != "otherwise":
                 break
             self._skip_newlines()
-            self._advance()  # '.'
-            keyword = self._advance().text
+            self.pos += 2  # '.' and the keyword
             if keyword == "elsewhen":
-                self._expect_punct("(")
+                self._expect("(")
                 cond = self.parse_expression()
-                self._expect_punct(")")
+                self._expect(")")
                 self._skip_newlines()
                 branches.append(ast.WhenBranch(cond, self._parse_block()))
             else:  # otherwise
-                if self._peek().is_punct("("):
+                if self.tags[self.pos] == "(":
                     # ``.otherwise() { ... }`` is not valid Chisel; surface it
                     # as a parse error the same way scalac would.
-                    raise self._error(
-                        "otherwise does not take arguments", self._peek()
-                    )
+                    raise self._error("otherwise does not take arguments")
                 self._skip_newlines()
                 branches.append(ast.WhenBranch(None, self._parse_block()))
                 break
         return ast.WhenStmt(loc, branches)
 
     def _peek_after_dot(self) -> str:
+        """The text after the next non-newline token if that is ``.``, else ``""``."""
+        tags = self.tags
         index = self.pos
-        while index < len(self.tokens) and self.tokens[index].kind is TokenKind.NEWLINE:
+        while tags[index] is NEWLINE:
             index += 1
-        if index < len(self.tokens) and self.tokens[index].is_punct("."):
-            index += 1
-            if index < len(self.tokens):
-                return self.tokens[index].text
+        if tags[index] == ".":
+            return self.tokens[index + 1].text
         return ""
 
     def _parse_switch(self) -> ast.Stmt:
         loc = self._advance().location  # switch
-        self._expect_punct("(")
+        self._expect("(")
         subject = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
-        if not self._peek().is_punct("{") and not self._peek().is_punct("("):
+        open_punct = self.tags[self.pos]
+        if open_punct != "{" and open_punct != "(":
             raise self._error("expected '{' after switch(...)")
-        open_punct = self._advance().text
+        self.pos += 1
         close_punct = "}" if open_punct == "{" else ")"
         cases: list[ast.SwitchCase] = []
         self._skip_newlines()
-        while not self._peek().is_punct(close_punct):
-            if self._peek().kind is TokenKind.EOF:
+        tags = self.tags
+        while (tag := tags[self.pos]) != close_punct:
+            if tag is EOF:
                 raise self._error("unexpected end of file inside switch block")
             cases.append(self._parse_switch_case())
             self._skip_newlines()
-        self._advance()  # closing punct
+        self.pos += 1  # closing punct
         return ast.SwitchStmt(loc, subject, cases)
 
     def _parse_switch_case(self) -> ast.SwitchCase:
         token = self._peek()
-        if token.kind not in (TokenKind.IDENT, TokenKind.KEYWORD) and not token.is_op("_"):
+        tag = self.tags[self.pos]
+        if tag is not IDENT and tag not in KEYWORDS and tag != "_":
             raise self._error(
                 f"expected 'is(...)' clause inside switch but found {token.text!r}"
             )
-        keyword = self._advance().text
+        self.pos += 1
         patterns: list[ast.Expr] = []
-        if self._peek().is_punct("("):
-            self._advance()
-            while not self._peek().is_punct(")"):
+        tags = self.tags
+        if tags[self.pos] == "(":
+            self.pos += 1
+            while tags[self.pos] != ")":
                 patterns.append(self.parse_expression())
-                if self._peek().is_punct(","):
-                    self._advance()
-            self._expect_punct(")")
+                if tags[self.pos] == ",":
+                    self.pos += 1
+            self.pos += 1  # ')'
         self._skip_newlines()
         body: list[ast.Stmt] = []
-        if self._peek().is_punct("{"):
+        if tags[self.pos] == "{":
             body = self._parse_block()
-        return ast.SwitchCase(keyword, patterns, body, token.location)
+        return ast.SwitchCase(token.text, patterns, body, token.location)
 
     def _parse_expression_statement(self) -> ast.Stmt:
         loc = self._peek().location
         expr = self.parse_expression()
-        token = self._peek()
-        if token.is_op(":="):
-            self._advance()
-            value = self.parse_expression()
-            return ast.Connect(loc, expr, value)
-        if token.is_op("<>", "<->"):
-            self._advance()
-            value = self.parse_expression()
-            return ast.BulkConnect(loc, expr, value)
-        if token.is_op("="):
-            self._advance()
-            value = self.parse_expression()
-            return ast.Assign(loc, expr, value)
-        if token.is_op("+=", "-=", "*=", "/=", "&=", "|=", "^="):
-            self._advance()
+        tag = self.tags[self.pos]
+        if tag == ":=":
+            self.pos += 1
+            return ast.Connect(loc, expr, self.parse_expression())
+        if tag == "<>" or tag == "<->":
+            self.pos += 1
+            return ast.BulkConnect(loc, expr, self.parse_expression())
+        if tag == "=":
+            self.pos += 1
+            return ast.Assign(loc, expr, self.parse_expression())
+        if tag in _COMPOUND_ASSIGN:
+            token = self._advance()
             value = self.parse_expression()
             combined = ast.BinaryOp(token.location, token.text[0], expr, value)
             return ast.Assign(loc, expr, combined)
@@ -459,78 +483,77 @@ class Parser:
 
     def _parse_named_infix(self) -> ast.Expr:
         left = self._parse_binary(1)
-        while self._peek().is_ident(*_NAMED_INFIX):
+        while self.tags[self.pos] is IDENT and self.tokens[self.pos].text in _NAMED_INFIX:
             op = self._advance().text
             right = self._parse_binary(1)
             left = ast.BinaryOp(left.location, op, left, right)
         return left
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
-        """Precedence climbing over :data:`_BINARY_PRECEDENCE` (all left-associative)."""
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE` (all left-associative).
+
+        Only operator tags are keys of the table, so any other tag reads as
+        precedence 0 and ends the expression.
+        """
         left = self._parse_unary()
+        tags = self.tags
         while True:
-            token = self._peek()
-            if token.kind is not TokenKind.OPERATOR:
-                return left
-            precedence = _BINARY_PRECEDENCE.get(token.text, 0)
+            precedence = _BINARY_PRECEDENCE.get(tags[self.pos], 0)
             if precedence < min_precedence:
                 return left
-            self._advance()
+            token = self.tokens[self.pos]
+            self.pos += 1
             right = self._parse_binary(precedence + 1)
             left = ast.BinaryOp(token.location, token.text, left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.is_op(*_UNARY_OPS):
-            self._advance()
+        if self.tags[self.pos] in _UNARY_OPS:
+            token = self.tokens[self.pos]
+            self.pos += 1
             operand = self._parse_unary()
             return ast.UnaryOp(token.location, token.text, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tags = self.tags
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.is_punct("."):
-                follow = self._peek(1)
-                if follow.text in ("elsewhen", "otherwise"):
+            tag = tags[self.pos]
+            if tag == ".":
+                name_token = tokens[self.pos + 1]
+                if name_token.text == "elsewhen" or name_token.text == "otherwise":
                     break
-                self._advance()
-                name_token = self._peek()
-                if name_token.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
+                self.pos += 1
+                name_tag = tags[self.pos]
+                if name_tag is not IDENT and name_tag not in KEYWORDS:
                     raise self._error("expected member name after '.'")
-                self._advance()
+                self.pos += 1
                 expr = self._finish_member(expr, name_token.text, name_token.location)
                 continue
-            if token.is_punct("("):
-                args = self._parse_args()
-                expr = ast.Apply(token.location, expr, args)
+            if tag == "(":
+                location = tokens[self.pos].location
+                expr = ast.Apply(location, expr, self._parse_args())
                 continue
             # Method-chain continuation across a line break: only when the
             # next non-newline token is '.' followed by a member name.
-            if token.kind is TokenKind.NEWLINE and self._peek_after_dot() not in (
-                "",
-                "elsewhen",
-                "otherwise",
-            ):
-                next_real = self._peek_skipping_newlines()
-                if next_real.is_punct("."):
-                    self._skip_newlines()
-                    continue
+            if tag is NEWLINE and self._peek_after_dot() not in ("", "elsewhen", "otherwise"):
+                self._skip_newlines()
+                continue
             break
         return expr
 
     def _finish_member(self, target: ast.Expr, name: str, loc: SourceLocation) -> ast.Expr:
         type_args: list[str] = []
-        if self._peek().is_punct("["):
-            self._advance()
-            while not self._peek().is_punct("]"):
+        tags = self.tags
+        if tags[self.pos] == "[":
+            self.pos += 1
+            while tags[self.pos] != "]":
                 type_args.append(self._advance_before_eof("type arguments").text)
-            self._expect_punct("]")
-        if self._peek().is_punct("("):
-            args = self._parse_args()
-            call = ast.MethodCall(loc, target, name, args, type_args)
-            while self._peek().is_punct("("):
+            self.pos += 1  # ']'
+        if tags[self.pos] == "(":
+            call = ast.MethodCall(loc, target, name, self._parse_args(), type_args)
+            while tags[self.pos] == "(":
                 call.extra_arg_lists.append(self._parse_args())
             return call
         if type_args:
@@ -538,16 +561,17 @@ class Parser:
         return ast.FieldSelect(loc, target, name)
 
     def _parse_args(self) -> list[ast.Expr]:
-        self._expect_punct("(")
+        self._expect("(")
         args: list[ast.Expr] = []
         self._skip_newlines()
-        while not self._peek().is_punct(")"):
+        tags = self.tags
+        while tags[self.pos] != ")":
             args.append(self._parse_argument())
             self._skip_newlines()
-            if self._peek().is_punct(","):
-                self._advance()
+            if tags[self.pos] == ",":
+                self.pos += 1
                 self._skip_newlines()
-        self._expect_punct(")")
+        self.pos += 1  # ')'
         return args
 
     def _parse_argument(self) -> ast.Expr:
@@ -555,94 +579,89 @@ class Parser:
         lambda_expr = self._try_parse_lambda()
         if lambda_expr is not None:
             return lambda_expr
+        start = self.pos
         expr = self.parse_expression()
         # Named arguments (``init = 0.U``) are accepted; the name is dropped.
-        if isinstance(expr, ast.Ident) and self._peek().is_op("="):
-            self._advance()
+        if self.tags[self.pos] == "=" and isinstance(expr, ast.Ident):
+            self.pos += 1
             return self.parse_expression()
-        placeholders = _count_placeholders(expr)
-        if placeholders:
-            params = [f"_arg{i}" for i in range(placeholders)]
-            body = _replace_placeholders(expr, iter(params))
-            return ast.Lambda(expr.location, params, body)
+        # A placeholder comes from a ``_`` token, so only an argument that
+        # holds one can become an underscore lambda.
+        if "_" in self.tags[start : self.pos]:
+            placeholders = _count_placeholders(expr)
+            if placeholders:
+                params = [f"_arg{i}" for i in range(placeholders)]
+                body = _replace_placeholders(expr, iter(params))
+                return ast.Lambda(expr.location, params, body)
         return expr
 
     def _try_parse_lambda(self) -> ast.Lambda | None:
+        tags = self.tags
         start = self.pos
-        token = self._peek()
-        params: list[str] = []
-        if token.kind is TokenKind.IDENT and self._peek(1).is_op("=>"):
-            params = [token.text]
-            self._advance()
-            self._advance()
-        elif token.is_punct("("):
-            index = self.pos + 1
-            names: list[str] = []
-            ok = True
-            while index < len(self.tokens):
-                tok = self.tokens[index]
-                if tok.kind is TokenKind.IDENT:
-                    names.append(tok.text)
-                    index += 1
-                    if self.tokens[index].is_punct(","):
-                        index += 1
-                        continue
-                    if self.tokens[index].is_punct(")"):
-                        index += 1
-                        break
-                ok = False
-                break
-            if ok and names and index < len(self.tokens) and self.tokens[index].is_op("=>"):
-                params = names
-                self.pos = index + 1
-        if not params:
-            self.pos = start
+        tag = tags[start]
+        if tag is IDENT:
+            if tags[start + 1] != "=>":
+                return None
+            params = [self.tokens[start].text]
+            self.pos = start + 2
+        elif tag == "(":
+            # ``( IDENT (, IDENT)* ) =>``
+            index = start + 1
+            params = []
+            while tags[index] is IDENT and tags[index + 1] == ",":
+                params.append(self.tokens[index].text)
+                index += 2
+            if tags[index] is not IDENT or tags[index + 1] != ")" or tags[index + 2] != "=>":
+                return None
+            params.append(self.tokens[index].text)
+            self.pos = index + 3
+        else:
             return None
         body = self.parse_expression()
-        return ast.Lambda(token.location, params, body)
+        return ast.Lambda(self.tokens[start].location, params, body)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        kind = token.kind
-        if kind is TokenKind.IDENT:
+        pos = self.pos
+        token = self.tokens[pos]
+        tag = self.tags[pos]
+        if tag is IDENT:
             if token.text in _WITH_CLOCK:
                 return self._parse_with_clock_expr()
-            self._advance()
-            if not self._peek().is_punct("("):
+            self.pos = pos + 1
+            if self.tags[pos + 1] != "(":
                 return ast.Ident(token.location, token.text)
             # A call, constructor-style (UInt(8.W), VecInit(...)) or not.
             call = ast.MethodCall(token.location, None, token.text, self._parse_args())
-            while self._peek().is_punct("("):
+            while self.tags[self.pos] == "(":
                 call.extra_arg_lists.append(self._parse_args())
             return call
-        if kind is TokenKind.INTEGER:
-            self._advance()
+        if tag is INTEGER:
+            self.pos = pos + 1
             text = token.text.replace("_", "")
             try:
                 value = int(text, 16) if text.lower().startswith("0x") else int(text)
             except ValueError:
                 raise self._error(f"malformed integer literal {token.text!r}", token) from None
             return ast.IntLit(token.location, value)
-        if kind is TokenKind.STRING:
-            self._advance()
+        if tag is STRING:
+            self.pos = pos + 1
             return ast.StringLit(token.location, token.text)
-        if kind is TokenKind.KEYWORD:
-            if token.text in ("true", "false"):
-                self._advance()
-                return ast.BoolLit(token.location, token.text == "true")
-            if token.text == "new":
-                return self._parse_new()
-            if token.text == "if":
-                return self._parse_if_expression()
-        elif token.is_op("_"):
-            self._advance()
+        if tag == "true" or tag == "false":
+            self.pos = pos + 1
+            return ast.BoolLit(token.location, tag == "true")
+        if tag == "new":
+            return self._parse_new()
+        if tag == "if":
+            return self._parse_if_expression()
+        if tag == "_":
+            self.pos = pos + 1
             return ast.Placeholder(token.location)
-        elif token.is_punct("("):
-            self._advance()
+        if tag == "(":
+            self.pos = pos + 1
             expr = self.parse_expression()
-            self._expect_punct(")")
+            self._expect(")")
             return expr
-        elif token.is_punct("{"):
+        if tag == "{":
             raise self._error(
                 "block expressions are not supported in this Chisel subset"
             )
@@ -650,13 +669,13 @@ class Parser:
 
     def _parse_with_clock_expr(self) -> ast.Expr:
         token = self._advance()
-        self._expect_punct("(")
+        self._expect("(")
         first = self.parse_expression()
         second = None
-        if self._peek().is_punct(","):
-            self._advance()
+        if self.tags[self.pos] == ",":
+            self.pos += 1
             second = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         self._skip_newlines()
         body = self._parse_block()
         if token.text == "withClock":
@@ -673,15 +692,15 @@ class Parser:
             members = self._parse_bundle_body()
             return ast.BundleLiteral(loc, members)
         args: list[ast.Expr] = []
-        if self._peek().is_punct("("):
+        if self.tags[self.pos] == "(":
             args = self._parse_args()
         return ast.NewInstance(loc, name, args)
 
     def _parse_bundle_body(self) -> list[ast.ValDef]:
-        self._expect_punct("{")
+        self._expect("{")
         members: list[ast.ValDef] = []
         self._skip_newlines()
-        while not self._peek().is_punct("}"):
+        while self.tags[self.pos] != "}":
             stmt = self.parse_statement()
             if not isinstance(stmt, ast.ValDef):
                 raise ChiselError.at(
@@ -691,19 +710,19 @@ class Parser:
                 )
             members.append(stmt)
             self._skip_newlines()
-        self._expect_punct("}")
+        self.pos += 1  # '}'
         return members
 
     def _parse_if_expression(self) -> ast.Expr:
         loc = self._advance().location  # if
-        self._expect_punct("(")
+        self._expect("(")
         condition = self.parse_expression()
-        self._expect_punct(")")
+        self._expect(")")
         then_value = self.parse_expression()
         else_value = None
-        if self._peek_skipping_newlines().is_keyword("else"):
+        if self._tag_skipping_newlines() == "else":
             self._skip_newlines()
-            self._advance()
+            self.pos += 1  # else
             else_value = self.parse_expression()
         return ast.IfExpr(loc, condition, then_value, else_value)
 

@@ -10,7 +10,7 @@ them into a diagnostic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.verilog import vast
 
@@ -27,41 +27,54 @@ class VerilogParseError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One match per token: the blanks and comments before a token are folded into
+# its match, possessively, so they cost no iteration of their own and a
+# skipped run is never backtracked into.  An unterminated ``/*`` is no comment
+# and lexes as ``/`` then ``*``.  Operators are listed longest first, so
+# ``===`` is never split into ``==`` and ``=``.  ``illegal`` takes any other
+# character, and the final empty alternative ends the scan after trailing
+# blanks and comments.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
-  | (?P<sized>\d*\s*'\s*[sS]?[bodhBODH][0-9a-fA-F_xXzZ?]+)
-  | (?P<number>\d[\d_]*)
-  | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<op><=|>=|==|!=|===|!==|&&|\|\||<<<|>>>|<<|>>|~&|~\||~\^|\^~|[-+*/%&|^~!<>=?:;,.(){}\[\]@#])
+    (?:\s++|//[^\n]*+|/\*.*?\*/)*+
+    (?:
+        (?P<sized>\d*\s*'\s*[sS]?[bodhBODH][0-9a-fA-F_xXzZ?]+)
+      | (?P<number>\d[\d_]*)
+      | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<op>===|!==|<<<|>>>|<=|>=|==|!=|&&|\|\||<<|>>|~&|~\||~\^|\^~|[-+*/%&|^~!<>=?:;,.(){}\[\]@#])
+      | (?P<illegal>.)
+      | \Z
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class VToken:
-    kind: str  # "number", "sized", "ident", "op"
+class VToken(NamedTuple):
+    kind: str  # "number", "sized", "ident", "op", "eof"
     text: str
     line: int
 
 
 def tokenize_verilog(source: str) -> list[VToken]:
     tokens: list[VToken] = []
-    pos = 0
+    append = tokens.append
+    new_token = tuple.__new__
+    count = source.count
     line = 1
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise VerilogParseError(f"illegal character {source[pos]!r}", line)
-        text = match.group(0)
-        kind = match.lastgroup or "op"
-        if kind not in ("ws", "comment"):
-            tokens.append(VToken(kind, text, line))
-        line += text.count("\n")
-        pos = match.end()
-    tokens.append(VToken("eof", "", line))
+    last = 0  # start of the previous token: lines are counted from there
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind is None:  # the end of the source, after any trailing blanks
+            break
+        start = match.start(kind)
+        line += count("\n", last, start)
+        last = start
+        text = match.group(kind)
+        if kind == "illegal":
+            raise VerilogParseError(f"illegal character {text!r}", line)
+        append(new_token(VToken, (kind, text, line)))
+    append(new_token(VToken, ("eof", "", line + count("\n", last))))
     return tokens
 
 
@@ -89,16 +102,17 @@ _PRECEDENCE = [
 class VerilogParser:
     def __init__(self, tokens: list[VToken]):
         self.tokens = tokens
+        self._last = len(tokens) - 1  # the EOF token, where the position stays
         self.pos = 0
 
     # ------------------------------------------------------------------ utils
 
-    def _peek(self, offset: int = 0) -> VToken:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def _peek(self) -> VToken:
+        return self.tokens[self.pos]
 
     def _advance(self) -> VToken:
         token = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if self.pos < self._last:
             self.pos += 1
         return token
 

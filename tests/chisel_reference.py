@@ -9,7 +9,9 @@ are applied here too, so they are not reported as differences: truncated
 input stops the bracket-skipping loops with a PARSE diagnostic instead of
 spinning at EOF, and a malformed integer literal such as ``0x.U`` is a PARSE
 diagnostic instead of a ``ValueError``.  The placeholder-lambda helpers and
-the operator sets are shared with :mod:`repro.chisel.parser`.
+the operator sets are shared with :mod:`repro.chisel.parser`.  The parser
+here reads the kind/text predicates of :class:`ReferenceToken`; the
+frontend's parser dispatches on token tags and its ``Token`` has none.
 """
 
 from __future__ import annotations
@@ -35,6 +37,30 @@ _OPERATORS = [
 ]  # fmt: skip
 
 _PUNCT = "(){}[].,:;@"
+
+
+class ReferenceToken(Token):
+    """A :class:`~repro.chisel.lexer.Token` with the predicates this parser reads.
+
+    It compares equal to the frontend's token of the same kind, text and
+    location (both are plain tuples).
+    """
+
+    __slots__ = ()
+
+    def is_op(self, *ops: str) -> bool:
+        return self.kind is TokenKind.OPERATOR and self.text in ops
+
+    def is_punct(self, *puncts: str) -> bool:
+        return self.kind is TokenKind.PUNCT and self.text in puncts
+
+    def is_keyword(self, *words: str) -> bool:
+        return self.kind is TokenKind.KEYWORD and self.text in words
+
+    def is_ident(self, *names: str) -> bool:
+        if self.kind is not TokenKind.IDENT:
+            return False
+        return not names or self.text in names
 
 
 class ReferenceLexer:
@@ -75,7 +101,7 @@ class ReferenceLexer:
                 loc = self._location()
                 self._advance()
                 if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-                    tokens.append(Token(TokenKind.NEWLINE, "\n", loc))
+                    tokens.append(ReferenceToken(TokenKind.NEWLINE, "\n", loc))
                 continue
             if ch in " \t\r":
                 self._advance()
@@ -103,12 +129,12 @@ class ReferenceLexer:
             if ch in _PUNCT:
                 loc = self._location()
                 self._advance()
-                tokens.append(Token(TokenKind.PUNCT, ch, loc))
+                tokens.append(ReferenceToken(TokenKind.PUNCT, ch, loc))
                 continue
             raise ChiselError.at(
                 f"illegal character {ch!r} in source", self._location(), code="LEX"
             )
-        tokens.append(Token(TokenKind.EOF, "", self._location()))
+        tokens.append(ReferenceToken(TokenKind.EOF, "", self._location()))
         return tokens
 
     def _lex_block_comment(self) -> None:
@@ -139,7 +165,7 @@ class ReferenceLexer:
                 chars.append(mapping.get(escaped, escaped))
                 continue
             chars.append(self._advance())
-        return Token(TokenKind.STRING, "".join(chars), loc)
+        return ReferenceToken(TokenKind.STRING, "".join(chars), loc)
 
     def _lex_number(self) -> Token:
         loc = self._location()
@@ -152,7 +178,7 @@ class ReferenceLexer:
         else:
             while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
                 chars.append(self._advance())
-        return Token(TokenKind.INTEGER, "".join(chars), loc)
+        return ReferenceToken(TokenKind.INTEGER, "".join(chars), loc)
 
     def _lex_ident(self) -> Token:
         loc = self._location()
@@ -161,16 +187,16 @@ class ReferenceLexer:
             chars.append(self._advance())
         text = "".join(chars)
         if text == "_":
-            return Token(TokenKind.OPERATOR, "_", loc)
+            return ReferenceToken(TokenKind.OPERATOR, "_", loc)
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
+        return ReferenceToken(kind, text, loc)
 
     def _match_operator(self) -> Token | None:
         loc = self._location()
         for op in _OPERATORS:
             if self.source.startswith(op, self.pos):
                 self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, loc)
+                return ReferenceToken(TokenKind.OPERATOR, op, loc)
         return None
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from repro.chisel.elaborator import elaborate
 from repro.chisel.parser import parse_source
 from repro.firrtl.pass_manager import run_default_pipeline
+from repro.sim.testbench import FunctionalPoint, Testbench
 from repro.verilog.emitter import emit_verilog
 from repro.verilog.parser import VerilogParseError, parse_verilog
 from repro.verilog.simulator import Simulation, SimulationError
+from sim_tiers import run_on
 
 HEADER = "import chisel3._\nimport chisel3.util._\n\n"
 
@@ -121,6 +123,45 @@ class TestVerilogParser:
         source = "module c(input [1:0] a, output [5:0] y); assign y = {a, {2{a}}}; endmodule"
         module = parse_verilog(source)[0]
         assert module.assigns
+
+    def test_case_equality_operators_are_single_tokens(self):
+        module = parse_verilog(CASE_EQUALITY.format(eq="===", ne="!=="))[0]
+        assert [assign.value.op for assign in module.assigns] == ["===", "!=="]
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("module m;\n/* one\n two */ `x\nendmodule", 3),
+            ("module m;\n  wire a; // note\n\n  @", 4),
+            ("module m;\n  wire a;\n/* never closed\n", 3),
+            ("module m;\n  wire a;\n\n// trailing\n  ", 5),
+        ],
+    )
+    def test_errors_count_lines_across_comments_and_blanks(self, source, line):
+        with pytest.raises(VerilogParseError) as info:
+            parse_verilog(source)
+        assert info.value.line == line
+
+
+CASE_EQUALITY = """module m(input [3:0] a, input [3:0] b, output eq, output ne);
+  assign eq = a {eq} b;
+  assign ne = a {ne} b;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("backend", ["trace", "interpreter"])
+def test_case_equality_simulates_like_two_state_equality(backend):
+    """``===``/``!==`` answer as ``==``/``!=`` under either testbench tier."""
+    case = parse_verilog(CASE_EQUALITY.format(eq="===", ne="!=="))[0]
+    plain = parse_verilog(CASE_EQUALITY.format(eq="==", ne="!="))[0]
+    swapped = parse_verilog(CASE_EQUALITY.format(eq="!=", ne="=="))[0]
+    points = [FunctionalPoint(inputs={"a": a, "b": b}) for a in (0, 5, 15) for b in (0, 5, 15)]
+    testbench = Testbench(points=points, observed_outputs=["eq", "ne"], reset_cycles=0)
+    assert run_on(backend, case, plain, testbench).passed
+    # Against the negation every point fails: the operators were evaluated.
+    report = run_on(backend, case, swapped, testbench)
+    assert report.failed_points == report.checked_points == len(points)
 
 
 class TestSimulator:
