@@ -55,7 +55,6 @@ class ZeroShotRunner:
         spec = problem.spec_text()
         response = yield LLMCall(self.generator.generation_messages(spec, problem.problem_id), "generate")
         code = self.generator.parse(response)
-        testbench = problem.build_testbench()
 
         if self.language == "chisel":
             compiled = yield ToolCall(lambda: self.compiler.compile(code), "compile")
@@ -68,6 +67,9 @@ class ZeroShotRunner:
                 return ZeroShotOutcome(False, "syntax", code)
             dut_verilog = code
 
+        # Built only for a candidate that reaches simulation; each build seeds
+        # its own generator, so skipping it for a syntax failure moves nothing.
+        testbench = problem.build_testbench()
         request = SimulateRequest(self.simulator, dut_verilog, reference_verilog, testbench)
         outcome = yield ToolCall(request.run, "simulate", batch=request)
         if outcome.success:

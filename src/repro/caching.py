@@ -97,7 +97,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
     Covers the whole verification engine: ``chisel_compile`` (whole compile
     results by source text), ``chisel_tokens`` (the same by token stream),
-    ``verilog_parse``, ``sim_kernel`` and ``sim_trace``.
+    ``chisel_lines`` (lexed lines), ``verilog_parse``, ``sim_kernel`` and
+    ``sim_trace``.
     """
     stats: dict[str, dict[str, int]] = {}
     for name, instances in sorted(_live_caches().items()):

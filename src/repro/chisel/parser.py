@@ -790,8 +790,8 @@ def _replace_placeholders(expr: ast.Expr, names) -> ast.Expr:
 
 
 def parse_source(source: str, file: str = "Main.scala") -> ast.Program:
-    """Tokenise and parse Chisel source text into a :class:`Program`."""
-    return parse_source_cached(tokenize(source, file))
+    """Tokenise and parse Chisel source text into a :class:`Program`, bypassing every cache."""
+    return parse_source_cached(tokenize(source, file, cached=False))
 
 
 def parse_source_cached(tokens: list[Token]) -> ast.Program:

@@ -61,18 +61,3 @@ def sequential_testbench(
         functional_points.append(FunctionalPoint(stimulus, clock_cycles=1))
     return Testbench(points=functional_points, reset_cycles=2)
 
-
-def directed_then_random_testbench(
-    inputs: list[IoPort],
-    directed: list[dict[str, int]],
-    rng: random.Random,
-    random_points: int = 32,
-    sequential: bool = False,
-) -> Testbench:
-    """Directed vectors first (corner cases), then random fill."""
-    cycles = 1 if sequential else 0
-    points = [FunctionalPoint(dict(vector), clock_cycles=cycles) for vector in directed]
-    for _ in range(random_points):
-        stimulus = {port.verilog_name: rng.getrandbits(port.width) for port in inputs}
-        points.append(FunctionalPoint(stimulus, clock_cycles=cycles))
-    return Testbench(points=points, reset_cycles=2 if sequential else 0)

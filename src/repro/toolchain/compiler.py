@@ -11,7 +11,8 @@ every compiler instance and inherited by forked workers:
 
 * ``chisel_compile`` holds the whole :class:`CompileResult` by exact source
   text (and top); a compile makes exactly one lookup here.
-* On a miss the source is lexed once.  A LEX failure is cached by text only.
+* On a miss the source is lexed once, reusing the lines the lexer's
+  ``chisel_lines`` memo has seen.  A LEX failure is cached by text only.
   Otherwise ``chisel_tokens`` is looked up by the source with every comment
   blanked plus the comment spans, a key that determines the token stream,
   EOF coordinates included.  Comments reach neither a diagnostic nor the
@@ -87,12 +88,13 @@ class ChiselCompiler:
         ``Module`` in the source is elaborated (matching how the benchmark
         specs name a single ``TopModule``).
     cached:
-        Whether to go through the process-wide compile caches (``False``
-        compiles every call from scratch).  Compilation is a pure function of
-        the source text, and identical candidate Chisel recurs constantly
-        across samples and iterations in the paper-scale sweeps, so hits are
-        common.  Cached :class:`CompileResult` objects are shared — treat them
-        as immutable.
+        Whether to go through the process-wide caches: the two compile tiers
+        and the lexer's per-line ``chisel_lines`` memo.  ``False`` compiles
+        every call from scratch and lexes every line.  Compilation is a pure
+        function of the source text, and identical candidate Chisel recurs
+        constantly across samples and iterations in the paper-scale sweeps,
+        so hits are common.  Cached :class:`CompileResult` objects are shared
+        — treat them as immutable.
     """
 
     def __init__(self, top: str | None = None, cached: bool = True):
@@ -104,7 +106,7 @@ class ChiselCompiler:
         top = top if top is not None else self.top
         if not self.cached:
             try:
-                tokens = tokenize(source)
+                tokens = tokenize(source, cached=False)
             except ChiselError as exc:
                 return _parse_failure(exc.diagnostic)
             return self._compile(tokens, top)

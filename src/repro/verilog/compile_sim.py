@@ -847,9 +847,9 @@ def _cached_build(
     """``build()`` for ``module`` (and ``schedule``), cached; ``None`` means "fall back".
 
     The module fingerprint is memoized on the module object itself, so
-    repeated Simulation construction over a shared parsed AST (the parse
-    cache's normal hit path) costs one attribute lookup, not an AST-sized
-    repr + hash.  A ``demote`` exception is deterministic for the key, so
+    repeated :func:`get_kernel` / :func:`get_trace_kernel` lookups over a
+    shared parsed AST (the parse cache's normal hit path) cost one attribute
+    lookup, not an AST-sized repr + hash.  A ``demote`` exception is deterministic for the key, so
     ``None`` is cached and repeated attempts (the common case in
     iterative-repair sweeps) skip re-analysis.  RecursionError depends on the
     caller's stack depth, and ValueError covers degenerate widths the

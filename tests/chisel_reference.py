@@ -64,7 +64,10 @@ class ReferenceToken(Token):
 
 
 class ReferenceLexer:
-    """Tokenise Chisel/Scala source text one character at a time."""
+    """Tokenise Chisel/Scala source text one character at a time.
+
+    ``comments`` collects the ``(start, end)`` offsets of every comment lexed.
+    """
 
     def __init__(self, source: str, file: str = "Main.scala"):
         self.source = source
@@ -72,6 +75,7 @@ class ReferenceLexer:
         self.pos = 0
         self.line = 1
         self.column = 1
+        self.comments: list[tuple[int, int]] = []
 
     def _location(self) -> SourceLocation:
         return SourceLocation(self.line, self.column, self.file)
@@ -107,8 +111,10 @@ class ReferenceLexer:
                 self._advance()
                 continue
             if ch == "/" and self._peek(1) == "/":
+                start = self.pos
                 while self.pos < len(self.source) and self._peek() != "\n":
                     self._advance()
+                self.comments.append((start, self.pos))
                 continue
             if ch == "/" and self._peek(1) == "*":
                 self._lex_block_comment()
@@ -139,10 +145,12 @@ class ReferenceLexer:
 
     def _lex_block_comment(self) -> None:
         start = self._location()
+        offset = self.pos
         self._advance(2)
         while self.pos < len(self.source):
             if self._peek() == "*" and self._peek(1) == "/":
                 self._advance(2)
+                self.comments.append((offset, self.pos))
                 return
             self._advance()
         raise ChiselError.at("unterminated block comment", start, code="LEX")
@@ -943,8 +951,15 @@ class ReferenceParser:
         return ast.IfExpr(loc, condition, then_value, else_value)
 
 
-def reference_tokenize(source: str, file: str = "Main.scala") -> list[Token]:
-    return ReferenceLexer(source, file).tokenize()
+def reference_tokenize(
+    source: str, file: str = "Main.scala", comments: list[tuple[int, int]] | None = None
+) -> list[Token]:
+    """Tokens of ``source``; comment spans are appended to ``comments`` if given."""
+    lexer = ReferenceLexer(source, file)
+    tokens = lexer.tokenize()
+    if comments is not None:
+        comments.extend(lexer.comments)
+    return tokens
 
 
 def reference_parse_source(source: str, file: str = "Main.scala") -> ast.Program:

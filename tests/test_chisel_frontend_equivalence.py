@@ -2,19 +2,24 @@
 
 ``tests/chisel_reference.py`` keeps the lexer and the parser (one method per
 binary precedence level) that the master-regex lexer and the
-precedence-climbing parser replaced.  Token streams, ASTs and diagnostics must match it on every
-registry candidate, on the fuzz corpus and on random Chisel-ish text.  The
-one intended difference: integer literals are ASCII only, so a non-ASCII
-digit such as ``²`` is an illegal character instead of an integer token.
+precedence-climbing parser replaced.  Token streams, comment spans, ASTs and
+diagnostics must match it on every registry candidate, on the fuzz corpus and
+on random Chisel-ish text, with the lexer's ``chisel_lines`` memo bypassed,
+cleared, warm and filled by other sources.  The one intended difference:
+integer literals are ASCII only, so a non-ASCII digit such as ``²`` is an
+illegal character instead of an integer token.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chisel_reference import ReferenceParser, frontend_corpus, reference_tokenize
+from repro.caching import cache_stats, clear_registered_caches
 from repro.chisel.lexer import blank_comments, tokenize
-from repro.chisel.parser import Parser
+from repro.chisel.parser import Parser, parse_source
 from repro.diagnostics import ChiselError
 from repro.toolchain.compiler import STAGE_OK, STAGE_PARSE, ChiselCompiler
 
@@ -28,26 +33,54 @@ def _outcome(function, *args):
         return ("error", exc.diagnostic)
 
 
+def _lexed(lex, source: str, **options):
+    """Tokens and comment spans of ``source``, or the first diagnostic."""
+    comments: list[tuple[int, int]] = []
+    try:
+        return ("ok", lex(source, comments=comments, **options), comments)
+    except ChiselError as exc:
+        return ("error", exc.diagnostic)
+
+
 def assert_frontends_agree(source: str) -> None:
-    """Same tokens (kind, text, line, column), same AST, same diagnostics."""
-    tokens = _outcome(tokenize, source)
-    reference_tokens = _outcome(reference_tokenize, source)
-    assert tokens == reference_tokens
-    if tokens[0] == "ok":
-        program = _outcome(Parser(tokens[1]).parse_program)
-        reference = _outcome(ReferenceParser(reference_tokens[1]).parse_program)
-        assert program == reference
+    """Same tokens (kind, text, line, column), comment spans, AST and diagnostics.
+
+    The lexer runs without the line memo, with it as it stands and with every
+    line of ``source`` memoized.
+    """
+    reference = _lexed(reference_tokenize, source)
+    assert _lexed(tokenize, source, cached=False) == reference
+    assert _lexed(tokenize, source) == reference
+    assert _lexed(tokenize, source) == reference
+    if reference[0] == "ok":
+        program = _outcome(Parser(reference[1]).parse_program)
+        reference_program = _outcome(ReferenceParser(reference[1]).parse_program)
+        assert program == reference_program
 
 
+@pytest.mark.cache_mutating
 def test_frontend_matches_reference_on_corpus():
+    """Every source alone after the memo is cleared, then again after the
+    memo was filled by the whole corpus in a shuffled order."""
     assert len(CORPUS) > 2000
     mismatches = []
     for source in CORPUS:
+        clear_registered_caches()
         try:
             assert_frontends_agree(source)
         except AssertionError:
             mismatches.append(source)
     assert not mismatches, mismatches[0]
+    for source in random.Random(0).sample(CORPUS, len(CORPUS)):
+        _lexed(tokenize, source)
+    lookups = cache_stats()["chisel_lines"]
+    mismatches = [
+        source
+        for source in CORPUS
+        if _lexed(tokenize, source) != _lexed(reference_tokenize, source)
+    ]
+    assert not mismatches, mismatches[0]
+    assert cache_stats()["chisel_lines"]["hits"] > lookups["hits"]
 
 
 # Fragments that exercise every lexer branch and its edges: operators that
@@ -104,6 +137,16 @@ _LEXER_EDGES = [
     "val x = 1 /* spans\n lines */ + 2\nval y = 3",
     "a := b\nc : d\ne :: f\ng :== h\ni:=j:k",
     "val x: UInt = 1.U\nx:=y",
+    # Line memo edges: a string that spans lines, CRLF line ends, a last line
+    # with and without a newline, runs of blank and comment-only lines (one
+    # NEWLINE each), and the same line text at two line numbers.
+    'val s = "two\nlines" + x\nval t = "a\n\nb"\n',
+    "val x = 1\r\nval y = 2\r\n\r\nval z = x\r\n",
+    "val x = 1\nval y = 2",
+    "val x = 1\nval y = 2\n",
+    "val x = 1\n\n  \n// one\n\t// two\n/* three */\n\nval y = 2\n\n\n",
+    "\n\n// only comments\n\n",
+    "val x = 1\nval x = 1\n  val x = 1\nval x = 1",
 ]
 
 
@@ -126,6 +169,53 @@ def test_lex_errors_point_past_the_blanks(source, message, column):
         tokenize(source)
     assert info.value.diagnostic.message == message
     assert info.value.diagnostic.location.column == column
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "val x = 1\nval y = 2\nval z = 1  #",
+        "val x = 1\n\n// note\nval s =  \"open",
+        "val x = 1 // c\r\n/* never closed",
+        "val x = 1\nval y = 2 /* spans\n lines */ + 1\nval z = 2²",
+    ],
+)
+def test_lex_error_after_memoized_lines_matches_reference(source):
+    tokenize(source[: source.rindex("\n") + 1])  # memoizes every line before the last
+    diagnostic = _lexed(tokenize, source)
+    assert diagnostic[0] == "error"
+    assert diagnostic == _lexed(tokenize, source, cached=False)
+    if "²" not in source:  # the reference takes a non-ASCII digit for a digit
+        assert diagnostic == _lexed(reference_tokenize, source)
+
+
+@pytest.mark.parametrize(
+    "grown",
+    ["val x = 1 /* a\n b */ y", 'val s = "a\nb"', "/* a\n*/", "val x = 1 /* a\n b */ + 2\n"],
+)
+def test_a_line_whose_newline_a_comment_or_string_spans_is_not_memoized(grown):
+    """The first line of a chunk that grows past its newline is never a memo
+    entry, so a source that goes on differently after it lexes afresh."""
+    for source in (grown, grown + "\nval z = 2", grown + " + 3", grown[: grown.index("\n") + 1]):
+        assert _lexed(tokenize, source) == _lexed(reference_tokenize, source), source
+
+
+@pytest.mark.cache_mutating
+def test_a_one_line_revision_lexes_one_line():
+    source = CORPUS[0]
+    tokenize(source)
+    revised = source.replace("\n", "\n// revised\n", 1)
+    before = cache_stats()["chisel_lines"]
+    assert _lexed(tokenize, revised) == _lexed(tokenize, revised, cached=False)
+    after = cache_stats()["chisel_lines"]
+    # The inserted line misses and shifts every later line to a new key.
+    assert after["misses"] - before["misses"] == source.count("\n") + 1
+    revised = source.replace("\n", " // revised\n", 1)
+    before = after
+    tokenize(revised)
+    after = cache_stats()["chisel_lines"]
+    assert after["misses"] - before["misses"] == 1
+    assert after["hits"] - before["hits"] == source.count("\n")
 
 
 def test_comment_spans_are_recorded_in_source_order():
@@ -168,7 +258,12 @@ _MODULE = """class TopModule extends Module {{
     ],
 )
 def test_malformed_integer_literals_are_parse_diagnostics(literal, message, column):
-    result = ChiselCompiler(cached=False).compile(_MODULE.format(value=literal))
+    source = _MODULE.format(value=literal)
+    lines = cache_stats()["chisel_lines"]
+    result = ChiselCompiler(cached=False).compile(source)
+    with pytest.raises(ChiselError):
+        parse_source(source)
+    assert cache_stats()["chisel_lines"] == lines  # the uncached frontends skip the memo
     assert not result.success and result.stage == STAGE_PARSE
     diagnostic = result.diagnostics[0]
     assert diagnostic.message == message

@@ -448,6 +448,7 @@ class TestCacheRegistry:
         for name in (
             "chisel_compile",
             "chisel_tokens",
+            "chisel_lines",
             "verilog_parse",
             "sim_kernel",
             "sim_trace",
