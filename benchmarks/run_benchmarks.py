@@ -10,7 +10,8 @@ Chisel frontend (lex + parse of registry candidates, asserted ≥1.5x the
 character-at-a-time reference frontend), Chisel lexing (registry
 candidates and one-line revisions, with the line memo bypassed, cold and
 warm, no gate), Verilog parsing (the Verilog
-parse digest's corpus, no gate), the batched verification engine
+parse digest's corpus, no gate), trace codegen and trace-kernel runs
+(registry goldens, no gate), the batched verification engine
 (cold candidate, warm iteration-k+1 and trace vs step-wise testbench
 backends, with asserted minimum speedups), the
 sweep-engine throughput (quick-scale Table I sweep: serial vs parallel
@@ -49,6 +50,7 @@ def main(argv: list[str]) -> int:
             os.path.join(root, "benchmarks", "test_chisel_frontend_throughput.py"),
             os.path.join(root, "benchmarks", "test_chisel_lex_throughput.py"),
             os.path.join(root, "benchmarks", "test_verilog_parse_throughput.py"),
+            os.path.join(root, "benchmarks", "test_trace_codegen_throughput.py"),
             os.path.join(root, "benchmarks", "test_verify_throughput.py"),
             os.path.join(root, "benchmarks", "test_sweep_throughput.py"),
             os.path.join(root, "benchmarks", "test_service_throughput.py"),

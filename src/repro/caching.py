@@ -6,13 +6,15 @@ Verilog parsing, compiled simulation kernels and trace-compiled testbenches
 place.  Caches constructed with a ``name`` self-register in a process-wide
 registry; :func:`cache_stats` aggregates hits/misses/size per name (summing
 across instances) and is what ``GenerationService.snapshot()`` surfaces as
-``ServiceSnapshot.caches``.
+``ServiceSnapshot.caches``.  The lexer's per-token location table is a
+C-level ``functools.lru_cache`` registered through :class:`InternTable`.
 
 Cached values are shared between callers: treat them as immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
@@ -97,8 +99,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
     Covers the whole verification engine: ``chisel_compile`` (whole compile
     results by source text), ``chisel_tokens`` (the same by token stream),
-    ``chisel_lines`` (lexed lines), ``verilog_parse``, ``sim_kernel`` and
-    ``sim_trace``.
+    ``chisel_lines`` (lexed lines), ``chisel_locations`` (interned token
+    locations), ``verilog_parse``, ``sim_kernel`` and ``sim_trace``.
     """
     stats: dict[str, dict[str, int]] = {}
     for name, instances in sorted(_live_caches().items()):
@@ -145,7 +147,7 @@ def publish_cache_stats(bus=None, name: str = "snapshot") -> None:
         bus.publish("cache.stats", name, caches=cache_stats())
 
 
-def snapshot_registered_caches() -> list[tuple["LruCache", "OrderedDict", dict]]:
+def snapshot_registered_caches() -> list[tuple[object, object]]:
     """Capture the contents and counters of every registered cache.
 
     Used by test isolation (see the repo-root ``conftest.py``): a test that clears or
@@ -154,25 +156,58 @@ def snapshot_registered_caches() -> list[tuple["LruCache", "OrderedDict", dict]]
     warm state regardless of test ordering.  The snapshot holds strong
     references to the cache instances, so keep it short-lived.
     """
-    snapshot = []
-    for instances in _live_caches().values():
-        for cache in instances:
-            with cache._lock:
-                snapshot.append((cache, OrderedDict(cache._data), dict(cache.stats)))
-    return snapshot
+    return [
+        (cache, cache.snapshot())
+        for instances in _live_caches().values()
+        for cache in instances
+    ]
 
 
-def restore_registered_caches(snapshot: list[tuple["LruCache", "OrderedDict", dict]]) -> None:
+def restore_registered_caches(snapshot: list[tuple[object, object]]) -> None:
     """Put every snapshotted cache back exactly as captured.
 
     Caches registered after the snapshot was taken are left untouched (they
     did not exist before the test, so there is no prior state to restore).
+    An :class:`InternTable` gets its counters back and keeps its entries.
     """
-    for cache, data, stats in snapshot:
-        with cache._lock:
-            cache._data.clear()
-            cache._data.update(data)
-            cache.stats.update(stats)
+    for cache, state in snapshot:
+        cache.restore(state)
+
+
+class InternTable:
+    """A ``functools.lru_cache`` over a constructor, in the cache registry.
+
+    :attr:`intern` is the C-level ``lru_cache`` wrapper itself, so a lookup
+    per token pays nothing for the registration: :func:`cache_stats` reads
+    its counters from ``cache_info()`` and :func:`clear_registered_caches`
+    empties it with ``cache_clear()``.  Interned values are immutable and
+    equal to a fresh construction, and an ``lru_cache`` can neither list nor
+    re-insert its entries, so a snapshot keeps the counters only.
+    """
+
+    def __init__(self, make, max_size: int, name: str):
+        self.intern = functools.lru_cache(maxsize=max_size)(make)
+        self._hidden = (0, 0)  # hits and misses that restore() took back
+        register_cache(name, self)
+
+    @property
+    def stats(self) -> dict[str, int]:
+        info = self.intern.cache_info()
+        return {"hits": info.hits - self._hidden[0], "misses": info.misses - self._hidden[1]}
+
+    def __len__(self) -> int:
+        return self.intern.cache_info().currsize
+
+    def clear(self) -> None:
+        self.intern.cache_clear()
+        self._hidden = (0, 0)
+
+    def snapshot(self) -> dict[str, int]:
+        return self.stats
+
+    def restore(self, stats: dict[str, int]) -> None:
+        info = self.intern.cache_info()
+        self._hidden = (info.hits - stats["hits"], info.misses - stats["misses"])
 
 
 class LruCache(Generic[V]):
@@ -205,7 +240,11 @@ class LruCache(Generic[V]):
         return key in self._data
 
     def get(self, key: str, default: V | None = None) -> V | None:
-        with self._lock:
+        # The hottest call in a warm sweep: an explicit acquire/release costs
+        # about half of a ``with`` block on the lock.
+        lock = self._lock
+        lock.acquire()
+        try:
             value = self._data.get(key, _SENTINEL)
             if value is _SENTINEL:
                 self.stats["misses"] += 1
@@ -213,6 +252,8 @@ class LruCache(Generic[V]):
             self.stats["hits"] += 1
             self._data.move_to_end(key)
             return value  # type: ignore[return-value]
+        finally:
+            lock.release()
 
     def put(self, key: str, value: V) -> V:
         with self._lock:
@@ -226,3 +267,14 @@ class LruCache(Generic[V]):
         with self._lock:
             self._data.clear()
             self.stats.update(hits=0, misses=0)
+
+    def snapshot(self) -> tuple[OrderedDict, dict[str, int]]:
+        with self._lock:
+            return OrderedDict(self._data), dict(self.stats)
+
+    def restore(self, state: tuple[OrderedDict, dict[str, int]]) -> None:
+        data, stats = state
+        with self._lock:
+            self._data.clear()
+            self._data.update(data)
+            self.stats.update(stats)

@@ -17,11 +17,10 @@ memoizes each lexed line by (line number, text, file) in the bounded
 from __future__ import annotations
 
 import enum
-import functools
 import re
 from typing import NamedTuple
 
-from repro.caching import LruCache
+from repro.caching import InternTable, LruCache
 from repro.diagnostics import ChiselError, SourceLocation
 
 
@@ -172,8 +171,10 @@ class Token(NamedTuple):
 # their layout), so locations are interned: a parse then allocates one object
 # per token instead of two, which also cuts the garbage collections a sweep
 # runs.  SourceLocation is frozen, so a shared instance is indistinguishable
-# from a fresh one.
-_location = functools.lru_cache(maxsize=4096)(SourceLocation)
+# from a fresh one.  The table is registered as ``chisel_locations``, and
+# ``_location`` is its C-level lookup.
+_locations = InternTable(SourceLocation, 4096, name="chisel_locations")
+_location = _locations.intern
 
 
 #: Lexed lines by (line number, line text including its newline, file): the

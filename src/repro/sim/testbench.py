@@ -53,8 +53,8 @@ comparison pass (:func:`_compare_outputs`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import ne
+from itertools import compress, count, repeat
+from operator import floordiv, ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import settings
@@ -379,7 +379,9 @@ def _compare_outputs(
         return report
     width = len(observed)
     diverging = list(compress(count(), map(ne, ref_out, dut_out)))
-    report.failed_points = len({flat // width for flat in diverging})
+    report.failed_points = (
+        len(diverging) if width == 1 else len(set(map(floordiv, diverging, repeat(width))))
+    )
     points = testbench.points
     for flat in diverging[: max(0, testbench.max_mismatches)]:
         point_index = checked[flat // width]

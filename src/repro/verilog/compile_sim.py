@@ -15,7 +15,11 @@ compile time:
   blocking/non-blocking semantics exactly;
 * the generated source is ``compile()``/``exec``'d into closures and cached by
   module content hash, so repeated candidate attempts across samples and
-  iterations never pay for analysis or codegen twice.
+  iterations never pay for analysis or codegen twice;
+* the same passes are rendered once more on Python locals
+  (``KernelTemplate.comb_body`` / ``step_bodies``) for the trace kernels
+  below, which compile a whole testbench schedule into one closure and
+  inline those passes into its re-rolled loops.
 
 Modules using constructs whose once-through evaluation could diverge from the
 interpreter (combinational cycles, latch-like self reads, multiple full
@@ -75,7 +79,12 @@ def _vrem(a: int, b: int) -> int:
 
 @dataclass
 class KernelTemplate:
-    """A compiled module: shared, immutable; per-instance state is a list."""
+    """A compiled module: shared, immutable; per-instance state is a list.
+
+    ``comb_body`` and ``step_bodies`` are the ``comb`` and step passes again,
+    rendered on locals (slot ``k`` is the local ``v{k}``) as unindented
+    lines: a trace kernel inlines them into its re-rolled loops.
+    """
 
     module_name: str
     fingerprint: str
@@ -85,6 +94,8 @@ class KernelTemplate:
     steps: dict[str, Callable[[list[int]], None]] = field(default_factory=dict)
     source: str = ""
     memory_slots: dict[int, int] = field(default_factory=dict)  # slot -> depth
+    comb_body: tuple[str, ...] = ()
+    step_bodies: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def new_state(self) -> list[int]:
         state: list = [0] * self.n_slots
@@ -163,8 +174,8 @@ class _Codegen:
         **{op: t for op, t in BINARY.items() if op in (*_COMPARISONS, "+", "-", "*", "/", "%")},
         ">>>": "((({l}) >> ({r})) & {m})",
     }
-    # Copy so same-edge reads via s observe the old contents.
-    MEMORY_SNAPSHOT = "s[{slot}][:]"
+    # Copy so same-edge reads observe the old contents.
+    MEMORY_SNAPSHOT = "{mem}[:]"
 
     def __init__(self, analysis: ModuleAnalysis):
         self.a = analysis
@@ -460,35 +471,83 @@ def _blocking_targets(stmts: list[vast.VStmt], blocking: set[str], nonblocking: 
             raise AnalysisError(f"unsupported statement {stmt!r}")
 
 
+def _state_ref(slot: int) -> str:
+    return f"s[{slot}]"
+
+
+def _local_ref(slot: int) -> str:
+    return f"v{slot}"
+
+
+def _emit_comb(gen: _Codegen, schedule, ref: Callable[[int], str], indent: int) -> None:
+    """The combinational pass on the state ``ref`` names (slot -> code)."""
+    meta = gen.a.meta
+
+    def read(name: str) -> str:
+        return ref(meta(name).slot)
+
+    def store(signal: SignalMeta) -> str:
+        return ref(signal.slot)
+
+    for node in schedule:
+        if node.kind == "assign":
+            gen.emit_assign(node.item.target, node.item.value, indent, read, store)
+        else:
+            gen.emit_stmts(node.item.body, indent, read, store, store)
+
+
+def _emit_step(
+    gen: _Codegen,
+    plans: list[tuple[vast.VAlways, set[str]]],
+    pending_slots: dict[int, None],
+    memory_slots: dict[int, int],
+    ref: Callable[[int], str],
+    indent: int,
+) -> None:
+    """One clocked pass: snapshot the non-blocking targets, run the blocks, commit."""
+    meta = gen.a.meta
+    for slot in pending_slots:
+        snapshot = gen.MEMORY_SNAPSHOT if slot in memory_slots else "{mem}"
+        gen.emit(indent, f"_n{slot} = {snapshot.format(mem=ref(slot))}")
+    for block_index, (block, blocking) in enumerate(plans):
+        for slot in sorted(meta(name).slot for name in blocking):
+            gen.emit(indent, f"_b{block_index}_{slot} = {ref(slot)}")
+
+        def clocked_read(name: str, _bi=block_index, _bset=blocking) -> str:
+            slot = meta(name).slot
+            return f"_b{_bi}_{slot}" if name in _bset else ref(slot)
+
+        def blocking_store(signal: SignalMeta, _bi=block_index) -> str:
+            return f"_b{_bi}_{signal.slot}"
+
+        def nonblocking_store(signal: SignalMeta) -> str:
+            return f"_n{signal.slot}"
+
+        gen.emit_stmts(block.body, indent, clocked_read, blocking_store, nonblocking_store)
+    for slot in pending_slots:
+        gen.emit(indent, f"{ref(slot)} = _n{slot}")
+
+
 def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None) -> KernelTemplate:
     """Translate ``module`` to native closures; raises AnalysisError if unsupported.
 
-    The kernel is a ``comb`` pass plus one step per clock.
+    The kernel is a ``comb`` pass plus one step per clock.  The same passes
+    are rendered a second time on locals for the trace kernels' loops.
     """
     analysis = analysis if analysis is not None else ModuleAnalysis(module)
     schedule = analysis.schedule()  # raises CombLoopError on true cycles
     gen = _Codegen(analysis)
 
-    def comb_read(name: str) -> str:
-        return f"s[{analysis.meta(name).slot}]"
-
-    def comb_store(meta: SignalMeta) -> str:
-        return f"s[{meta.slot}]"
-
     gen.emit(0, "def comb(s):")
     mark = len(gen.lines)
-    for node in schedule:
-        if node.kind == "assign":
-            assign = node.item
-            gen.emit_assign(assign.target, assign.value, 1, comb_read, comb_store)
-        else:
-            gen.emit_stmts(node.item.body, 1, comb_read, comb_store, comb_store)
+    _emit_comb(gen, schedule, _state_ref, 1)
     if len(gen.lines) == mark:
         gen.emit(1, "pass")
     gen.emit(0, "")
 
     memory_slots = {m.slot: m.depth for m in analysis.memories()}
     clocks = analysis.clocks()
+    step_plans = []
     for clock_index, clock in enumerate(clocks):
         blocks = analysis.clocked_blocks(clock)
 
@@ -519,48 +578,40 @@ def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None)
                         f"of module {module.name}"
                     )
             block_plans.append((block, blocking))
+        step_plans.append((clock, block_plans, pending_slots))
 
         gen.emit(0, f"def _step_{clock_index}(s):")
         if not blocks:
             gen.emit(1, "pass")
-        for slot in pending_slots:
-            snapshot = gen.MEMORY_SNAPSHOT if slot in memory_slots else "s[{slot}]"
-            gen.emit(1, f"_n{slot} = {snapshot.format(slot=slot)}")
-        for block_index, (block, blocking) in enumerate(block_plans):
-            blocking_slots = sorted(analysis.meta(name).slot for name in blocking)
-            for slot in blocking_slots:
-                gen.emit(1, f"_b{block_index}_{slot} = s[{slot}]")
-
-            def clocked_read(name: str, _bi=block_index, _bset=blocking) -> str:
-                meta = analysis.meta(name)
-                if name in _bset:
-                    return f"_b{_bi}_{meta.slot}"
-                return f"s[{meta.slot}]"
-
-            def blocking_store(meta: SignalMeta, _bi=block_index) -> str:
-                return f"_b{_bi}_{meta.slot}"
-
-            def nonblocking_store(meta: SignalMeta) -> str:
-                return f"_n{meta.slot}"
-
-            gen.emit_stmts(block.body, 1, clocked_read, blocking_store, nonblocking_store)
-        for slot in pending_slots:
-            gen.emit(1, f"s[{slot}] = _n{slot}")
+        _emit_step(gen, block_plans, pending_slots, memory_slots, _state_ref, 1)
         gen.emit(0, "")
 
     source = "\n".join(gen.lines)
     namespace: dict[str, object] = {"_vdiv": _vdiv, "_vrem": _vrem}
     exec(compile(source, f"<kernel:{module.name}>", "exec"), namespace)
 
+    # The trace loops' copies, rendered after the kernel so its temporaries
+    # (and so its source) are numbered exactly as before.
+    gen.lines = []
+    _emit_comb(gen, schedule, _local_ref, 0)
+    comb_body = tuple(gen.lines)
+    step_bodies = {}
+    for clock, block_plans, pending_slots in step_plans:
+        gen.lines = []
+        _emit_step(gen, block_plans, pending_slots, memory_slots, _local_ref, 0)
+        step_bodies[clock] = tuple(gen.lines)
+
     return KernelTemplate(
         module_name=module.name,
-        fingerprint=module_fingerprint(module),
+        fingerprint=_fingerprint(module),
         slots=dict(analysis.signals),
         n_slots=len(analysis.signals),
         comb=namespace["comb"],
         steps={clock: namespace[f"_step_{index}"] for index, clock in enumerate(clocks)},
         source=source,
         memory_slots=memory_slots,
+        comb_body=comb_body,
+        step_bodies=step_bodies,
     )
 
 
@@ -577,9 +628,14 @@ def compile_kernel(module: vast.VModule, analysis: ModuleAnalysis | None = None)
 # result list.  The schedule is stored as maximal runs of equal point shapes,
 # and a run whose settle state is stable from point to point is re-rolled into
 # a tight loop, so planning, digest, port check and codegen are O(runs), not
-# O(points).  The generated code replays exactly the comb()/step() call
-# sequence the deferred-settle step-wise path performs, so sampled values are
-# bit-identical by construction.
+# O(points).  A re-rolled loop runs on locals: it unpacks the state list once,
+# takes each point's inputs from one stimulus slice through a grouper
+# (``zip(*[iter(stim[a:b])] * n)``), runs the kernel's comb and step passes
+# inline (rendered on locals by ``compile_kernel``) and stores the locals back
+# once after the loop.  The reset prologue and unrolled points call
+# ``comb(s)``/``step(s)``.  Either way the generated code replays exactly the
+# comb/step sequence the deferred-settle step-wise path performs, so sampled
+# values are bit-identical by construction.
 
 
 @dataclass(frozen=True)
@@ -619,72 +675,159 @@ class TraceKernel:
     source: str = ""
 
 
+#: Lines a trace may take below its ``def``, counted as if every comb and
+#: step pass were a call: inlining a loop's passes changes no verdict.
 _TRACE_LINE_BUDGET = 60_000
+
+_COMB = ("comb",)
+_STEP = ("step",)
 
 
 class _TraceGen:
-    def __init__(self, kernel, schedule: TraceSchedule, has_edge: bool):
+    """Trace codegen for one (kernel, schedule) pair.
+
+    A functional point is a list of ops: ``("drive", position, slot, mask)``
+    stores the point's ``position``-th stimulus value, ``_COMB`` and
+    ``_STEP`` run a pass, ``("cycles", n)`` is ``n`` more clock cycles of
+    settle-then-edge, and ``("sample", slot)`` appends an observed output.
+    Unrolled points render the ops as calls on ``s``; a re-rolled loop
+    renders them on locals with the kernel's passes inlined.
+    """
+
+    def __init__(self, kernel: KernelTemplate, schedule: TraceSchedule, has_edge: bool):
         self.kernel = kernel
         self.schedule = schedule
         self.has_edge = has_edge
         self.lines: list[str] = []
+        self.cost = 0  # budget lines spent, in call form
+        self.step_body = kernel.step_bodies[schedule.clock] if has_edge else ()
+        self.cycle_calls = ["comb(s)", "step(s)"] if has_edge else ["comb(s)"]
 
-    def emit(self, indent: int, text: str) -> None:
-        if len(self.lines) > _TRACE_LINE_BUDGET:
+    def charge(self, lines: int) -> None:
+        self.cost += lines
+        if self.cost > _TRACE_LINE_BUDGET:
             raise AnalysisError(
                 f"trace for module {self.kernel.module_name} exceeds the "
                 "generated-code budget"
             )
+
+    def emit(self, indent: int, text: str, cost: int = 1) -> None:
+        if cost:
+            self.charge(cost)
         self.lines.append("    " * indent + text)
 
-    def point_body(
-        self,
-        names: tuple[str, ...],
-        cycles: int,
-        check: bool,
-        needs_settle: bool,
-        stim_index: Callable[[int], str],
-    ) -> tuple[list[str], bool]:
-        """Code for one functional point; returns (lines, needs_settle_after).
+    def point_ops(
+        self, names: tuple[str, ...], cycles: int, check: bool, needs_settle: bool
+    ) -> tuple[list[tuple], bool]:
+        """Ops of one functional point; returns (ops, needs_settle_after).
 
         Mirrors the step-wise path statically: drives defer their settle, each
         clock edge settles the pending state first, and a checked read (or the
         unchecked-point flush) settles once before sampling.
         """
         if cycles > _TRACE_LINE_BUDGET:
-            # Guard before unrolling: the budget in emit() only sees lines
-            # after this local list is fully built.
+            # Guard before any rendering: a cycle count alone can exceed
+            # the budget.
             raise AnalysisError(
                 f"trace for module {self.kernel.module_name} exceeds the "
                 "generated-code budget"
             )
         slots = self.kernel.slots
-        lines: list[str] = []
+        ops: list[tuple] = []
         for position, name in enumerate(names):
             meta = slots[name]
-            lines.append(f"s[{meta.slot}] = stim[{stim_index(position)}] & {meta.mask}")
+            ops.append(("drive", position, meta.slot, meta.mask))
         if names:
             needs_settle = True
-        for _ in range(cycles):
+        if cycles:
             if needs_settle:
-                lines.append("comb(s)")
+                ops.append(_COMB)
             if self.has_edge:
-                lines.append("step(s)")
+                ops.append(_STEP)
             needs_settle = True
+            if cycles > 1:
+                ops.append(("cycles", cycles - 1))
         if check:
             if self.schedule.observed:
                 if needs_settle:
-                    lines.append("comb(s)")
+                    ops.append(_COMB)
                 needs_settle = False
                 for name in self.schedule.observed:
-                    lines.append(f"ap(s[{slots[name].slot}])")
+                    ops.append(("sample", slots[name].slot))
         else:
             # Unchecked points flush: the deferred stimulus must settle before
             # the next point overwrites it (latch-like designs observe this).
             if needs_settle:
-                lines.append("comb(s)")
+                ops.append(_COMB)
             needs_settle = False
-        return lines, needs_settle
+        return ops, needs_settle
+
+    def call_cost(self, op: tuple) -> int:
+        return op[1] * len(self.cycle_calls) if op[0] == "cycles" else 1
+
+    def call_lines(self, ops: list[tuple], base: int) -> list[str]:
+        """``ops`` as calls on the state list, reading stimulus from ``base``."""
+        lines: list[str] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "drive":
+                _, position, slot, mask = op
+                lines.append(f"s[{slot}] = stim[{base + position}] & {mask}")
+            elif kind == "sample":
+                lines.append(f"ap(s[{op[1]}])")
+            elif kind == "cycles":
+                lines.extend(self.cycle_calls * op[1])
+            else:
+                lines.append(f"{kind}(s)")
+        return lines
+
+    def inline_lines(self, ops: list[tuple]) -> list[str]:
+        """``ops`` on locals: ``v{slot}`` per slot, ``x{position}`` per input."""
+        lines: list[str] = []
+        for op in ops:
+            kind = op[0]
+            if kind == "drive":
+                _, position, slot, mask = op
+                lines.append(f"v{slot} = x{position} & {mask}")
+            elif kind == "sample":
+                lines.append(f"ap(v{op[1]})")
+            elif kind == "comb":
+                lines.extend(self.kernel.comb_body)
+            elif kind == "step":
+                lines.extend(self.step_body)
+            else:
+                lines.append(f"for _ in range({op[1]}):")
+                cycle = [*self.kernel.comb_body, *self.step_body] or ["pass"]
+                lines.extend("    " + line for line in cycle)
+        return lines
+
+    @cached_property
+    def state_locals(self) -> str:
+        return "[" + ", ".join(f"v{slot}" for slot in range(self.kernel.n_slots)) + "]"
+
+    def emit_loop(self, ops: list[tuple], start: int, length: int, width: int) -> None:
+        """Re-roll ``length`` points of ``ops`` into one loop on locals.
+
+        The state list is unpacked into locals once and stored back once, and
+        each iteration takes its ``width`` stimulus values from one slice.
+        Budgeted as its call form: an index set, the header, the body and an
+        index step (no index lines when the run drives nothing).
+        """
+        self.charge(sum(map(self.call_cost, ops)) + (3 if width else 1))
+        end = start + length * width
+        if width == 0:
+            header = f"for _ in range({length}):"
+        elif width == 1:
+            header = f"for x0 in stim[{start}:{end}]:"
+        else:
+            inputs = ", ".join(f"x{position}" for position in range(width))
+            header = f"for {inputs} in zip(*[iter(stim[{start}:{end}])] * {width}):"
+        self.emit(1, f"{self.state_locals} = s", cost=0)
+        self.emit(1, header, cost=0)
+        # Passes can render to nothing (a module without comb logic).
+        for line in self.inline_lines(ops) or ["pass"]:
+            self.emit(2, line, cost=0)
+        self.emit(1, f"s[:] = {self.state_locals}", cost=0)
 
 
 def check_schedule_ports(module: vast.VModule, schedule: TraceSchedule) -> set[str]:
@@ -732,7 +875,7 @@ def emit_trace_body(gen: _TraceGen, ports: set[str]) -> tuple[str, Callable]:
     """
     schedule = gen.schedule
     kernel = gen.kernel
-    gen.emit(0, "def trace(s, stim, ap):")
+    gen.emit(0, "def trace(s, stim, ap):", cost=0)
     # Simulation.__post_init__ settles the freshly-zeroed state once.
     gen.emit(1, "comb(s)")
     needs_settle = False
@@ -749,48 +892,32 @@ def emit_trace_body(gen: _TraceGen, ports: set[str]) -> tuple[str, Callable]:
         gen.emit(1, f"s[{meta.slot}] = 0")
         gen.emit(1, "comb(s)")  # eager settle of the deasserted reset
 
-    # Re-roll each run into a loop when its body is the same from one point
+    # Re-roll each run into a loop when its ops are the same from one point
     # to the next; otherwise unroll it point by point.
     offset = 0
     for names, cycles, check, length in schedule.runs:
-        body, after = gen.point_body(
-            names, cycles, check, needs_settle, lambda j: f"i + {j}" if j else "i"
-        )
+        width = len(names)
+        ops, after = gen.point_ops(names, cycles, check, needs_settle)
         stable = False
         if length > 1:
-            body_next, after_next = gen.point_body(
-                names, cycles, check, after, lambda j: f"i + {j}" if j else "i"
-            )
-            stable = body == body_next and after == after_next
+            stable = (ops, after) == gen.point_ops(names, cycles, check, after)
         if stable:
             # A run can compile to nothing (no inputs, no cycles, nothing to
             # sample): emitting a bodyless for-loop would be a syntax error.
-            if body:
-                if names:
-                    gen.emit(1, f"i = {offset}")
-                gen.emit(1, f"for _ in range({length}):")
-                for line in body:
-                    gen.emit(2, line)
-                if names:
-                    gen.emit(2, f"i += {len(names)}")
+            if ops:
+                gen.emit_loop(ops, offset, length, width)
             needs_settle = after
-            offset += length * len(names)
+            offset += length * width
         else:
             for _ in range(length):
-                body, needs_settle = gen.point_body(
-                    names,
-                    cycles,
-                    check,
-                    needs_settle,
-                    lambda j, base=offset: str(base + j),
-                )
-                for line in body:
+                ops, needs_settle = gen.point_ops(names, cycles, check, needs_settle)
+                for line in gen.call_lines(ops, offset):
                     gen.emit(1, line)
-                offset += len(names)
+                offset += width
     gen.emit(1, "return None")
 
     source = "\n".join(gen.lines)
-    namespace: dict[str, object] = {"comb": kernel.comb}
+    namespace: dict[str, object] = {"comb": kernel.comb, "_vdiv": _vdiv, "_vrem": _vrem}
     if gen.has_edge:
         namespace["step"] = kernel.steps[schedule.clock]
     exec(compile(source, f"<trace:{kernel.module_name}>", "exec"), namespace)
@@ -836,6 +963,15 @@ _fallbacks = [0]
 _MISSING = object()
 
 
+def _fingerprint(module: vast.VModule) -> str:
+    """:func:`module_fingerprint`, memoized on the module object."""
+    key = getattr(module, "_kernel_fingerprint", None)
+    if key is None:
+        key = module_fingerprint(module)
+        module._kernel_fingerprint = key  # AST is immutable by convention
+    return key
+
+
 def _cached_build(
     cache: LruCache,
     module: vast.VModule,
@@ -856,10 +992,7 @@ def _cached_build(
     interpreter only rejects lazily: those fall back for this call without
     demoting the key.  ``fallbacks``, when given, counts both kinds.
     """
-    key = getattr(module, "_kernel_fingerprint", None)
-    if key is None:
-        key = module_fingerprint(module)
-        module._kernel_fingerprint = key  # AST is immutable by convention
+    key = _fingerprint(module)
     if schedule is not None:
         key = f"{key}:{schedule.digest}"
     cached = cache.get(key, _MISSING)

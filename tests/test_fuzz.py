@@ -38,8 +38,10 @@ from repro.verilog import compile_sim
 
 
 def _corrupt_compiled_kernels(monkeypatch) -> None:
-    """A simulated compiled-kernel bug: ``comb`` flips bit 0 of every
-    ``io_out*`` output, in every kernel the trace tier builds."""
+    """A simulated compiled-kernel bug: the comb pass flips bit 0 of every
+    ``io_out*`` output, in every kernel the trace tier builds.  Both copies of
+    the pass carry it: the ``comb`` closure that unrolled points call and the
+    ``comb_body`` on locals that re-rolled loops inline."""
     original = compile_sim.compile_kernel
 
     def corrupted(module, analysis=None):
@@ -52,7 +54,8 @@ def _corrupt_compiled_kernels(monkeypatch) -> None:
             for slot in slots:
                 state[slot] ^= 1
 
-        return dataclasses.replace(kernel, comb=flipped)
+        comb_body = (*kernel.comb_body, *(f"v{slot} ^= 1" for slot in slots))
+        return dataclasses.replace(kernel, comb=flipped, comb_body=comb_body)
 
     monkeypatch.setattr(compile_sim, "compile_kernel", corrupted)
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.caching import cache_stats, clear_registered_caches
+from repro.caching import (
+    cache_stats,
+    clear_registered_caches,
+    restore_registered_caches,
+    snapshot_registered_caches,
+)
 from repro.problems.mutations import applicable_syntax_faults
 from repro.problems.registry import build_default_registry
 from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
@@ -449,6 +454,7 @@ class TestCacheRegistry:
             "chisel_compile",
             "chisel_tokens",
             "chisel_lines",
+            "chisel_locations",
             "verilog_parse",
             "sim_kernel",
             "sim_trace",
@@ -468,6 +474,31 @@ class TestCacheRegistry:
         stats = cache_stats()
         for counters in stats.values():
             assert counters["hits"] == 0 and counters["misses"] == 0 and counters["size"] == 0
+
+    @pytest.mark.cache_mutating
+    def test_a_cold_start_empties_the_interned_locations(self):
+        # The uncached lexer still interns every token location.
+        source = REGISTRY.by_id("alu_w8").golden_chisel
+        ChiselCompiler(top="TopModule", cached=False).compile(source)
+        ChiselCompiler(top="TopModule", cached=False).compile(source)
+        warm = cache_stats()["chisel_locations"]
+        assert warm["size"] > 0 and warm["hits"] >= warm["size"]
+        clear_registered_caches()
+        assert cache_stats()["chisel_locations"] == {
+            "hits": 0, "misses": 0, "size": 0, "instances": 1
+        }
+
+    @pytest.mark.cache_mutating
+    def test_snapshot_and_restore_keep_the_interned_location_counters(self):
+        source = REGISTRY.by_id("alu_w8").golden_chisel
+        ChiselCompiler(top="TopModule", cached=False).compile(source)
+        before = cache_stats()["chisel_locations"]
+        snapshot = snapshot_registered_caches()
+        clear_registered_caches()
+        ChiselCompiler(top="TopModule", cached=False).compile(source + "\n// tail\n")
+        restore_registered_caches(snapshot)
+        after = cache_stats()["chisel_locations"]
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
 
     def test_snapshot_surfaces_cache_stats(self):
         from repro.service import GenerationService
