@@ -22,7 +22,8 @@ campaign result as one compact JSON document (machine-readable for the chaos
 harness and CI).
 
 Exit codes: 0 — complete or drained; 4 — deadline/budget stop (checkpointed,
-resumable); 1 — failure.
+resumable); 1 — failure; 2 — usage error (a bad flag, no store, or a
+``REPRO_CAMPAIGN_*`` variable that is malformed or not in the settings table).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ if __name__ == "__main__":
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from repro import settings
 from repro.campaign.checkpoint import list_campaigns
@@ -111,50 +111,44 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="samples per strategy/problem (with --quick)",
     )
-    # The bounds below override their REPRO_CAMPAIGN_* knob only when given,
-    # and accept exactly what that knob accepts.
+    defaults = CampaignConfig()
     parser.add_argument(
         "--deadline",
-        type=settings.arg_type("--deadline", "REPRO_CAMPAIGN_DEADLINE"),
-        default=argparse.SUPPRESS,
-        help="wall-clock bound in seconds (0 = no bound)",
+        type=settings.arg_type("--deadline", kind=float, low=0, zero_off=True),
+        default=defaults.deadline,
+        help="wall-clock bound in seconds (default: none; 0 = no bound)",
     )
     parser.add_argument(
         "--budget",
-        type=settings.arg_type("--budget", "REPRO_CAMPAIGN_LLM_BUDGET"),
-        default=argparse.SUPPRESS,
-        help="LLM-completion budget across all resumes",
+        type=settings.arg_type("--budget", kind=int, low=0),
+        default=defaults.llm_budget,
+        help="LLM-completion budget across all resumes (default: unbounded)",
     )
     parser.add_argument(
         "--chunk",
-        type=settings.arg_type("--chunk", "REPRO_CAMPAIGN_CHUNK"),
-        default=argparse.SUPPRESS,
-        help="work units per checkpointed chunk",
+        type=settings.arg_type("--chunk", kind=int, low=1),
+        default=defaults.chunk_size,
+        help=f"work units per checkpointed chunk (default {defaults.chunk_size})",
     )
     parser.add_argument(
         "--throttle",
-        type=settings.arg_type("--throttle", "REPRO_CAMPAIGN_THROTTLE"),
-        default=argparse.SUPPRESS,
-        help="seconds to sleep between chunks",
+        type=settings.arg_type("--throttle", kind=float, low=0),
+        default=defaults.throttle,
+        help="seconds to sleep between chunks (default 0)",
     )
     return parser
 
 
-#: CampaignConfig field -> the flag that overrides it.
-_FLAG_FIELDS = {
-    "deadline": "deadline",
-    "llm_budget": "budget",
-    "chunk_size": "chunk",
-    "throttle": "throttle",
-}
-
-
 def _build_config(args) -> CampaignConfig:
-    config = CampaignConfig.from_environment(CampaignConfig(store_path=args.store))
-    given = vars(args)
-    return replace(
-        config,
-        **{field: given[flag] for field, flag in _FLAG_FIELDS.items() if flag in given},
+    """The flags' config with the ``REPRO_CAMPAIGN_*`` rows that no flag covers."""
+    return CampaignConfig.from_environment(
+        CampaignConfig(
+            store_path=args.store,
+            chunk_size=args.chunk,
+            deadline=args.deadline,
+            llm_budget=args.budget,
+            throttle=args.throttle,
+        )
     )
 
 
@@ -171,31 +165,38 @@ def _list(config: CampaignConfig) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _build_config(args)
-    if not config.store_path:
-        print(
-            "error: no store; pass --store or set REPRO_CAMPAIGN_STORE",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.list_campaigns:
-        return _list(config)
-
+def _orchestrator(args, config: CampaignConfig) -> CampaignOrchestrator:
     if args.resume:
-        orchestrator = CampaignOrchestrator.resume(args.resume, config)
+        return CampaignOrchestrator.resume(args.resume, config)
+    if args.spec:
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            spec = CampaignSpec.from_dict(json.load(handle))
     else:
-        if args.spec:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                spec = CampaignSpec.from_dict(json.load(handle))
-        else:
-            spec = default_campaign(
-                problems=tuple(p for p in args.problems.split(",") if p),
-                samples=args.samples,
-                seed=args.seed,
+        spec = default_campaign(
+            problems=tuple(p for p in args.problems.split(",") if p),
+            samples=args.samples,
+            seed=args.seed,
+        )
+    return CampaignOrchestrator(spec, config)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _build_config(args)
+        if not config.store_path:
+            print(
+                "error: no store; pass --store or set REPRO_CAMPAIGN_STORE",
+                file=sys.stderr,
             )
-        orchestrator = CampaignOrchestrator(spec, config)
+            return EXIT_USAGE
+        if args.list_campaigns:
+            return _list(config)
+        orchestrator = _orchestrator(args, config)
+    except settings.SettingError as error:
+        # A bad or deleted knob: campaign, result store or LLM breaker.
+        parser.error(str(error))
 
     def _drain(signum, frame):
         orchestrator.request_drain(f"signal {signum}")

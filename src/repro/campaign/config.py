@@ -1,9 +1,12 @@
 """Configuration for the campaign orchestrator.
 
-Every knob is also settable from the environment (``REPRO_CAMPAIGN_*``) so
-long-running deployments tune campaigns without code changes; see
-EXPERIMENTS.md for the catalogue.  The circuit breaker around the LLM path
-is configured separately through ``REPRO_BREAKER_*``
+The run bounds (``chunk_size``, ``deadline``, ``llm_budget``, ``throttle``)
+are set by the CLI's flags (``--chunk``, ``--deadline``, ``--budget``,
+``--throttle``) or in code.  Only the store path, the retry count and the
+checkpoint cadence, which no flag covers, are also read from the environment
+(``REPRO_CAMPAIGN_STORE``, ``_RETRIES``, ``_CHECKPOINT_EVERY``); see
+EXPERIMENTS.md.  The circuit breaker around the LLM path is configured
+separately through ``REPRO_BREAKER_*``
 (:meth:`repro.retry.CircuitBreaker.from_environment`).
 """
 
@@ -59,15 +62,18 @@ class CampaignConfig:
 
     @classmethod
     def from_environment(cls, base: "CampaignConfig | None" = None) -> "CampaignConfig":
+        """``base`` (default: the defaults) with the set ``REPRO_CAMPAIGN_*``
+        knobs applied.
+
+        A set ``REPRO_CAMPAIGN_*`` variable that no row of the settings table
+        declares (a deleted knob) raises :class:`~repro.settings.SettingError`.
+        """
+        settings.reject_undeclared("REPRO_CAMPAIGN_")
         config = replace(
             base or cls(),
             **settings.overrides(
-                chunk_size="REPRO_CAMPAIGN_CHUNK",
-                deadline="REPRO_CAMPAIGN_DEADLINE",
-                llm_budget="REPRO_CAMPAIGN_LLM_BUDGET",
                 unit_retries="REPRO_CAMPAIGN_RETRIES",
                 checkpoint_every="REPRO_CAMPAIGN_CHECKPOINT_EVERY",
-                throttle="REPRO_CAMPAIGN_THROTTLE",
             ),
         )
         if config.store_path is None:

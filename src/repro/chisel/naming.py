@@ -29,6 +29,3 @@ class Namer:
         """Allocate a fresh temporary name."""
         self._temp_counter += 1
         return self.reserve(f"{prefix}_{self._temp_counter}")
-
-    def is_used(self, name: str) -> bool:
-        return name in self._used

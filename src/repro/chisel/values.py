@@ -179,10 +179,6 @@ class HwValue:
     tpe: HwType
     binding: str = BINDING_OP
 
-    @property
-    def is_sink(self) -> bool:
-        return self.binding in (BINDING_PORT_OUT, BINDING_WIRE, BINDING_REG)
-
     def type_name(self) -> str:
         return self.tpe.chisel_name()
 
@@ -231,10 +227,6 @@ class DontCareValue:
 
 
 DONT_CARE = DontCareValue()
-
-
-def is_hardware(value: object) -> bool:
-    return isinstance(value, (HwValue, BundleView))
 
 
 def describe_value(value: object) -> str:

@@ -1,8 +1,9 @@
 """Live operations console over the structured event bus.
 
-The headless state model (:class:`~repro.console.model.ConsoleModel`) has no
-UI dependency; the Textual app in :mod:`repro.console.app` is optional.  Run
-``python -m repro.console --demo`` for a self-contained tour.
+The state model (:class:`~repro.console.model.ConsoleModel`) folds bus events
+into tables and renders them as plain text; ``python -m repro.console`` prints
+that dashboard every interval.  Run ``python -m repro.console --demo`` for a
+self-contained tour.
 """
 
 from repro.console.model import ConsoleModel, SessionRow, sparkline

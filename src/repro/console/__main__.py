@@ -4,8 +4,7 @@ Three sources, one console:
 
 ``--socket HOST:PORT``
     Tail another process that exported ``REPRO_EVENTS_SOCKET`` (see
-    :mod:`repro.obs.transport`).  ``REPRO_CONSOLE_SOCKET`` supplies the
-    default endpoint.
+    :mod:`repro.obs.transport`).
 
 ``--demo``
     Run a small synthetic generation workload in a background thread and
@@ -15,9 +14,11 @@ neither
     Watch this process's own bus (only useful when something in-process is
     publishing, e.g. under an embedding harness).
 
-The Textual UI is optional: ``--plain`` (or ``REPRO_CONSOLE_PLAIN=1``, or
-Textual simply not being installed) switches to a stdout renderer that
-reprints the dashboard every interval.
+Every ``--interval`` seconds the console reprints
+:meth:`~repro.console.model.ConsoleModel.render` to stdout: the headline,
+sessions, caches, resilience, the sim-batch sparkline and the event tail.
+The console takes its parameters as flags only; an exported
+``REPRO_CONSOLE_*`` variable is a usage error (status 2).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _run_demo(stop: threading.Event) -> None:
         stop.wait(1.0)
 
 
-def _plain_loop(model: ConsoleModel, interval: float, stop: threading.Event) -> None:
+def _render_loop(model: ConsoleModel, interval: float, stop: threading.Event) -> None:
     try:
         while not stop.is_set():
             model.pump()
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--socket",
-        default=settings.read("REPRO_CONSOLE_SOCKET"),
+        type=settings.arg_type("--socket", kind=settings.ENDPOINT),
+        default=None,
         metavar="HOST:PORT",
         help="tail a process exporting REPRO_EVENTS_SOCKET at this endpoint",
     )
@@ -105,20 +107,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a synthetic generation workload and watch it",
     )
     parser.add_argument(
-        "--plain", action="store_true",
-        default=settings.read("REPRO_CONSOLE_PLAIN"),
-        help="render plain text to stdout instead of the Textual UI",
-    )
-    parser.add_argument(
-        "--interval", type=float,
-        default=settings.read("REPRO_CONSOLE_INTERVAL"),
+        "--interval",
+        type=settings.arg_type("--interval", kind=float, low=0, low_open=True),
+        default=0.5,
         help="refresh period in seconds (default 0.5)",
     )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        settings.reject_undeclared("REPRO_CONSOLE_")  # the deleted flag twins
+        bus = None if args.socket else get_bus()  # installs REPRO_EVENTS_* transports
+    except settings.SettingError as error:
+        parser.error(str(error))
 
     model = ConsoleModel()
     stop = threading.Event()
@@ -128,21 +132,12 @@ def main(argv=None) -> int:
             target=_feed_socket, args=(model, host, port, stop), daemon=True
         ).start()
     else:
-        model.attach(get_bus())
+        model.attach(bus)
         if args.demo:
             threading.Thread(target=_run_demo, args=(stop,), daemon=True).start()
 
     try:
-        if args.plain:
-            _plain_loop(model, args.interval, stop)
-        else:
-            try:
-                from repro.console.app import ConsoleApp
-            except ImportError as exc:
-                print(f"{exc}\nfalling back to --plain", file=sys.stderr)
-                _plain_loop(model, args.interval, stop)
-            else:
-                ConsoleApp(model, interval=args.interval).run()
+        _render_loop(model, args.interval, stop)
     finally:
         stop.set()
         model.detach()

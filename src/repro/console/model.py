@@ -5,10 +5,9 @@
 the console renders: per-session rows with per-stage latencies, cache hit
 rates, recent LLM/simulation batch sizes and a bounded event tail.
 
-It is deliberately pure Python with no UI dependency: the Textual app in
-:mod:`repro.console.app` is a thin view over this model, the plain-text
-``--plain`` mode calls :meth:`ConsoleModel.render`, and the headless console
-tests drive a real generation service against it without Textual installed.
+It is pure Python: ``python -m repro.console`` prints
+:meth:`ConsoleModel.render`, and the console tests drive a real generation
+service against it.
 """
 
 from __future__ import annotations
@@ -316,7 +315,7 @@ class ConsoleModel:
     # ------------------------------------------------------------- plain text
 
     def render(self, sessions: int = 12) -> str:
-        """A full plain-text dashboard (used by ``--plain`` and tests)."""
+        """The full plain-text dashboard ``python -m repro.console`` prints."""
         lines = [self.headline(), ""]
         lines.append("sessions (newest first):")
         header = ("problem", "strategy", "model", "s", "status", "llm ms", "compile ms", "sim ms", "total ms")

@@ -70,13 +70,6 @@ class DiagnosticList:
         self.diagnostics.append(diag)
         return diag
 
-    def warning(
-        self, message: str, location: SourceLocation | None = None, code: str | None = None
-    ) -> Diagnostic:
-        diag = Diagnostic(message, Severity.WARNING, location, code)
-        self.diagnostics.append(diag)
-        return diag
-
     def extend(self, other: "DiagnosticList") -> None:
         self.diagnostics.extend(other.diagnostics)
 

@@ -19,10 +19,6 @@ def render_table(headers: list[str], rows: list[list[str]], title: str | None = 
     return "\n".join(lines)
 
 
-def fmt_pct(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def fmt_pair(measured: float, paper: float | None) -> str:
     """Format a measured value with the paper's value alongside for comparison."""
     if paper is None:

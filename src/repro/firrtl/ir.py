@@ -102,14 +102,6 @@ class BundleType(Type):
         return f"{{{inner}}}"
 
 
-def is_ground(tpe: Type) -> bool:
-    return isinstance(tpe, GroundType)
-
-
-def bool_type() -> UIntType:
-    return UIntType(1)
-
-
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------

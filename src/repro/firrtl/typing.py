@@ -34,25 +34,16 @@ class SymbolTable:
     def __init__(self, module: ir.Module):
         self.module = module
         self.types: dict[str, ir.Type] = {}
-        self.kinds: dict[str, str] = {}
         for port in module.ports:
             self.types[port.name] = port.type
-            self.kinds[port.name] = "port:" + port.direction
         for stmt in ir.walk_stmts(module.body):
-            if isinstance(stmt, ir.DefWire):
+            if isinstance(stmt, (ir.DefWire, ir.DefRegister)):
                 self.types[stmt.name] = stmt.type
-                self.kinds[stmt.name] = "wire"
-            elif isinstance(stmt, ir.DefRegister):
-                self.types[stmt.name] = stmt.type
-                self.kinds[stmt.name] = "reg"
             elif isinstance(stmt, ir.DefMemory):
                 # A memory types as a vector of its element type, so SubAccess
                 # reads/writes resolve to the element through the normal path.
                 self.types[stmt.name] = ir.VectorType(stmt.type, stmt.depth)
-                self.kinds[stmt.name] = "mem"
-            elif isinstance(stmt, ir.DefNode):
-                self.kinds[stmt.name] = "node"
-                # Node types are computed lazily once all declarations are known.
+        # Node types are computed once all declarations are known.
         for stmt in ir.walk_stmts(module.body):
             if isinstance(stmt, ir.DefNode) and stmt.name not in self.types:
                 try:
@@ -64,9 +55,6 @@ class SymbolTable:
         if name not in self.types:
             raise TypeError_(f"reference to unknown signal {name!r}")
         return self.types[name]
-
-    def kind_of(self, name: str) -> str:
-        return self.kinds.get(name, "unknown")
 
     def update(self, name: str, tpe: ir.Type) -> None:
         self.types[name] = tpe

@@ -4,8 +4,8 @@
 Chisel programs and pushes each through every seam of the toolchain —
 compile, Verilog re-parse, step-wise interpreter vs trace-compiled
 simulation, warm vs cold caches — shrinking and persisting anything that
-diverges.  See README.md "Fuzzing & conformance" and the ``REPRO_FUZZ_*``
-knobs in EXPERIMENTS.md.
+diverges.  See README.md "Fuzzing & conformance" and ``python -m repro.fuzz
+--help`` for the flags.
 """
 
 from repro.fuzz.config import ALL_FEATURES, FuzzConfig, parse_feature_mask

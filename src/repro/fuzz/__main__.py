@@ -7,21 +7,32 @@ Examples::
     python -m repro.fuzz --replay tests/data/fuzz_corpus.jsonl
 
 Exit status is non-zero when any conformance failure was found (failures are
-printed shrunk, with their one-line repro).
+printed shrunk, with their one-line repro).  A bad flag value, or any exported
+``REPRO_FUZZ_*`` variable, is a usage error (status 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from repro import settings
-from repro.fuzz.config import FuzzConfig, parse_feature_mask
+from repro.fuzz.config import ALL_FEATURES, FuzzConfig, parse_feature_mask
 from repro.fuzz.corpus import load_corpus_entries
 from repro.fuzz.generate import generate_program
 from repro.fuzz.session import print_progress, replay_entry, run_session
+from repro.obs import get_bus
+
+_FEATURES_RULE = "'all' or comma-separated names from " + ", ".join(ALL_FEATURES)
+
+
+def _feature_mask(raw: str) -> frozenset[str]:
+    try:
+        return parse_feature_mask(raw)
+    except ValueError:
+        error = settings.SettingError("--features", _FEATURES_RULE, raw.strip())
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,12 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.fuzz",
         description="Differential fuzzing of the Chisel→FIRRTL→Verilog→simulation stack.",
     )
-    env = FuzzConfig.from_environment()
-    parser.add_argument("--seed", type=int, default=env.seed, help="session seed")
+    defaults = FuzzConfig()
+    parser.add_argument(
+        "--seed",
+        type=settings.arg_type("--seed", kind=int),
+        default=defaults.seed,
+        help="session seed",
+    )
     parser.add_argument(
         "--n",
-        type=settings.arg_type("--n", "REPRO_FUZZ_ITERATIONS"),
-        default=env.iterations,
+        type=settings.arg_type("--n", kind=int, low=0),
+        default=defaults.iterations,
         help="number of programs to generate",
     )
     parser.add_argument(
@@ -42,24 +58,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--corpus",
-        default=env.corpus_path,
+        type=settings.arg_type("--corpus", kind=settings.PATH),
+        default=defaults.corpus_path,
         help="JSON-lines corpus path for failures and interesting survivors",
     )
     parser.add_argument(
         "--points",
-        type=settings.arg_type("--points", "REPRO_FUZZ_POINTS"),
-        default=env.points,
+        type=settings.arg_type("--points", kind=int, low=1),
+        default=defaults.points,
         help="stimulus points per program",
     )
     parser.add_argument(
         "--features",
-        default=None,
+        type=_feature_mask,
+        default=defaults.features,
         help="comma-separated feature mask (default: all; see repro.fuzz.ALL_FEATURES)",
     )
     parser.add_argument(
         "--keep",
         type=settings.arg_type("--keep", kind=int, low=0),
-        default=env.keep_survivors,
+        default=defaults.keep_survivors,
         help="max survivors to store",
     )
     parser.add_argument(
@@ -103,21 +121,25 @@ def _replay(path: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        settings.reject_undeclared("REPRO_FUZZ_")  # the deleted flag twins
+        bus = get_bus()  # installs the REPRO_EVENTS_* transports
+    except settings.SettingError as error:
+        parser.error(str(error))
     if args.replay:
         return _replay(args.replay)
 
-    config = dataclasses.replace(
-        FuzzConfig.from_environment(),
+    config = FuzzConfig(
         seed=args.seed,
         iterations=args.n,
         points=args.points,
+        features=args.features,
         corpus_path=args.corpus,
         keep_survivors=args.keep,
         shrink_failures=not args.no_shrink,
     )
-    if args.features:
-        config = dataclasses.replace(config, features=parse_feature_mask(args.features))
 
     if args.show:
         for index in range(args.skip, args.skip + config.iterations):
@@ -126,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             print(program.source)
 
     result = run_session(
-        config, skip=args.skip, progress=print_progress if args.progress else None
+        config, skip=args.skip, progress=print_progress if args.progress else None, bus=bus
     )
     if args.progress:
         sys.stderr.write("\n")

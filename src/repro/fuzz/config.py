@@ -3,16 +3,15 @@
 A :class:`FuzzConfig` fully determines a fuzz session: the same
 ``(config, seed, index)`` triple always regenerates the same Chisel program,
 so every corpus entry and every failure report is a one-line repro
-(``python -m repro.fuzz --seed S --n 1 --skip K``).  Every knob is also
-settable from the environment (``REPRO_FUZZ_*``); see EXPERIMENTS.md for the
-catalogue.
+(``python -m repro.fuzz --seed S --n 1 --skip K``).  The CLI sets a session's
+knobs by flag only and takes its defaults from ``FuzzConfig()``; no
+environment variable shapes a session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro import settings
 from repro.caching import stable_fingerprint
 
 # Feature toggles understood by the generator.  Each label gates a family of
@@ -103,9 +102,6 @@ class FuzzConfig:
             }
         )
 
-    def with_seed(self, seed: int) -> "FuzzConfig":
-        return replace(self, seed=seed)
-
     def repro_line(self, index: int) -> str:
         """One-line CLI repro for program ``index`` of this session.
 
@@ -122,21 +118,3 @@ class FuzzConfig:
         if self.features != defaults.features:
             parts.append(f"--features {','.join(sorted(self.features))}")
         return " ".join(parts)
-
-    @classmethod
-    def from_environment(cls) -> "FuzzConfig":
-        raw = settings.read("REPRO_FUZZ_FEATURES")
-        try:
-            features = parse_feature_mask(raw)
-        except ValueError:
-            rule = "'all' or comma-separated names from " + ", ".join(ALL_FEATURES)
-            raise settings.SettingError("REPRO_FUZZ_FEATURES", rule, raw) from None
-        return cls(
-            features=features,
-            **settings.overrides(
-                seed="REPRO_FUZZ_SEED",
-                iterations="REPRO_FUZZ_ITERATIONS",
-                points="REPRO_FUZZ_POINTS",
-                corpus_path="REPRO_FUZZ_CORPUS",
-            ),
-        )

@@ -130,12 +130,6 @@ class Bits:
             return Bits(to_unsigned(self.as_int, width), width, self.signed)
         return Bits(self.value & mask(width), width, self.signed)
 
-    def as_unsigned(self) -> "Bits":
-        return Bits(self.value, self.width, False)
-
-    def as_signed(self) -> "Bits":
-        return Bits(self.value, self.width, True)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _result_width(self, other: "Bits") -> int:
@@ -154,10 +148,6 @@ class Bits:
 
     def sub(self, other: "Bits") -> "Bits":
         w = self._result_width(other)
-        return Bits(self.as_int - other.as_int, w, self._binary_signed(other))
-
-    def sub_expand(self, other: "Bits") -> "Bits":
-        w = self._result_width(other) + 1
         return Bits(self.as_int - other.as_int, w, self._binary_signed(other))
 
     def mul(self, other: "Bits") -> "Bits":
@@ -273,11 +263,6 @@ class Bits:
         return Bits(out, self.width, False)
 
     # -- misc --------------------------------------------------------------------
-
-    def to_binary_string(self) -> str:
-        if self.width == 0:
-            return ""
-        return format(self.value, f"0{self.width}b")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sign = "S" if self.signed else "U"

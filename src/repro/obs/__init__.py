@@ -16,7 +16,7 @@ console").  Three layers share one event stream:
   that have no such owner (spans, retries, campaigns, cache snapshots,
   sweeps, fuzzing);
 * :mod:`repro.obs.transport` — JSON-lines file and line-JSON socket
-  transports so external processes (the Textual console, CI artifacts, a
+  transports so external processes (the console, CI artifacts, a
   scraper) subscribe without touching the serving process.
 """
 

@@ -17,12 +17,13 @@ Kinds and the values they accept:
   ``zero_off`` read ``0`` as ``None`` (disabled);
 * a tuple of choices — exactly one of them;
 * :data:`PATH` — any string, or one of :data:`OFF` (read as ``None``);
-* :data:`ENDPOINT` — ``host:port`` / ``:port`` / ``port``, or one of :data:`OFF`;
-* ``str`` — free text the consumer parses itself.
+* :data:`ENDPOINT` — ``host:port`` / ``:port`` / ``port``, or one of :data:`OFF`.
 
 :func:`reject_undeclared` fails a run that still sets a knob of a family
-(``REPRO_SERVICE_``, ``REPRO_STORE_``, ``REPRO_TB_``) that the table no
-longer declares.
+(``REPRO_SERVICE_``, ``REPRO_STORE_``, ``REPRO_TB_``, ``REPRO_CAMPAIGN_``,
+``REPRO_FUZZ_``, ``REPRO_CONSOLE_``) that the table no longer declares.  The
+fuzz and console families have no rows left: ``python -m repro.fuzz`` and
+``python -m repro.console`` take their parameters as flags only.
 
 :func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
 and its knob accept the same values and fail the same way.
@@ -62,7 +63,7 @@ class SettingError(ValueError):
 
 @dataclass(frozen=True)
 class Setting:
-    """One knob: ``kind`` is ``bool``, ``int``, ``float``, ``str``, :data:`PATH`,
+    """One knob: ``kind`` is ``bool``, ``int``, ``float``, :data:`PATH`,
     :data:`ENDPOINT` or a tuple of choices; ``low`` is the lowest accepted
     number (exclusive when ``low_open``)."""
 
@@ -90,8 +91,6 @@ class Setting:
     def parse(self, raw: str) -> object:
         """The value ``raw`` (stripped, non-empty) stands for under this row."""
         kind = self.kind
-        if kind is str:
-            return raw
         if kind in (PATH, ENDPOINT):
             if raw.lower() in OFF:
                 return None
@@ -146,27 +145,14 @@ _ROWS = (
     Setting("REPRO_SERVICE_DRAIN_TIMEOUT", float, 30.0, low=0),
     # Campaigns (repro.campaign.config) and the LLM breaker (repro.retry)
     Setting("REPRO_CAMPAIGN_STORE", PATH),
-    Setting("REPRO_CAMPAIGN_CHUNK", int, 4, low=1),
-    Setting("REPRO_CAMPAIGN_DEADLINE", float, low=0, zero_off=True),
-    Setting("REPRO_CAMPAIGN_LLM_BUDGET", int, low=0),
     Setting("REPRO_CAMPAIGN_RETRIES", int, 2, low=0),
     Setting("REPRO_CAMPAIGN_CHECKPOINT_EVERY", int, 1, low=1),
-    Setting("REPRO_CAMPAIGN_THROTTLE", float, 0.0, low=0),
     Setting("REPRO_BREAKER_THRESHOLD", int, 5, low=0, zero_off=True),
     Setting("REPRO_BREAKER_COOLDOWN", float, 1.0, low=0),
     Setting("REPRO_BREAKER_PROBES", int, 1, low=1),
-    # Differential fuzzing (repro.fuzz.config)
-    Setting("REPRO_FUZZ_SEED", int, 0),
-    Setting("REPRO_FUZZ_ITERATIONS", int, 200, low=0),
-    Setting("REPRO_FUZZ_FEATURES", str, "all"),
-    Setting("REPRO_FUZZ_CORPUS", PATH),
-    Setting("REPRO_FUZZ_POINTS", int, 24, low=1),
-    # Observability (repro.obs, repro.console)
+    # Observability (repro.obs)
     Setting("REPRO_EVENTS_JSONL", PATH),
     Setting("REPRO_EVENTS_SOCKET", ENDPOINT),
-    Setting("REPRO_CONSOLE_SOCKET", ENDPOINT),
-    Setting("REPRO_CONSOLE_INTERVAL", float, 0.5, low=0, low_open=True),
-    Setting("REPRO_CONSOLE_PLAIN", bool, False),
 )
 
 #: Every knob by name.

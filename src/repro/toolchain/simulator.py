@@ -38,10 +38,6 @@ def parse_verilog_cached(source: str) -> list[VModule]:
     )
 
 
-def clear_parse_cache() -> None:
-    _parse_cache.clear()
-
-
 @dataclass
 class SimulationOutcome:
     """Outcome of the Simulator step: parseability of the DUT plus the report."""

@@ -11,8 +11,6 @@ consumed by :mod:`repro.verilog.parser`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.firrtl import ir
 from repro.firrtl.typing import SymbolTable, TypeError_, type_of, width_of
 from repro.hdl.bits import min_width_for
@@ -20,13 +18,6 @@ from repro.hdl.bits import min_width_for
 
 class EmitterError(Exception):
     """Raised when the circuit is not in emittable (lowered, sized) form."""
-
-
-@dataclass
-class _Driver:
-    """Final expression driving a combinational signal or a register."""
-
-    expression: ir.Expr | None
 
 
 def emit_verilog(circuit: ir.Circuit) -> str:

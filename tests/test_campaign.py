@@ -630,19 +630,18 @@ class TestCampaignCli:
         assert exit_info.value.code == 2
         assert f"{flag} must be {rule}, got '{raw}'" in capsys.readouterr().err
 
-    def test_flags_override_the_environment_and_zero_deadline_is_off(self, monkeypatch):
+    def test_flags_set_the_bounds_and_zero_deadline_is_off(self):
         from repro.campaign.__main__ import _build_config, build_parser
-
-        monkeypatch.setenv("REPRO_CAMPAIGN_DEADLINE", "30")
-        monkeypatch.setenv("REPRO_CAMPAIGN_CHUNK", "3")
 
         def config(*flags):
             return _build_config(build_parser().parse_args(["--store", "s", *flags]))
 
-        assert (config().deadline, config().chunk_size) == (30.0, 3)
+        assert config() == CampaignConfig(store_path="s")
+        assert config("--deadline", "30", "--chunk", "3").deadline == 30.0
         assert config("--deadline", "0").deadline is None
         assert config("--deadline", "2.5", "--chunk", "1").chunk_size == 1
         assert config("--budget", "0").llm_budget == 0
+        assert config("--throttle", "0.5").throttle == 0.5
 
     def test_missing_store_is_usage_error(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_STORE", raising=False)

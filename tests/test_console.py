@@ -1,14 +1,10 @@
-"""Console tests: the headless model against a live service, plus the TUI.
+"""Console tests: the model against a live service, and the CLI's flags.
 
-The headless tests are the acceptance path: a real
-:class:`~repro.service.service.GenerationService` run (synthetic
+A real :class:`~repro.service.service.GenerationService` run (synthetic
 EchoClient-backed clients, real toolchain) publishes onto a private bus, and
 the :class:`~repro.console.model.ConsoleModel` attached to it must show live
-session rows with per-stage latencies and the cache panel.  The Textual pilot test at the bottom runs only where the optional
-``textual`` dependency is installed (the CI console-smoke job).
+session rows with per-stage latencies and the cache panel.
 """
-
-import asyncio
 
 import pytest
 
@@ -147,35 +143,35 @@ class TestSessionTimelines:
             assert child.duration <= session.duration
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_textual_app_shows_live_session_table():
-    """Pilot-drive the real TUI over a model fed by a live service run."""
-    pytest.importorskip("textual")
-    from textual.widgets import DataTable, Static
+class TestCli:
+    @pytest.mark.parametrize(
+        "flag, raw, rule",
+        [
+            ("--interval", "-1", "a number > 0"),
+            ("--interval", "0", "a number > 0"),
+            ("--interval", "nan", "a number > 0"),
+            ("--socket", "localhost:http", "a [host:]port endpoint or off"),
+            ("--socket", "host:99999", "a [host:]port endpoint or off"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, monkeypatch, capsys, flag, raw, rule):
+        from repro.console import __main__ as console
 
-    from repro.console.app import ConsoleApp
+        # A flag that slipped through would otherwise start the endless loop.
+        monkeypatch.setattr(console, "_render_loop", lambda *_: None)
+        with pytest.raises(SystemExit) as exit_info:
+            console.main([flag, raw])
+        assert exit_info.value.code == 2
+        assert f"{flag} must be {rule}, got '{raw}'" in capsys.readouterr().err
 
-    units = make_units(samples=1)
-    bus = EventBus()
-    model = ConsoleModel()
-    model.attach(bus)
-    serve_units(units, ServiceConfig(max_in_flight=4), bus=bus)
+    def test_plain_flag_is_gone(self, monkeypatch, capsys):
+        from repro.console import __main__ as console
 
-    async def drive():
-        app = ConsoleApp(model, interval=0.05)
-        async with app.run_test(size=(120, 40)) as pilot:
-            await pilot.pause(0.3)
-            sessions = app.query_one("#sessions", DataTable)
-            assert sessions.row_count == len(units)
-            caches = app.query_one("#caches", DataTable)
-            assert caches.row_count > 0
-            headline = app.query_one("#headline", Static)
-            assert "done=" in str(headline.renderable)
-
-    try:
-        asyncio.run(drive())
-    finally:
-        model.detach()
+        monkeypatch.setattr(console, "_render_loop", lambda *_: None)
+        with pytest.raises(SystemExit) as exit_info:
+            console.main(["--plain"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --plain" in capsys.readouterr().err
 
 
 class TestResiliencePanel:

@@ -61,16 +61,22 @@ def _corrupt_compiled_kernels(monkeypatch) -> None:
 
 
 class TestFuzzConfig:
-    def test_environment_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUZZ_SEED", "42")
-        monkeypatch.setenv("REPRO_FUZZ_ITERATIONS", "17")
-        monkeypatch.setenv("REPRO_FUZZ_FEATURES", "arith,mux")
-        monkeypatch.setenv("REPRO_FUZZ_CORPUS", "/tmp/corpus.jsonl")
-        config = FuzzConfig.from_environment()
-        assert config.seed == 42
-        assert config.iterations == 17
-        assert config.features == frozenset(("arith", "mux"))
-        assert config.corpus_path == "/tmp/corpus.jsonl"
+    def test_cli_flags_and_defaults(self):
+        from repro.fuzz.__main__ import build_parser
+
+        def parsed(*flags):
+            args = build_parser().parse_args(list(flags))
+            return (args.seed, args.n, args.features, args.corpus, args.points)
+
+        config = FuzzConfig()
+        assert parsed() == (
+            config.seed, config.iterations, config.features, config.corpus_path, config.points
+        )
+        assert parsed(
+            "--seed", "42", "--n", "17", "--features", "arith,mux",
+            "--corpus", "/tmp/corpus.jsonl", "--points", "5",
+        ) == (42, 17, frozenset(("arith", "mux")), "/tmp/corpus.jsonl", 5)
+        assert parsed("--corpus", "false")[3] is None
 
     def test_feature_mask_parsing(self):
         assert parse_feature_mask("all") == frozenset(ALL_FEATURES)
@@ -329,6 +335,9 @@ class TestSession:
         assert "repro: python -m repro.fuzz" in result.render()
 
 
+FEATURES_RULE = "'all' or comma-separated names from " + ", ".join(ALL_FEATURES)
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "flag, raw, rule",
@@ -337,6 +346,9 @@ class TestCli:
             ("--points", "0", "an integer >= 1"),
             ("--points", "many", "an integer >= 1"),
             ("--keep", "-1", "an integer >= 0"),
+            ("--seed", "x", "an integer"),
+            ("--features", "bogus", FEATURES_RULE),
+            ("--features", "reg,warp_drive", FEATURES_RULE),
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, flag, raw, rule, capsys):

@@ -8,11 +8,12 @@ supervised worker fleet, whose workers bypassed the budget, is gone from the
 knob table, the constructors, the CLI and the event topics, and that the
 deleted knobs and arguments of other removed paths (vector lanes, the
 campaign priority gate, LLM micro-batching, the service's tool pool, the
-result store's segment rotation, the testbench tier knob and the compiled
-simulation mode) are rejected.
+result store's segment rotation, the testbench tier knob, the compiled
+simulation mode and the knobs that duplicated a CLI flag) are rejected.
 """
 
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -58,11 +59,28 @@ FLEET_KNOBS = (
     "REPRO_CAMPAIGN_FLEET",
 )
 
+#: Knobs that duplicated a flag of the one entry point that read them; the
+#: flag is the only way to set each parameter now.
+FLAG_TWINS = (
+    "REPRO_FUZZ_SEED",
+    "REPRO_FUZZ_ITERATIONS",
+    "REPRO_FUZZ_FEATURES",
+    "REPRO_FUZZ_CORPUS",
+    "REPRO_FUZZ_POINTS",
+    "REPRO_CAMPAIGN_CHUNK",
+    "REPRO_CAMPAIGN_DEADLINE",
+    "REPRO_CAMPAIGN_LLM_BUDGET",
+    "REPRO_CAMPAIGN_THROTTLE",
+    "REPRO_CONSOLE_SOCKET",
+    "REPRO_CONSOLE_INTERVAL",
+    "REPRO_CONSOLE_PLAIN",
+)
+
 #: Knobs whose code is gone: the fleet's, the vector lane budget of the
 #: deleted cross-candidate batching, the campaign's wait for the deleted
 #: priority gate, the LLM micro-batching's, the service's tool pool size, the
-#: result store's segment rotation thresholds and the testbench tier knob
-#: (``REPRO_SIM_BACKEND`` picks the tier).
+#: result store's segment rotation thresholds, the testbench tier knob
+#: (``REPRO_SIM_BACKEND`` picks the tier) and the flag twins.
 DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SIM_MAX_LANES",
     "REPRO_CAMPAIGN_PREEMPT_WAIT",
@@ -72,7 +90,15 @@ DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_STORE_SEGMENT_RECORDS",
     "REPRO_STORE_SEGMENT_BYTES",
     "REPRO_TB_BACKEND",
-)
+) + FLAG_TWINS
+
+#: For each ``REPRO_<FAMILY>_*`` family that lost its flag twins, the entry
+#: point that rejects a leftover export, and its arguments.
+FLAG_TWIN_CLIS = {
+    "FUZZ": ("repro.fuzz.__main__", ["--n", "0"]),
+    "CAMPAIGN": ("repro.campaign.__main__", ["--store", "{store}", "--list"]),
+    "CONSOLE": ("repro.console.__main__", []),
+}
 
 
 def rechisel_units(samples=6):
@@ -220,6 +246,21 @@ class TestNoFleetSurface:
     def test_fleet_arguments_are_rejected(self, build):
         with pytest.raises(TypeError):
             build()
+
+    @pytest.mark.parametrize(
+        "name", [name for name in DELETED_KNOBS if name.split("_")[1] in FLAG_TWIN_CLIS]
+    )
+    def test_cli_rejects_a_leftover_export_by_name(self, tmp_path, capsys, monkeypatch, name):
+        module_name, args = FLAG_TWIN_CLIS[name.split("_")[1]]
+        module = importlib.import_module(module_name)
+        if hasattr(module, "_render_loop"):
+            # The console would otherwise watch forever if the export passed.
+            monkeypatch.setattr(module, "_render_loop", lambda *_: None)
+        monkeypatch.setenv(name, "1")
+        with pytest.raises(SystemExit) as exit_info:
+            module.main([arg.format(store=tmp_path / "store") for arg in args])
+        assert exit_info.value.code == 2
+        assert f"{name} must be unset (no such setting), got '1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["0", "2"])
     def test_campaign_cli_rejects_the_fleet_flag(self, tmp_path, capsys, raw):

@@ -1,4 +1,5 @@
-"""Every third-party package the source imports is declared in ``setup.py``.
+"""The runtime needs no third-party package: ``setup.py`` declares none, and
+no module under ``src/`` imports one.
 
 An import of an undeclared package works on a machine that happens to have
 it installed and fails with ``ModuleNotFoundError`` on a clean install.  The
@@ -28,21 +29,20 @@ def imported_packages(path: Path) -> set[str]:
     return names
 
 
-def declared_packages() -> set[str]:
-    """Names in ``install_requires`` and every ``extras_require`` list."""
+def setup_keywords() -> dict[str, ast.expr]:
+    """The keyword arguments of the ``setup()`` call in ``setup.py``."""
     tree = ast.parse((ROOT / "setup.py").read_text())
     call = next(
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setup"
     )
-    requirements: list[str] = []
-    for keyword in call.keywords:
-        if keyword.arg == "install_requires":
-            requirements += ast.literal_eval(keyword.value)
-        elif keyword.arg == "extras_require":
-            for extra in ast.literal_eval(keyword.value).values():
-                requirements += extra
+    return {keyword.arg: keyword.value for keyword in call.keywords}
+
+
+def declared_packages() -> set[str]:
+    """Names in ``install_requires``."""
+    requirements = ast.literal_eval(setup_keywords()["install_requires"])
     return {
         re.split(r"[\s\[<>=!~;]", requirement, maxsplit=1)[0].lower().replace("-", "_")
         for requirement in requirements
@@ -50,27 +50,22 @@ def declared_packages() -> set[str]:
 
 
 def test_every_import_is_stdlib_repro_or_declared():
-    declared = declared_packages()
-    assert len(SOURCES) > 50 and "textual" in declared  # the extras were parsed
-    allowed = set(sys.stdlib_module_names) | {"repro"} | declared
-    undeclared = {
+    assert len(SOURCES) > 50
+    assert {"name", "packages", "install_requires"} <= set(setup_keywords())  # parsed
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    outside = {
         f"{path.relative_to(ROOT)}: {name}"
         for path in SOURCES
         for name in imported_packages(path)
         if name not in allowed
     }
-    assert not undeclared, sorted(undeclared)
+    assert not outside, sorted(outside)
 
 
 def test_the_runtime_needs_no_third_party_package():
-    """Only the console's optional TUI imports a package outside the stdlib."""
-    assert declared_packages() == {"textual"}
-    outside = {
-        str(path.relative_to(ROOT / "src"))
-        for path in SOURCES
-        if imported_packages(path) - set(sys.stdlib_module_names) - {"repro"}
-    }
-    assert outside and all(path.startswith("repro/console/") for path in outside), outside
+    """No runtime dependency and no optional extra."""
+    assert "extras_require" not in setup_keywords()
+    assert declared_packages() == set()
 
 
 def test_every_declared_package_is_imported():

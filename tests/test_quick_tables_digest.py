@@ -2,7 +2,8 @@
 
 Regenerates ``examples/run_experiments.py all --no-store`` in-process, drops
 the lines that vary between runs (the ``Configuration:`` header and the
-``[... regenerated in ...]`` timings) and checks the sha256 of the rest.
+``[... regenerated in ...]`` timings, see ``tables_digest.py``) and checks the
+sha256 of the rest.
 Every table, figure and the sweep-engine work-unit counts feed the digest, so
 a change to the compiler, the simulator, the backend plan or the executors
 that moves any number fails here.
@@ -17,13 +18,12 @@ same value.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import importlib.util
 import io
 import sys
-from pathlib import Path
 
-EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "run_experiments.py"
+from tables_digest import EXAMPLE, digest
+
 QUICK_TABLES_SHA256 = "efd78889173316f0c28c6d15e10741fbdec48646fa72bbc250a8c4f6eb898a19"
 
 
@@ -40,10 +40,4 @@ def _quick_tables(monkeypatch) -> str:
 
 
 def test_quick_tables_digest(monkeypatch):
-    kept = [
-        line
-        for line in _quick_tables(monkeypatch).splitlines(keepends=True)
-        if not line.startswith("Configuration:") and "regenerated in" not in line
-    ]
-    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == QUICK_TABLES_SHA256
+    assert digest(_quick_tables(monkeypatch)) == QUICK_TABLES_SHA256

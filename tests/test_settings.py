@@ -18,10 +18,8 @@ import pytest
 
 from repro import settings
 from repro.campaign.config import CampaignConfig
-from repro.console.__main__ import build_parser
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.store import ResultStore
-from repro.fuzz.config import FuzzConfig
 from repro.obs.events import EventBus
 from repro.obs.transport import install_from_environment
 from repro.retry import CircuitBreaker
@@ -42,7 +40,6 @@ SIMULATOR_KNOBS = {
 CONFIG_READERS = {
     "REPRO_SERVICE_": ServiceConfig.from_environment,
     "REPRO_CAMPAIGN_": CampaignConfig.from_environment,
-    "REPRO_FUZZ_": FuzzConfig.from_environment,
 }
 
 
@@ -70,8 +67,6 @@ def consume(name: str, tmp_path: Path):
             return store.fsync
     if name.startswith("REPRO_EVENTS_"):
         return install_from_environment(EventBus())
-    if name.startswith("REPRO_CONSOLE_"):
-        return vars(build_parser().parse_args([]))
     if name == "REPRO_SIM_BACKEND":
         return _backend_plan()
     if name == "REPRO_SIM_HEALTH_THRESHOLD":
@@ -89,8 +84,6 @@ def malformed_values(row: settings.Setting) -> list[str]:
         return ["bogus"]
     if kind == settings.ENDPOINT:
         return ["localhost:http"]
-    if kind is str:
-        return ["nonsense"]
     if kind == settings.PATH:
         return []  # any string names a path
     values = ["abc", "1.5"] if kind is int else ["abc", "nan"]
@@ -176,13 +169,9 @@ class TestFormerlySilentValues:
         monkeypatch.setenv("REPRO_FULL_EVAL", "TRUE")
         assert ExperimentConfig.from_environment() == ExperimentConfig.paper_scale()
 
-    def test_console_plain_false(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONSOLE_PLAIN", "false")
-        assert build_parser().parse_args([]).plain is False
-
-    def test_negative_llm_budget_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_LLM_BUDGET", "-1")
-        with pytest.raises(SettingError, match="REPRO_CAMPAIGN_LLM_BUDGET.*'-1'"):
+    def test_negative_retries_raise(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_RETRIES", "-1")
+        with pytest.raises(SettingError, match="REPRO_CAMPAIGN_RETRIES.*'-1'"):
             CampaignConfig.from_environment()
 
     def test_zero_jobs_raises(self, monkeypatch):
@@ -192,25 +181,16 @@ class TestFormerlySilentValues:
 
     def test_off_spellings_switch_paths_off(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_FUZZ_CORPUS", "false")
-        assert FuzzConfig.from_environment().corpus_path is None
         monkeypatch.setenv("REPRO_EVENTS_JSONL", "no")
         assert install_from_environment(EventBus()) == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_console_interval_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONSOLE_INTERVAL", "abc")
-        with pytest.raises(SettingError, match="REPRO_CONSOLE_INTERVAL.*'abc'"):
-            build_parser()
-
     def test_zero_still_disables(self, monkeypatch):
         for name in ("REPRO_SERVICE_RATE_LIMIT", "REPRO_SERVICE_REQUEST_TIMEOUT"):
             monkeypatch.setenv(name, "0")
-        monkeypatch.setenv("REPRO_CAMPAIGN_DEADLINE", "0")
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
         service = ServiceConfig.from_environment()
         assert service.rate_limit is None and service.request_timeout is None
-        assert CampaignConfig.from_environment().deadline is None
         assert CircuitBreaker.from_environment() is None
 
     def test_campaign_store_off_beats_result_store(self, monkeypatch):
@@ -267,6 +247,42 @@ class TestFormerlySilentValues:
         # --jobs 0 and --jobs -3 once ran serially; the variables raised a
         # traceback.
         result = run_experiments(tmp_path / "store", *args, env=env)
+        assert result.returncode == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize(
+        "cli, env, message",
+        [
+            (["repro.campaign", "--store", "store", "--list"], {"REPRO_CAMPAIGN_RETRIES": "-1"},
+             "REPRO_CAMPAIGN_RETRIES must be an integer >= 0, got '-1'"),
+            (["repro.campaign", "--store", "store", "--list"], {"REPRO_CAMPAIGN_FLEET": "2"},
+             "REPRO_CAMPAIGN_FLEET must be unset (no such setting), got '2'"),
+            (["repro.fuzz", "--n", "0"], {"REPRO_EVENTS_SOCKET": "localhost:http"},
+             "REPRO_EVENTS_SOCKET must be a [host:]port endpoint or off, got 'localhost:http'"),
+            (["repro.fuzz", "--n", "0"], {"REPRO_FUZZ_FEATURES": "bogus"},
+             "REPRO_FUZZ_FEATURES must be unset (no such setting), got 'bogus'"),
+            (["repro.console"], {"REPRO_EVENTS_SOCKET": "localhost:http"},
+             "REPRO_EVENTS_SOCKET must be a [host:]port endpoint or off, got 'localhost:http'"),
+            (["repro.console"], {"REPRO_CONSOLE_PLAIN": "1"},
+             "REPRO_CONSOLE_PLAIN must be unset (no such setting), got '1'"),
+        ],
+        ids=["campaign-bad-value", "campaign-deleted", "fuzz-bad-value", "fuzz-deleted",
+             "console-bad-value", "console-deleted"],
+    )
+    def test_module_clis_fail_in_one_line(self, tmp_path, cli, env, message):
+        # The bad values once raised a traceback; the deleted campaign knob
+        # was silently ignored.
+        clean = {name: raw for name, raw in os.environ.items() if not name.startswith("REPRO_")}
+        result = subprocess.run(
+            [sys.executable, "-m", *cli],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=tmp_path,
+            env={**clean, "PYTHONPATH": str(ROOT / "src"), **env},
+        )
         assert result.returncode == 2
         assert message in result.stderr
         assert "Traceback" not in result.stderr
