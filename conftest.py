@@ -33,14 +33,10 @@ def _cache_isolation(request):
         restore_registered_caches,
         snapshot_registered_caches,
     )
-    from repro.verilog import compile_sim
 
     snapshot = snapshot_registered_caches()
-    fallbacks = compile_sim._fallbacks[0]
     clear_registered_caches()
-    compile_sim._fallbacks[0] = 0
     try:
         yield
     finally:
         restore_registered_caches(snapshot)
-        compile_sim._fallbacks[0] = fallbacks

@@ -40,6 +40,7 @@ from repro import settings
 from repro.experiments import fig1, fig6, fig7, fig8_case_study, table1, table2, table3, table4
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EvaluationHarness
+from repro.sim.testbench import check_simulator_settings
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "fig1", "fig6", "fig7", "fig8")
 DEFAULT_STORE = os.path.join(".repro-cache", "results.jsonl")
@@ -86,6 +87,7 @@ def main() -> None:
 
     try:
         config = ExperimentConfig.from_environment()
+        check_simulator_settings()
     except settings.SettingError as error:
         parser.error(str(error))
     if args.jobs is not None:

@@ -15,7 +15,8 @@ show the fingerprint result cache serving repeats with zero LLM calls.
 The ``REPRO_SERVICE_*`` environment knobs (see EXPERIMENTS.md) provide the
 defaults; command-line flags override them and accept the same values as
 their knobs.  A malformed or out-of-range flag, or a bad or leftover
-``REPRO_SERVICE_*`` variable, exits with status 2 and names it.
+``REPRO_SERVICE_*``, ``REPRO_SIM_*`` or ``REPRO_TB_*`` variable, exits with
+status 2 and names it.
 """
 
 import argparse
@@ -31,6 +32,7 @@ from repro.experiments.work import WorkerContext, WorkUnit
 from repro.llm.dispatch import LatencyClient
 from repro.llm.profiles import PAPER_MODELS
 from repro.service import GenerationService, ServiceConfig
+from repro.sim.testbench import check_simulator_settings
 
 STRATEGIES = (
     ("zero_shot", (("language", "chisel"),), 0),
@@ -66,6 +68,7 @@ async def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     try:
         config = ServiceConfig.from_environment()
+        check_simulator_settings()
     except settings.SettingError as error:
         parser.error(str(error))
     parser.add_argument(

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.Enum):
-    """Severity of a diagnostic, mirroring sbt/firtool output levels."""
+    """Severity of a diagnostic, mirroring sbt/firtool output levels.
+
+    Every diagnostic the toolchain produces is an error: a compile either
+    fails with diagnostics or succeeds with none.
+    """
 
     ERROR = "error"
-    WARNING = "warn"
-    INFO = "info"
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,11 @@ class DiagnosticList:
 
     @property
     def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
+        return list(self.diagnostics)
 
     @property
     def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.diagnostics)
+        return bool(self.diagnostics)
 
     def render(self) -> str:
         return "\n".join(d.render() for d in self.diagnostics)

@@ -7,8 +7,11 @@ Examples::
     python -m repro.fuzz --replay tests/data/fuzz_corpus.jsonl
 
 Exit status is non-zero when any conformance failure was found (failures are
-printed shrunk, with their one-line repro).  A bad flag value, or any exported
-``REPRO_FUZZ_*`` variable, is a usage error (status 2).
+printed shrunk, with their one-line repro).  A bad flag value, any exported
+``REPRO_FUZZ_*`` variable, or a simulator knob the sweep would reject (a
+malformed ``REPRO_SIM_BACKEND``, a leftover ``REPRO_SIM_*``/``REPRO_TB_*``)
+is a usage error (status 2).  The fuzzer itself runs both tiers whatever
+``REPRO_SIM_BACKEND`` names.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.fuzz.corpus import load_corpus_entries
 from repro.fuzz.generate import generate_program
 from repro.fuzz.session import print_progress, replay_entry, run_session
 from repro.obs import get_bus
+from repro.sim.testbench import check_simulator_settings
 
 _FEATURES_RULE = "'all' or comma-separated names from " + ", ".join(ALL_FEATURES)
 
@@ -125,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings.reject_undeclared("REPRO_FUZZ_")  # the deleted flag twins
+        check_simulator_settings()
         bus = get_bus()  # installs the REPRO_EVENTS_* transports
     except settings.SettingError as error:
         parser.error(str(error))

@@ -46,8 +46,7 @@ from repro.sim.testbench import (
     _trace_plan,
 )
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog import compile_sim
-from repro.verilog.compile_sim import clear_kernel_cache, get_trace_kernel
+from repro.verilog.compile_sim import get_trace_kernel
 from repro.verilog.parser import VerilogParseError, parse_verilog
 from repro.verilog.simulator import SimulationError
 from repro.verilog.vast import VModule
@@ -285,10 +284,8 @@ def check_source(
     # The cold phase destroys the accumulated warm state, which is the very
     # state the next program's warm pass must run against (cross-program
     # cache-key collisions are only observable there) — snapshot it now and
-    # restore it once the cold comparisons are done.  The kernel fallback
-    # counter lives outside the cache registry, so it is saved explicitly.
+    # restore it once the cold comparisons are done.
     warm_snapshot = snapshot_registered_caches()
-    warm_fallbacks = compile_sim._fallbacks[0]
     try:
         cold_compiler = ChiselCompiler(cached=False)
         for top in tops:
@@ -301,7 +298,6 @@ def check_source(
                 # collision between them would make warm and cold agree on
                 # the wrong output.
                 clear_registered_caches()
-                clear_kernel_cache()
                 cold = cold_compiler.compile(source, top=top)
                 report.checks += 1
                 if (
@@ -349,7 +345,6 @@ def check_source(
                 )
     finally:
         restore_registered_caches(warm_snapshot)
-        compile_sim._fallbacks[0] = warm_fallbacks
     return report
 
 

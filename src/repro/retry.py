@@ -152,7 +152,7 @@ class CircuitBreaker:
     rejects every caller for ``cooldown`` seconds, after which the breaker
     goes half-open and admits up to ``probes`` concurrent probe requests.  A
     probe success closes the breaker; a probe failure re-opens it for another
-    cooldown; ``release()`` hands back a probe slot that has no outcome.
+    cooldown.
     State transitions publish ``<name>.breaker`` events (``open`` /
     ``half-open`` / ``close``) when a bus is attached, and rejections are
     counted in the snapshot so operators can see shed load.
@@ -229,13 +229,6 @@ class CircuitBreaker:
             self._stats["rejections"] += 1
             self._publish("reject")
             return False
-
-    def release(self) -> None:
-        """Hand back a probe slot claimed by :meth:`allow` that has no outcome
-        to record (the caller ended up not exercising the guarded path)."""
-        with self._lock:
-            if self._state == HALF_OPEN and self._probes_in_flight > 0:
-                self._probes_in_flight -= 1
 
     def record_success(self) -> None:
         with self._lock:

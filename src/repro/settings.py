@@ -20,10 +20,11 @@ Kinds and the values they accept:
 * :data:`ENDPOINT` — ``host:port`` / ``:port`` / ``port``, or one of :data:`OFF`.
 
 :func:`reject_undeclared` fails a run that still sets a knob of a family
-(``REPRO_SERVICE_``, ``REPRO_STORE_``, ``REPRO_TB_``, ``REPRO_CAMPAIGN_``,
-``REPRO_FUZZ_``, ``REPRO_CONSOLE_``) that the table no longer declares.  The
-fuzz and console families have no rows left: ``python -m repro.fuzz`` and
-``python -m repro.console`` take their parameters as flags only.
+(``REPRO_SERVICE_``, ``REPRO_STORE_``, ``REPRO_TB_``, ``REPRO_SIM_``,
+``REPRO_CAMPAIGN_``, ``REPRO_FUZZ_``, ``REPRO_CONSOLE_``) that the table no
+longer declares.  The fuzz and console families have no rows left:
+``python -m repro.fuzz`` and ``python -m repro.console`` take their
+parameters as flags only.
 
 :func:`arg_type` applies a row's rule to a command-line flag, so a CLI flag
 and its knob accept the same values and fail the same way.
@@ -132,7 +133,6 @@ _ROWS = (
     Setting("REPRO_RESULT_STORE", PATH),
     # Simulation (repro.verilog.simulator, repro.sim.testbench)
     Setting("REPRO_SIM_BACKEND", ("auto", "trace", "interpreter"), "auto"),
-    Setting("REPRO_SIM_HEALTH_THRESHOLD", int, 3, low=0, zero_off=True),
     # Result store (repro.experiments.store)
     Setting("REPRO_STORE_FSYNC", bool, False),
     # Generation service (repro.service.config)
@@ -186,8 +186,9 @@ def overrides(**fields: str) -> dict[str, object]:
     return {field: value for field, value in values.items() if value is not _UNSET}
 
 
-def reject_undeclared(prefix: str) -> None:
-    """Raise :class:`SettingError` for a set ``prefix*`` variable with no row.
+def reject_undeclared(prefix: str | tuple[str, ...]) -> None:
+    """Raise :class:`SettingError` for a set ``prefix*`` variable with no row
+    (``prefix`` may be a tuple of prefixes, as for :meth:`str.startswith`).
 
     A knob whose code is gone must fail the run that still exports it, not
     be ignored: the run would otherwise measure something other than what its

@@ -27,18 +27,17 @@ Two tiers produce bit-identical :class:`SimulationReport`s:
   what the caller forced it for.
 * ``interpreter`` runs step-wise only.
 * Any other value raises :class:`SimulationError` with the settings row's
-  rule.  The deleted ``REPRO_TB_`` knobs raise
-  :class:`~repro.settings.SettingError` when the health breaker is built,
-  once per process.
-* **Breaker degradation**: trace-kernel crashes (exceptions escaping a
-  compiled kernel — never mismatch reports or :class:`SimulationError`) feed
-  a circuit breaker.  An open breaker (``REPRO_SIM_HEALTH_THRESHOLD``
-  consecutive crashes, default 3) skips the trace tier until the cooldown
-  expires, so one poisoned kernel path cannot fail a whole campaign.  A
-  half-open breaker admits one probe: a run that answers closes it, one
-  that answers nothing hands the probe back.  A strict tier bypasses the
-  breaker.  ``backend_health()`` snapshots it; ``reset_backend_health()``
-  re-arms it (tests).
+  rule.
+* A set ``REPRO_TB_*`` or ``REPRO_SIM_*`` variable that no settings row
+  declares is a deleted knob: it raises
+  :class:`~repro.settings.SettingError` naming it, on the first run of each
+  process.  :func:`check_simulator_settings` makes both checks at once, and
+  the command-line entry points call it before any work starts.
+
+A crash in ``auto`` is answered step-wise on every run: the step-wise tier
+shares no compiled code with the crashed kernel, so no later run depends on
+an earlier one.  A :class:`SimulationError` is a semantic error, not a
+crash, and propagates from every tier.
 
 :func:`run_testbenches` runs many jobs under one plan, each through its own
 tiers, so its reports equal per-job :func:`run_testbench` calls.
@@ -58,70 +57,30 @@ from operator import floordiv, ne
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import settings
-from repro.retry import CircuitBreaker
 from repro.verilog.compile_sim import TraceSchedule, checked_indices, get_trace_kernel
 from repro.verilog.simulator import Simulation, SimulationError, read_setting
 from repro.verilog.vast import VModule
 
-_HEALTH_COOLDOWN = 5.0
-_UNBUILT = object()
+#: Knob families the simulator owns.  Only ``REPRO_SIM_BACKEND`` is declared.
+_FAMILIES = ("REPRO_TB_", "REPRO_SIM_")
 
-#: The trace tier's health breaker (lazily built; ``None`` = disabled).
-_health: CircuitBreaker | None | object = _UNBUILT
-
-
-def _breaker() -> CircuitBreaker | None:
-    global _health
-    if _health is _UNBUILT:
-        settings.reject_undeclared("REPRO_TB_")  # the deleted tier knob
-        threshold = read_setting("REPRO_SIM_HEALTH_THRESHOLD")
-        _health = (
-            CircuitBreaker(threshold, cooldown=_HEALTH_COOLDOWN, name="sim.trace")
-            if threshold is not None
-            else None
-        )
-    return _health
+#: Whether this process has scanned the environment for leftover knobs.  The
+#: scan reads every variable, so a verdict does not repeat it.
+_leftovers_checked = False
 
 
-def _admit(forced: bool) -> bool:
-    """Whether the trace tier may run now: a forced tier always may;
-    otherwise the breaker decides (claiming the probe slot when half-open)."""
-    breaker = _breaker()
-    return forced or breaker is None or breaker.allow()
+def _reject_leftover_knobs() -> None:
+    global _leftovers_checked
+    settings.reject_undeclared(_FAMILIES)
+    _leftovers_checked = True
 
 
-def _settle(forced: bool, answered: bool, crash: Exception | None = None) -> None:
-    """Report an admitted trace attempt to the breaker.
-
-    A ``crash`` re-raises when the tier is forced or the crash is a
-    :class:`SimulationError` (a semantic error, not health evidence); any
-    other crash counts as a failure.  An answer counts as a success.  An
-    attempt that answered nothing hands its probe slot back, so a half-open
-    breaker never waits on a probe that ran no kernel.
-    """
-    breaker = _breaker()
-    propagate = crash is not None and (forced or isinstance(crash, SimulationError))
-    if breaker is not None:
-        if crash is not None and not propagate:
-            breaker.record_failure()
-        elif answered:
-            breaker.record_success()
-        elif not forced:
-            breaker.release()
-    if propagate:
-        raise crash
-
-
-def backend_health() -> dict:
-    """Snapshot of the trace health breaker (state, failures, opens)."""
-    breaker = _breaker()
-    return {"trace": breaker.snapshot() if breaker is not None else {"state": "disabled"}}
-
-
-def reset_backend_health() -> None:
-    """Re-arm the health breaker (re-reading ``REPRO_SIM_HEALTH_THRESHOLD``)."""
-    global _health
-    _health = _UNBUILT
+def check_simulator_settings() -> None:
+    """Raise :class:`~repro.settings.SettingError` for a simulator knob the
+    first verdict would fail on: a malformed ``REPRO_SIM_BACKEND`` or a
+    leftover ``REPRO_TB_*`` / ``REPRO_SIM_*`` export."""
+    _reject_leftover_knobs()
+    settings.read("REPRO_SIM_BACKEND")
 
 
 @dataclass(frozen=True)
@@ -425,7 +384,8 @@ class _BackendPlan(NamedTuple):
 
 def _backend_plan() -> _BackendPlan:
     """Resolve ``REPRO_SIM_BACKEND`` into a plan."""
-    _breaker()  # built once per process, where it rejects the deleted knob
+    if not _leftovers_checked:
+        _reject_leftover_knobs()
     name = read_setting("REPRO_SIM_BACKEND")
     return _BackendPlan(name != "interpreter", name == "trace")
 
@@ -452,15 +412,15 @@ def _run_tiers(
     testbench: Testbench,
     plan: _BackendPlan,
 ) -> SimulationReport:
-    """Try the trace tier when the plan has it; every plan ends step-wise."""
-    modules = isinstance(dut, VModule) and isinstance(reference, VModule)
-    if plan.trace and modules and _admit(plan.strict):
+    """Try the trace tier when the plan has it, then step-wise (see the
+    module docstring for when a crash or an ineligible pairing raises)."""
+    if plan.trace and isinstance(dut, VModule) and isinstance(reference, VModule):
         try:
             report = _run_testbench_trace(dut, reference, testbench)
         except Exception as crash:
-            _settle(plan.strict, False, crash)  # re-raises unless health evidence
+            if plan.strict or isinstance(crash, SimulationError):
+                raise
             return _run_testbench_stepwise(dut, reference, testbench)
-        _settle(plan.strict, report is not None)
         if report is not None:
             return report
     if plan.strict:

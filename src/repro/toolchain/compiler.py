@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.caching import LruCache, text_key
-from repro.diagnostics import ChiselError, Diagnostic, Severity
+from repro.diagnostics import ChiselError, Diagnostic
 from repro.chisel.elaborator import elaborate
 from repro.chisel.lexer import Token, blank_comments, tokenize
 from repro.chisel.parser import parse_source_cached
@@ -61,7 +61,7 @@ class CompileResult:
 
     @property
     def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
+        return list(self.diagnostics)
 
     def render_feedback(self) -> str:
         """Render diagnostics the way sbt prints a failed compile."""
@@ -149,8 +149,7 @@ class ChiselCompiler:
                 False, diagnostics=[Diagnostic(str(exc), code="EMIT")], stage=STAGE_EMIT
             )
 
-        warnings = [d for d in result.diagnostics if d.severity is not Severity.ERROR]
-        return CompileResult(True, verilog=verilog, diagnostics=warnings, stage=STAGE_OK)
+        return CompileResult(True, verilog=verilog, stage=STAGE_OK)
 
 
 def _parse_failure(diagnostic: Diagnostic) -> CompileResult:

@@ -56,7 +56,6 @@ __all__ = [
     "compile_trace",
     "get_kernel",
     "get_trace_kernel",
-    "kernel_cache_stats",
     "clear_kernel_cache",
 ]
 
@@ -959,7 +958,6 @@ def compile_trace(
 
 _cache: LruCache[KernelTemplate | None] = LruCache(256, name="sim_kernel")
 _trace_cache: LruCache[TraceKernel | None] = LruCache(512, name="sim_trace")
-_fallbacks = [0]
 _MISSING = object()
 
 
@@ -978,7 +976,6 @@ def _cached_build(
     build: Callable[[], object],
     schedule: TraceSchedule | None = None,
     demote: tuple[type[Exception], ...] = (AnalysisError,),
-    fallbacks: list[int] | None = None,
 ):
     """``build()`` for ``module`` (and ``schedule``), cached; ``None`` means "fall back".
 
@@ -990,7 +987,8 @@ def _cached_build(
     iterative-repair sweeps) skip re-analysis.  RecursionError depends on the
     caller's stack depth, and ValueError covers degenerate widths the
     interpreter only rejects lazily: those fall back for this call without
-    demoting the key.  ``fallbacks``, when given, counts both kinds.
+    demoting the key.  The cache's own counters (``cache_stats()``) count
+    each build as a miss; a demoted key's later lookups are hits on ``None``.
     """
     key = _fingerprint(module)
     if schedule is not None:
@@ -1001,12 +999,8 @@ def _cached_build(
     try:
         built = build()
     except demote:
-        if fallbacks is not None:
-            fallbacks[0] += 1
         return cache.put(key, None)
     except (RecursionError, ValueError):
-        if fallbacks is not None:
-            fallbacks[0] += 1
         return None
     return cache.put(key, built)
 
@@ -1014,10 +1008,10 @@ def _cached_build(
 def get_kernel(module: vast.VModule) -> KernelTemplate | None:
     """Cached kernel for ``module``; ``None`` means "use the interpreter".
 
-    Unsupported modules are negatively cached and counted in
-    ``kernel_cache_stats()["fallbacks"]``.
+    Unsupported modules are negatively cached: the first lookup is a
+    ``sim_kernel`` miss in ``cache_stats()``, later ones are hits on ``None``.
     """
-    return _cached_build(_cache, module, lambda: compile_kernel(module), fallbacks=_fallbacks)
+    return _cached_build(_cache, module, lambda: compile_kernel(module))
 
 
 def get_trace_kernel(module: vast.VModule, schedule: TraceSchedule) -> TraceKernel | None:
@@ -1041,20 +1035,7 @@ def get_trace_kernel(module: vast.VModule, schedule: TraceSchedule) -> TraceKern
     )
 
 
-def kernel_cache_stats() -> dict[str, int]:
-    """Counters for the per-module kernel and trace-kernel caches."""
-    return dict(
-        _cache.stats,
-        fallbacks=_fallbacks[0],
-        size=len(_cache),
-        trace_hits=_trace_cache.stats["hits"],
-        trace_misses=_trace_cache.stats["misses"],
-        trace_size=len(_trace_cache),
-    )
-
-
 def clear_kernel_cache() -> None:
     """Empty the kernel and trace caches (benchmarks force cold runs)."""
     _cache.clear()
     _trace_cache.clear()
-    _fallbacks[0] = 0

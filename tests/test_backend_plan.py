@@ -33,7 +33,6 @@ from repro.sim.reference import BehavioralDevice
 from repro.sim.testbench import (
     FunctionalPoint,
     Testbench,
-    reset_backend_health,
     run_testbench,
     run_testbenches,
 )
@@ -191,9 +190,7 @@ def _outcomes(monkeypatch, sim_env) -> dict[str, str]:
     outcomes = {}
     for entry, pairing in itertools.product(ENTRIES, PAIRINGS):
         monkeypatch.setenv("REPRO_SIM_BACKEND", sim_env)
-        reset_backend_health()
         outcomes[_key(entry, sim_env, pairing)] = _outcome(entry, pairing)
-    reset_backend_health()
     return outcomes
 
 
@@ -206,13 +203,8 @@ def expected() -> dict[str, str]:
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("sim_env", SIM_ENVS)
 def test_backend_resolution_matches_pinned_table(monkeypatch, expected, sim_env, entry, pairing):
-    monkeypatch.delenv("REPRO_SIM_HEALTH_THRESHOLD", raising=False)
     monkeypatch.setenv("REPRO_SIM_BACKEND", sim_env)
-    reset_backend_health()
-    try:
-        actual = _outcome(entry, pairing)
-    finally:
-        reset_backend_health()
+    actual = _outcome(entry, pairing)
     assert actual == expected[_key(entry, sim_env, pairing)]
 
 

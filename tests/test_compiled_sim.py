@@ -20,12 +20,7 @@ from repro.problems.registry import build_default_registry
 from repro.sim.testbench import DeviceUnderTest, FunctionalPoint, Testbench, run_testbench
 from repro.toolchain.compiler import ChiselCompiler
 from repro.verilog.analysis import CombLoopError, ModuleAnalysis, module_fingerprint
-from repro.verilog.compile_sim import (
-    clear_kernel_cache,
-    compile_kernel,
-    get_kernel,
-    kernel_cache_stats,
-)
+from repro.verilog.compile_sim import clear_kernel_cache, compile_kernel, get_kernel
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import Simulation, SimulationError
 from sim_tiers import KernelReplay
@@ -212,7 +207,7 @@ class TestKernelCache:
         first = get_kernel(parse_verilog(source)[0])
         second = get_kernel(parse_verilog(source)[0])
         assert first is second
-        stats = kernel_cache_stats()
+        stats = cache_stats()["sim_kernel"]
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_fingerprint_is_structural(self):
@@ -228,8 +223,8 @@ class TestKernelCache:
         source = "module m(input a, output x);\n  assign x = x ^ a;\nendmodule\n"
         assert get_kernel(parse_verilog(source)[0]) is None
         assert get_kernel(parse_verilog(source)[0]) is None
-        stats = kernel_cache_stats()
-        assert stats["fallbacks"] == 1 and stats["hits"] == 1
+        stats = cache_stats()["sim_kernel"]
+        assert stats["misses"] == 1 and stats["hits"] == 1  # analysed once
 
 
 class TestDeferredSettle:

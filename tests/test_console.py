@@ -58,10 +58,14 @@ class TestConsoleModel:
         assert problems == {"alu_w4"}
         assert strategies == {"zero_shot", "rechisel"}
         assert all(row[4] == "done" for row in rows)
-        # Per-stage latencies: every session spent measurable time in LLM
-        # calls and in the toolchain.
-        assert all(float(row[5]) > 0 for row in rows), "llm ms column empty"
-        assert any(float(row[6]) > 0 for row in rows), "compile ms column empty"
+        # Per-stage latencies: every session row records its LLM spans, and
+        # the toolchain's.  Their milliseconds are not asserted: in a warm
+        # process cached steps round to 0.0.
+        sessions = list(model.sessions.values())
+        assert all(any(op.startswith("llm.") for op in row.stages) for row in sessions), (
+            "a session row records no llm.* span"
+        )
+        assert any("tool.compile" in row.stages for row in sessions), "no tool.compile span"
         assert model.snapshot["completed"] == len(units)
         assert f"done={len(units)}" in model.headline()
 

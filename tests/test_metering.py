@@ -83,6 +83,7 @@ FLAG_TWINS = (
 #: (``REPRO_SIM_BACKEND`` picks the tier) and the flag twins.
 DELETED_KNOBS = FLEET_KNOBS + (
     "REPRO_SIM_MAX_LANES",
+    "REPRO_SIM_HEALTH_THRESHOLD",
     "REPRO_CAMPAIGN_PREEMPT_WAIT",
     "REPRO_SERVICE_BATCH_WINDOW",
     "REPRO_SERVICE_MAX_BATCH",

@@ -25,16 +25,14 @@ from repro.obs.transport import install_from_environment
 from repro.retry import CircuitBreaker
 from repro.service.config import ServiceConfig
 from repro.settings import SETTINGS, SettingError
-from repro.sim.testbench import _backend_plan, backend_health, reset_backend_health
+from repro.sim import testbench as tb
+from repro.sim.testbench import _backend_plan, check_simulator_settings
 from repro.verilog.simulator import SimulationError
 
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Knobs read inside the simulator, whose callers handle SimulationError.
-SIMULATOR_KNOBS = {
-    "REPRO_SIM_BACKEND",
-    "REPRO_SIM_HEALTH_THRESHOLD",
-}
+SIMULATOR_KNOBS = {"REPRO_SIM_BACKEND"}
 
 #: Config classes that layer the environment over their own defaults.
 CONFIG_READERS = {
@@ -47,9 +45,6 @@ CONFIG_READERS = {
 def _clean_environment(monkeypatch):
     for name in SETTINGS:
         monkeypatch.delenv(name, raising=False)
-    reset_backend_health()
-    yield
-    reset_backend_health()
 
 
 def consume(name: str, tmp_path: Path):
@@ -69,9 +64,6 @@ def consume(name: str, tmp_path: Path):
         return install_from_environment(EventBus())
     if name == "REPRO_SIM_BACKEND":
         return _backend_plan()
-    if name == "REPRO_SIM_HEALTH_THRESHOLD":
-        reset_backend_health()
-        return backend_health()
     raise AssertionError(f"no consumer registered for {name}")
 
 
@@ -115,6 +107,8 @@ def run_experiments(store: Path, *args: str, env: dict | None = None):
         env={**os.environ, **(env or {})},
     )
 
+
+SIM_BACKEND_MESSAGE = "REPRO_SIM_BACKEND must be one of auto, trace, interpreter, got 'bogus'"
 
 MALFORMED = [
     (name, raw) for name, row in SETTINGS.items() for raw in malformed_values(row)
@@ -221,17 +215,37 @@ class TestFormerlySilentValues:
         with pytest.raises(SettingError, match=f"{name} must be unset.*'4'"):
             ServiceConfig.from_environment()
 
-    def test_serve_example_rejects_a_leftover_service_variable(self):
+    @pytest.mark.parametrize("name", ["REPRO_SIM_HEALTH_THRESHOLD", "REPRO_SIM_MAX_LANES"])
+    def test_leftover_simulator_variable_fails_by_name(self, monkeypatch, name):
+        # Deleted knobs: a stale REPRO_SIM_MAX_LANES export was once ignored.
+        monkeypatch.setenv(name, "3")
+        with pytest.raises(SettingError, match=f"{name} must be unset.*'3'"):
+            check_simulator_settings()
+        monkeypatch.setattr(tb, "_leftovers_checked", False)  # a fresh process
+        with pytest.raises(SettingError, match=f"{name} must be unset.*'3'"):
+            _backend_plan()
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [({"REPRO_SERVICE_TOOL_WORKERS": "4"}, "REPRO_SERVICE_TOOL_WORKERS must be unset"),
+         ({"REPRO_SIM_BACKEND": "bogus"}, SIM_BACKEND_MESSAGE),
+         ({"REPRO_SIM_HEALTH_THRESHOLD": "3"}, "REPRO_SIM_HEALTH_THRESHOLD must be unset")],
+        ids=["leftover-service-variable", "bad-sim-backend", "leftover-sim-variable"],
+    )
+    def test_serve_example_rejects_a_bad_or_leftover_variable(self, env, message):
+        # A bogus simulator backend once failed the first simulation with a
+        # traceback.
         result = subprocess.run(
             [sys.executable, str(ROOT / "examples" / "serve.py"), "--jobs", "1"],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "REPRO_SERVICE_TOOL_WORKERS": "4"},
+            env={**os.environ, **env},
         )
         assert result.returncode == 2
-        assert "REPRO_SERVICE_TOOL_WORKERS must be unset" in result.stderr
+        assert message in result.stderr
         assert "Traceback" not in result.stderr
+        assert "Serving" not in result.stdout
 
     @pytest.mark.parametrize(
         "args, env, message",
@@ -240,8 +254,12 @@ class TestFormerlySilentValues:
             (["--jobs", "-3"], {}, "--jobs must be an integer >= 1, got '-3'"),
             ([], {"REPRO_STORE_SEGMENT_RECORDS": "1"}, "REPRO_STORE_SEGMENT_RECORDS must be unset"),
             ([], {"REPRO_JOBS": "0"}, "REPRO_JOBS must be an integer >= 1, got '0'"),
+            ([], {"REPRO_SIM_BACKEND": "bogus"}, SIM_BACKEND_MESSAGE),
+            (["--jobs", "1"], {"REPRO_SIM_BACKEND": "bogus"}, SIM_BACKEND_MESSAGE),
+            (["--jobs", "1"], {"REPRO_TB_BACKEND": "x"}, "REPRO_TB_BACKEND must be unset"),
         ],
-        ids=["jobs-0", "jobs-negative", "leftover-store-variable", "bad-jobs-variable"],
+        ids=["jobs-0", "jobs-negative", "leftover-store-variable", "bad-jobs-variable",
+             "bad-sim-backend-pool", "bad-sim-backend-serial", "leftover-tb-variable"],
     )
     def test_run_experiments_fails_in_one_line(self, tmp_path, args, env, message):
         # --jobs 0 and --jobs -3 once ran serially; the variables raised a
@@ -263,13 +281,14 @@ class TestFormerlySilentValues:
              "REPRO_EVENTS_SOCKET must be a [host:]port endpoint or off, got 'localhost:http'"),
             (["repro.fuzz", "--n", "0"], {"REPRO_FUZZ_FEATURES": "bogus"},
              "REPRO_FUZZ_FEATURES must be unset (no such setting), got 'bogus'"),
+            (["repro.fuzz", "--n", "1"], {"REPRO_SIM_BACKEND": "bogus"}, SIM_BACKEND_MESSAGE),
             (["repro.console"], {"REPRO_EVENTS_SOCKET": "localhost:http"},
              "REPRO_EVENTS_SOCKET must be a [host:]port endpoint or off, got 'localhost:http'"),
             (["repro.console"], {"REPRO_CONSOLE_PLAIN": "1"},
              "REPRO_CONSOLE_PLAIN must be unset (no such setting), got '1'"),
         ],
         ids=["campaign-bad-value", "campaign-deleted", "fuzz-bad-value", "fuzz-deleted",
-             "console-bad-value", "console-deleted"],
+             "fuzz-bad-sim-backend", "console-bad-value", "console-deleted"],
     )
     def test_module_clis_fail_in_one_line(self, tmp_path, cli, env, message):
         # The bad values once raised a traceback; the deleted campaign knob

@@ -20,15 +20,15 @@ from repro import settings
 from repro.caching import cache_stats
 from repro.problems.registry import build_default_registry
 from repro.sim.reference import BehavioralDevice
+from repro.sim import testbench as tb
 from repro.sim.testbench import (
     FunctionalPoint,
     Testbench,
-    reset_backend_health,
     run_testbench,
     run_testbenches,
 )
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog.compile_sim import clear_kernel_cache, kernel_cache_stats
+from repro.verilog.compile_sim import clear_kernel_cache, get_kernel
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import SimulationError
 from sim_tiers import run_on
@@ -244,13 +244,16 @@ class TestRetiredVectorBackend:
 
 class TestRetiredTierKnob:
     @pytest.mark.parametrize("sim_backend", ["auto", "trace", "interpreter"])
-    def test_leftover_tier_knob_fails_by_name(self, monkeypatch, sim_backend):
-        """The deleted REPRO_TB_BACKEND fails every plan, not just the trace one."""
+    @pytest.mark.parametrize(
+        "name", ["REPRO_TB_BACKEND", "REPRO_SIM_HEALTH_THRESHOLD", "REPRO_SIM_MAX_LANES"]
+    )
+    def test_leftover_tier_knob_fails_by_name(self, monkeypatch, sim_backend, name):
+        """A deleted simulator knob fails every plan, not just the trace one."""
         module = parse_verilog(PASSTHROUGH)[0]
         monkeypatch.setenv("REPRO_SIM_BACKEND", sim_backend)
-        monkeypatch.setenv("REPRO_TB_BACKEND", "stepwise")
-        reset_backend_health()  # the check runs where the breaker is built
-        with pytest.raises(settings.SettingError, match="REPRO_TB_BACKEND must be unset"):
+        monkeypatch.setenv(name, "3")
+        monkeypatch.setattr(tb, "_leftovers_checked", False)  # a fresh process
+        with pytest.raises(settings.SettingError, match=f"{name} must be unset"):
             run_testbench(module, module, _tb([1]))
 
 
@@ -262,20 +265,23 @@ class TestTraceCaches:
         stats = cache_stats()
         assert "sim_trace" in stats and "sim_kernel" in stats
         assert not any(name.startswith("sim_vec") for name in stats)
-        assert not any(key.startswith("vec_") for key in kernel_cache_stats())
-        assert kernel_cache_stats()["fallbacks"] == 0
         loop = parse_verilog(LOOP)[0]
         loop_tb = Testbench(points=[FunctionalPoint(inputs={"a": 0})], reset_cycles=0)
         run_on("auto", loop, loop, loop_tb)
-        run_on("auto", loop, loop, loop_tb)  # negatively cached
-        assert kernel_cache_stats()["fallbacks"] == 1
+        before = cache_stats()["sim_kernel"]
+        run_on("auto", loop, loop, loop_tb)  # negatively cached: no rebuild
+        after = cache_stats()["sim_kernel"]
+        assert after["misses"] == before["misses"] and after["hits"] == before["hits"] + 1
+        assert get_kernel(loop) is None
 
         from repro.service import GenerationService
 
         snapshot = GenerationService().snapshot()
         assert "sim_trace" in snapshot.caches and "sim_kernel" in snapshot.caches
         clear_kernel_cache()
-        assert kernel_cache_stats()["fallbacks"] == 0
+        cleared = cache_stats()
+        for name in ("sim_kernel", "sim_trace"):
+            assert (cleared[name]["hits"], cleared[name]["misses"], cleared[name]["size"]) == (0, 0, 0)
 
 
 def test_toolchain_imports_leave_numpy_out():

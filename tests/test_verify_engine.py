@@ -23,11 +23,7 @@ from repro.problems.mutations import applicable_syntax_faults
 from repro.problems.registry import build_default_registry
 from repro.sim.testbench import FunctionalPoint, Testbench, run_testbench
 from repro.toolchain.compiler import ChiselCompiler
-from repro.verilog.compile_sim import (
-    clear_kernel_cache,
-    get_trace_kernel,
-    kernel_cache_stats,
-)
+from repro.verilog.compile_sim import clear_kernel_cache, get_trace_kernel
 from repro.verilog.parser import parse_verilog
 from repro.verilog.simulator import SimulationError
 from sim_tiers import run_on
@@ -192,11 +188,11 @@ class TestTraceSemantics:
             reset_cycles=0,
         )
         monkeypatch.setenv("REPRO_SIM_BACKEND", "interpreter")
-        before = kernel_cache_stats()
+        before = cache_stats()["sim_trace"]
         assert run_testbench(module, module, testbench).passed
-        after = kernel_cache_stats()
-        assert after["trace_hits"] == before["trace_hits"]
-        assert after["trace_misses"] == before["trace_misses"]
+        after = cache_stats()["sim_trace"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"]
 
     def test_behavioural_reference_falls_back_to_stepwise(self):
         """A non-VModule device can never trace; auto must go step-wise."""
@@ -211,12 +207,12 @@ class TestTraceSemantics:
             observed_outputs=["q"],
             reset_cycles=0,
         )
-        before = kernel_cache_stats()
+        before = cache_stats()["sim_trace"]
         report = run_testbench(module, reference, testbench)
-        after = kernel_cache_stats()
+        after = cache_stats()["sim_trace"]
         assert report.passed
-        assert after["trace_hits"] == before["trace_hits"]
-        assert after["trace_misses"] == before["trace_misses"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"]
 
     def test_env_forced_trace_raises_for_behavioural_reference(self, monkeypatch):
         """REPRO_SIM_BACKEND=trace must fail loudly, not silently degrade."""
@@ -315,11 +311,11 @@ class TestTraceSemantics:
         first = run_on("trace", module, module, testbench)
         second = run_on("trace", module, module, testbench)
         assert first == second
-        stats = kernel_cache_stats()
+        stats = cache_stats()["sim_trace"]
         # dut and reference share the module: one compile, three cache hits.
-        assert stats["trace_misses"] == 1 and stats["trace_hits"] == 3
+        assert stats["misses"] == 1 and stats["hits"] == 3
         clear_kernel_cache()
-        assert kernel_cache_stats()["trace_size"] == 0
+        assert cache_stats()["sim_trace"]["size"] == 0
 
 
 class TestIncrementalCompile:
